@@ -10,11 +10,24 @@ assignment frequencies and normalized Gini uncertainty scores.
 
 Only the Bernoulli model is reformulated this way; count models are
 served by the other engines.
+
+One Gibbs sweep costs O(m) to build the n x K neighbour-block count
+table from the m stored pairs, O(n K) for the per-node scalar loop, and
+O(deg) per accepted move to update the count rows of the node's
+neighbours.  Accept/reject decisions are defined by
+``_Sampler.node_log_ratio`` (NumPy dot products): the scalar loop takes
+a decision on its own only where a rounding-error bound shows that the
+reference expression would take the same one, and calls it otherwise.
+Chains are therefore byte-identical to the per-node reference sweep for
+a given NumPy/BLAS build.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
+import weakref
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -42,6 +55,7 @@ FINAL_CHAIN_ID = 4
 # cell probabilities are clamped here before any likelihood ratio so the
 # acceptance computation stays finite
 _CLAMP = 1e-6
+_TINY = sys.float_info.min
 
 
 @dataclass
@@ -127,8 +141,13 @@ def gini_uncertainty(freq_row: np.ndarray) -> float:
     return float(raw * k / (k - 1))
 
 
-class _Sampler:
-    """Chain machinery for one network; graphon swapped in between E steps."""
+class _Neighbours:
+    """Network-derived neighbour structure of the chain; never mutated.
+
+    Directed pairs are folded: node j's weight toward i is the sum of the
+    values on (i, j) and (j, i), so one undirected table serves both
+    orientations.
+    """
 
     def __init__(self, net: Network):
         self.n = net.n_nodes
@@ -142,51 +161,175 @@ class _Sampler:
                 mult[i][j] = float(v)
         self.nbrs = [np.array(sorted(d), dtype=np.int64) for d in mult]
         self.wts = [np.array([d[x] for x in sorted(d)]) for d in mult]
+        # flat (node, neighbour, weight) triples for the count table, and
+        # Python lists for the scalar loop
+        self.src = np.repeat(np.arange(self.n), [a.size for a in self.nbrs])
+        self.dst = np.concatenate(self.nbrs)
+        self.w = np.concatenate(self.wts)
+        self.nbr_lists = [a.tolist() for a in self.nbrs]
+        self.wt_lists = [w.tolist() for w in self.wts]
+        self.strength = [float(w.sum()) for w in self.wts]
+
+
+# One slot: gibbs_sweep and acceptance_prob are called many times on the
+# same network, which is immutable by convention.  The slot holds the
+# network weakly and empties when the network is freed.
+_last_neighbours: tuple[weakref.ref, _Neighbours] | None = None
+
+
+def _forget(ref: weakref.ref):
+    global _last_neighbours
+    slot = _last_neighbours
+    if slot is not None and slot[0] is ref:
+        _last_neighbours = None
+
+
+def _neighbours(net: Network) -> _Neighbours:
+    global _last_neighbours
+    slot = _last_neighbours
+    if slot is not None and slot[0]() is net:
+        return slot[1]
+    nb = _Neighbours(net)
+    _last_neighbours = (weakref.ref(net, _forget), nb)
+    return nb
+
+
+# The scalar loop and node_log_ratio sum the same 2K + 1 products in
+# different orders (the BLAS dot may also fuse multiply-adds); summing k
+# terms in any order is off by at most about k * u * S, with u = 2**-53
+# the unit roundoff and S the sum of the terms' magnitudes, so the two
+# values differ by at most about (2K + 6) * u * S.  The loop's margin is
+# _ERR_SCALE * (2K + 6) * (S' + 1): S' >= S bounds every neighbour count
+# by the node's total weight, the + 1 covers the rounding of math.exp,
+# and the factor 64 is a safety margin.
+_ERR_SCALE = 64.0 * 2.0**-53
+
+
+class _Sampler:
+    """Chain machinery for one network; graphon swapped in between E steps."""
+
+    def __init__(self, net: Network):
+        self.nb = _neighbours(net)
+        self.n = self.nb.n
+        self.pair_factor = self.nb.pair_factor
 
     def set_graphon(self, g: GraphonStep):
         self.tau = g.tau
-        self.lens = np.diff(g.tau)
+        self.lens = g.tau[1:] - g.tau[:-1]
         self.K = g.K
         pc = np.clip(g.P, _CLAMP, 1.0 - _CLAMP)
         self.log_p = np.log(pc)
         self.log_q = np.log1p(-pc)
         with np.errstate(divide="ignore"):
             self.log_stay = np.log1p(-self.lens)
+        self.cell = self.nb.src * self.K  # row offsets into the n x K count table
+        # nodes of a full-width interval have an empty proposal support
+        self.support = 1.0 - self.lens
+        self.any_full = min(self.support.tolist()) <= 1e-15
+        self._lp, self._lq = self.log_p.tolist(), self.log_q.tolist()
+        self._ls = self.log_stay.tolist()
+        # per-move tables, filled on first use by sweep
+        self.moves = [[None] * self.K for _ in range(self.K)]
+
+    def _move_terms(self, kc: int, ks: int) -> tuple:
+        """Scalar tables of the move kc -> ks, indexed by the neighbour's block.
+
+        Returns (d_lp - d_lq, d_lq, d_stay) and the two coefficients of
+        the error bound: per unit of neighbour weight, and fixed.
+        """
+        lp, lq, sub = self._lp, self._lq, operator.sub
+        d_lp = list(map(sub, lp[ks], lp[kc]))
+        d_lq = list(map(sub, lq[ks], lq[kc]))
+        d_stay = self._ls[kc] - self._ls[ks]
+        scale = _ERR_SCALE * (2 * self.K + 6)
+        max_lq = max(map(abs, d_lq))
+        per_weight = scale * (max(map(abs, d_lp)) + max_lq)
+        fixed = scale * (self.pair_factor * (self.n + 1) * max_lq + abs(d_stay) + 1.0)
+        self.moves[kc][ks] = terms = (list(map(sub, d_lp, d_lq)), d_lq, d_stay, per_weight, fixed)
+        return terms
 
     def assign(self, u: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.tau, u, side="right") - 1
+        return self.tau.searchsorted(u, side="right") - 1
 
     def node_log_ratio(self, j: int, z: np.ndarray, occ: np.ndarray, ks: int, kc: int) -> float:
-        """Log likelihood ratio for moving node j's interval kc -> ks."""
-        e = np.bincount(z[self.nbrs[j]], weights=self.wts[j], minlength=self.K)
+        """Metropolis log ratio for moving node j's interval kc -> ks.
+
+        This expression defines every accept/reject decision; the fast
+        path in ``sweep`` only decides where its own value provably
+        agrees with it.
+        """
+        e = np.bincount(z[self.nb.nbrs[j]], weights=self.nb.wts[j], minlength=self.K)
         m = occ * self.pair_factor
         m[kc] -= self.pair_factor
         d_lp = self.log_p[ks] - self.log_p[kc]
         d_lq = self.log_q[ks] - self.log_q[kc]
-        return float(e @ d_lp + (m - e) @ d_lq)
+        log_r = float(e @ d_lp + (m - e) @ d_lq)
+        return float(log_r + (self.log_stay[kc] - self.log_stay[ks]))
 
     def sweep(self, u: np.ndarray, z: np.ndarray, occ: np.ndarray, rng: np.random.Generator):
-        """One in-place pass over all nodes in ascending index order."""
-        for j in range(self.n):
-            kc = z[j]
-            support = 1.0 - self.lens[kc]
-            x = rng.random()
-            coin = rng.random()
-            if support <= 1e-15:
-                # proposal support is empty (the interval covers [0,1));
-                # resample uniformly, which cannot change the likelihood
-                u[j] = x
-                continue
-            x *= support
-            u_star = x if x < self.tau[kc] else x + self.lens[kc]
-            ks = int(np.searchsorted(self.tau, u_star, side="right") - 1)
-            log_r = self.node_log_ratio(j, z, occ.astype(np.float64), ks, kc)
-            log_r += self.log_stay[kc] - self.log_stay[ks]
-            if log_r >= 0 or coin < math.exp(log_r):
-                occ[kc] -= 1
-                occ[ks] += 1
-                z[j] = ks
-                u[j] = u_star
+        """One in-place pass over all nodes in ascending index order.
+
+        Node j draws two uniforms (proposal, then coin) when it is
+        visited; drawing all 2n at once gives the same numbers.  Until
+        node j is visited z[j] holds its start-of-sweep value, so every
+        proposal is computed up front.  The loop keeps a neighbour-block
+        count table (the weight from each node into each interval),
+        scores a proposal in O(K) scalar arithmetic and, on acceptance,
+        updates the table rows of the node's neighbours in O(deg).  The
+        counts are whole numbers, so the table is exact.
+        """
+        n, K, nb = self.n, self.K, self.nb
+        draws = rng.random(2 * n)
+        x, coins = draws[0::2], draws[1::2]
+        todo = range(n)
+        if self.any_full:
+            # the proposal support is empty: resample uniformly, which
+            # cannot change the likelihood
+            free = self.support[z] <= 1e-15
+            u[free] = x[free]
+            todo = np.flatnonzero(~free).tolist()
+            if not todo:
+                return
+        lens = self.lens[z]
+        xs = x * self.support[z]
+        u_star = np.where(xs < self.tau[z], xs, xs + lens)
+        kss = (self.tau.searchsorted(u_star, side="right") - 1).tolist()
+        cnt = np.bincount(self.cell + z[nb.dst], weights=nb.w, minlength=n * K)
+        cnt = cnt.reshape(n, K).tolist()
+        kcs, coins, occ_l, u_star = z.tolist(), coins.tolist(), occ.tolist(), u_star.tolist()
+        pf, strength, moves = self.pair_factor, nb.strength, self.moves
+        nbr_lists, wt_lists = nb.nbr_lists, nb.wt_lists
+        accepted = False
+        for j in todo:
+            kc, k, coin = kcs[j], kss[j], coins[j]
+            d_pq, d_lq, d_stay, per_weight, fixed = moves[kc][k] or self._move_terms(kc, k)
+            log_r = (sum(map(operator.mul, cnt[j], d_pq))
+                     + pf * (sum(map(operator.mul, occ_l, d_lq)) - d_lq[kc]) + d_stay)
+            err = strength[j] * per_weight + fixed
+            # decide here only when every value within err of log_r, which
+            # includes node_log_ratio's, gives the same decision; where exp
+            # underflows, leave the decision to node_log_ratio
+            if log_r > err:
+                accept = True
+            elif log_r < -err and coin > 0.0 and coin >= math.exp(log_r + err):
+                accept = False
+            elif log_r < -err and coin < (lo := math.exp(log_r - err)) and lo > _TINY:
+                accept = True
+            else:
+                exact = self.node_log_ratio(j, z, np.array(occ_l), k, kc)
+                accept = exact >= 0 or coin < math.exp(exact)
+            if accept:
+                occ_l[kc] -= 1
+                occ_l[k] += 1
+                z[j] = k
+                for i, w in zip(nbr_lists[j], wt_lists[j]):
+                    row = cnt[i]
+                    row[kc] -= w
+                    row[k] += w
+                u[j] = u_star[j]
+                accepted = True
+        if accepted:
+            occ[:] = occ_l
 
 
 def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> float:
@@ -205,8 +348,7 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
     if ks == kc:
         raise ValueError("u_star lies inside the current interval")
     occ = np.bincount(z, minlength=g.K)
-    log_r = sampler.node_log_ratio(j, z, occ.astype(np.float64), ks, kc)
-    log_r += sampler.log_stay[kc] - sampler.log_stay[ks]
+    log_r = sampler.node_log_ratio(j, z, occ, ks, kc)
     return 1.0 if log_r >= 0 else float(math.exp(log_r))
 
 

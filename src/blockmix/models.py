@@ -153,9 +153,9 @@ class GraphonStep:
     def interval_of(self, u) -> np.ndarray | int:
         """0-based index of the interval containing each u in [0, 1)."""
         u_arr = np.asarray(u, dtype=np.float64)
-        if np.any(u_arr < 0) or np.any(u_arr >= 1):
+        if (u_arr < 0).any() or (u_arr >= 1).any():
             raise ValueError("u must lie in [0, 1)")
-        idx = np.searchsorted(self.tau, u_arr, side="right") - 1
+        idx = self.tau.searchsorted(u_arr, side="right") - 1
         return idx if u_arr.ndim else int(idx)
 
 

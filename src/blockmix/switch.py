@@ -57,8 +57,12 @@ class MoveDelta(NamedTuple):
 
 
 def _xlogy(a, b):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(a > 0, a * np.log(b), 0.0)
+    """a * log(b), and 0 where a is not positive.
+
+    Callers run it under np.errstate(divide="ignore", invalid="ignore"),
+    entered once per objective or move_deltas call, not once per term.
+    """
+    return np.where(a > 0, a * np.log(b), 0.0)
 
 
 class _Stats:
@@ -114,7 +118,8 @@ class _Stats:
             self.degsq = np.zeros(K)
             np.add.at(self.kappa, labels0, self.deg)
             np.add.at(self.degsq, labels0, self.deg * self.deg)
-            self.dlogd = float(_xlogy(self.deg, self.deg).sum())
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self.dlogd = float(_xlogy(self.deg, self.deg).sum())
 
     def apply(self, v: int, to0: int):
         a = self.z[v]
@@ -151,12 +156,12 @@ class _Stats:
         return e_u, w_u
 
     def _dc_weights(self, sizes, kappa, degsq):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(kappa > 0, sizes / kappa, 0.0)
+        ratio = np.where(kappa > 0, sizes / kappa, 0.0)
         svec = np.where(kappa > 0, sizes, 0.0)
         qvec = degsq * ratio * ratio
         return svec, qvec, ratio
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def objective(self) -> float:
         s = self.sizes
         if self.kind == "dc_poisson":
@@ -185,6 +190,7 @@ class _Stats:
             return _xlogy(e, e / np.maximum(w, 1.0))
         return _xlogy(e, e / np.maximum(w, 1e-300))
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def move_deltas(self, a: int, d: int, verts: np.ndarray) -> np.ndarray:
         """Objective changes for moving each vertex of ``verts`` from a to d.
 
@@ -268,9 +274,8 @@ class _Stats:
         kd2 = self.kappa[d] + dv
         qa_deg = self.degsq[a] - dv * dv
         qd_deg = self.degsq[d] + dv * dv
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ra2 = np.where(ka2 > 0, sa2 / ka2, 0.0)
-            rd2 = np.where(kd2 > 0, sd2 / kd2, 0.0)
+        ra2 = np.where(ka2 > 0, sa2 / ka2, 0.0)
+        rd2 = np.where(kd2 > 0, sd2 / kd2, 0.0)
         sva2 = np.where(ka2 > 0, sa2, 0.0)
         svd2 = np.where(kd2 > 0, sd2, 0.0)
         qa2 = qa_deg * ra2 * ra2
@@ -306,9 +311,8 @@ class _Stats:
             wrow_d = svec[d] * svec
             ka2 = self.kappa[a] - dv
             kd2 = self.kappa[d] + dv
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ra2 = np.where(ka2 > 0, sa2 / ka2, 0.0)
-                rd2 = np.where(kd2 > 0, sd2 / kd2, 0.0)
+            ra2 = np.where(ka2 > 0, sa2 / ka2, 0.0)
+            rd2 = np.where(kd2 > 0, sd2 / kd2, 0.0)
             sva2 = np.where(ka2 > 0, sa2, 0.0)
             svd2 = np.where(kd2 > 0, sd2, 0.0)
             qa2 = (self.degsq[a] - dv * dv) * ra2 * ra2

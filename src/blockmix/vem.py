@@ -53,10 +53,11 @@ def _mul(coef, table):
 
     Coefficients within rounding noise of zero are treated as zero when
     the table entry is infinite, so a p = 1 cell whose complement count
-    is -1e-17 instead of exactly 0 cannot poison the sum.
+    is -1e-17 instead of exactly 0 cannot poison the sum.  Callers run
+    it under np.errstate(divide="ignore", invalid="ignore"), entered once
+    per E step or bound evaluation, not once per product.
     """
-    with np.errstate(invalid="ignore"):
-        out = np.where(coef != 0, coef * table, 0.0)
+    out = np.where(coef != 0, coef * table, 0.0)
     snap = ~np.isfinite(table) & (np.abs(coef) < 1e-9)
     return np.where(snap, 0.0, out)
 
@@ -68,6 +69,7 @@ def _pair_tables(params: BlockParams):
         return params.block_matrix, np.exp(params.block_matrix)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _elbo_dense(yd: np.ndarray, directed: bool, state: VariationalState) -> float:
     resp, params = state.resp, state.params
     colsum = resp.sum(axis=0)
@@ -79,11 +81,9 @@ def _elbo_dense(yd: np.ndarray, directed: bool, state: VariationalState) -> floa
         pair_term = (_mul(edge, table_a) + _mul(pairs - edge, table_b)).sum()
     else:
         pair_term = (_mul(edge, table_a) - pairs * table_b).sum()
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(params.pi)
+    log_pi = np.log(params.pi)
     mix_term = _mul(colsum, log_pi).sum()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        entropy = -np.where(resp > 0, resp * np.log(resp), 0.0).sum()
+    entropy = -np.where(resp > 0, resp * np.log(resp), 0.0).sum()
     return float(pair_term * scale + mix_term + entropy)
 
 
@@ -95,6 +95,7 @@ def _softmax_row(score: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _e_step_dense(
     yd: np.ndarray, directed: bool, state: VariationalState, harden: bool = False
 ) -> VariationalState:
@@ -102,8 +103,7 @@ def _e_step_dense(
     resp = state.resp.copy()
     colsum = resp.sum(axis=0)
     table_a, table_b = _pair_tables(params)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(params.pi)
+    log_pi = np.log(params.pi)
     bernoulli = params.kind == "bernoulli"
     for i in range(yd.shape[0]):
         others = colsum - resp[i]

@@ -1,0 +1,111 @@
+"""Behaviour lock: sha256 of the result JSON of small fixed-seed fits.
+
+Each case builds a small planted network from its own numpy stream (so
+a change to ``blockmix.generate`` cannot move it), fits it with one
+engine, and hashes ``to_json`` of the result.  mcem cases also hash the
+per-iteration ``u_trace`` that ``--trace-out`` writes, and one case per
+orientation pins the positions after 200 ``gibbs_sweep`` calls.
+
+A change that is meant to be behaviour-neutral (a speed-up, a refactor)
+must leave every hash here unchanged.  A change that is meant to alter
+results updates the hashes and says so in CHANGES.md.
+
+The hashes belong to one NumPy/OpenBLAS build: accept/reject decisions
+and likelihood sums depend on the exact floating-point results of NumPy's
+dot products and reductions, so another build (another BLAS kernel, or
+another CPU dispatch path) can move the last bits and with them the
+hashes.  They were recorded with Python 3.11, NumPy 2.4.6 and the
+scipy-openblas OpenBLAS 0.3.31 build (DYNAMIC_ARCH, Haswell kernels).
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from blockmix.graph import Network
+from blockmix.mcem import McemConfig, gibbs_sweep, mcem_fit
+from blockmix.models import GraphonStep
+from blockmix.results import to_json
+from blockmix.switch import SwitchConfig, switch_fit
+from blockmix.vem import VemConfig, vem_fit
+
+
+def _planted(seed: int, n: int, directed: bool, count: bool) -> Network:
+    """Two planted blocks; Bernoulli edges or Poisson counts."""
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, 2, size=n)
+    rate = np.where(z[:, None] == z[None, :], 0.45, 0.08)
+    if count:
+        y = rng.poisson(2.0 * rate)
+    else:
+        y = (rng.random((n, n)) < rate).astype(np.int64)
+    np.fill_diagonal(y, 0)
+    if not directed:
+        y = np.triu(y, 1)
+    edges = {(int(i), int(j)): int(y[i, j]) for i, j in zip(*np.nonzero(y))}
+    return Network.from_edges(
+        n, edges, directed=directed, value_kind="count" if count else "binary",
+        node_labels=[f"v{i}" for i in range(n)],
+    )
+
+
+def _mcem_cfg():
+    return McemConfig(
+        K=2, em_max_iter=8, sweeps_base=10, sweeps_increment=5, sweeps_cap=30,
+        restarts=2, final_sweeps=200, seed=3,
+    )
+
+
+def _fit(case: str):
+    engine, model, orient = case.split("-")
+    directed = orient == "directed"
+    count = model != "bernoulli"
+    net = _planted(11 if directed else 7, 30, directed, count)
+    if engine == "vem":
+        return vem_fit(net, VemConfig(K=2, restarts=2, seed=1), kind=model)
+    if engine == "switch":
+        return switch_fit(net, SwitchConfig(K=2, restarts=2, seed=2, kind=model))
+    return mcem_fit(net, _mcem_cfg())
+
+
+def _digest(case: str) -> str:
+    h = hashlib.sha256()
+    if case.startswith("gibbs-"):
+        net = _planted(5, 14, case.endswith("-directed"), False)
+        g = GraphonStep([0.0, 0.35, 0.7, 1.0], [[0.6, 0.1, 0.2], [0.1, 0.5, 0.3], [0.2, 0.3, 0.4]])
+        rng = np.random.default_rng(9)
+        u = rng.random(net.n_nodes)
+        for _ in range(200):
+            u = gibbs_sweep(net, u, g, rng).u
+        h.update(u.tobytes())
+        return h.hexdigest()
+    result = _fit(case)
+    h.update(to_json(result).encode())
+    for u_hat in result.extras.get("u_trace", []):
+        h.update(np.asarray(u_hat, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+GOLDEN = {
+    "vem-bernoulli-undirected": "2f33894486902f32760c7f3903a615ea11a0b370f734f25eac670e565b3b3e9c",
+    "vem-bernoulli-directed": "d186664fa9f0c69c476965af3f94a45291427ed661b03b79f0f4dd2fef835426",
+    "vem-poisson-undirected": "ad63c2809568189e0ad435e3154c729a43a2876d1554ac8fd44e6dd61b077189",
+    "vem-poisson-directed": "31008a0f7c07b58f1d26867fcffd9028273978a41987051736f1f5687c0b7b44",
+    "switch-bernoulli-undirected": "54a8d44c658fe34f01cad98e97c5561c045b42775f0ed486db4b5ad5f3e9a3bf",
+    "switch-bernoulli-directed": "9579e88e6740f862f369a9dfb7248acb80ddd9a87485dce56dd375b8fbc02d31",
+    "switch-poisson-undirected": "93e9800dac7af74feced50eb7960fc0d0a61779008a19a0d7d08d28833f076a5",
+    "switch-poisson-directed": "8f27e6374aecbb82eda655ec875bcdf44a4dff72182025c8b8ab46b4578451ba",
+    "switch-dc_poisson-undirected": "5b0fe70f4c7ff121d004cb38d21ee80b1277600b88b66c443abb35d05125b8c4",
+    "switch-dc_poisson-directed": "1de111c494c6aaa42309e5a038fd4b826c2c99ac57861e1b4ef4b4c9422900e9",
+    "mcem-bernoulli-undirected": "0d16664f40a355aa5244961269782108fee0c88cb8067bcd60a2fe417b2bbede",
+    "mcem-bernoulli-directed": "b865224f7b23d2a73efed12a48f0a7c268323bd6c585a22b207c52cf09772199",
+    "gibbs-undirected": "08de9a26930b6270420ddfb59e03b5c04d16004677e0d690a28f542638037ee5",
+    "gibbs-directed": "6708a64a8759fa454d03f5aa97f5f8390615b911140cf93b54a3d36ddf4229d7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_hash(case, monkeypatch):
+    monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
+    assert _digest(case) == GOLDEN[case]

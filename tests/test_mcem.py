@@ -1,6 +1,8 @@
 """Graphon MCEM: chain operations, closed-form updates, uncertainty."""
 
+import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockmix.evaluate import rand_index
 from blockmix.generate import GenConfig, sample_sbm
+from blockmix import mcem
 from blockmix.graph import Network
 from blockmix.mcem import (
     LatentPositions,
@@ -145,6 +148,206 @@ class TestGibbsSweep:
         out = gibbs_sweep(net, u0, g, np.random.default_rng(1))
         assert not np.array_equal(out.u, u0)
         assert out.u.min() >= 0 and out.u.max() < 1
+
+
+class _SeedSampler:
+    """The original per-node sweep, kept as the oracle for the fast one.
+
+    Every node is scored with its own bincount and two dot products and
+    draws its two uniforms one at a time.
+    """
+
+    def __init__(self, net):
+        self.n = net.n_nodes
+        self.pair_factor = 2.0 if net.directed else 1.0
+        mult = [dict() for _ in range(self.n)]
+        for (i, j), v in net.entries.items():
+            if net.directed:
+                mult[i][j] = mult[i].get(j, 0.0) + v
+                mult[j][i] = mult[j].get(i, 0.0) + v
+            else:
+                mult[i][j] = float(v)
+        self.nbrs = [np.array(sorted(d), dtype=np.int64) for d in mult]
+        self.wts = [np.array([d[x] for x in sorted(d)]) for d in mult]
+
+    def set_graphon(self, g):
+        self.tau = g.tau
+        self.lens = np.diff(g.tau)
+        self.K = g.K
+        pc = np.clip(g.P, _CLAMP, 1.0 - _CLAMP)
+        self.log_p = np.log(pc)
+        self.log_q = np.log1p(-pc)
+        with np.errstate(divide="ignore"):
+            self.log_stay = np.log1p(-self.lens)
+
+    def node_log_ratio(self, j, z, occ, ks, kc):
+        e = np.bincount(z[self.nbrs[j]], weights=self.wts[j], minlength=self.K)
+        m = occ * self.pair_factor
+        m[kc] -= self.pair_factor
+        d_lp = self.log_p[ks] - self.log_p[kc]
+        d_lq = self.log_q[ks] - self.log_q[kc]
+        return float(e @ d_lp + (m - e) @ d_lq)
+
+    def sweep(self, u, z, occ, rng):
+        for j in range(self.n):
+            kc = z[j]
+            support = 1.0 - self.lens[kc]
+            x = rng.random()
+            coin = rng.random()
+            if support <= 1e-15:
+                u[j] = x
+                continue
+            x *= support
+            u_star = x if x < self.tau[kc] else x + self.lens[kc]
+            ks = int(np.searchsorted(self.tau, u_star, side="right") - 1)
+            log_r = self.node_log_ratio(j, z, occ.astype(np.float64), ks, kc)
+            log_r += self.log_stay[kc] - self.log_stay[ks]
+            if log_r >= 0 or coin < math.exp(log_r):
+                occ[kc] -= 1
+                occ[ks] += 1
+                z[j] = ks
+                u[j] = u_star
+
+
+class _Scripted:
+    """Stand-in generator that replays fixed uniforms, one or many at a time."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+class TestSweepMatchesSeedSweep:
+    """The count-table sweep reproduces the per-node sweep bit for bit."""
+
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        calls = []
+        original = mcem._Sampler.node_log_ratio
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return original(self, *args)
+
+        monkeypatch.setattr(mcem._Sampler, "node_log_ratio", counted)
+        return calls
+
+    def _chains(self, net, g, seed, sweeps=300):
+        rng = np.random.default_rng(seed)
+        u0 = rng.random(net.n_nodes)
+        states = []
+        for sampler in (_SeedSampler(net), mcem._Sampler(net)):
+            sampler.set_graphon(g)
+            u = u0.copy()
+            z = sampler.tau.searchsorted(u, side="right") - 1
+            occ = np.bincount(z, minlength=g.K)
+            chain = np.random.default_rng(seed + 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                for _ in range(sweeps):
+                    sampler.sweep(u, z, occ, chain)
+            states.append((u, z, occ))
+        (u_a, z_a, occ_a), (u_b, z_b, occ_b) = states
+        assert u_a.tobytes() == u_b.tobytes()
+        assert z_a.tobytes() == z_b.tobytes()
+        assert occ_a.tobytes() == occ_b.tobytes()
+        return u_b
+
+    @staticmethod
+    def _graphon(rng, tau):
+        K = len(tau) - 1
+        P = rng.uniform(0.05, 0.95, size=(K, K))
+        return GraphonStep(tau, (P + P.T) / 2)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_graphs(self, seed, directed, exact_calls):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n=25, directed=directed, binary=True, p=0.3)
+        cuts = np.sort(rng.uniform(0.1, 0.9, size=2))
+        self._chains(net, self._graphon(rng, [0.0, *cuts, 1.0]), seed)
+        # far from every decision boundary the fast path decides alone
+        assert exact_calls == []
+
+    def test_single_interval(self, exact_calls):
+        # K = 1: the proposal support is empty, every node is redrawn
+        net = random_network(np.random.default_rng(2), n=10, directed=False, binary=True)
+        u = self._chains(net, GraphonStep([0.0, 1.0], [[0.4]]), 2)
+        assert u.min() >= 0 and u.max() < 1
+        assert exact_calls == []
+
+    @pytest.mark.parametrize("tau", [[0.0, 0.4, 0.4, 1.0], [0.0, 0.0, 1.0, 1.0]])
+    def test_zero_width_intervals(self, tau):
+        rng = np.random.default_rng(3)
+        net = random_network(rng, n=20, directed=True, binary=True, p=0.4)
+        self._chains(net, self._graphon(rng, tau), 3)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_clamped_cells(self, directed):
+        rng = np.random.default_rng(4)
+        net = random_network(rng, n=20, directed=directed, binary=True, p=0.4)
+        P = [[1.0, 0.0, 0.3], [0.0, 1.0, 0.0], [0.3, 0.0, 0.0]]
+        self._chains(net, GraphonStep([0.0, 0.3, 0.7, 1.0], P), 4)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_identical_blocks_use_the_exact_ratio(self, directed, exact_calls):
+        # blocks 0 and 1 share their rows of P and their length, so a
+        # move between them has a log ratio of exactly 0: only the
+        # reference expression can decide it
+        rng = np.random.default_rng(5)
+        net = random_network(rng, n=20, directed=directed, binary=True, p=0.4)
+        P = [[0.6, 0.6, 0.1], [0.6, 0.6, 0.1], [0.1, 0.1, 0.5]]
+        self._chains(net, GraphonStep([0.0, 0.3, 0.6, 1.0], P), 5)
+        assert len(exact_calls) > 100
+
+
+    def test_neighbour_structure_reused_per_network(self):
+        rng = np.random.default_rng(6)
+        net = random_network(rng, n=8, binary=True)
+        other = random_network(rng, n=8, binary=True)
+        assert mcem._Sampler(net).nb is mcem._Sampler(net).nb
+        assert mcem._Sampler(other).nb is not mcem._Sampler(net).nb
+        # the slot does not keep a network alive
+        del net
+        gc.collect()
+        assert mcem._last_neighbours is None
+
+    def test_coins_on_the_threshold(self):
+        # the first node's coin is placed exactly on, or one ulp below,
+        # exp of the reference log ratio; the fast sum differs from the
+        # reference dot products in the last bits, so only a correct
+        # error margin reproduces every decision
+        decided = 0
+        for trial in range(60):
+            rng = np.random.default_rng(100 + trial)
+            net = random_network(rng, n=12, directed=bool(trial % 2), binary=True, p=0.5)
+            g = self._graphon(rng, [0.0, *np.sort(rng.uniform(0.1, 0.9, size=2)), 1.0])
+            u0 = rng.random(net.n_nodes)
+            draws = rng.random(2 * net.n_nodes)
+            seed = _SeedSampler(net)
+            seed.set_graphon(g)
+            z = g.interval_of(u0)
+            kc = z[0]
+            x = draws[0] * (1.0 - seed.lens[kc])
+            ks = g.interval_of(float(x if x < seed.tau[kc] else x + seed.lens[kc]))
+            log_r = seed.node_log_ratio(0, z, np.bincount(z, minlength=3).astype(float), ks, kc)
+            log_r += seed.log_stay[kc] - seed.log_stay[ks]
+            if log_r >= 0:
+                continue
+            draws[1] = math.exp(log_r) if trial % 4 < 2 else np.nextafter(math.exp(log_r), 0.0)
+            states = []
+            for sampler in (seed, mcem._Sampler(net)):
+                sampler.set_graphon(g)
+                u, zz = u0.copy(), z.copy()
+                sampler.sweep(u, zz, np.bincount(zz, minlength=3), _Scripted(draws))
+                states.append(u.tobytes())
+            assert states[0] == states[1], trial
+            decided += 1
+        assert decided >= 20
 
 
 class TestPosteriorMode:
