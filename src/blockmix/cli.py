@@ -36,6 +36,20 @@ MODELS = ("bernoulli", "poisson", "dc_poisson")
 METHODS = ("vem", "switch", "mcem")
 
 
+def _int_in(low: int, high: float = float("inf")):
+    """argparse type: an integer in [low, high)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value >= high:
+            raise argparse.ArgumentTypeError(f"must be below {high}, got {value}")
+        return value
+
+    return integer
+
+
 def _add_input_flags(sub: argparse.ArgumentParser):
     sub.add_argument("edgelist", help="edge-list file: 'src dst [value]' lines, '#' comments")
     sub.add_argument("--directed", action="store_true", help="treat edges as directed")
@@ -43,7 +57,7 @@ def _add_input_flags(sub: argparse.ArgumentParser):
     group.add_argument("--count", action="store_true", help="values are integer counts")
     group.add_argument(
         "--bins",
-        type=int,
+        type=_int_in(1),
         metavar="N",
         help="input carries [0,1] weights; discretize into N count bins (floor rule, top bin closed)",
     )
@@ -78,15 +92,16 @@ def cmd_fit(args, parser) -> int:
     net = _load_network(args)
     if args.K > net.n_nodes:
         parser.error("K cannot exceed the number of nodes")
+    restarts = {} if args.restarts is None else {"restarts": args.restarts}
 
     if args.method == "vem":
-        cfg = VemConfig(K=args.K, restarts=args.restarts or 10, seed=args.seed)
+        cfg = VemConfig(K=args.K, seed=args.seed, **restarts)
         result = vem_fit(net, cfg, kind=args.model)
     elif args.method == "switch":
-        cfg = SwitchConfig(K=args.K, restarts=args.restarts or 20, seed=args.seed, kind=args.model)
+        cfg = SwitchConfig(K=args.K, seed=args.seed, kind=args.model, **restarts)
         result = switch_fit(net, cfg)
     else:
-        cfg = McemConfig(K=args.K, restarts=args.restarts or 10, seed=args.seed)
+        cfg = McemConfig(K=args.K, seed=args.seed, **restarts)
         result = mcem_fit(net, cfg)
 
     Path(args.out).write_text(to_json(result), encoding="utf-8")
@@ -219,9 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_fit)
     p_fit.add_argument("--model", choices=MODELS, default="bernoulli")
     p_fit.add_argument("--method", choices=METHODS, required=True)
-    p_fit.add_argument("--K", type=int, required=True, help="number of blocks")
-    p_fit.add_argument("--restarts", type=int, default=None, help="override the engine default")
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--K", type=_int_in(1), required=True, help="number of blocks")
+    p_fit.add_argument(
+        "--restarts", type=_int_in(1), default=None, help="override the engine default"
+    )
+    p_fit.add_argument("--seed", type=_int_in(0, 2**64), default=0)
     p_fit.add_argument("--out", required=True, help="output path for the result JSON")
     p_fit.add_argument(
         "--trace-out",
@@ -232,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="sample a synthetic network with known blocks")
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--K", type=int, required=True)
+    p_gen.add_argument("--K", type=_int_in(1), required=True)
     p_gen.add_argument("--pi", default=None, help="comma-separated mixing weights (default uniform)")
     p_gen.add_argument(
         "--block-matrix",
@@ -242,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--model", choices=MODELS, default="bernoulli")
     p_gen.add_argument("--gamma", default=None, help="dc_poisson only: comma-separated node offsets")
     p_gen.add_argument("--directed", action="store_true")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_int_in(0, 2**64), default=0)
     p_gen.add_argument("--out-prefix", required=True, help="writes <prefix>.edges and <prefix>.labels")
     p_gen.set_defaults(func=cmd_generate)
 
@@ -250,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("predicted", help="fit result JSON or 'node group' label file")
     p_eval.add_argument("truth", help="'node group' label file")
     p_eval.add_argument(
-        "--uncertain", type=int, default=3, help="how many lowest-confidence nodes to print"
+        "--uncertain", type=_int_in(0), default=3, help="how many lowest-confidence nodes to print"
     )
     p_eval.set_defaults(func=cmd_eval)
     return parser

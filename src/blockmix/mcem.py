@@ -33,8 +33,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from blockmix.graph import Network
-from blockmix.models import BlockParams, GraphonStep, Partition, block_pair_stats, global_rate
-from blockmix.models import bernoulli_loglik
+from blockmix.models import GraphonStep, _bernoulli_loglik_dense, block_pair_stats, global_rate
 from blockmix.results import FitResult, map_restarts, restart_stream
 
 __all__ = [
@@ -394,12 +393,16 @@ def m_step(net: Network, u_hat, g: GraphonStep, delta: float, K: int) -> Graphon
     """
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")
+    return _m_step_dense(net.to_dense().astype(np.float64), global_rate(net), u_hat, g, delta, K)
+
+
+def _m_step_dense(yd: np.ndarray, fallback: float, u_hat, g: GraphonStep, delta: float,
+                  K: int) -> GraphonStep:
     pos = _positions(u_hat)
     z = g.interval_of(pos)
-    edge, pairs, sizes = block_pair_stats(net.to_dense().astype(np.float64), z, K)
+    edge, pairs, sizes = block_pair_stats(yd, z, K)
     num = edge + edge.T
     den = pairs + pairs.T
-    fallback = global_rate(net)
     with np.errstate(invalid="ignore"):
         p = np.where(den > 0, num / np.maximum(den, 1.0), fallback)
     p = np.clip(p, 0.0, 1.0)
@@ -409,18 +412,17 @@ def m_step(net: Network, u_hat, g: GraphonStep, delta: float, K: int) -> Graphon
     return GraphonStep(tau, p)
 
 
-def _em_objective(net: Network, z_hat: np.ndarray, g: GraphonStep) -> float:
-    params = BlockParams("bernoulli", g.K, np.diff(g.tau), g.P)
-    return bernoulli_loglik(net, Partition(z_hat + 1, g.K), params)
-
-
 def _run_restart(args):
     net, cfg, restart = args
     rng = restart_stream(cfg.seed, ENGINE_ID, restart)
     n, K = net.n_nodes, cfg.K
     sampler = _Sampler(net)
+    # one dense matrix per restart: int64 for the objective, float64 for the M step
+    y = net.to_dense()
+    yd = y.astype(np.float64)
+    fallback = global_rate(net)
 
-    p0 = min(max(global_rate(net), 1e-3), 1.0 - 1e-3)
+    p0 = min(max(fallback, 1e-3), 1.0 - 1e-3)
     noise = rng.uniform(-0.5, 0.5, size=(K, K))
     p_init = np.clip(p0 * (1.0 + (noise + noise.T) / 2.0), 1e-4, 1.0 - 1e-4)
     g = GraphonStep(np.linspace(0.0, 1.0, K + 1), p_init)
@@ -462,14 +464,13 @@ def _run_restart(args):
             stable = 0
         prev_z_hat = z_hat
         if stable >= 2 or m == cfg.em_max_iter:
-            g = m_step(net, u_hat, g, 1.0, K)
-            trace.append(_em_objective(net, z_hat, g))
+            g = _m_step_dense(yd, fallback, u_hat, g, 1.0, K)
+            trace.append(_bernoulli_loglik_dense(y, net.directed, z_hat, K, g.P))
             break
-        g = m_step(net, u_hat, g, delta, K)
-        trace.append(_em_objective(net, z_hat, g))
+        g = _m_step_dense(yd, fallback, u_hat, g, delta, K)
+        trace.append(_bernoulli_loglik_dense(y, net.directed, z_hat, K, g.P))
 
-    objective = _em_objective(net, z_hat, g)
-    return objective, z_hat, g, trace, u.copy(), u_trace
+    return trace[-1], z_hat, g, trace, u.copy(), u_trace
 
 
 def mcem_fit(net: Network, cfg: McemConfig) -> FitResult:

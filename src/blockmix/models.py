@@ -95,10 +95,14 @@ class BlockParams:
         self.block_matrix = np.asarray(self.block_matrix, dtype=np.float64)
         if self.pi.shape != (self.K,):
             raise ValueError("pi must have length K")
+        if np.isnan(self.pi).any():
+            raise ValueError("pi must not contain NaN")
         if self.pi.min() < 0 or abs(self.pi.sum() - 1.0) > 1e-9:
             raise ValueError("pi must be a simplex vector")
         if self.block_matrix.shape != (self.K, self.K):
             raise ValueError("block_matrix must be K x K")
+        if np.isnan(self.block_matrix).any():
+            raise ValueError("block_matrix must not contain NaN")
         if self.kind == "bernoulli":
             if self.block_matrix.min() < 0 or self.block_matrix.max() > 1:
                 raise ValueError("bernoulli block_matrix entries must lie in [0, 1]")
@@ -108,6 +112,8 @@ class BlockParams:
             self.gamma = np.asarray(self.gamma, dtype=np.float64)
             if self.gamma.ndim != 1:
                 raise ValueError("gamma must be a vector")
+            if np.isnan(self.gamma).any():
+                raise ValueError("gamma must not contain NaN")
 
 
 @dataclass
@@ -207,12 +213,17 @@ def bernoulli_loglik(net: Network, part: Partition, params: BlockParams) -> floa
     if net.value_kind != "binary":
         raise ValueError("bernoulli likelihood needs a binary network")
     _check_partition(net, part, params)
-    e, m, _ = block_pair_stats(net.to_dense(), part.zero_based(), part.K)
-    p = params.block_matrix
+    y, p = net.to_dense(), params.block_matrix
+    return _bernoulli_loglik_dense(y, net.directed, part.zero_based(), part.K, p)
+
+
+def _bernoulli_loglik_dense(y: np.ndarray, directed: bool, labels0: np.ndarray, K: int,
+                            p: np.ndarray) -> float:
+    e, m, _ = block_pair_stats(y, labels0, K)
     with np.errstate(divide="ignore", invalid="ignore"):
         present = np.where(e > 0, e * np.log(p), 0.0)
         absent = np.where(m - e > 0, (m - e) * np.log1p(-p), 0.0)
-    return float((present + absent).sum() * _pair_scale(net.directed))
+    return float((present + absent).sum() * _pair_scale(directed))
 
 
 def poisson_complete_loglik(net: Network, part: Partition, params: BlockParams) -> float:

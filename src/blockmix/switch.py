@@ -8,10 +8,19 @@ block, even when every available change is negative.  The pass keeps
 its best intermediate state and rewinds the rest; this escapes shallow
 local maxima that defeat plain greedy sweeps.  A greedy toggle is
 available for comparison.
+
+Each step scores every unmoved vertex against every block in one batch
+(``_Stats.deltas``).  With m such vertices and K blocks a step evaluates
+O(m K^2) cell terms.  For the bernoulli and poisson kinds, whose cell
+weights depend on the blocks alone, it instead tabulates O(K^2 V) terms
+and gathers O(m K^2) of them when the vertices' neighbour-block counts
+stay below V with 4 V < m.  The scores are bit-identical to scoring one
+block pair at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
@@ -60,9 +69,37 @@ def _xlogy(a, b):
     """a * log(b), and 0 where a is not positive.
 
     Callers run it under np.errstate(divide="ignore", invalid="ignore"),
-    entered once per objective or move_deltas call, not once per term.
+    entered once per objective or deltas call, not once per term.
     """
     return np.where(a > 0, a * np.log(b), 0.0)
+
+
+def _masked_sums(x: np.ndarray, keep: np.ndarray, pairwise: np.ndarray | None = None) -> np.ndarray:
+    """Sums of x over its first axis where ``keep`` holds, in the per-pair code's order.
+
+    The per-block-pair code summed L kept cells pairwise (its 1-d rows,
+    and the rows of a vertex moved alone) or as a left fold (its
+    column-major rows of two or more vertices); the orders agree for
+    L < 8.  A first-axis sum is a left fold, to which masked cells set to
+    0.0 add nothing.  From 8 cells on, entries whose last index is flagged
+    in ``pairwise`` (all when it is None) are summed pairwise instead.
+    """
+    out = np.where(keep, x, 0.0).sum(axis=0)
+    if len(keep) < 9 or (pairwise is not None and not pairwise.any()):
+        return out
+    rows = (..., slice(None) if pairwise is None else pairwise)
+    shape = np.broadcast_shapes(x.shape, keep.shape)
+    xs = np.moveaxis(np.broadcast_to(x, shape), 0, -1)[rows + (slice(None),)]
+    ks = np.moveaxis(np.broadcast_to(keep, shape), 0, -1)[rows + (slice(None),)]
+    n_kept = np.count_nonzero(ks.reshape(-1, len(keep))[0])
+    out[rows] = xs[ks].reshape(*xs.shape[:-1], n_kept).sum(axis=-1)
+    return out
+
+
+def _grouped(src: np.ndarray, dst: np.ndarray, vals: np.ndarray, n: int):
+    """(ptr, dst, vals) sorted by src, with src v's entries at ptr[v]:ptr[v + 1]."""
+    order = np.argsort(src, kind="stable")
+    return np.searchsorted(src[order], np.arange(n + 1)), dst[order], vals[order]
 
 
 class _Stats:
@@ -70,8 +107,13 @@ class _Stats:
 
     Keeps a per-vertex block-count table so candidate moves can be
     scored in closed form from the cells that touch the two affected
-    blocks, without rebuilding anything.
+    blocks, without rebuilding anything; ``deltas`` scores a batch of
+    vertices against every block at once.
     """
+
+    # 2 K^2 V table cells a side against about K^2 m direct cells, plus a
+    # gather per direct cell: ``deltas`` tabulates when table_ratio * V < m
+    table_ratio = 4
 
     def __init__(self, net: Network, labels0: np.ndarray, K: int, kind: str):
         self.kind = kind
@@ -81,25 +123,15 @@ class _Stats:
         self.z = labels0.copy()
         self.deg = degrees(net).astype(np.float64)
         self.total = float(net.total_value)
-        out_nbrs = [[] for _ in range(self.n)]
-        out_vals = [[] for _ in range(self.n)]
-        in_nbrs = [[] for _ in range(self.n)]
-        in_vals = [[] for _ in range(self.n)]
-        for (i, j), v in net.entries.items():
-            out_nbrs[i].append(j)
-            out_vals[i].append(float(v))
-            in_nbrs[j].append(i)
-            in_vals[j].append(float(v))
-        self.out_nbrs = [np.array(a, dtype=np.int64) for a in out_nbrs]
-        self.out_vals = [np.array(a) for a in out_vals]
-        self.in_nbrs = [np.array(a, dtype=np.int64) for a in in_nbrs]
-        self.in_vals = [np.array(a) for a in in_vals]
-
+        pairs = np.array(list(net.entries), dtype=np.int64).reshape(-1, 2)
+        rows, cols = pairs[:, 0], pairs[:, 1]
+        vals = np.array(list(net.entries.values()), dtype=np.float64)
+        # neighbour lists as slices of one array each: v's out-neighbours
+        # are out_nbrs[out_ptr[v]:out_ptr[v + 1]], and likewise for "in"
+        self.out_ptr, self.out_nbrs, self.out_vals = _grouped(rows, cols, vals, self.n)
+        self.in_ptr, self.in_nbrs, self.in_vals = _grouped(cols, rows, vals, self.n)
         self.sizes = np.bincount(labels0, minlength=K).astype(np.float64)
         self.edge = np.zeros((K, K))
-        rows = np.array([i for (i, j) in net.entries], dtype=np.int64)
-        cols = np.array([j for (i, j) in net.entries], dtype=np.int64)
-        vals = np.array([float(v) for v in net.entries.values()])
         # vcount[v, k]: value from v toward block k (and from block k into
         # v for the directed in-table); no self-loops, so moving v never
         # changes v's own row
@@ -113,6 +145,19 @@ class _Stats:
                 np.add.at(self.vcount_in, (cols, labels0[rows]), vals)
         else:
             self.vcount_in = self.vcount_out
+        self._ar = np.arange(K)
+        self._cell_ids = np.arange(K * K).reshape(K, K)
+        self._half = np.where(np.eye(K, dtype=bool), 0.5, 1.0)
+        self._shift = np.array([[0.0], [-1.0], [1.0]])
+        # cells k of block row a that a masked sum keeps: keep[k, 0, d] is
+        # k != d (undirected), keep[k, a, d] is k not in {a, d} (directed;
+        # unused a == d entries also drop a + 1: every row keeps K - 2)
+        offdiag = self._ar[:, None] != self._ar
+        if self.directed:
+            self._keep = offdiag[:, :, None] & offdiag[:, None, :]
+            self._keep[(self._ar + 1) % K, self._ar, self._ar] = False
+        else:
+            self._keep = offdiag[:, None, :]
         if kind == "dc_poisson":
             self.kappa = np.zeros(K)
             self.degsq = np.zeros(K)
@@ -132,15 +177,13 @@ class _Stats:
         self.sizes[a] -= 1
         self.sizes[to0] += 1
         self.z[v] = to0
-        nbrs, wts = self.out_nbrs[v], self.out_vals[v]
-        if nbrs.size:
-            self.vcount_in[nbrs, a] -= wts
-            self.vcount_in[nbrs, to0] += wts
+        lo, hi = self.out_ptr[v], self.out_ptr[v + 1]
+        self.vcount_in[self.out_nbrs[lo:hi], a] -= self.out_vals[lo:hi]
+        self.vcount_in[self.out_nbrs[lo:hi], to0] += self.out_vals[lo:hi]
         if self.directed:
-            nbrs, wts = self.in_nbrs[v], self.in_vals[v]
-            if nbrs.size:
-                self.vcount_out[nbrs, a] -= wts
-                self.vcount_out[nbrs, to0] += wts
+            lo, hi = self.in_ptr[v], self.in_ptr[v + 1]
+            self.vcount_out[self.in_nbrs[lo:hi], a] -= self.in_vals[lo:hi]
+            self.vcount_out[self.in_nbrs[lo:hi], to0] += self.in_vals[lo:hi]
         if self.kind == "dc_poisson":
             d = self.deg[v]
             self.kappa[a] -= d
@@ -190,204 +233,141 @@ class _Stats:
             return _xlogy(e, e / np.maximum(w, 1.0))
         return _xlogy(e, e / np.maximum(w, 1e-300))
 
-    @np.errstate(divide="ignore", invalid="ignore")
-    def move_deltas(self, a: int, d: int, verts: np.ndarray) -> np.ndarray:
-        """Objective changes for moving each vertex of ``verts`` from a to d.
+    def _cells(self, *blocks):
+        """Cell terms of (e, w) blocks in one evaluation; w broadcasts to e."""
+        bounds = [0, *itertools.accumulate(e.size for e, _ in blocks)]
+        e_all, w_all = np.empty(bounds[-1]), np.empty(bounds[-1])
+        for (e, w), lo, hi in zip(blocks, bounds, bounds[1:]):
+            e_all[lo:hi] = e.ravel()
+            w_all[lo:hi].reshape(e.shape)[...] = w
+        flat = self._cell_term(e_all, w_all)
+        return [flat[lo:hi].reshape(e.shape) for (e, _), lo, hi in zip(blocks, bounds, bounds[1:])]
 
-        Every vertex must currently sit in block a.  Only the cells whose
-        statistics a single move can touch enter the balance, so the cost
-        is O(len(verts) * K) regardless of graph size.
-        """
-        eo = self.vcount_out[verts]
-        if self.directed:
-            return self._move_deltas_directed(a, d, verts, eo)
-        return self._move_deltas_undirected(a, d, verts, eo)
-
-    def _move_deltas_undirected(self, a, d, verts, eo):
-        K, s, n = self.K, self.sizes, self.n
-        sa, sd = s[a], s[d]
-        sa2, sd2 = sa - 1.0, sd + 1.0
-        ua = self.edge[a].copy()
-        ua[a] /= 2.0
-        ud = self.edge[d].copy()
-        ud[d] /= 2.0
-        uad = self.edge[a, d]
-        mask_a = np.ones(K, dtype=bool)
-        mask_a[d] = False
-        mask_d = np.ones(K, dtype=bool)
-        mask_d[a] = False
-        if self.kind == "dc_poisson":
-            return self._dc_deltas_undirected(
-                a, d, verts, eo, ua, ud, uad, mask_a, mask_d
-            )
-        wa, wd = sa * s, sd * s
-        wa = wa.copy()
-        wd = wd.copy()
-        wa[a] = sa * (sa - 1.0) / 2.0
-        wd[d] = sd * (sd - 1.0) / 2.0
-        wad = sa * sd
-        wa2, wd2 = sa2 * s, sd2 * s
-        wa2 = wa2.copy()
-        wd2 = wd2.copy()
-        wa2[a] = sa2 * (sa2 - 1.0) / 2.0
-        wd2[d] = sd2 * (sd2 - 1.0) / 2.0
-        wad2 = sa2 * sd2
-        before = (
-            self._cell_term(ua, wa)[mask_a].sum()
-            + self._cell_term(ud, wd)[mask_d].sum()
-            + float(self._cell_term(np.array([uad]), np.array([wad]))[0])
-        )
-        after = (
-            self._cell_term(ua[None, :] - eo, wa2[None, :])[:, mask_a].sum(axis=1)
-            + self._cell_term(ud[None, :] + eo, wd2[None, :])[:, mask_d].sum(axis=1)
-            + self._cell_term(uad + eo[:, a] - eo[:, d], np.full(verts.size, wad2))
-        )
-        delta = after - before
-        if self.kind == "poisson":
-            mix = (
-                _xlogy(np.array([sa2, sd2]), np.array([sa2, sd2]) / n).sum()
-                - _xlogy(np.array([sa, sd]), np.array([sa, sd]) / n).sum()
-            )
-            delta = delta + mix
-        return delta
-
-    def _dc_deltas_undirected(self, a, d, verts, eo, ua, ud, uad, mask_a, mask_d):
-        s = self.sizes
-        sa, sd = s[a], s[d]
-        sa2, sd2 = sa - 1.0, sd + 1.0
-        dv = self.deg[verts]
-        svec, qvec, ratio = self._dc_weights(s, self.kappa, self.degsq)
-        wa = svec[a] * svec
-        wd = svec[d] * svec
-        wa = wa.copy()
-        wd = wd.copy()
-        wa[a] = (svec[a] ** 2 - qvec[a]) / 2.0
-        wd[d] = (svec[d] ** 2 - qvec[d]) / 2.0
-        wad = svec[a] * svec[d]
-        before = (
-            self._cell_term(ua, wa)[mask_a].sum()
-            + self._cell_term(ud, wd)[mask_d].sum()
-            + float(self._cell_term(np.array([uad]), np.array([wad]))[0])
-            + float(_xlogy(self.kappa[a], ratio[a]) + _xlogy(self.kappa[d], ratio[d]))
-        )
-        ka2 = self.kappa[a] - dv
-        kd2 = self.kappa[d] + dv
-        qa_deg = self.degsq[a] - dv * dv
-        qd_deg = self.degsq[d] + dv * dv
+    def _dc_moved(self, z: np.ndarray, dv: np.ndarray):
+        """dc_poisson (svec, qvec, kappa log ratio) after each vertex leaves
+        z_v, shape (m,), and after it joins each block, shape (K, m)."""
+        sa2, sd2 = self.sizes[z] - 1.0, (self.sizes + 1.0)[:, None]
+        ka2 = self.kappa[z] - dv
+        kd2 = self.kappa[:, None] + dv
         ra2 = np.where(ka2 > 0, sa2 / ka2, 0.0)
         rd2 = np.where(kd2 > 0, sd2 / kd2, 0.0)
         sva2 = np.where(ka2 > 0, sa2, 0.0)
         svd2 = np.where(kd2 > 0, sd2, 0.0)
-        qa2 = qa_deg * ra2 * ra2
-        qd2 = qd_deg * rd2 * rd2
-        wa2 = sva2[:, None] * svec[None, :]
-        wd2 = svd2[:, None] * svec[None, :]
-        wa2[:, a] = (sva2 ** 2 - qa2) / 2.0
-        wd2[:, d] = (svd2 ** 2 - qd2) / 2.0
-        wad2 = sva2 * svd2
-        after = (
-            self._cell_term(ua[None, :] - eo, wa2)[:, mask_a].sum(axis=1)
-            + self._cell_term(ud[None, :] + eo, wd2)[:, mask_d].sum(axis=1)
-            + self._cell_term(uad + eo[:, a] - eo[:, d], wad2)
-            + _xlogy(ka2, ra2)
-            + _xlogy(kd2, rd2)
-        )
-        return after - before
+        qa2 = (self.degsq[z] - dv * dv) * ra2 * ra2
+        qd2 = (self.degsq[:, None] + dv * dv) * rd2 * rd2
+        return (sva2, qa2, _xlogy(ka2, ra2)), (svd2, qd2, _xlogy(kd2, rd2))
 
-    def _move_deltas_directed(self, a, d, verts, eo):
-        K, s, n = self.K, self.sizes, self.n
-        ei = self.vcount_in[verts]
-        sa, sd = s[a], s[d]
-        sa2, sd2 = sa - 1.0, sd + 1.0
-        row_a, row_d = self.edge[a].copy(), self.edge[d].copy()
-        col_a, col_d = self.edge[:, a].copy(), self.edge[:, d].copy()
-        mask = np.ones(K, dtype=bool)
-        mask[a] = False
-        mask[d] = False
+    @np.errstate(divide="ignore", invalid="ignore")
+    def deltas(self, verts: np.ndarray) -> np.ndarray:
+        """(len(verts), K) objective changes for moving each vertex to each block.
+
+        The stay-put column is -inf.  Only the cells whose statistics a
+        single move can touch enter the balance: the rows (and, directed,
+        the columns) of the source block z_v and the destination block d.
+        For m vertices the moved rows hold O(m K^2) cells, evaluated
+        directly.  bernoulli and poisson cell weights depend on the blocks
+        alone, so when the counts stay below V with table_ratio * V < m
+        those cell terms are tabulated once per (block, block, count) and
+        gathered instead: O(K^2 V) table work plus O(m K^2) gathers.  On a
+        2-core Xeon a step took 0.35 ms tabulated against 0.95 ms direct
+        on sparse-1k (m = 1000, V = 15), and 1.8 against 0.3 ms on a
+        300-node count graph with V = 1481.  dc_poisson weights depend on
+        the vertex degree: always direct.
+
+        Each entry is the same floating-point expression, summed in the
+        same order, as the per-block-pair balance "after the move minus
+        before it" that moved the listed vertices of one block together.
+        Arrays are laid out (k, d, v): block k's cell in the row of the
+        source block z_v or of the destination block d, vertex v last.
+        """
+        K, s, edge, m = self.K, self.sizes, self.edge, verts.size
+        z, cols, ar = self.z[verts], np.arange(m), self._ar
+        alone = np.bincount(z, minlength=K)[z] < 2  # no other listed vertex in the block
+        u = edge * self._half  # a diagonal cell counts each within-block pair twice
+        # a side pairs block rows with each vertex's counts toward the blocks;
+        # directed networks add the block columns and the counts from them
+        sides = [(u, self.vcount_out[verts].T.copy())]
+        if self.directed:
+            sides.append((u.T.copy(), self.vcount_in[verts].T.copy()))
+        x_out, x_in = sides[0][1], sides[-1][1]
         if self.kind == "dc_poisson":
-            dv = self.deg[verts]
             svec, qvec, ratio = self._dc_weights(s, self.kappa, self.degsq)
-            wrow_a = svec[a] * svec
-            wrow_d = svec[d] * svec
-            ka2 = self.kappa[a] - dv
-            kd2 = self.kappa[d] + dv
-            ra2 = np.where(ka2 > 0, sa2 / ka2, 0.0)
-            rd2 = np.where(kd2 > 0, sd2 / kd2, 0.0)
-            sva2 = np.where(ka2 > 0, sa2, 0.0)
-            svd2 = np.where(kd2 > 0, sd2, 0.0)
-            qa2 = (self.degsq[a] - dv * dv) * ra2 * ra2
-            qd2 = (self.degsq[d] + dv * dv) * rd2 * rd2
-            wrow_a2 = sva2[:, None] * svec[None, :]
-            wrow_d2 = svd2[:, None] * svec[None, :]
-            corners_w = (
-                svec[a] ** 2 - qvec[a],
-                wrow_a[d],
-                wrow_a[d],
-                svec[d] ** 2 - qvec[d],
-            )
-            corners_w2 = (
-                sva2 ** 2 - qa2,
-                sva2 * svd2,
-                sva2 * svd2,
-                svd2 ** 2 - qd2,
-            )
-            extra = float(_xlogy(self.kappa[a], ratio[a]) + _xlogy(self.kappa[d], ratio[d]))
-            extra2 = _xlogy(ka2, ra2) + _xlogy(kd2, rd2)
+            (sva2, qa2, ka_t), (svd2, qd2, kd_t) = self._dc_moved(z, self.deg[verts])
+            w_now, pair_after = np.outer(svec, svec), sva2 * svd2
+            self_now, self_src, self_dst = svec ** 2 - qvec, sva2 ** 2 - qa2, svd2 ** 2 - qd2
+            w_now[ar, ar] = self_now / 2.0
+            w_src = svec[:, None] * sva2
+            w_src[z, cols] = self_src / 2.0
+            w_dst = svec[:, None, None] * svd2
+            w_dst[ar, ar] = self_dst / 2.0
         else:
-            wrow_a, wrow_d = sa * s, sd * s
-            wrow_a2 = np.broadcast_to(sa2 * s, (verts.size, K))
-            wrow_d2 = np.broadcast_to(sd2 * s, (verts.size, K))
-            corners_w = (sa * (sa - 1.0), sa * sd, sa * sd, sd * (sd - 1.0))
-            ones = np.ones(verts.size)
-            corners_w2 = (
-                sa2 * (sa2 - 1.0) * ones,
-                sa2 * sd2 * ones,
-                sa2 * sd2 * ones,
-                sd2 * (sd2 - 1.0) * ones,
-            )
-            extra = 0.0
-            extra2 = np.zeros(verts.size)
+            S = s + self._shift  # sizes now, after leaving, after joining
+            W = S[:, :, None] * s
+            self_all = S * (S - 1.0)
+            W[:, ar, ar] = self_all / 2.0
+            w_now, pair_after = W[0], S[1][z] * S[2][:, None]
+            self_now, self_src, self_dst = self_all[0], self_all[1][z], self_all[2][:, None]
+            w_src, w_dst = np.take(W[1].T, z, axis=1), W[2].T[:, :, None]
+            V = int(max(x.max() for _, x in sides)) + 1  # counts are integers 0..V-1
+        tabulate = self.kind != "dc_poisson" and self.table_ratio * V < m
+        if tabulate:  # a moved row's cell terms depend on (block, block, count) alone
+            vals = np.arange(float(V))
+            moved = [blk for e, _ in sides for blk in (
+                (e[:, :, None] - vals, W[1][:, :, None]), (e[:, :, None] + vals, W[2][:, :, None]))]
+        else:
+            moved = [blk for e, x in sides for blk in (
+                (np.take(e.T, z, axis=1) - x, w_src), (e.T[:, :, None] + x[:, None, :], w_dst))]
+        if self.directed:
+            ediag, eo_a, ei_a = edge[ar, ar], x_out[z, cols], x_in[z, cols]
+            corners = [
+                (ediag, self_now),
+                ((ediag[z] - eo_a) - ei_a, self_src),
+                ((np.take(edge.T, z, axis=1) - x_out) + ei_a, pair_after),
+                ((np.take(edge, z, axis=1) + eo_a) - x_in, pair_after),
+                ((ediag[:, None] + x_out) + x_in, self_dst),
+            ]
+        else:  # (e_ad + e_va) - e_vd: the one cell both touched rows share
+            corners = [((np.take(edge.T, z, axis=1) + x_out[z, cols]) - x_out, pair_after)]
+        n_sides = len(sides)
+        cells = self._cells(*[(e, w_now) for e, _ in sides], *moved, *corners)
+        now, moved, corners = cells[:n_sides], cells[n_sides:3 * n_sides], cells[3 * n_sides:]
+        if tabulate:  # gather minus[z_v, k, e_vk] and plus[d, k, e_vk]
+            tables, moved = moved, []
+            for minus, plus, (_, x) in zip(tables[::2], tables[1::2], sides):
+                ix = x.astype(np.intp)
+                moved += [np.take(minus, (z * K + ar[:, None]) * V + ix),
+                          np.take(plus, self._cell_ids.T[:, :, None] * V + ix[:, None, :])]
+        if self.directed:
+            keep_src = keep_dst = np.take(self._keep, z, axis=2)
+        else:
+            keep_src, keep_dst = self._keep.transpose(0, 2, 1), (ar[:, None] != z)[:, None, :]
+        before = after = 0.0
+        for i in range(n_sides):
+            r = _masked_sums(now[i].T[:, :, None], self._keep)
+            before = before + r + r.T
+            after = (after + _masked_sums(moved[2 * i][:, None, :], keep_src, alone)
+                     + _masked_sums(moved[2 * i + 1], keep_dst, alone))
+        extra_now = extra_after = 0.0  # block-level terms outside the cells
+        if self.kind == "dc_poisson":
+            kx = _xlogy(self.kappa, ratio)
+            extra_now, extra_after = kx[:, None] + kx, ka_t + kd_t
+        elif self.kind == "poisson":
+            mix = _xlogy(S, S / self.n)
+            extra_now = mix[0][:, None] + mix[0]
+            extra_after = np.take(mix[1][:, None] + mix[2], z, axis=0).T
+        if self.directed:
+            before = before + sum((corners[0][:, None], now[0], now[1], corners[0])) + extra_now
+            delta = after + sum(corners[1:]) + extra_after - np.take(before, z, axis=0).T
+        else:
+            before, after = before + now[0], after + corners[0]
+            if self.kind == "dc_poisson":
+                before, after = before + extra_now, after + ka_t + kd_t
+            delta = after - np.take(before, z, axis=0).T
             if self.kind == "poisson":
-                extra = float(_xlogy(np.array([sa, sd]), np.array([sa, sd]) / n).sum())
-                extra2 = np.full(
-                    verts.size,
-                    float(_xlogy(np.array([sa2, sd2]), np.array([sa2, sd2]) / n).sum()),
-                )
-        corners_e = (
-            self.edge[a, a],
-            self.edge[a, d],
-            self.edge[d, a],
-            self.edge[d, d],
-        )
-        corners_e2 = (
-            corners_e[0] - eo[:, a] - ei[:, a],
-            corners_e[1] - eo[:, d] + ei[:, a],
-            corners_e[2] + eo[:, a] - ei[:, d],
-            corners_e[3] + eo[:, d] + ei[:, d],
-        )
-        before = (
-            self._cell_term(row_a, wrow_a)[mask].sum()
-            + self._cell_term(row_d, wrow_d)[mask].sum()
-            + self._cell_term(col_a, wrow_a)[mask].sum()
-            + self._cell_term(col_d, wrow_d)[mask].sum()
-            + sum(
-                float(self._cell_term(np.array([e]), np.array([w]))[0])
-                for e, w in zip(corners_e, corners_w)
-            )
-            + extra
-        )
-        after = (
-            self._cell_term(row_a[None, :] - eo, wrow_a2)[:, mask].sum(axis=1)
-            + self._cell_term(row_d[None, :] + eo, wrow_d2)[:, mask].sum(axis=1)
-            + self._cell_term(col_a[None, :] - ei, wrow_a2)[:, mask].sum(axis=1)
-            + self._cell_term(col_d[None, :] + ei, wrow_d2)[:, mask].sum(axis=1)
-            + sum(
-                self._cell_term(e2, np.asarray(w2))
-                for e2, w2 in zip(corners_e2, corners_w2)
-            )
-            + extra2
-        )
-        return after - before
+                delta = delta + (extra_after - np.take(extra_now, z, axis=0).T)
+        delta = delta.T
+        delta[cols, z] = -np.inf
+        return delta
 
     def step_deltas(self, active: np.ndarray) -> np.ndarray:
         """(n, K) table of move deltas for the active vertices.
@@ -397,14 +377,9 @@ class _Stats:
         lowest vertex index, then the lowest destination block.
         """
         D = np.full((self.n, self.K), -np.inf)
-        for a in range(self.K):
-            verts = np.flatnonzero(active & (self.z == a))
-            if verts.size == 0:
-                continue
-            for d in range(self.K):
-                if d == a:
-                    continue
-                D[verts, d] = self.move_deltas(a, d, verts)
+        verts = np.flatnonzero(active)
+        if verts.size:
+            D[verts] = self.deltas(verts)
         return D
 
 
@@ -443,19 +418,15 @@ def delta_loglik(net: Network, part: Partition, vertex: int, to: int, kind: str 
     stats = _Stats(net, part.zero_based(), part.K, kind)
     a = int(part.labels[vertex] - 1)
     empties = stats.sizes[a] == 1
-    value = stats.move_deltas(a, to - 1, np.array([vertex], dtype=np.int64))
-    return MoveDelta(float(value[0]), bool(empties))
+    value = stats.deltas(np.array([vertex], dtype=np.int64))[0, to - 1]
+    return MoveDelta(float(value), bool(empties))
 
 
 def _best_move(stats: _Stats, v: int) -> tuple[int, float]:
     """Best destination block for v and the move's objective change."""
-    a = int(stats.z[v])
-    vert = np.array([v], dtype=np.int64)
+    row = stats.deltas(np.array([v], dtype=np.int64))[0].tolist()
     best_b, best_delta = -1, -np.inf
-    for b in range(stats.K):
-        if b == a:
-            continue
-        delta = float(stats.move_deltas(a, b, vert)[0])
+    for b, delta in enumerate(row):  # the stay-put entry is -inf, never taken
         if delta > best_delta:  # strict: ties keep the lowest block index
             best_b, best_delta = b, delta
     return best_b, best_delta

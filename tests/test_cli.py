@@ -114,6 +114,58 @@ class TestUsageErrors:
             main(list(argv))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--seed", "-1"),
+            ("--seed", str(2**64)),
+            ("--K", "0"),
+            ("--restarts", "0"),
+            ("--restarts", "-3"),
+        ],
+    )
+    def test_fit_bad_integer_flag_exit_2(self, flags, tmp_path, capsys):
+        path = tmp_path / "toy.edges"
+        path.write_text("a b\nb c\n")
+        argv = ["fit", str(path), "--method", "switch", "--K", "2", "--out", str(tmp_path / "r.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + list(flags))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flags[0]}" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("stats", "w.edges", "--bins", "0"), ("eval", "a.labels", "a.labels", "--uncertain", "-1")],
+    )
+    def test_other_bad_integer_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, tmp_path, capsys):
+        path = tmp_path / "toy.edges"
+        path.write_text("a b\nb c\n")
+        code, _, _ = run(capsys, "fit", str(path), "--method", "switch", "--K", "2",
+                         "--seed", str(2**64 - 1), "--out", str(tmp_path / "r.json"))
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--seed", "-1"), ("--K", "0"), ("--block-matrix", "nan")],
+    )
+    def test_generate_bad_value_exit_2(self, flags, tmp_path, capsys):
+        argv = ["generate", "--n", "4", "--K", "1", "--block-matrix", "0.5",
+                "--out-prefix", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + list(flags))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "x.edges").exists()
+
     def test_model_kind_mismatch_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "toy.edges"
         path.write_text("a b 4\nb c 1\n")

@@ -5,6 +5,7 @@ a change to ``blockmix.generate`` cannot move it), fits it with one
 engine, and hashes ``to_json`` of the result.  mcem cases also hash the
 per-iteration ``u_trace`` that ``--trace-out`` writes, and one case per
 orientation pins the positions after 200 ``gibbs_sweep`` calls.
+``greedy`` cases run the switch engine with ``SwitchConfig(greedy=True)``.
 
 A change that is meant to be behaviour-neutral (a speed-up, a refactor)
 must leave every hash here unchanged.  A change that is meant to alter
@@ -64,8 +65,10 @@ def _fit(case: str):
     net = _planted(11 if directed else 7, 30, directed, count)
     if engine == "vem":
         return vem_fit(net, VemConfig(K=2, restarts=2, seed=1), kind=model)
-    if engine == "switch":
-        return switch_fit(net, SwitchConfig(K=2, restarts=2, seed=2, kind=model))
+    if engine in ("switch", "greedy"):
+        return switch_fit(
+            net, SwitchConfig(K=2, restarts=2, seed=2, kind=model, greedy=engine == "greedy")
+        )
     return mcem_fit(net, _mcem_cfg())
 
 
@@ -98,6 +101,8 @@ GOLDEN = {
     "switch-poisson-directed": "8f27e6374aecbb82eda655ec875bcdf44a4dff72182025c8b8ab46b4578451ba",
     "switch-dc_poisson-undirected": "5b0fe70f4c7ff121d004cb38d21ee80b1277600b88b66c443abb35d05125b8c4",
     "switch-dc_poisson-directed": "1de111c494c6aaa42309e5a038fd4b826c2c99ac57861e1b4ef4b4c9422900e9",
+    "greedy-bernoulli-undirected": "6070effbf8fe795cf97013885cda1a6770be107a06d427acd042b00ace076c74",
+    "greedy-dc_poisson-directed": "b5d112755524c46495cbe4a4199c2c223abc9f427e9ee9d61fbba7368e0a29ff",
     "mcem-bernoulli-undirected": "0d16664f40a355aa5244961269782108fee0c88cb8067bcd60a2fe417b2bbede",
     "mcem-bernoulli-directed": "b865224f7b23d2a73efed12a48f0a7c268323bd6c585a22b207c52cf09772199",
     "gibbs-undirected": "08de9a26930b6270420ddfb59e03b5c04d16004677e0d690a28f542638037ee5",

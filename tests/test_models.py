@@ -292,6 +292,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             BlockParams("bernoulli", 1, [1.0], [[1.5]])
 
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
+    def test_block_params_reject_nan(self, kind):
+        with pytest.raises(ValueError, match="block_matrix must not contain NaN"):
+            BlockParams(kind, 1, [1.0], [[np.nan]])
+        with pytest.raises(ValueError, match="pi must not contain NaN"):
+            BlockParams(kind, 2, [np.nan, 0.5], np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="gamma must not contain NaN"):
+            BlockParams("dc_poisson", 1, [1.0], [[0.0]], gamma=[0.0, np.nan])
+        # -inf stays a valid log-rate and offset
+        BlockParams("dc_poisson", 1, [1.0], [[-np.inf]], gamma=[0.0, -np.inf])
+
     def test_gamma_exactly_for_dc(self):
         with pytest.raises(ValueError, match="gamma"):
             BlockParams("poisson", 1, [1.0], [[0.0]], gamma=np.zeros(3))

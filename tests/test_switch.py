@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from blockmix.models import (
 from blockmix.switch import (
     MoveDelta,
     SwitchConfig,
+    _Stats,
     delta_loglik,
     profile_loglik,
     switch_fit,
@@ -201,3 +203,300 @@ class TestSwitchFit:
             SwitchConfig(K=0)
         with pytest.raises(ValueError, match="restarts"):
             SwitchConfig(K=2, restarts=0)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-block-pair delta code that ``_Stats.deltas`` replaced,
+# copied verbatim (methods turned into functions of the stats object).  The
+# batched kernel must reproduce its tables bit for bit.
+
+
+def _seed_xlogy(a, b):
+    return np.where(a > 0, a * np.log(b), 0.0)
+
+
+def _seed_cell_term(kind, e, w):
+    if kind == "bernoulli":
+        return _seed_xlogy(e, e) + _seed_xlogy(w - e, w - e) - _seed_xlogy(w, w)
+    if kind == "poisson":
+        return _seed_xlogy(e, e / np.maximum(w, 1.0))
+    return _seed_xlogy(e, e / np.maximum(w, 1e-300))
+
+
+def _seed_dc_weights(sizes, kappa, degsq):
+    ratio = np.where(kappa > 0, sizes / kappa, 0.0)
+    svec = np.where(kappa > 0, sizes, 0.0)
+    qvec = degsq * ratio * ratio
+    return svec, qvec, ratio
+
+
+def _seed_move_deltas(st, a: int, d: int, verts: np.ndarray) -> np.ndarray:
+    eo = st.vcount_out[verts]
+    if st.directed:
+        return _seed_move_deltas_directed(st, a, d, verts, eo)
+    return _seed_move_deltas_undirected(st, a, d, verts, eo)
+
+
+def _seed_move_deltas_undirected(st, a, d, verts, eo):
+    K, s, n = st.K, st.sizes, st.n
+    sa, sd = s[a], s[d]
+    sa2, sd2 = sa - 1.0, sd + 1.0
+    ua = st.edge[a].copy()
+    ua[a] /= 2.0
+    ud = st.edge[d].copy()
+    ud[d] /= 2.0
+    uad = st.edge[a, d]
+    mask_a = np.ones(K, dtype=bool)
+    mask_a[d] = False
+    mask_d = np.ones(K, dtype=bool)
+    mask_d[a] = False
+    if st.kind == "dc_poisson":
+        return _seed_dc_deltas_undirected(st, a, d, verts, eo, ua, ud, uad, mask_a, mask_d)
+    wa, wd = sa * s, sd * s
+    wa = wa.copy()
+    wd = wd.copy()
+    wa[a] = sa * (sa - 1.0) / 2.0
+    wd[d] = sd * (sd - 1.0) / 2.0
+    wad = sa * sd
+    wa2, wd2 = sa2 * s, sd2 * s
+    wa2 = wa2.copy()
+    wd2 = wd2.copy()
+    wa2[a] = sa2 * (sa2 - 1.0) / 2.0
+    wd2[d] = sd2 * (sd2 - 1.0) / 2.0
+    wad2 = sa2 * sd2
+    before = (
+        _seed_cell_term(st.kind, ua, wa)[mask_a].sum()
+        + _seed_cell_term(st.kind, ud, wd)[mask_d].sum()
+        + float(_seed_cell_term(st.kind, np.array([uad]), np.array([wad]))[0])
+    )
+    after = (
+        _seed_cell_term(st.kind, ua[None, :] - eo, wa2[None, :])[:, mask_a].sum(axis=1)
+        + _seed_cell_term(st.kind, ud[None, :] + eo, wd2[None, :])[:, mask_d].sum(axis=1)
+        + _seed_cell_term(st.kind, uad + eo[:, a] - eo[:, d], np.full(verts.size, wad2))
+    )
+    delta = after - before
+    if st.kind == "poisson":
+        mix = (
+            _seed_xlogy(np.array([sa2, sd2]), np.array([sa2, sd2]) / n).sum()
+            - _seed_xlogy(np.array([sa, sd]), np.array([sa, sd]) / n).sum()
+        )
+        delta = delta + mix
+    return delta
+
+
+def _seed_dc_deltas_undirected(st, a, d, verts, eo, ua, ud, uad, mask_a, mask_d):
+    s = st.sizes
+    sa, sd = s[a], s[d]
+    sa2, sd2 = sa - 1.0, sd + 1.0
+    dv = st.deg[verts]
+    svec, qvec, ratio = _seed_dc_weights(s, st.kappa, st.degsq)
+    wa = svec[a] * svec
+    wd = svec[d] * svec
+    wa = wa.copy()
+    wd = wd.copy()
+    wa[a] = (svec[a] ** 2 - qvec[a]) / 2.0
+    wd[d] = (svec[d] ** 2 - qvec[d]) / 2.0
+    wad = svec[a] * svec[d]
+    before = (
+        _seed_cell_term(st.kind, ua, wa)[mask_a].sum()
+        + _seed_cell_term(st.kind, ud, wd)[mask_d].sum()
+        + float(_seed_cell_term(st.kind, np.array([uad]), np.array([wad]))[0])
+        + float(_seed_xlogy(st.kappa[a], ratio[a]) + _seed_xlogy(st.kappa[d], ratio[d]))
+    )
+    ka2 = st.kappa[a] - dv
+    kd2 = st.kappa[d] + dv
+    qa_deg = st.degsq[a] - dv * dv
+    qd_deg = st.degsq[d] + dv * dv
+    ra2 = np.where(ka2 > 0, sa2 / ka2, 0.0)
+    rd2 = np.where(kd2 > 0, sd2 / kd2, 0.0)
+    sva2 = np.where(ka2 > 0, sa2, 0.0)
+    svd2 = np.where(kd2 > 0, sd2, 0.0)
+    qa2 = qa_deg * ra2 * ra2
+    qd2 = qd_deg * rd2 * rd2
+    wa2 = sva2[:, None] * svec[None, :]
+    wd2 = svd2[:, None] * svec[None, :]
+    wa2[:, a] = (sva2 ** 2 - qa2) / 2.0
+    wd2[:, d] = (svd2 ** 2 - qd2) / 2.0
+    wad2 = sva2 * svd2
+    after = (
+        _seed_cell_term(st.kind, ua[None, :] - eo, wa2)[:, mask_a].sum(axis=1)
+        + _seed_cell_term(st.kind, ud[None, :] + eo, wd2)[:, mask_d].sum(axis=1)
+        + _seed_cell_term(st.kind, uad + eo[:, a] - eo[:, d], wad2)
+        + _seed_xlogy(ka2, ra2)
+        + _seed_xlogy(kd2, rd2)
+    )
+    return after - before
+
+
+def _seed_move_deltas_directed(st, a, d, verts, eo):
+    K, s, n = st.K, st.sizes, st.n
+    ei = st.vcount_in[verts]
+    sa, sd = s[a], s[d]
+    sa2, sd2 = sa - 1.0, sd + 1.0
+    row_a, row_d = st.edge[a].copy(), st.edge[d].copy()
+    col_a, col_d = st.edge[:, a].copy(), st.edge[:, d].copy()
+    mask = np.ones(K, dtype=bool)
+    mask[a] = False
+    mask[d] = False
+    if st.kind == "dc_poisson":
+        dv = st.deg[verts]
+        svec, qvec, ratio = _seed_dc_weights(s, st.kappa, st.degsq)
+        wrow_a = svec[a] * svec
+        wrow_d = svec[d] * svec
+        ka2 = st.kappa[a] - dv
+        kd2 = st.kappa[d] + dv
+        ra2 = np.where(ka2 > 0, sa2 / ka2, 0.0)
+        rd2 = np.where(kd2 > 0, sd2 / kd2, 0.0)
+        sva2 = np.where(ka2 > 0, sa2, 0.0)
+        svd2 = np.where(kd2 > 0, sd2, 0.0)
+        qa2 = (st.degsq[a] - dv * dv) * ra2 * ra2
+        qd2 = (st.degsq[d] + dv * dv) * rd2 * rd2
+        wrow_a2 = sva2[:, None] * svec[None, :]
+        wrow_d2 = svd2[:, None] * svec[None, :]
+        corners_w = (
+            svec[a] ** 2 - qvec[a],
+            wrow_a[d],
+            wrow_a[d],
+            svec[d] ** 2 - qvec[d],
+        )
+        corners_w2 = (
+            sva2 ** 2 - qa2,
+            sva2 * svd2,
+            sva2 * svd2,
+            svd2 ** 2 - qd2,
+        )
+        extra = float(_seed_xlogy(st.kappa[a], ratio[a]) + _seed_xlogy(st.kappa[d], ratio[d]))
+        extra2 = _seed_xlogy(ka2, ra2) + _seed_xlogy(kd2, rd2)
+    else:
+        wrow_a, wrow_d = sa * s, sd * s
+        wrow_a2 = np.broadcast_to(sa2 * s, (verts.size, K))
+        wrow_d2 = np.broadcast_to(sd2 * s, (verts.size, K))
+        corners_w = (sa * (sa - 1.0), sa * sd, sa * sd, sd * (sd - 1.0))
+        ones = np.ones(verts.size)
+        corners_w2 = (
+            sa2 * (sa2 - 1.0) * ones,
+            sa2 * sd2 * ones,
+            sa2 * sd2 * ones,
+            sd2 * (sd2 - 1.0) * ones,
+        )
+        extra = 0.0
+        extra2 = np.zeros(verts.size)
+        if st.kind == "poisson":
+            extra = float(_seed_xlogy(np.array([sa, sd]), np.array([sa, sd]) / n).sum())
+            extra2 = np.full(
+                verts.size,
+                float(_seed_xlogy(np.array([sa2, sd2]), np.array([sa2, sd2]) / n).sum()),
+            )
+    corners_e = (
+        st.edge[a, a],
+        st.edge[a, d],
+        st.edge[d, a],
+        st.edge[d, d],
+    )
+    corners_e2 = (
+        corners_e[0] - eo[:, a] - ei[:, a],
+        corners_e[1] - eo[:, d] + ei[:, a],
+        corners_e[2] + eo[:, a] - ei[:, d],
+        corners_e[3] + eo[:, d] + ei[:, d],
+    )
+    before = (
+        _seed_cell_term(st.kind, row_a, wrow_a)[mask].sum()
+        + _seed_cell_term(st.kind, row_d, wrow_d)[mask].sum()
+        + _seed_cell_term(st.kind, col_a, wrow_a)[mask].sum()
+        + _seed_cell_term(st.kind, col_d, wrow_d)[mask].sum()
+        + sum(
+            float(_seed_cell_term(st.kind, np.array([e]), np.array([w]))[0])
+            for e, w in zip(corners_e, corners_w)
+        )
+        + extra
+    )
+    after = (
+        _seed_cell_term(st.kind, row_a[None, :] - eo, wrow_a2)[:, mask].sum(axis=1)
+        + _seed_cell_term(st.kind, row_d[None, :] + eo, wrow_d2)[:, mask].sum(axis=1)
+        + _seed_cell_term(st.kind, col_a[None, :] - ei, wrow_a2)[:, mask].sum(axis=1)
+        + _seed_cell_term(st.kind, col_d[None, :] + ei, wrow_d2)[:, mask].sum(axis=1)
+        + sum(
+            _seed_cell_term(st.kind, e2, np.asarray(w2))
+            for e2, w2 in zip(corners_e2, corners_w2)
+        )
+        + extra2
+    )
+    return after - before
+
+
+def _seed_step_deltas(st, active: np.ndarray) -> np.ndarray:
+    D = np.full((st.n, st.K), -np.inf)
+    for a in range(st.K):
+        verts = np.flatnonzero(active & (st.z == a))
+        if verts.size == 0:
+            continue
+        for d in range(st.K):
+            if d == a:
+                continue
+            D[verts, d] = _seed_move_deltas(st, a, d, verts)
+    return D
+
+
+def _oracle_network(rng, n, directed, binary):
+    """Random network with three isolated nodes; count values reach 3n."""
+    perm = rng.permutation(n)
+    entries = {}
+    for i in range(n - 3):
+        for j in range(n - 3):
+            if i == j or (not directed and i > j) or rng.random() >= 0.35:
+                continue
+            v = 1 if binary else int(rng.integers(1, 3 * n))
+            entries[(int(perm[i]), int(perm[j]))] = v
+            if not directed:
+                entries[(int(perm[j]), int(perm[i]))] = v
+    return Network(
+        n_nodes=n, directed=directed, value_kind="binary" if binary else "count",
+        entries=entries, node_labels=tuple(str(i) for i in range(n)),
+    )
+
+
+def _seed_bytes(fn, *args):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.asarray(fn(*args), dtype=np.float64).tobytes()
+
+
+class TestBatchedDeltasOracle:
+    """``_Stats.deltas`` against the seed's per-block-pair code, bit for bit.
+
+    bernoulli and poisson run with moved-row cells always tabulated
+    (table_ratio 0), by the default rule, and never tabulated (inf).
+    """
+
+    @pytest.mark.parametrize("K", [2, 3, 5, 10])
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("kind,table_ratio", [
+        *[(kind, r) for kind in ("bernoulli", "poisson") for r in (0, _Stats.table_ratio, math.inf)],
+        ("dc_poisson", _Stats.table_ratio),
+    ])
+    def test_step_tables_and_delta_loglik_byte_equal(self, kind, table_ratio, directed, K, monkeypatch):
+        monkeypatch.setattr(_Stats, "table_ratio", table_ratio)
+        rng = np.random.default_rng(1000 * K + 10 * directed + len(kind))
+        n = 24
+        net = _oracle_network(rng, n, directed, binary=(kind == "bernoulli"))
+        # block K - 1 starts empty; the random moves below fill and empty others
+        stats = _Stats(net, rng.integers(0, K - 1, size=n), K, kind)
+        for _ in range(8):
+            active = rng.random(n) < 0.7
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                table = stats.step_deltas(active)
+            assert table.tobytes() == _seed_bytes(_seed_step_deltas, stats, active)
+            v = int(rng.integers(n))
+            stats.apply(v, int((stats.z[v] + rng.integers(1, K)) % K))
+
+        part = Partition(stats.z + 1, K)
+        for v in range(n):
+            a = int(stats.z[v])
+            for d in range(K):
+                if d == a:
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    value = delta_loglik(net, part, v, d + 1, kind).value
+                expect = _seed_bytes(_seed_move_deltas, stats, a, d, np.array([v]))
+                assert np.float64(value).tobytes() == expect
