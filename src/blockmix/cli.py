@@ -57,7 +57,7 @@ def _add_input_flags(sub: argparse.ArgumentParser):
     group.add_argument("--count", action="store_true", help="values are integer counts")
     group.add_argument(
         "--bins",
-        type=_int_in(1),
+        type=_int_in(1, 2**53 + 1),
         metavar="N",
         help="input carries [0,1] weights; discretize into N count bins (floor rule, top bin closed)",
     )
@@ -278,10 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except EdgeListError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # EdgeListError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -99,10 +99,5 @@ def sample_sbm(cfg: GenConfig) -> tuple[Network, Partition]:
             values[pair_id] = gen.poisson(lam[pair_id])
         value_kind = "count"
 
-    present = values > 0
-    edges = {
-        (int(i), int(j)): int(v)
-        for i, j, v in zip(rows[present], cols[present], values[present])
-    }
-    net = Network.from_edges(n, edges, directed=cfg.directed, value_kind=value_kind)
+    net = Network.from_arrays(n, rows, cols, values, directed=cfg.directed, value_kind=value_kind)
     return net, part

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -25,43 +24,100 @@ class EdgeListError(ValueError):
     """An edge-list or label file could not be parsed."""
 
 
-@dataclass
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _grouped(n: int, src: np.ndarray, dst: np.ndarray, vals: np.ndarray):
+    """CSR arrays (indptr, indices, data) of the pairs src -> dst, sorted by (src, dst).
+
+    Every network, and every transposed (in-neighbour) view, is built here.
+    """
+    order = np.argsort(src * n + dst)
+    return np.searchsorted(src[order], np.arange(n + 1)), dst[order], vals[order]
+
+
+@dataclass(eq=False)
 class Network:
     """A binary or count-valued graph without self-loops.
 
-    Storage is sparse: ``entries`` maps ordered index pairs (i, j), i != j,
-    to positive integer values, and absent pairs are implicit zeros.
-    Undirected networks store both orientations of every edge.  Instances
-    are immutable by convention once constructed and can be shared freely
-    across concurrent estimator runs.
+    Storage is compressed sparse row (CSR): node i's out-neighbours are
+    ``indices[indptr[i]:indptr[i + 1]]`` in ascending order, with their
+    positive integer values at the same positions of ``data``; absent pairs
+    are zeros.  Undirected networks store both orientations of every edge.
+    Instances are immutable by convention and can be shared freely across
+    concurrent estimator runs.
     """
 
     n_nodes: int
     directed: bool
     value_kind: str  # "binary" | "count"
-    entries: dict[tuple[int, int], int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     node_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.n_nodes < 1:
+        n = self.n_nodes
+        if n < 1:
             raise ValueError("a network needs at least one node")
         if self.value_kind not in ("binary", "count"):
             raise ValueError(f"unknown value_kind {self.value_kind!r}")
         if self.node_labels is not None:
             self.node_labels = tuple(str(s) for s in self.node_labels)
-            if len(self.node_labels) != self.n_nodes:
+            if len(self.node_labels) != n:
                 raise ValueError("node_labels length must equal n_nodes")
-        for (i, j), v in self.entries.items():
-            if i == j:
-                raise ValueError(f"self-loop stored on node {i}")
-            if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise ValueError(f"node index out of range in pair ({i}, {j})")
-            if not isinstance(v, (int, np.integer)) or v <= 0:
-                raise ValueError(f"stored value for ({i}, {j}) must be a positive integer, got {v!r}")
-            if self.value_kind == "binary" and v != 1:
-                raise ValueError(f"binary network holds value {v} at ({i}, {j})")
-            if not self.directed and self.entries.get((j, i)) != v:
+        for name in ("indptr", "indices", "data"):
+            a = np.asarray(getattr(self, name))
+            if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+                raise ValueError(f"{name} must be a 1-d integer array")
+            setattr(self, name, a.astype(np.int64, copy=False))
+        ptr, cols, vals = self.indptr, self.indices, self.data
+        bad = (cols < 0) | (cols >= n)
+        if bad.any():
+            raise ValueError(f"node index {cols[np.argmax(bad)]} out of range")
+        if (ptr.size != n + 1 or ptr[0] != 0 or (np.diff(ptr) < 0).any()
+                or ptr[-1] != cols.size or cols.size != vals.size):
+            raise ValueError("indptr must rise from 0 to the number of stored values in n_nodes + 1 steps")
+        rows = self.row_index()
+        checks = [
+            (cols == rows, "self-loop stored on node {i}"),
+            (vals <= 0, "stored value for ({i}, {j}) must be a positive integer, got {v}"),
+        ]
+        if self.value_kind == "binary":
+            checks.append((vals != 1, "binary network holds value {v} at ({i}, {j})"))
+        for bad, message in checks:
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(message.format(i=rows[k], j=cols[k], v=vals[k]))
+        key = rows * n + cols
+        unsorted = np.diff(key) <= 0
+        if unsorted.any():
+            raise ValueError(f"row {rows[np.argmax(unsorted) + 1]} is not in ascending order or repeats a pair")
+        if not self.directed:
+            t_ptr, t_cols, t_vals = _grouped(n, cols, rows, vals)
+            t_key = np.repeat(np.arange(n), np.diff(t_ptr)) * n + t_cols
+            bad = (key != t_key) | (vals != t_vals)
+            if bad.any():
+                # the smaller of the first differing keys is stored one way only
+                k = int(np.argmax(bad))
+                i, j = divmod(int(min(key[k], t_key[k])), n)
                 raise ValueError(f"undirected network is asymmetric at ({i}, {j})")
+
+    @classmethod
+    def from_arrays(cls, n_nodes: int, src, dst, values, directed: bool = False,
+                    value_kind: str = "binary", node_labels: Iterable[str] | None = None) -> "Network":
+        """Build a network from parallel arrays giving each edge in one orientation.
+
+        Zero values are left out; undirected networks gain the mirrored
+        orientation.
+        """
+        src, dst, values = (np.asarray(a, dtype=np.int64) for a in (src, dst, values))
+        keep = values != 0
+        src, dst, values = src[keep], dst[keep], values[keep]
+        if not directed:
+            src, dst, values = np.concatenate((src, dst)), np.concatenate((dst, src)), np.tile(values, 2)
+        labels = tuple(node_labels) if node_labels is not None else None
+        return cls(n_nodes, directed, value_kind, *_grouped(n_nodes, src, dst, values), labels)
 
     @classmethod
     def from_edges(
@@ -79,31 +135,25 @@ class Network:
         added automatically.
         """
         if not isinstance(edges, Mapping):
-            edges = {pair: 1 for pair in edges}
-        entries: dict[tuple[int, int], int] = {}
-        for (i, j), v in edges.items():
-            v = int(v)
-            if v == 0:
-                continue
-            entries[(i, j)] = v
-            if not directed:
-                entries[(j, i)] = v
-        labels = tuple(node_labels) if node_labels is not None else None
-        return cls(n_nodes, directed, value_kind, entries, labels)
+            edges = dict.fromkeys(edges, 1)
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        return cls.from_arrays(n_nodes, *pairs.T, list(edges.values()), directed, value_kind, node_labels)
 
     @property
     def n_edges(self) -> int:
         """Number of present edges (pairs with a positive value)."""
-        return len(self.entries) if self.directed else len(self.entries) // 2
+        return self.indices.size if self.directed else self.indices.size // 2
 
     @property
     def total_value(self) -> int:
         """Sum of edge values over distinct edges."""
-        s = sum(self.entries.values())
+        s = int(self.data.sum())
         return s if self.directed else s // 2
 
     def value(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        k = lo + int(np.searchsorted(self.indices[lo:hi], j))
+        return int(self.data[k]) if k < hi and self.indices[k] == j else 0
 
     def labels(self) -> tuple[str, ...]:
         """External node identifiers; defaults to stringified indices."""
@@ -111,25 +161,91 @@ class Network:
             return self.node_labels
         return tuple(str(i) for i in range(self.n_nodes))
 
+    def row_index(self) -> np.ndarray:
+        """The row (source node) of each stored value, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n_nodes), self.indptr[1:] - self.indptr[:-1])
+
+    def transpose(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR arrays of the reversed edges (row j: j's in-neighbours); undirected, its own."""
+        if not self.directed:
+            return self.indptr, self.indices, self.data
+        return _grouped(self.n_nodes, self.indices, self.row_index(), self.data)
+
     def to_dense(self) -> np.ndarray:
         """Dense value matrix with zero diagonal; symmetric if undirected."""
         y = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int64)
-        for (i, j), v in self.entries.items():
-            y[i, j] = v
+        y[self.row_index(), self.indices] = self.data
         return y
-
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Per-node arrays of adjacent node indices (out-neighbors merged
-        with in-neighbors when directed)."""
-        adj: list[set[int]] = [set() for _ in range(self.n_nodes)]
-        for (i, j) in self.entries:
-            adj[i].add(j)
-            adj[j].add(i)
-        return [np.array(sorted(s), dtype=np.int64) for s in adj]
 
 
 def _tokens(line: str) -> list[str]:
     return line.split("#", 1)[0].split()
+
+
+def _read_edges(source, usage: str, value, default):
+    """The line loop shared by the edge-list readers.
+
+    ``value(token, lineno)`` converts a third field; a line without one
+    takes ``default``, or is an error when that is None.  Returns the node
+    names and, per edge line, source and target index, value and line.
+    """
+    if isinstance(source, str):
+        source = source.splitlines()
+    index: dict[str, int] = {}
+    src, dst, vals, lines = [], [], [], []
+    for lineno, raw in enumerate(source, start=1):
+        toks = _tokens(raw)
+        if len(toks) < 2:
+            if toks and toks[0] not in index:
+                index[toks[0]] = len(index)
+            continue
+        a, b = toks[0], toks[1]
+        if a == b:
+            raise EdgeListError(f"line {lineno}: self-loop on node {a!r}")
+        if len(toks) > 3 or (len(toks) == 2 and default is None):
+            raise EdgeListError(f"line {lineno}: expected {usage}, got {len(toks)} fields")
+        i = index.get(a)
+        if i is None:
+            i = index[a] = len(index)
+        j = index.get(b)
+        if j is None:
+            j = index[b] = len(index)
+        src.append(i)
+        dst.append(j)
+        vals.append(default if len(toks) == 2 else value(toks[2], lineno))
+        lines.append(lineno)
+    if not index:
+        raise EdgeListError("no edges")
+    return tuple(index), src, dst, vals, lines
+
+
+def _merge_lines(n: int, names, src, dst, vals, lines, directed: bool, binary: bool):
+    """One (src, dst, value) per edge from the parsed lines, in one orientation.
+
+    Lines naming the same ordered pair sum (count) or are an error (binary);
+    undirected, both orientations of a pair must total the same.  An error
+    names the last line of the pair that ends first.
+    """
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    # undirected keys: the unordered pair, then the orientation
+    key = src * n + dst if directed else (np.minimum(src, dst) * n + np.maximum(src, dst)) * 2 + (src > dst)
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    src, dst, key = src[order[starts]], dst[order[starts]], key[starts]
+    total = np.add.reduceat(np.array(vals, dtype=np.int64)[order], starts)
+    last = np.maximum.reduceat(np.array(lines, dtype=np.int64)[order], starts)
+    if binary and (total > 1).any():
+        k = int(np.argmin(np.where(total > 1, last, _INT64_MAX)))
+        raise EdgeListError(f"line {last[k]}: duplicate edge {names[src[k]]!r} {names[dst[k]]!r}")
+    keep = np.diff(key if directed else key // 2, prepend=-1) != 0  # an edge's first orientation
+    differ = ~keep[1:] & (total[1:] != total[:-1])
+    if differ.any():
+        at = np.where(differ, np.maximum(last[1:], last[:-1]), _INT64_MAX)
+        k = int(np.argmin(at))
+        a, b = names[src[k]], names[dst[k]]
+        raise EdgeListError(f"line {at[k]}: {a!r} {b!r} totals {total[k]} but {b!r} {a!r} totals {total[k + 1]}")
+    return src[keep], dst[keep], total[keep]
 
 
 def load_edge_list(source, directed: bool = False, value_kind: str = "binary") -> Network:
@@ -141,103 +257,63 @@ def load_edge_list(source, directed: bool = False, value_kind: str = "binary") -
     single token declares an isolated node; the serializer emits these so
     that networks round-trip exactly.
 
-    In count mode duplicate (src, dst) lines sum their values; in binary
-    mode a duplicate edge is an error.  Undirected input treats ``a b``
-    and ``b a`` as the same edge and stores both orientations.
+    Binary lines carry no value or 1; count lines need a value of at
+    least 1, and duplicate (src, dst) lines sum, where in binary mode they
+    are an error.  Undirected input may list a pair once or both ways
+    (``a b`` and ``b a``), and then both orientations must total the same.
     """
     if value_kind not in ("binary", "count"):
         raise ValueError(f"unknown value_kind {value_kind!r}")
-    if isinstance(source, str):
-        source = source.splitlines()
-    index: dict[str, int] = {}
-    order: list[str] = []
+    binary = value_kind == "binary"
 
-    def node_id(token: str) -> int:
-        if token not in index:
-            index[token] = len(order)
-            order.append(token)
-        return index[token]
+    def value(token: str, lineno: int) -> int:
+        try:
+            v = int(token)
+        except ValueError:
+            raise EdgeListError(f"line {lineno}: non-numeric value {token!r}") from None
+        if v < 0:
+            raise EdgeListError(f"line {lineno}: negative value {v}")
+        if binary and v != 1:
+            raise EdgeListError(f"line {lineno}: binary edge list carries value {v}")
+        if v == 0:
+            raise EdgeListError(f"line {lineno}: count value 0 (leave non-edges out)")
+        if v > _INT64_MAX:
+            raise EdgeListError(f"line {lineno}: value {v} does not fit in 64 bits")
+        return v
 
-    values: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(source, start=1):
-        toks = _tokens(raw)
-        if not toks:
-            continue
-        if len(toks) == 1:
-            node_id(toks[0])
-            continue
-        if len(toks) > 3:
-            raise EdgeListError(f"line {lineno}: expected 'src dst [value]', got {len(toks)} fields")
-        if toks[0] == toks[1]:
-            raise EdgeListError(f"line {lineno}: self-loop on node {toks[0]!r}")
-        i, j = node_id(toks[0]), node_id(toks[1])
-        if len(toks) == 3:
-            try:
-                v = int(toks[2])
-            except ValueError:
-                raise EdgeListError(f"line {lineno}: non-numeric value {toks[2]!r}") from None
-            if v < 0:
-                raise EdgeListError(f"line {lineno}: negative value {v}")
-            if value_kind == "binary" and v != 1:
-                raise EdgeListError(f"line {lineno}: binary edge list carries value {v}")
-        else:
-            v = 1
-        key = (i, j) if directed or i < j else (j, i)
-        if key in values:
-            if value_kind == "binary":
-                raise EdgeListError(f"line {lineno}: duplicate edge {toks[0]!r} {toks[1]!r}")
-            values[key] += v
-        elif v > 0:
-            values[key] = v
-    if not order:
-        raise EdgeListError("no edges")
-    return Network.from_edges(len(order), values, directed=directed, value_kind=value_kind, node_labels=order)
+    usage = "'src dst [value]'" if binary else "'src dst value'"
+    names, *parsed = _read_edges(source, usage, value, 1 if binary else None)
+    n = len(names)
+    edges = _merge_lines(n, names, *parsed, directed, binary)
+    del parsed  # free the line lists before the build, or the heap stays grown for later work
+    return Network.from_arrays(n, *edges, directed=directed, value_kind=value_kind, node_labels=names)
 
 
 def load_weighted_edge_list(source, directed: bool = False):
     """Parse a real-valued edge list with weights in [0, 1].
 
     Returns ``(weights, node_labels)`` where ``weights`` maps index pairs
-    to floats.  Use :func:`discretize_weights` to turn the result into a
-    count network.
+    to floats.  Each pair is listed once.  Use :func:`discretize_weights`
+    to turn the result into a count network.
     """
-    if isinstance(source, str):
-        source = source.splitlines()
-    index: dict[str, int] = {}
-    order: list[str] = []
 
-    def node_id(token: str) -> int:
-        if token not in index:
-            index[token] = len(order)
-            order.append(token)
-        return index[token]
-
-    weights: dict[tuple[int, int], float] = {}
-    for lineno, raw in enumerate(source, start=1):
-        toks = _tokens(raw)
-        if not toks:
-            continue
-        if len(toks) == 1:
-            node_id(toks[0])
-            continue
-        if len(toks) != 3:
-            raise EdgeListError(f"line {lineno}: weighted edge list needs 'src dst weight'")
-        if toks[0] == toks[1]:
-            raise EdgeListError(f"line {lineno}: self-loop on node {toks[0]!r}")
-        i, j = node_id(toks[0]), node_id(toks[1])
+    def value(token: str, lineno: int) -> float:
         try:
-            w = float(toks[2])
+            w = float(token)
         except ValueError:
-            raise EdgeListError(f"line {lineno}: non-numeric weight {toks[2]!r}") from None
+            raise EdgeListError(f"line {lineno}: non-numeric weight {token!r}") from None
         if not 0.0 <= w <= 1.0:
             raise EdgeListError(f"line {lineno}: weight {w} outside [0, 1]")
+        return w
+
+    names, src, dst, vals, lines = _read_edges(source, "'src dst weight'", value, None)
+    weights: dict[tuple[int, int], float] = {}
+    for i, j, w, lineno in zip(src, dst, vals, lines):
         key = (i, j) if directed or i < j else (j, i)
         if key in weights:
-            raise EdgeListError(f"line {lineno}: duplicate weighted edge {toks[0]!r} {toks[1]!r}")
+            raise EdgeListError(f"line {lineno}: duplicate weighted edge {names[i]!r} {names[j]!r}")
         weights[key] = w
-    if not order:
-        raise EdgeListError("no edges")
-    return weights, tuple(order)
+    return weights, names
 
 
 def load_labels(source) -> dict[str, str]:
@@ -265,17 +341,15 @@ def to_edge_list_text(net: Network) -> str:
     order.  Count networks carry an explicit value field.
     """
     labels = net.labels()
-    lines = [str(lab) for lab in labels]
-    if net.directed:
-        pairs = sorted(net.entries)
-    else:
-        pairs = sorted((i, j) for (i, j) in net.entries if i < j)
-    for i, j in pairs:
-        if net.value_kind == "count":
-            lines.append(f"{labels[i]} {labels[j]} {net.entries[(i, j)]}")
-        else:
-            lines.append(f"{labels[i]} {labels[j]}")
-    return "\n".join(lines) + "\n"
+    rows, cols, vals = net.row_index(), net.indices, net.data
+    if not net.directed:
+        upper = rows < cols
+        rows, cols, vals = rows[upper], cols[upper], vals[upper]
+    names = np.array(labels, dtype=object)
+    fields = [names[rows].tolist(), names[cols].tolist()]
+    if net.value_kind == "count":
+        fields.append(list(map(str, vals.tolist())))
+    return "\n".join([*labels, *map(" ".join, zip(*fields))]) + "\n"
 
 
 def density(net: Network) -> float:
@@ -294,10 +368,9 @@ def density(net: Network) -> float:
 def degrees(net: Network) -> np.ndarray:
     """Per-node total of incident edge values (in + out when directed)."""
     deg = np.zeros(net.n_nodes, dtype=np.int64)
-    for (i, j), v in net.entries.items():
-        deg[i] += v
-        if net.directed:
-            deg[j] += v
+    np.add.at(deg, net.row_index(), net.data)
+    if net.directed:
+        np.add.at(deg, net.indices, net.data)
     return deg
 
 
@@ -311,19 +384,18 @@ def discretize_weights(
     """Bin [0, 1] weights into counts: ``floor(w * n_bins)``, top bin closed.
 
     A weight of exactly 1 maps to ``n_bins``; weights that floor to zero
-    leave the pair absent.
+    leave the pair absent.  Above 2**53 bins the float product is inexact.
     """
-    if n_bins < 1:
-        raise ValueError("n_bins must be at least 1")
-    values: dict[tuple[int, int], int] = {}
-    max_idx = -1
-    for (i, j), w in weights.items():
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"weight {w} for pair ({i}, {j}) outside [0, 1]")
-        max_idx = max(max_idx, i, j)
-        v = min(math.floor(w * n_bins), n_bins)
-        if v > 0:
-            values[(i, j)] = v
+    if not 1 <= n_bins <= 2**53:
+        raise ValueError("n_bins must lie in 1..2**53")
+    pairs = np.array(list(weights), dtype=np.int64).reshape(-1, 2)
+    w = np.array(list(weights.values()), dtype=np.float64)
+    bad = ~((w >= 0.0) & (w <= 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"weight {w[k]} for pair ({pairs[k, 0]}, {pairs[k, 1]}) outside [0, 1]")
+    values = np.minimum(np.floor(w * n_bins), n_bins).astype(np.int64)
     if n_nodes is None:
-        n_nodes = max_idx + 1
-    return Network.from_edges(n_nodes, values, directed=directed, value_kind="count", node_labels=node_labels)
+        n_nodes = int(pairs.max(initial=-1)) + 1
+    return Network.from_arrays(n_nodes, pairs[:, 0], pairs[:, 1], values, directed=directed,
+                               value_kind="count", node_labels=node_labels)

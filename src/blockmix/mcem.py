@@ -27,13 +27,14 @@ from __future__ import annotations
 import math
 import operator
 import sys
-import weakref
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from blockmix.graph import Network
-from blockmix.models import GraphonStep, _bernoulli_loglik_dense, block_pair_stats, global_rate
+from blockmix.models import (
+    BlockParams, GraphonStep, Partition, bernoulli_loglik, block_pair_stats, global_rate,
+)
 from blockmix.results import FitResult, map_restarts, restart_stream
 
 __all__ = [
@@ -140,59 +141,6 @@ def gini_uncertainty(freq_row: np.ndarray) -> float:
     return float(raw * k / (k - 1))
 
 
-class _Neighbours:
-    """Network-derived neighbour structure of the chain; never mutated.
-
-    Directed pairs are folded: node j's weight toward i is the sum of the
-    values on (i, j) and (j, i), so one undirected table serves both
-    orientations.
-    """
-
-    def __init__(self, net: Network):
-        self.n = net.n_nodes
-        self.pair_factor = 2.0 if net.directed else 1.0
-        mult: list[dict[int, float]] = [dict() for _ in range(self.n)]
-        for (i, j), v in net.entries.items():
-            if net.directed:
-                mult[i][j] = mult[i].get(j, 0.0) + v
-                mult[j][i] = mult[j].get(i, 0.0) + v
-            else:
-                mult[i][j] = float(v)
-        self.nbrs = [np.array(sorted(d), dtype=np.int64) for d in mult]
-        self.wts = [np.array([d[x] for x in sorted(d)]) for d in mult]
-        # flat (node, neighbour, weight) triples for the count table, and
-        # Python lists for the scalar loop
-        self.src = np.repeat(np.arange(self.n), [a.size for a in self.nbrs])
-        self.dst = np.concatenate(self.nbrs)
-        self.w = np.concatenate(self.wts)
-        self.nbr_lists = [a.tolist() for a in self.nbrs]
-        self.wt_lists = [w.tolist() for w in self.wts]
-        self.strength = [float(w.sum()) for w in self.wts]
-
-
-# One slot: gibbs_sweep and acceptance_prob are called many times on the
-# same network, which is immutable by convention.  The slot holds the
-# network weakly and empties when the network is freed.
-_last_neighbours: tuple[weakref.ref, _Neighbours] | None = None
-
-
-def _forget(ref: weakref.ref):
-    global _last_neighbours
-    slot = _last_neighbours
-    if slot is not None and slot[0] is ref:
-        _last_neighbours = None
-
-
-def _neighbours(net: Network) -> _Neighbours:
-    global _last_neighbours
-    slot = _last_neighbours
-    if slot is not None and slot[0]() is net:
-        return slot[1]
-    nb = _Neighbours(net)
-    _last_neighbours = (weakref.ref(net, _forget), nb)
-    return nb
-
-
 # The scalar loop and node_log_ratio sum the same 2K + 1 products in
 # different orders (the BLAS dot may also fuse multiply-adds); summing k
 # terms in any order is off by at most about k * u * S, with u = 2**-53
@@ -208,9 +156,22 @@ class _Sampler:
     """Chain machinery for one network; graphon swapped in between E steps."""
 
     def __init__(self, net: Network):
-        self.nb = _neighbours(net)
-        self.n = self.nb.n
-        self.pair_factor = self.nb.pair_factor
+        self.n = net.n_nodes
+        self.pair_factor = 2.0 if net.directed else 1.0
+        # a node's neighbours: its out-row plus, directed, its in-row; a pair
+        # joined both ways is listed twice, and whole-number sums stay exact
+        self.src, self.dst, self.w = net.row_index(), net.indices, net.data.astype(np.float64)
+        ptr, nbrs, wts = net.indptr.tolist(), self.dst.tolist(), self.w.tolist()
+        self.nbr_lists = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
+        self.wt_lists = [wts[a:b] for a, b in zip(ptr, ptr[1:])]
+        if net.directed:
+            ptr, nbrs, wts = net.transpose()
+            ptr, nbrs, wts = ptr.tolist(), nbrs.tolist(), wts.astype(np.float64).tolist()
+            self.nbr_lists = [row + nbrs[a:b] for row, a, b in zip(self.nbr_lists, ptr, ptr[1:])]
+            self.wt_lists = [row + wts[a:b] for row, a, b in zip(self.wt_lists, ptr, ptr[1:])]
+            self.src, self.dst = np.concatenate((self.src, self.dst)), np.concatenate((self.dst, self.src))
+            self.w = np.concatenate((self.w, self.w))
+        self.strength = [sum(w) for w in self.wt_lists]
 
     def set_graphon(self, g: GraphonStep):
         self.tau = g.tau
@@ -221,7 +182,7 @@ class _Sampler:
         self.log_q = np.log1p(-pc)
         with np.errstate(divide="ignore"):
             self.log_stay = np.log1p(-self.lens)
-        self.cell = self.nb.src * self.K  # row offsets into the n x K count table
+        self.cell = self.src * self.K  # row offsets into the n x K count table
         # nodes of a full-width interval have an empty proposal support
         self.support = 1.0 - self.lens
         self.any_full = min(self.support.tolist()) <= 1e-15
@@ -257,7 +218,7 @@ class _Sampler:
         path in ``sweep`` only decides where its own value provably
         agrees with it.
         """
-        e = np.bincount(z[self.nb.nbrs[j]], weights=self.nb.wts[j], minlength=self.K)
+        e = np.bincount(z[self.nbr_lists[j]], weights=self.wt_lists[j], minlength=self.K)
         m = occ * self.pair_factor
         m[kc] -= self.pair_factor
         d_lp = self.log_p[ks] - self.log_p[kc]
@@ -277,7 +238,7 @@ class _Sampler:
         updates the table rows of the node's neighbours in O(deg).  The
         counts are whole numbers, so the table is exact.
         """
-        n, K, nb = self.n, self.K, self.nb
+        n, K = self.n, self.K
         draws = rng.random(2 * n)
         x, coins = draws[0::2], draws[1::2]
         todo = range(n)
@@ -293,11 +254,11 @@ class _Sampler:
         xs = x * self.support[z]
         u_star = np.where(xs < self.tau[z], xs, xs + lens)
         kss = (self.tau.searchsorted(u_star, side="right") - 1).tolist()
-        cnt = np.bincount(self.cell + z[nb.dst], weights=nb.w, minlength=n * K)
+        cnt = np.bincount(self.cell + z[self.dst], weights=self.w, minlength=n * K)
         cnt = cnt.reshape(n, K).tolist()
         kcs, coins, occ_l, u_star = z.tolist(), coins.tolist(), occ.tolist(), u_star.tolist()
-        pf, strength, moves = self.pair_factor, nb.strength, self.moves
-        nbr_lists, wt_lists = nb.nbr_lists, nb.wt_lists
+        pf, strength, moves = self.pair_factor, self.strength, self.moves
+        nbr_lists, wt_lists = self.nbr_lists, self.wt_lists
         accepted = False
         for j in todo:
             kc, k, coin = kcs[j], kss[j], coins[j]
@@ -393,18 +354,13 @@ def m_step(net: Network, u_hat, g: GraphonStep, delta: float, K: int) -> Graphon
     """
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")
-    return _m_step_dense(net.to_dense().astype(np.float64), global_rate(net), u_hat, g, delta, K)
-
-
-def _m_step_dense(yd: np.ndarray, fallback: float, u_hat, g: GraphonStep, delta: float,
-                  K: int) -> GraphonStep:
     pos = _positions(u_hat)
     z = g.interval_of(pos)
-    edge, pairs, sizes = block_pair_stats(yd, z, K)
+    edge, pairs, sizes = block_pair_stats(net, z, K)
     num = edge + edge.T
     den = pairs + pairs.T
     with np.errstate(invalid="ignore"):
-        p = np.where(den > 0, num / np.maximum(den, 1.0), fallback)
+        p = np.where(den > 0, num / np.maximum(den, 1.0), global_rate(net))
     p = np.clip(p, 0.0, 1.0)
     pi = delta * (sizes / pos.size) + (1.0 - delta) / K
     tau = np.concatenate(([0.0], np.cumsum(pi)))
@@ -417,12 +373,8 @@ def _run_restart(args):
     rng = restart_stream(cfg.seed, ENGINE_ID, restart)
     n, K = net.n_nodes, cfg.K
     sampler = _Sampler(net)
-    # one dense matrix per restart: int64 for the objective, float64 for the M step
-    y = net.to_dense()
-    yd = y.astype(np.float64)
-    fallback = global_rate(net)
 
-    p0 = min(max(fallback, 1e-3), 1.0 - 1e-3)
+    p0 = min(max(global_rate(net), 1e-3), 1.0 - 1e-3)
     noise = rng.uniform(-0.5, 0.5, size=(K, K))
     p_init = np.clip(p0 * (1.0 + (noise + noise.T) / 2.0), 1e-4, 1.0 - 1e-4)
     g = GraphonStep(np.linspace(0.0, 1.0, K + 1), p_init)
@@ -455,20 +407,18 @@ def _run_restart(args):
         u_hat = _mode_from_counts(counts, g.tau)
         u_trace.append(u_hat)
 
-        delta = min(1.0, m / cfg.ramp)
-        if m == cfg.em_max_iter:
-            delta = 1.0
         if prev_z_hat is not None and np.array_equal(z_hat, prev_z_hat):
             stable += 1
         else:
             stable = 0
         prev_z_hat = z_hat
-        if stable >= 2 or m == cfg.em_max_iter:
-            g = _m_step_dense(yd, fallback, u_hat, g, 1.0, K)
-            trace.append(_bernoulli_loglik_dense(y, net.directed, z_hat, K, g.P))
+        done = stable >= 2 or m == cfg.em_max_iter
+        g = m_step(net, u_hat, g, 1.0 if done else min(1.0, m / cfg.ramp), K)
+        # the Bernoulli likelihood has no mixing term, so any weights do
+        params = BlockParams("bernoulli", K, np.full(K, 1.0 / K), g.P)
+        trace.append(bernoulli_loglik(net, Partition(z_hat + 1, K), params))
+        if done:
             break
-        g = _m_step_dense(yd, fallback, u_hat, g, delta, K)
-        trace.append(_bernoulli_loglik_dense(y, net.directed, z_hat, K, g.P))
 
     return trace[-1], z_hat, g, trace, u.copy(), u_trace
 

@@ -165,19 +165,28 @@ class GraphonStep:
         return idx if u_arr.ndim else int(idx)
 
 
-def block_pair_stats(y: np.ndarray, labels0: np.ndarray, K: int):
+def _xlogy(a, b):
+    """a * log(b), and 0 where a is not positive.
+
+    Callers run it under np.errstate(divide="ignore", invalid="ignore"),
+    entered once per call of theirs, not once per term.
+    """
+    return np.where(a > 0, a * np.log(b), 0.0)
+
+
+def block_pair_stats(net: Network, labels0: np.ndarray, K: int):
     """Ordered-pair sufficient statistics for a hard partition.
 
     Returns (edge_total, pair_count, sizes) where edge_total[k, l] sums
     y_ij over ordered pairs i != j with labels (k, l), pair_count[k, l]
     is the number of such pairs, and sizes are block occupancies.  For
     undirected networks both matrices double-count each unordered pair.
+    The stored values are summed cell by cell; they are whole numbers, so
+    the float64 sums are exact whatever the order.
     """
-    n = labels0.size
-    z = np.zeros((n, K), dtype=np.float64)
-    z[np.arange(n), labels0] = 1.0
-    edge_total = z.T @ y @ z
-    sizes = z.sum(axis=0)
+    edge_total = np.zeros((K, K))
+    np.add.at(edge_total, (labels0[net.row_index()], labels0[net.indices]), net.data)
+    sizes = np.bincount(labels0, minlength=K).astype(np.float64)
     pair_count = np.outer(sizes, sizes) - np.diag(sizes)
     return edge_total, pair_count, sizes
 
@@ -213,17 +222,12 @@ def bernoulli_loglik(net: Network, part: Partition, params: BlockParams) -> floa
     if net.value_kind != "binary":
         raise ValueError("bernoulli likelihood needs a binary network")
     _check_partition(net, part, params)
-    y, p = net.to_dense(), params.block_matrix
-    return _bernoulli_loglik_dense(y, net.directed, part.zero_based(), part.K, p)
-
-
-def _bernoulli_loglik_dense(y: np.ndarray, directed: bool, labels0: np.ndarray, K: int,
-                            p: np.ndarray) -> float:
-    e, m, _ = block_pair_stats(y, labels0, K)
+    e, m, _ = block_pair_stats(net, part.zero_based(), part.K)
+    p = params.block_matrix
     with np.errstate(divide="ignore", invalid="ignore"):
-        present = np.where(e > 0, e * np.log(p), 0.0)
+        present = _xlogy(e, p)
         absent = np.where(m - e > 0, (m - e) * np.log1p(-p), 0.0)
-    return float((present + absent).sum() * _pair_scale(directed))
+    return float((present + absent).sum() * _pair_scale(net.directed))
 
 
 def poisson_complete_loglik(net: Network, part: Partition, params: BlockParams) -> float:
@@ -235,14 +239,24 @@ def poisson_complete_loglik(net: Network, part: Partition, params: BlockParams) 
     if params.kind != "poisson":
         raise ValueError("params.kind must be poisson")
     _check_partition(net, part, params)
-    e, m, sizes = block_pair_stats(net.to_dense(), part.zero_based(), part.K)
+    e, m, sizes = block_pair_stats(net, part.zero_based(), part.K)
     omega = params.block_matrix
     with np.errstate(invalid="ignore"):
         edge_term = np.where(e > 0, e * omega, 0.0)
     pair_term = (edge_term - m * np.exp(omega)).sum() * _pair_scale(net.directed)
     with np.errstate(divide="ignore", invalid="ignore"):
-        mix_term = np.where(sizes > 0, sizes * np.log(params.pi), 0.0).sum()
+        mix_term = _xlogy(sizes, params.pi).sum()
     return float(pair_term + mix_term)
+
+
+def _dc_pair_weights(gamma: np.ndarray, labels0: np.ndarray, K: int) -> np.ndarray:
+    """Ordered-pair sums of exp(gamma_i + gamma_j) per block cell."""
+    expg = np.exp(gamma)
+    s = np.zeros(K)
+    q = np.zeros(K)
+    np.add.at(s, labels0, expg)
+    np.add.at(q, labels0, expg * expg)
+    return np.outer(s, s) - np.diag(q)
 
 
 def dc_poisson_loglik(net: Network, part: Partition, params: BlockParams) -> float:
@@ -262,16 +276,10 @@ def dc_poisson_loglik(net: Network, part: Partition, params: BlockParams) -> flo
     deg = degrees(net)
     with np.errstate(invalid="ignore"):
         gamma_term = np.where(deg > 0, deg * params.gamma, 0.0).sum()
-    e, _, _ = block_pair_stats(net.to_dense(), labels0, K)
+    e, _, _ = block_pair_stats(net, labels0, K)
     with np.errstate(invalid="ignore"):
         edge_term = np.where(e > 0, e * omega, 0.0)
-    # ordered-pair sums of exp(gamma_i + gamma_j) per block cell
-    expg = np.exp(params.gamma)
-    s = np.zeros(K)
-    q = np.zeros(K)
-    np.add.at(s, labels0, expg)
-    np.add.at(q, labels0, expg * expg)
-    w = np.outer(s, s) - np.diag(q)
+    w = _dc_pair_weights(params.gamma, labels0, K)
     pair_term = (edge_term - w * np.exp(omega)).sum() * _pair_scale(net.directed)
     return float(gamma_term + pair_term)
 
@@ -294,7 +302,7 @@ def mle_block_params(net: Network, part: Partition, kind: str, allow_empty: bool
     n = net.n_nodes
     pi = sizes / n
     labels0 = part.zero_based()
-    e, m, _ = block_pair_stats(net.to_dense(), labels0, part.K)
+    e, m, _ = block_pair_stats(net, labels0, part.K)
     fallback = global_rate(net)
 
     if kind == "bernoulli":
@@ -321,12 +329,7 @@ def mle_block_params(net: Network, part: Partition, kind: str, allow_empty: bool
             np.log(deg) + np.log(sizes[labels0]) - np.log(kappa[labels0]),
             -np.inf,
         )
-    expg = np.exp(gamma)
-    s = np.zeros(part.K)
-    q = np.zeros(part.K)
-    np.add.at(s, labels0, expg)
-    np.add.at(q, labels0, expg * expg)
-    w = np.outer(s, s) - np.diag(q)
+    w = _dc_pair_weights(gamma, labels0, part.K)
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = np.where(w > 0, e / np.maximum(w, 1e-300), fallback)
         omega = np.log(rate)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from blockmix.graph import Network, degrees
-from blockmix.models import Partition, mle_block_params
+from blockmix.models import Partition, _xlogy, block_pair_stats, mle_block_params
 from blockmix.results import FitResult, map_restarts, restart_stream
 
 __all__ = ["SwitchConfig", "MoveDelta", "delta_loglik", "profile_loglik", "switch_fit"]
@@ -65,15 +65,6 @@ class MoveDelta(NamedTuple):
     empties_block: bool
 
 
-def _xlogy(a, b):
-    """a * log(b), and 0 where a is not positive.
-
-    Callers run it under np.errstate(divide="ignore", invalid="ignore"),
-    entered once per objective or deltas call, not once per term.
-    """
-    return np.where(a > 0, a * np.log(b), 0.0)
-
-
 def _masked_sums(x: np.ndarray, keep: np.ndarray, pairwise: np.ndarray | None = None) -> np.ndarray:
     """Sums of x over its first axis where ``keep`` holds, in the per-pair code's order.
 
@@ -94,12 +85,6 @@ def _masked_sums(x: np.ndarray, keep: np.ndarray, pairwise: np.ndarray | None = 
     n_kept = np.count_nonzero(ks.reshape(-1, len(keep))[0])
     out[rows] = xs[ks].reshape(*xs.shape[:-1], n_kept).sum(axis=-1)
     return out
-
-
-def _grouped(src: np.ndarray, dst: np.ndarray, vals: np.ndarray, n: int):
-    """(ptr, dst, vals) sorted by src, with src v's entries at ptr[v]:ptr[v + 1]."""
-    order = np.argsort(src, kind="stable")
-    return np.searchsorted(src[order], np.arange(n + 1)), dst[order], vals[order]
 
 
 class _Stats:
@@ -123,26 +108,22 @@ class _Stats:
         self.z = labels0.copy()
         self.deg = degrees(net).astype(np.float64)
         self.total = float(net.total_value)
-        pairs = np.array(list(net.entries), dtype=np.int64).reshape(-1, 2)
-        rows, cols = pairs[:, 0], pairs[:, 1]
-        vals = np.array(list(net.entries.values()), dtype=np.float64)
-        # neighbour lists as slices of one array each: v's out-neighbours
-        # are out_nbrs[out_ptr[v]:out_ptr[v + 1]], and likewise for "in"
-        self.out_ptr, self.out_nbrs, self.out_vals = _grouped(rows, cols, vals, self.n)
-        self.in_ptr, self.in_nbrs, self.in_vals = _grouped(cols, rows, vals, self.n)
-        self.sizes = np.bincount(labels0, minlength=K).astype(np.float64)
-        self.edge = np.zeros((K, K))
+        rows, cols, vals = net.row_index(), net.indices, net.data.astype(np.float64)
+        # v's out-neighbours are out_nbrs[out_ptr[v]:out_ptr[v + 1]], and
+        # (directed) likewise for "in"
+        self.out_ptr, self.out_nbrs, self.out_vals = net.indptr, cols, vals
+        if self.directed:
+            self.in_ptr, self.in_nbrs, in_vals = net.transpose()
+            self.in_vals = in_vals.astype(np.float64)
+        self.edge, _, self.sizes = block_pair_stats(net, labels0, K)
         # vcount[v, k]: value from v toward block k (and from block k into
         # v for the directed in-table); no self-loops, so moving v never
         # changes v's own row
         self.vcount_out = np.zeros((self.n, K))
-        if rows.size:
-            np.add.at(self.edge, (labels0[rows], labels0[cols]), vals)
-            np.add.at(self.vcount_out, (rows, labels0[cols]), vals)
+        np.add.at(self.vcount_out, (rows, labels0[cols]), vals)
         if self.directed:
             self.vcount_in = np.zeros((self.n, K))
-            if rows.size:
-                np.add.at(self.vcount_in, (cols, labels0[rows]), vals)
+            np.add.at(self.vcount_in, (cols, labels0[rows]), vals)
         else:
             self.vcount_in = self.vcount_out
         self._ar = np.arange(K)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from blockmix.graph import Network
-from blockmix.models import BlockParams, global_rate
+from blockmix.models import BlockParams, _xlogy, global_rate
 from blockmix.results import FitResult, map_restarts, restart_stream
 
 __all__ = ["VemConfig", "VariationalState", "elbo", "e_step", "m_step", "vem_fit"]
@@ -53,9 +53,10 @@ def _mul(coef, table):
 
     Coefficients within rounding noise of zero are treated as zero when
     the table entry is infinite, so a p = 1 cell whose complement count
-    is -1e-17 instead of exactly 0 cannot poison the sum.  Callers run
-    it under np.errstate(divide="ignore", invalid="ignore"), entered once
-    per E step or bound evaluation, not once per product.
+    is -1e-17 instead of exactly 0 cannot poison the sum.  ``models._xlogy``
+    zeroes only non-positive coefficients, enough for whole-number counts.
+    Callers run it under np.errstate(divide="ignore", invalid="ignore"),
+    entered once per E step or bound evaluation, not once per product.
     """
     out = np.where(coef != 0, coef * table, 0.0)
     snap = ~np.isfinite(table) & (np.abs(coef) < 1e-9)
@@ -83,7 +84,7 @@ def _elbo_dense(yd: np.ndarray, directed: bool, state: VariationalState) -> floa
         pair_term = (_mul(edge, table_a) - pairs * table_b).sum()
     log_pi = np.log(params.pi)
     mix_term = _mul(colsum, log_pi).sum()
-    entropy = -np.where(resp > 0, resp * np.log(resp), 0.0).sum()
+    entropy = -_xlogy(resp, resp).sum()
     return float(pair_term * scale + mix_term + entropy)
 
 

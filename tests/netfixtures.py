@@ -14,22 +14,33 @@ def random_network(rng, n=None, directed=None, binary=None, p=0.5, max_count=4):
         directed = bool(rng.integers(0, 2))
     if binary is None:
         binary = bool(rng.integers(0, 2))
-    entries = {}
+    edges = {}
     for i in range(n):
         for j in range(n):
             if i == j or (not directed and i > j):
                 continue
             if rng.random() < p:
                 v = 1 if binary else int(rng.integers(1, max_count + 1))
-                entries[(i, j)] = v
-                if not directed:
-                    entries[(j, i)] = v
-    return Network(
-        n_nodes=n,
+                edges[(i, j)] = v
+    return Network.from_edges(
+        n,
+        edges,
         directed=directed,
         value_kind="binary" if binary else "count",
-        entries=entries,
         node_labels=tuple(str(i) for i in range(n)),
+    )
+
+
+def same_network(a, b) -> bool:
+    """Equal orientation, storage arrays and node labels."""
+    return (
+        a.n_nodes == b.n_nodes
+        and a.directed == b.directed
+        and a.value_kind == b.value_kind
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+        and a.labels() == b.labels()
     )
 
 

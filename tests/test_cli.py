@@ -137,7 +137,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [("stats", "w.edges", "--bins", "0"), ("eval", "a.labels", "a.labels", "--uncertain", "-1")],
+        [("stats", "w.edges", "--bins", "0"), ("stats", "w.edges", "--bins", str(2**53 + 1)),
+         ("eval", "a.labels", "a.labels", "--uncertain", "-1")],
     )
     def test_other_bad_integer_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

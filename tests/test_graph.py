@@ -15,7 +15,7 @@ from blockmix.graph import (
     load_weighted_edge_list,
     to_edge_list_text,
 )
-from netfixtures import random_network
+from netfixtures import random_network, same_network
 
 
 class TestLoadEdgeList:
@@ -43,10 +43,17 @@ class TestLoadEdgeList:
 
     def test_undirected_orientations_merge(self):
         # "a b" and "b a" name the same undirected edge
-        with pytest.raises(EdgeListError, match="line 2.*duplicate"):
-            load_edge_list("a b\nb a\n")
-        net = load_edge_list("a b 2\nb a 3\n", value_kind="count")
-        assert net.value(0, 1) == 5
+        net = load_edge_list("a b\nb a\n")
+        assert net.n_edges == 1 and net.value(0, 1) == 1
+        net = load_edge_list("a b 2\nb a 2\n", value_kind="count")
+        assert net.n_edges == 1 and net.value(0, 1) == 2 and net.value(1, 0) == 2
+        # repeated lines sum first; the two orientations' totals must agree
+        net = load_edge_list("a b 2\nb a 3\na b 1\n", value_kind="count")
+        assert net.value(0, 1) == 3
+        with pytest.raises(EdgeListError, match="line 2: 'a' 'b' totals 2 but 'b' 'a' totals 3"):
+            load_edge_list("a b 2\nb a 3\n", value_kind="count")
+        with pytest.raises(EdgeListError, match="line 3: duplicate edge 'a' 'b'"):
+            load_edge_list("a b\nb a\na b\n")
 
     def test_directed_orientations_distinct(self):
         net = load_edge_list("a b\nb a\n", directed=True)
@@ -56,11 +63,15 @@ class TestLoadEdgeList:
         net = load_edge_list("a b 2\na b 1\n", value_kind="count")
         assert net.value(0, 1) == 3
 
-    def test_zero_value_leaves_pair_absent(self):
-        net = load_edge_list("a b 0\nb c 1\n", value_kind="count")
-        assert net.value(0, 1) == 0
-        assert net.n_edges == 1
-        assert net.n_nodes == 3
+    def test_count_value_zero_or_missing_rejected(self):
+        with pytest.raises(EdgeListError, match="line 1: count value 0"):
+            load_edge_list("a b 0\nb c 1\n", value_kind="count")
+        with pytest.raises(EdgeListError, match="line 2: expected 'src dst value', got 2 fields"):
+            load_edge_list("a b 1\nb c\n", value_kind="count")
+
+    def test_value_beyond_64_bits_rejected(self):
+        with pytest.raises(EdgeListError, match="line 1: value .* does not fit"):
+            load_edge_list(f"a b {2**63}\n", value_kind="count")
 
     def test_empty_input_rejected(self):
         with pytest.raises(EdgeListError, match="no edges"):
@@ -96,7 +107,7 @@ class TestRoundTrip:
         text = to_edge_list_text(net)
         again = load_edge_list(text)
         assert again.labels() == net.labels()
-        assert again.entries == net.entries
+        assert same_network(again, net)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -112,40 +123,77 @@ class TestRoundTrip:
         )
         assert again.n_nodes == net.n_nodes
         assert again.directed == net.directed
-        assert again.entries == net.entries
+        assert same_network(again, net)
         assert again.labels() == net.labels()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), binary=st.booleans())
+    def test_mirrored_listing_loads_like_single(self, seed, binary):
+        # every undirected edge written both ways, lines shuffled
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, directed=False, binary=binary)
+        labels = net.labels()
+        fields = [f"{labels[i]} {labels[j]}" for i, j in zip(net.row_index(), net.indices)]
+        if not binary:
+            fields = [f"{line} {v}" for line, v in zip(fields, net.data)]
+        lines = [*labels, *rng.permutation(np.array(fields, dtype=object)).tolist()]
+        single = load_edge_list(to_edge_list_text(net), value_kind=net.value_kind)
+        mirrored = load_edge_list("\n".join(lines) + "\n", value_kind=net.value_kind)
+        assert same_network(mirrored, single)
+        assert same_network(mirrored, net)
 
 
 class TestNetworkValidation:
+    # Network(n_nodes, directed, value_kind, indptr, indices, data)
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
-            Network(2, False, "binary", {(1, 1): 1})
+            Network(2, False, "binary", [0, 0, 1], [1], [1])
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            Network(2, False, "binary", {(0, 5): 1, (5, 0): 1})
+            Network(2, False, "binary", [0, 1, 1], [5], [1])
+        with pytest.raises(ValueError, match="out of range"):
+            Network.from_edges(2, {(0, 5): 1})
 
     def test_nonpositive_value_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
-            Network(2, False, "count", {(0, 1): 0, (1, 0): 0})
+            Network(2, False, "count", [0, 1, 2], [1, 0], [0, 0])
+        with pytest.raises(ValueError, match="integer array"):
+            Network(2, False, "count", [0, 1, 2], [1, 0], [1.5, 1.5])
 
     def test_binary_value_must_be_one(self):
         with pytest.raises(ValueError, match="binary network holds value"):
-            Network(2, False, "binary", {(0, 1): 2, (1, 0): 2})
+            Network(2, False, "binary", [0, 1, 2], [1, 0], [2, 2])
 
     def test_undirected_must_be_symmetric(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            Network(2, False, "binary", {(0, 1): 1})
+        with pytest.raises(ValueError, match=r"asymmetric at \(0, 1\)"):
+            Network(2, False, "binary", [0, 1, 1], [1], [1])
+        with pytest.raises(ValueError, match=r"asymmetric at \(0, 1\)"):
+            Network(2, False, "count", [0, 1, 2], [1, 0], [2, 3])
+
+    @pytest.mark.parametrize("indptr,indices,data,message", [
+        ([0, 2, 2, 2], [2, 1], [1, 1], "row 0 is not in ascending order"),
+        ([0, 2, 2, 2], [1, 1], [1, 1], "repeats a pair"),
+        ([0, 1, 1], [1], [1], "indptr"),
+        ([1, 1, 1, 1], [], [], "indptr"),
+        ([0, 2, 1, 2], [1, 0], [1, 1], "indptr"),
+        ([0, 1, 1, 1], [1], [], "indptr"),
+    ])
+    def test_csr_layout_checked(self, indptr, indices, data, message):
+        with pytest.raises(ValueError, match=message):
+            Network(3, True, "binary", indptr, indices, data)
 
     def test_from_edges_mirrors_undirected(self):
         net = Network.from_edges(3, [(0, 1)])
-        assert net.entries == {(0, 1): 1, (1, 0): 1}
+        assert net.indptr.tolist() == [0, 1, 2, 2]
+        assert net.indices.tolist() == [1, 0]
+        assert net.data.tolist() == [1, 1]
         assert net.n_edges == 1
         assert net.total_value == 1
 
     def test_node_labels_length_checked(self):
         with pytest.raises(ValueError, match="node_labels"):
-            Network(2, False, "binary", {}, node_labels=("a",))
+            Network(2, False, "binary", [0, 0, 0], [], [], node_labels=("a",))
 
 
 class TestStatistics:
@@ -164,7 +212,7 @@ class TestStatistics:
 
     def test_density_needs_two_nodes(self):
         with pytest.raises(ValueError, match="two nodes"):
-            density(Network(1, False, "binary", {}))
+            density(Network(1, False, "binary", [0, 0], [], []))
 
     def test_degrees_sum_values(self):
         net = Network.from_edges(3, {(0, 1): 2, (1, 2): 5}, value_kind="count")
@@ -174,11 +222,14 @@ class TestStatistics:
         net = Network.from_edges(3, {(0, 1): 2, (2, 1): 3}, directed=True, value_kind="count")
         assert degrees(net).tolist() == [2, 5, 3]
 
-    def test_neighbor_lists_merge_directions(self):
-        net = Network.from_edges(3, {(0, 1): 1, (2, 0): 1}, directed=True)
-        nbrs = net.neighbor_lists()
-        assert nbrs[0].tolist() == [1, 2]
-        assert nbrs[1].tolist() == [0]
+    def test_transpose_lists_in_neighbours(self):
+        net = Network.from_edges(3, {(0, 1): 2, (2, 0): 5, (2, 1): 1}, directed=True, value_kind="count")
+        indptr, indices, data = net.transpose()
+        assert indptr.tolist() == [0, 1, 3, 3]
+        assert indices.tolist() == [2, 0, 2]
+        assert data.tolist() == [5, 2, 1]
+        undirected = Network.from_edges(3, [(0, 1)])
+        assert undirected.transpose()[1] is undirected.indices
 
     def test_to_dense_symmetry(self):
         rng = np.random.default_rng(3)
@@ -218,6 +269,9 @@ class TestWeightedInput:
     def test_discretize_validates(self):
         with pytest.raises(ValueError, match="n_bins"):
             discretize_weights({}, n_bins=0)
+        with pytest.raises(ValueError, match="n_bins"):
+            discretize_weights({(0, 1): 0.5}, n_bins=2**53 + 1)
+        assert discretize_weights({(0, 1): 0.5}, n_bins=2**53).value(0, 1) == 2**52
         with pytest.raises(ValueError, match="outside"):
             discretize_weights({(0, 1): 2.0}, n_bins=4)
 

@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blockmix.mcem import PosteriorSummary
+from blockmix.mcem import McemConfig, PosteriorSummary, mcem_fit
 from blockmix.models import BlockParams, GraphonStep
 from blockmix.results import (
     FitResult,
@@ -15,6 +16,9 @@ from blockmix.results import (
     to_json,
     worker_count,
 )
+from blockmix.switch import SwitchConfig, switch_fit
+from blockmix.vem import VemConfig, vem_fit
+from netfixtures import random_network
 
 
 def _result(params, posterior=None, extras=None):
@@ -160,3 +164,28 @@ class TestMapRestarts:
     def test_bad_worker_setting_ignored(self, monkeypatch):
         monkeypatch.setenv("BLOCKMIX_WORKERS", "many")
         assert worker_count() == 1
+
+
+_POOLED_FITS = {
+    "vem": (dict(directed=False, binary=True), lambda net: vem_fit(net, VemConfig(K=2, restarts=3, seed=5))),
+    "switch": (dict(directed=True, binary=False), lambda net: switch_fit(
+        net, SwitchConfig(K=2, restarts=3, seed=5, kind="dc_poisson"))),
+    "mcem": (dict(directed=False, binary=True), lambda net: mcem_fit(net, McemConfig(
+        K=2, em_max_iter=4, sweeps_base=5, sweeps_increment=2, sweeps_cap=10,
+        restarts=3, final_sweeps=30, seed=5))),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_POOLED_FITS))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_pooled_restarts_match_serial(engine, seed):
+    # the pool pickles the network into each worker
+    shape, fit = _POOLED_FITS[engine]
+    net = random_network(np.random.default_rng(seed), n=10, p=0.4, **shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("BLOCKMIX_WORKERS", raising=False)
+        serial = to_json(fit(net))
+        mp.setenv("BLOCKMIX_WORKERS", "2")
+        pooled = to_json(fit(net))
+    assert pooled == serial

@@ -440,18 +440,16 @@ def _seed_step_deltas(st, active: np.ndarray) -> np.ndarray:
 def _oracle_network(rng, n, directed, binary):
     """Random network with three isolated nodes; count values reach 3n."""
     perm = rng.permutation(n)
-    entries = {}
+    edges = {}
     for i in range(n - 3):
         for j in range(n - 3):
             if i == j or (not directed and i > j) or rng.random() >= 0.35:
                 continue
             v = 1 if binary else int(rng.integers(1, 3 * n))
-            entries[(int(perm[i]), int(perm[j]))] = v
-            if not directed:
-                entries[(int(perm[j]), int(perm[i]))] = v
-    return Network(
-        n_nodes=n, directed=directed, value_kind="binary" if binary else "count",
-        entries=entries, node_labels=tuple(str(i) for i in range(n)),
+            edges[(int(perm[i]), int(perm[j]))] = v
+    return Network.from_edges(
+        n, edges, directed=directed, value_kind="binary" if binary else "count",
+        node_labels=tuple(str(i) for i in range(n)),
     )
 
 
