@@ -82,7 +82,8 @@ def sample_sbm(cfg: GenConfig) -> tuple[Network, Partition]:
     else:
         rows, cols = np.triu_indices(n, k=1)
     u_pairs = _stream(cfg.seed, _PAIR_STREAM).random(rows.size)
-    cell = params.block_matrix[labels0[rows], labels0[cols]]
+    # one pair-length index temporary instead of two: gather node rows first
+    cell = params.block_matrix[labels0][rows, labels0[cols]]
 
     if params.kind == "bernoulli":
         values = (u_pairs < cell).astype(np.int64)

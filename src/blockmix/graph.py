@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -45,7 +45,9 @@ class Network:
     positive integer values at the same positions of ``data``; absent pairs
     are zeros.  Undirected networks store both orientations of every edge.
     Instances are immutable by convention and can be shared freely across
-    concurrent estimator runs.
+    concurrent estimator runs.  Structures an engine derives from the
+    arrays can be kept on the instance with :meth:`derived`; pickles leave
+    them out.
     """
 
     n_nodes: int
@@ -55,6 +57,7 @@ class Network:
     indices: np.ndarray
     data: np.ndarray
     node_labels: tuple[str, ...] | None = None
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_nodes
@@ -102,6 +105,16 @@ class Network:
                 k = int(np.argmax(bad))
                 i, j = divmod(int(min(key[k], t_key[k])), n)
                 raise ValueError(f"undirected network is asymmetric at ({i}, {j})")
+
+    def __getstate__(self):
+        # pool workers rebuild derived structures rather than receive them
+        return {**self.__dict__, "_derived": {}}
+
+    def derived(self, key: str, build: Callable[["Network"], object]):
+        """``build(self)``, computed on the first call for ``key`` and kept on the instance."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     @classmethod
     def from_arrays(cls, n_nodes: int, src, dst, values, directed: bool = False,
@@ -171,9 +184,9 @@ class Network:
             return self.indptr, self.indices, self.data
         return _grouped(self.n_nodes, self.indices, self.row_index(), self.data)
 
-    def to_dense(self) -> np.ndarray:
+    def to_dense(self, dtype=np.int64) -> np.ndarray:
         """Dense value matrix with zero diagonal; symmetric if undirected."""
-        y = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int64)
+        y = np.zeros((self.n_nodes, self.n_nodes), dtype=dtype)
         y[self.row_index(), self.indices] = self.data
         return y
 

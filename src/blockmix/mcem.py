@@ -152,8 +152,8 @@ def gini_uncertainty(freq_row: np.ndarray) -> float:
 _ERR_SCALE = 64.0 * 2.0**-53
 
 
-class _Sampler:
-    """Chain machinery for one network; graphon swapped in between E steps."""
+class _Neighbours:
+    """The network as the sampler reads it; built once per network."""
 
     def __init__(self, net: Network):
         self.n = net.n_nodes
@@ -172,6 +172,18 @@ class _Sampler:
             self.src, self.dst = np.concatenate((self.src, self.dst)), np.concatenate((self.dst, self.src))
             self.w = np.concatenate((self.w, self.w))
         self.strength = [sum(w) for w in self.wt_lists]
+
+
+class _Sampler:
+    """Chain machinery for one network; graphon swapped in between E steps."""
+
+    def __init__(self, net: Network):
+        # gibbs_sweep and acceptance_prob build a sampler per call; the
+        # network part is built once and kept on the network
+        nb = net.derived("mcem.neighbours", _Neighbours)
+        self.n, self.pair_factor, self.strength = nb.n, nb.pair_factor, nb.strength
+        self.src, self.dst, self.w = nb.src, nb.dst, nb.w
+        self.nbr_lists, self.wt_lists = nb.nbr_lists, nb.wt_lists
 
     def set_graphon(self, g: GraphonStep):
         self.tau = g.tau

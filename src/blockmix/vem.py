@@ -5,6 +5,12 @@ node i's membership responsibilities.  Alternating the coordinate-ascent
 E step (sequential node sweeps, freshest values) with the closed-form
 M step never decreases the bound, which the test suite asserts on random
 instances.
+
+Each restart starts with a hard (classification) phase on the
+vertex-switching engine's count tables: O(n K^2) per sweep plus
+O((deg + 1) K^2) per moved node, with results bit-identical to hard sweeps
+over the dense matrix.  The soft phase that follows works on the dense
+n x n matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 from blockmix.graph import Network
 from blockmix.models import BlockParams, _xlogy, global_rate
 from blockmix.results import FitResult, map_restarts, restart_stream
+from blockmix.switch import _Stats
 
 __all__ = ["VemConfig", "VariationalState", "elbo", "e_step", "m_step", "vem_fit"]
 
@@ -70,12 +77,15 @@ def _pair_tables(params: BlockParams):
         return params.block_matrix, np.exp(params.block_matrix)
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _elbo_dense(yd: np.ndarray, directed: bool, state: VariationalState) -> float:
-    resp, params = state.resp, state.params
+def _dense_stats(yd: np.ndarray, resp: np.ndarray):
+    """Responsibility-weighted block-pair values, pair counts and block totals."""
     colsum = resp.sum(axis=0)
-    edge = resp.T @ yd @ resp
-    pairs = np.outer(colsum, colsum) - resp.T @ resp
+    return resp.T @ yd @ resp, np.outer(colsum, colsum) - resp.T @ resp, colsum
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _bound(edge, pairs, colsum, entropy: float, directed: bool, params: BlockParams) -> float:
+    """The bound from block-pair statistics and the responsibility entropy."""
     scale = 1.0 if directed else 0.5
     table_a, table_b = _pair_tables(params)
     if params.kind == "bernoulli":
@@ -84,8 +94,16 @@ def _elbo_dense(yd: np.ndarray, directed: bool, state: VariationalState) -> floa
         pair_term = (_mul(edge, table_a) - pairs * table_b).sum()
     log_pi = np.log(params.pi)
     mix_term = _mul(colsum, log_pi).sum()
-    entropy = -_xlogy(resp, resp).sum()
     return float(pair_term * scale + mix_term + entropy)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _entropy(resp: np.ndarray) -> float:
+    return -_xlogy(resp, resp).sum()
+
+
+def _elbo_dense(yd: np.ndarray, directed: bool, state: VariationalState) -> float:
+    return _bound(*_dense_stats(yd, state.resp), _entropy(state.resp), directed, state.params)
 
 
 def _softmax_row(score: np.ndarray) -> np.ndarray:
@@ -96,10 +114,30 @@ def _softmax_row(score: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
+def _node_score(t_out, t_in, others, log_pi, table_a, table_b, bernoulli: bool) -> np.ndarray:
+    """One node's E-step score for each block: log pi plus its expected pair terms.
+
+    ``t_out`` (``t_in``) holds the node's values toward (from) each block
+    weighted by the other nodes' responsibilities, ``others`` the other
+    nodes' block totals; ``t_in`` is None for undirected networks.  The
+    soft E step and the hard phase's reference decisions both score a
+    node with this expression.
+    """
+    if bernoulli:
+        score = log_pi + _mul(t_out, table_a).sum(axis=1) + _mul(others - t_out, table_b).sum(axis=1)
+    else:
+        score = log_pi + _mul(t_out, table_a).sum(axis=1) - table_b @ others
+    if t_in is not None:
+        if bernoulli:
+            score = score + _mul(t_in, table_a.T).sum(axis=1) + _mul(others - t_in, table_b.T).sum(axis=1)
+        else:
+            score = score + _mul(t_in, table_a.T).sum(axis=1) - table_b.T @ others
+    return score
+
+
 @np.errstate(divide="ignore", invalid="ignore")
-def _e_step_dense(
-    yd: np.ndarray, directed: bool, state: VariationalState, harden: bool = False
-) -> VariationalState:
+def _e_step_dense(yd: np.ndarray, directed: bool, state: VariationalState) -> np.ndarray:
+    """Responsibilities after one soft sweep; the bound is left to the caller."""
     params = state.params
     resp = state.resp.copy()
     colsum = resp.sum(axis=0)
@@ -107,54 +145,37 @@ def _e_step_dense(
     log_pi = np.log(params.pi)
     bernoulli = params.kind == "bernoulli"
     for i in range(yd.shape[0]):
-        others = colsum - resp[i]
-        t_out = yd[i] @ resp
-        if bernoulli:
-            score = log_pi + _mul(t_out, table_a).sum(axis=1) + _mul(others - t_out, table_b).sum(axis=1)
-        else:
-            score = log_pi + _mul(t_out, table_a).sum(axis=1) - table_b @ others
-        if directed:
-            t_in = yd[:, i] @ resp
-            if bernoulli:
-                score = score + _mul(t_in, table_a.T).sum(axis=1) + _mul(others - t_in, table_b.T).sum(axis=1)
-            else:
-                score = score + _mul(t_in, table_a.T).sum(axis=1) - table_b.T @ others
-        if harden:
-            row = np.zeros(score.size)
-            row[int(np.argmax(score))] = 1.0
-        else:
-            row = _softmax_row(score)
+        t_in = yd[:, i] @ resp if directed else None
+        score = _node_score(yd[i] @ resp, t_in, colsum - resp[i], log_pi, table_a, table_b, bernoulli)
+        row = _softmax_row(score)
         colsum += row - resp[i]
         resp[i] = row
-    out = VariationalState(resp, params, 0.0)
-    out.elbo = _elbo_dense(yd, directed, out)
-    return out
+    return resp
+
+
+def _fit_params(kind: str, edge, pairs, colsum, n: int, fallback: float) -> BlockParams:
+    """Closed-form M step: block rates (the fallback where a cell has no pairs) and weights."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.where(pairs > 1e-12, edge / np.maximum(pairs, 1e-12), fallback)
+    pi = colsum / n
+    if kind == "bernoulli":
+        return BlockParams("bernoulli", colsum.size, pi, np.clip(rate, 0.0, 1.0))
+    with np.errstate(divide="ignore"):
+        return BlockParams("poisson", colsum.size, pi, np.log(rate))
 
 
 def _m_step_dense(
     yd: np.ndarray, directed: bool, fallback: float, state: VariationalState
 ) -> VariationalState:
-    resp = state.resp
-    n = yd.shape[0]
-    colsum = resp.sum(axis=0)
-    edge = resp.T @ yd @ resp
-    pairs = np.outer(colsum, colsum) - resp.T @ resp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = np.where(pairs > 1e-12, edge / np.maximum(pairs, 1e-12), fallback)
-    pi = colsum / n
-    if state.params.kind == "bernoulli":
-        params = BlockParams("bernoulli", state.params.K, pi, np.clip(rate, 0.0, 1.0))
-    else:
-        with np.errstate(divide="ignore"):
-            params = BlockParams("poisson", state.params.K, pi, np.log(rate))
-    out = VariationalState(resp, params, 0.0)
-    out.elbo = _elbo_dense(yd, directed, out)
-    return out
+    edge, pairs, colsum = _dense_stats(yd, state.resp)
+    params = _fit_params(state.params.kind, edge, pairs, colsum, yd.shape[0], fallback)
+    bound = _bound(edge, pairs, colsum, _entropy(state.resp), directed, params)
+    return VariationalState(state.resp, params, bound)
 
 
 def elbo(net: Network, state: VariationalState) -> float:
     """Expected complete-data log-likelihood plus responsibility entropy."""
-    return _elbo_dense(net.to_dense().astype(np.float64), net.directed, state)
+    return _elbo_dense(net.to_dense(np.float64), net.directed, state)
 
 
 def e_step(net: Network, state: VariationalState) -> VariationalState:
@@ -163,34 +184,170 @@ def e_step(net: Network, state: VariationalState) -> VariationalState:
     Each row is set to its exact conditional optimum given every other
     row's freshest value, so the bound cannot decrease.
     """
-    return _e_step_dense(net.to_dense().astype(np.float64), net.directed, state)
+    yd = net.to_dense(np.float64)
+    out = VariationalState(_e_step_dense(yd, net.directed, state), state.params, 0.0)
+    out.elbo = _elbo_dense(yd, net.directed, out)
+    return out
 
 
 def m_step(net: Network, state: VariationalState) -> VariationalState:
     """Closed-form parameter update from responsibility-weighted counts."""
-    return _m_step_dense(net.to_dense().astype(np.float64), net.directed, global_rate(net), state)
+    return _m_step_dense(net.to_dense(np.float64), net.directed, global_rate(net), state)
 
 
 _INIT_CANDIDATES = 4
 
+# The fast hard-phase scores and _node_score sum the same terms in other
+# orders and groupings (and BLAS may fuse multiply-adds).  With N = 2 *
+# sides * K + 6 terms (sides is 2 for directed networks, 1 otherwise)
+# whose magnitudes sum to at most M, each value lies
+# within about N * u * M of the exact score (u = 2**-53 the unit
+# roundoff), so the two differ by at most 2 N u M.  The margin
+# _ERR_SCALE * N * (M + 1) is 32 times that; M is bounded per node by
+# |log pi| + the node's total value * (|a| + |b|) + sides * (n + 1) * |b|
+# over the finite table entries a (log p or log-rate) and b.
+_ERR_SCALE = 64.0 * 2.0**-53
 
-def _hard_phase(yd, directed, kind, fallback, labels0, K, max_iter) -> VariationalState:
-    n = labels0.size
-    resp = np.zeros((n, K))
-    resp[np.arange(n), labels0] = 1.0
-    blank = BlockParams(kind, K, np.full(K, 1.0 / K), np.zeros((K, K)))
-    state = _m_step_dense(yd, directed, fallback, VariationalState(resp, blank, 0.0))
+
+class _HardSweeps:
+    """Hard E steps and M steps on the vertex-switching count tables.
+
+    For one-hot responsibilities, row i of ``vcount_out`` (``vcount_in``)
+    is exactly ``yd[i] @ resp`` (``yd[:, i] @ resp``), and ``edge`` and
+    ``sizes`` are the M step's block-pair totals; all are whole numbers,
+    so every statistic equals its dense counterpart bit for bit.  A move
+    updates them in O(deg + K).
+    """
+
+    def __init__(self, net: Network, labels0: np.ndarray, K: int, kind: str):
+        self.stats = _Stats(net, labels0, K, kind)
+        self.kind = kind
+
+    def m_step(self, fallback: float) -> tuple[BlockParams, float]:
+        st = self.stats
+        s = st.sizes
+        pairs = np.outer(s, s) - np.diag(s)
+        params = _fit_params(self.kind, st.edge, pairs, s, st.n, fallback)
+        # one-hot rows: the entropy is -sum(1 log 1 + 0 log 0) = -0.0
+        return params, _bound(st.edge, pairs, s, -0.0, st.directed, params)
+
+    def _reference(self, i: int, c: int, log_pi, table_a, table_b) -> int:
+        st = self.stats
+        others = st.sizes.copy()
+        others[c] -= 1.0
+        t_in = st.vcount_in[i] if st.directed else None
+        score = _node_score(st.vcount_out[i], t_in, others, log_pi, table_a, table_b,
+                            self.kind == "bernoulli")
+        return int(np.argmax(score))
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def sweep(self, params: BlockParams) -> bool:
+        """One hard E step in node index order; True when a node changed block.
+
+        Node i joins the argmax of its ``_node_score`` given every other
+        node's current block.  Splitting off the block totals, a node's
+        score is T[i] + BG[z_i]: T (n x K) holds its counts times the
+        per-value table (-inf where a count meets a zero-rate cell), and
+        is built once per sweep and then only for the neighbours of a node
+        that moves; BG (K x K) holds log pi and the block-total terms, and
+        is rebuilt on each move.  The fast path decides alone only when
+        its top-two gap exceeds twice the rounding margin; it calls
+        ``_node_score`` otherwise, and for every node when a table entry is
+        +-inf outside the zero-rate cells (a p = 1 cell).  Decisions taken
+        from the sweep-start table also allow for the block-total drift of
+        the moves made since.
+        """
+        st, kind = self.stats, self.kind
+        n, K, z, directed = st.n, st.K, st.z, st.directed
+        table_a, table_b = _pair_tables(params)
+        log_pi = np.log(params.pi)
+        zero_rate = np.isneginf(table_a)
+        a0 = np.where(zero_rate, 0.0, table_a)
+        changed = False
+        if not (np.isfinite(a0).all() and np.isfinite(table_b).all()):
+            for i in range(n):
+                c = int(z[i])
+                k = self._reference(i, c, log_pi, table_a, table_b)
+                if k != c:
+                    st.apply(i, k)
+                    changed = True
+            return changed
+        # score = log pi + sum_l others_l g_kl + sum_l t_l d_kl (+ the
+        # transposed in-terms), with others = block totals minus the node
+        g = table_b if kind == "bernoulli" else -table_b
+        d = a0 - table_b if kind == "bernoulli" else a0
+        G = g + g.T if directed else g
+        forbid = zero_rate.astype(np.float64) if zero_rate.any() else None
+
+        def count_rows(idx):
+            rows = st.vcount_out[idx] @ d.T
+            if directed:
+                rows += st.vcount_in[idx] @ d
+            if forbid is not None:
+                hits = st.vcount_out[idx] @ forbid.T
+                if directed:
+                    hits += st.vcount_in[idx] @ forbid
+                rows[hits > 0] = -np.inf
+            return rows
+
+        sides = 2 if directed else 1
+        mag_b = np.abs(table_b).max()
+        mag = (np.abs(log_pi[np.isfinite(log_pi)]).max() + st.deg * (np.abs(a0).max() + mag_b)
+               + sides * (n + 1) * mag_b)
+        # either of the top two scores may be off by the margin
+        thr = 2.0 * _ERR_SCALE * (2 * sides * K + 6) * (mag + 1.0)
+        # a move shifts every block-total term by at most 2 max|G|, so a
+        # decision from the sweep-start table needs twice that more gap
+        drift_step = 4.0 * np.abs(G).max()
+        T = count_rows(slice(None))
+        BG = (log_pi + G @ st.sizes) - G.T
+        start = T + BG[z]
+        top = start.argmax(axis=1)
+        ar = np.arange(n)
+        best = start[ar, top]
+        start[ar, top] = -np.inf
+        slack = (best - start.max(axis=1)) - thr  # nan where every block is -inf
+        dirty = np.zeros(n, dtype=bool)
+        drift = 0.0
+        for i in range(n):
+            c = z[i]
+            if slack[i] > drift and not dirty[i]:
+                k = top[i]
+            else:
+                score = T[i] + BG[c]
+                k = score.argmax()
+                best = score[k]
+                score[k] = -np.inf
+                if not best - score.max() > thr[i]:
+                    k = self._reference(i, int(c), log_pi, table_a, table_b)
+            if k != c:
+                st.apply(i, k)
+                nbrs = st.out_nbrs[st.out_ptr[i]:st.out_ptr[i + 1]]
+                if directed:
+                    nbrs = np.concatenate((nbrs, st.in_nbrs[st.in_ptr[i]:st.in_ptr[i + 1]]))
+                dirty[nbrs] = True
+                T[nbrs] = count_rows(nbrs)
+                BG = (log_pi + G @ st.sizes) - G.T
+                drift += drift_step
+                changed = True
+        return changed
+
+
+def _hard_phase(net, kind, fallback, labels0, K, max_iter) -> VariationalState:
+    sweeps = _HardSweeps(net, labels0, K, kind)
+    params, bound = sweeps.m_step(fallback)
     for _ in range(max_iter):
-        hard = _e_step_dense(yd, directed, state, harden=True)
-        if np.array_equal(hard.resp, state.resp):
+        if not sweeps.sweep(params):
             break
-        state = _m_step_dense(yd, directed, fallback, hard)
-    return state
+        params, bound = sweeps.m_step(fallback)
+    n = net.n_nodes
+    resp = np.zeros((n, K))
+    resp[np.arange(n), sweeps.stats.z] = 1.0
+    return VariationalState(resp, params, bound)
 
 
 def _run_restart(args) -> tuple[float, np.ndarray, BlockParams, list[float]]:
     net, cfg, kind, restart = args
-    yd = net.to_dense().astype(np.float64)
     n = net.n_nodes
     fallback = global_rate(net)
     rng = restart_stream(cfg.seed, ENGINE_ID, restart)
@@ -203,14 +360,14 @@ def _run_restart(args) -> tuple[float, np.ndarray, BlockParams, list[float]]:
     # are hardened and only the best one is polished.
     state = None
     for _ in range(_INIT_CANDIDATES):
-        cand = _hard_phase(
-            yd, net.directed, kind, fallback, rng.integers(0, cfg.K, size=n), cfg.K, cfg.max_iter
-        )
+        cand = _hard_phase(net, kind, fallback, rng.integers(0, cfg.K, size=n), cfg.K, cfg.max_iter)
         if state is None or cand.elbo > state.elbo:
             state = cand
+    yd = net.to_dense(np.float64)
     trace = [state.elbo]
     for _ in range(cfg.max_iter):
-        state = _m_step_dense(yd, net.directed, fallback, _e_step_dense(yd, net.directed, state))
+        resp = _e_step_dense(yd, net.directed, state)
+        state = _m_step_dense(yd, net.directed, fallback, VariationalState(resp, state.params, 0.0))
         trace.append(state.elbo)
         if trace[-1] - trace[-2] < cfg.tol:
             break

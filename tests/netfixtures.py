@@ -6,8 +6,11 @@ from blockmix.graph import Network
 from blockmix.models import Partition
 
 
-def random_network(rng, n=None, directed=None, binary=None, p=0.5, max_count=4):
-    """One random network; shape choices fall back to draws from rng."""
+def random_network(rng, n=None, directed=None, binary=None, p=0.5, max_count=4, n_isolated=0):
+    """One random network; shape choices fall back to draws from rng.
+
+    The last ``n_isolated`` nodes get no edges.
+    """
     if n is None:
         n = int(rng.integers(3, 10))
     if directed is None:
@@ -15,8 +18,8 @@ def random_network(rng, n=None, directed=None, binary=None, p=0.5, max_count=4):
     if binary is None:
         binary = bool(rng.integers(0, 2))
     edges = {}
-    for i in range(n):
-        for j in range(n):
+    for i in range(n - n_isolated):
+        for j in range(n - n_isolated):
             if i == j or (not directed and i > j):
                 continue
             if rng.random() < p:

@@ -6,6 +6,9 @@ engine, and hashes ``to_json`` of the result.  mcem cases also hash the
 per-iteration ``u_trace`` that ``--trace-out`` writes, and one case per
 orientation pins the positions after 200 ``gibbs_sweep`` calls.
 ``greedy`` cases run the switch engine with ``SwitchConfig(greedy=True)``.
+``vemK<K>`` cases fit vem with K = 6 or 10 to a sparse four-block graph,
+where the hard warm-start candidates drain blocks and meet zero-edge
+block pairs (and, at K = 10, complete block pairs with p = 1).
 
 A change that is meant to be behaviour-neutral (a speed-up, a refactor)
 must leave every hash here unchanged.  A change that is meant to alter
@@ -32,13 +35,14 @@ from blockmix.switch import SwitchConfig, switch_fit
 from blockmix.vem import VemConfig, vem_fit
 
 
-def _planted(seed: int, n: int, directed: bool, count: bool) -> Network:
-    """Two planted blocks; Bernoulli edges or Poisson counts."""
+def _planted(seed: int, n: int, directed: bool, count: bool, blocks: int = 2,
+             p_in: float = 0.45, p_out: float = 0.08, mean: float = 2.0) -> Network:
+    """Planted blocks; Bernoulli edges or Poisson counts (``mean`` times the edge rate)."""
     rng = np.random.default_rng(seed)
-    z = rng.integers(0, 2, size=n)
-    rate = np.where(z[:, None] == z[None, :], 0.45, 0.08)
+    z = rng.integers(0, blocks, size=n)
+    rate = np.where(z[:, None] == z[None, :], p_in, p_out)
     if count:
-        y = rng.poisson(2.0 * rate)
+        y = rng.poisson(mean * rate)
     else:
         y = (rng.random((n, n)) < rate).astype(np.int64)
     np.fill_diagonal(y, 0)
@@ -62,6 +66,10 @@ def _fit(case: str):
     engine, model, orient = case.split("-")
     directed = orient == "directed"
     count = model != "bernoulli"
+    if engine.startswith("vemK"):
+        # four blocks, about three neighbours per node
+        net = _planted(13 if directed else 12, 80, directed, count, 4, 0.12, 0.01, 1.5)
+        return vem_fit(net, VemConfig(K=int(engine[4:]), restarts=2, seed=5), kind=model)
     net = _planted(11 if directed else 7, 30, directed, count)
     if engine == "vem":
         return vem_fit(net, VemConfig(K=2, restarts=2, seed=1), kind=model)
@@ -95,6 +103,12 @@ GOLDEN = {
     "vem-bernoulli-directed": "d186664fa9f0c69c476965af3f94a45291427ed661b03b79f0f4dd2fef835426",
     "vem-poisson-undirected": "ad63c2809568189e0ad435e3154c729a43a2876d1554ac8fd44e6dd61b077189",
     "vem-poisson-directed": "31008a0f7c07b58f1d26867fcffd9028273978a41987051736f1f5687c0b7b44",
+    "vemK6-bernoulli-undirected": "14eb9f3bac502678f8deda2cc5b5f0ce1f4b2c9920833c733cf4e14f388ed399",
+    "vemK6-bernoulli-directed": "7cc2a3ff2325bbc05f1383d3fa78f7255d8eb0c67eea6ac438430b6f2d82d171",
+    "vemK6-poisson-undirected": "3101047b01a3d38eabc4b2df2ed1a0e5261ef45a3952561c5eab0d9fc4aade06",
+    "vemK6-poisson-directed": "1e3bae87e847b5dd3d9bf602c9ea3b8a406b051075caf1ae95f6ddb4e99bba40",
+    "vemK10-bernoulli-undirected": "ebdc00a3745e0f63b0ae411855eae0a0a8c29148c38cf4e29bc0818232c19b48",
+    "vemK10-bernoulli-directed": "8a1d0de36a88f714460ca8ff854c90b47e7bd1fd480307badd7a307df96412e9",
     "switch-bernoulli-undirected": "54a8d44c658fe34f01cad98e97c5561c045b42775f0ed486db4b5ad5f3e9a3bf",
     "switch-bernoulli-directed": "9579e88e6740f862f369a9dfb7248acb80ddd9a87485dce56dd375b8fbc02d31",
     "switch-poisson-undirected": "93e9800dac7af74feced50eb7960fc0d0a61779008a19a0d7d08d28833f076a5",
@@ -114,3 +128,14 @@ GOLDEN = {
 def test_golden_hash(case, monkeypatch):
     monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
     assert _digest(case) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    # print every case's digest, e.g. to record new cases against another
+    # checkout's sources: PYTHONPATH=<checkout>/src python tests/test_golden.py
+    import os
+
+    os.environ.pop("BLOCKMIX_WORKERS", None)
+    for case in sorted(GOLDEN):
+        digest = _digest(case)
+        print(f"{case} {digest} {'ok' if digest == GOLDEN[case] else 'DIFFERS'}")

@@ -237,6 +237,8 @@ class TestStatistics:
         y = net.to_dense()
         assert (y == y.T).all()
         assert (np.diag(y) == 0).all()
+        yf = net.to_dense(np.float64)
+        assert yf.dtype == np.float64 and yf.tobytes() == y.astype(np.float64).tobytes()
 
 
 class TestWeightedInput:

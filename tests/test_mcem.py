@@ -1,6 +1,7 @@
 """Graphon MCEM: chain operations, closed-form updates, uncertainty."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from blockmix.mcem import (
     posterior_mode,
 )
 from blockmix.models import BlockParams, GraphonStep
-from netfixtures import random_network
+from netfixtures import random_network, same_network
 
 _CLAMP = 1e-6
 
@@ -137,6 +138,18 @@ class TestGibbsSweep:
         u0 = LatentPositions(np.array([0.1, 0.2, 0.7]))
         gibbs_sweep(net, u0, g, np.random.default_rng(0))
         assert np.array_equal(u0.u, [0.1, 0.2, 0.7])
+
+    def test_neighbour_lists_built_once_per_network_and_not_pickled(self):
+        rng = np.random.default_rng(4)
+        net = random_network(rng, n=8, directed=True, binary=True)
+        g = GraphonStep([0.0, 0.4, 1.0], [[0.7, 0.1], [0.1, 0.5]])
+        u0 = rng.random(8)
+        first = gibbs_sweep(net, u0, g, np.random.default_rng(2))
+        assert mcem._Sampler(net).nbr_lists is mcem._Sampler(net).nbr_lists
+        clone = pickle.loads(pickle.dumps(net))
+        assert clone._derived == {} and net._derived
+        assert same_network(clone, net)
+        assert np.array_equal(gibbs_sweep(clone, u0, g, np.random.default_rng(2)).u, first.u)
 
     def test_single_interval_resamples_uniformly(self):
         # the proposal support is empty, so positions are redrawn and

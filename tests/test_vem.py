@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from blockmix.models import (
     bernoulli_loglik,
     mle_block_params,
 )
+from blockmix import vem
+from blockmix.models import _xlogy, global_rate
 from blockmix.vem import VariationalState, VemConfig, e_step, elbo, m_step, vem_fit
 from netfixtures import random_network
 
@@ -123,7 +126,7 @@ class TestSingleSteps:
             np.full((10, 2), 0.5), BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5)), 0.0
         )
         after = m_step(net, state)
-        from blockmix.models import global_rate
+        from blockmix.models import _xlogy, global_rate
 
         assert np.allclose(after.params.block_matrix, global_rate(net))
         assert np.allclose(after.params.pi, 0.5)
@@ -208,3 +211,238 @@ class TestVemFit:
             VemConfig(K=2, tol=0.0)
         with pytest.raises(ValueError, match="at least 1"):
             VemConfig(K=2, restarts=0)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the dense hard phase that ``vem._hard_phase`` replaced, copied
+# verbatim from the code before it (the E step is only called with
+# harden=True here).  The count-table hard phase must reproduce its
+# responsibilities, parameters and bound bit for bit.
+
+
+def _seed_mul(coef, table):
+    out = np.where(coef != 0, coef * table, 0.0)
+    snap = ~np.isfinite(table) & (np.abs(coef) < 1e-9)
+    return np.where(snap, 0.0, out)
+
+
+def _seed_pair_tables(params: BlockParams):
+    with np.errstate(divide="ignore"):
+        if params.kind == "bernoulli":
+            return np.log(params.block_matrix), np.log1p(-params.block_matrix)
+        return params.block_matrix, np.exp(params.block_matrix)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _seed_elbo_dense(yd, directed, state):
+    resp, params = state.resp, state.params
+    colsum = resp.sum(axis=0)
+    edge = resp.T @ yd @ resp
+    pairs = np.outer(colsum, colsum) - resp.T @ resp
+    scale = 1.0 if directed else 0.5
+    table_a, table_b = _seed_pair_tables(params)
+    if params.kind == "bernoulli":
+        pair_term = (_seed_mul(edge, table_a) + _seed_mul(pairs - edge, table_b)).sum()
+    else:
+        pair_term = (_seed_mul(edge, table_a) - pairs * table_b).sum()
+    log_pi = np.log(params.pi)
+    mix_term = _seed_mul(colsum, log_pi).sum()
+    entropy = -_xlogy(resp, resp).sum()
+    return float(pair_term * scale + mix_term + entropy)
+
+
+def _seed_softmax_row(score):
+    m = score.max()
+    if m == -np.inf:
+        return np.full(score.size, 1.0 / score.size)
+    w = np.exp(score - m)
+    return w / w.sum()
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _seed_e_step_dense(yd, directed, state, harden=False):
+    params = state.params
+    resp = state.resp.copy()
+    colsum = resp.sum(axis=0)
+    table_a, table_b = _seed_pair_tables(params)
+    log_pi = np.log(params.pi)
+    bernoulli = params.kind == "bernoulli"
+    for i in range(yd.shape[0]):
+        others = colsum - resp[i]
+        t_out = yd[i] @ resp
+        if bernoulli:
+            score = log_pi + _seed_mul(t_out, table_a).sum(axis=1) + _seed_mul(others - t_out, table_b).sum(axis=1)
+        else:
+            score = log_pi + _seed_mul(t_out, table_a).sum(axis=1) - table_b @ others
+        if directed:
+            t_in = yd[:, i] @ resp
+            if bernoulli:
+                score = score + _seed_mul(t_in, table_a.T).sum(axis=1) + _seed_mul(others - t_in, table_b.T).sum(axis=1)
+            else:
+                score = score + _seed_mul(t_in, table_a.T).sum(axis=1) - table_b.T @ others
+        if harden:
+            row = np.zeros(score.size)
+            row[int(np.argmax(score))] = 1.0
+        else:
+            row = _seed_softmax_row(score)
+        colsum += row - resp[i]
+        resp[i] = row
+    out = VariationalState(resp, params, 0.0)
+    out.elbo = _seed_elbo_dense(yd, directed, out)
+    return out
+
+
+def _seed_m_step_dense(yd, directed, fallback, state):
+    resp = state.resp
+    n = yd.shape[0]
+    colsum = resp.sum(axis=0)
+    edge = resp.T @ yd @ resp
+    pairs = np.outer(colsum, colsum) - resp.T @ resp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.where(pairs > 1e-12, edge / np.maximum(pairs, 1e-12), fallback)
+    pi = colsum / n
+    if state.params.kind == "bernoulli":
+        params = BlockParams("bernoulli", state.params.K, pi, np.clip(rate, 0.0, 1.0))
+    else:
+        with np.errstate(divide="ignore"):
+            params = BlockParams("poisson", state.params.K, pi, np.log(rate))
+    out = VariationalState(resp, params, 0.0)
+    out.elbo = _seed_elbo_dense(yd, directed, out)
+    return out
+
+
+def _seed_hard_phase(yd, directed, kind, fallback, labels0, K, max_iter, seen=None):
+    """The seed loop; ``seen`` (a set) collects the conditions its M steps met."""
+    n = labels0.size
+    resp = np.zeros((n, K))
+    resp[np.arange(n), labels0] = 1.0
+    blank = BlockParams(kind, K, np.full(K, 1.0 / K), np.zeros((K, K)))
+    state = _seed_m_step_dense(yd, directed, fallback, VariationalState(resp, blank, 0.0))
+    for _ in range(max_iter):
+        if seen is not None:
+            table_a, table_b = _seed_pair_tables(state.params)
+            seen.update(name for name, hit in (
+                ("empty block", (state.resp.sum(axis=0) == 0).any()),
+                ("zero-rate cell", np.isneginf(table_a).any()),
+                ("p = 1 cell", np.isneginf(table_b).any()),
+            ) if hit)
+        hard = _seed_e_step_dense(yd, directed, state, harden=True)
+        if np.array_equal(hard.resp, state.resp):
+            break
+        state = _seed_m_step_dense(yd, directed, fallback, hard)
+    return state
+
+
+def _state_bytes(state):
+    return (state.resp.tobytes(), state.params.pi.tobytes(),
+            state.params.block_matrix.tobytes(), np.float64(state.elbo).tobytes())
+
+
+def _count_reference_calls(monkeypatch):
+    calls = [0]
+    score = vem._node_score
+
+    def counted(*args):
+        calls[0] += 1
+        return score(*args)
+
+    monkeypatch.setattr(vem, "_node_score", counted)
+    return calls
+
+
+def _hard_phase_strict(net, kind, labels0, K, max_iter=200):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return vem._hard_phase(net, kind, global_rate(net), labels0, K, max_iter)
+
+
+class TestHardPhaseOracle:
+    """``vem._hard_phase`` against the seed's dense hard phase, bit for bit."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
+    def test_hard_phase_byte_equal(self, kind, directed, K):
+        rng = np.random.default_rng(100 * K + 10 * directed + len(kind))
+        n = 30
+        net = random_network(rng, n, directed, kind == "bernoulli", p=0.12, max_count=5, n_isolated=3)
+        yd = net.to_dense().astype(np.float64)
+        seen = set()
+        for _ in range(3):
+            # the isolated nodes alone fill the last block, which meets no edge
+            labels0 = rng.integers(0, max(K - 1, 1), size=n)
+            labels0[-3:] = K - 1
+            expect = _seed_hard_phase(yd, directed, kind, global_rate(net), labels0, K, 200, seen)
+            got = _hard_phase_strict(net, kind, labels0, K)
+            assert _state_bytes(got) == _state_bytes(expect)
+        if K >= 2:
+            assert "zero-rate cell" in seen
+        if K == 10:
+            assert "empty block" in seen
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_p_one_cell_falls_back_to_reference(self, directed, monkeypatch):
+        # nodes 0-2 form a complete block: p = 1 there, whose log1p(-p) is -inf
+        rng = np.random.default_rng(7 + directed)
+        n, K = 20, 3
+        net = random_network(rng, n, directed, True, p=0.12, n_isolated=3)
+        y = net.to_dense() if directed else np.triu(net.to_dense())
+        edges = {(int(i), int(j)): 1 for i, j in zip(*np.nonzero(y))}
+        edges.update({(i, j): 1 for i in range(3) for j in range(3) if i != j and (directed or i < j)})
+        net = Network.from_edges(n, edges, directed=directed)
+        labels0 = np.concatenate(([0, 0, 0], rng.integers(1, K, size=n - 3)))
+        seen = set()
+        expect = _seed_hard_phase(net.to_dense().astype(np.float64), directed, "bernoulli",
+                                  global_rate(net), labels0, K, 200, seen)
+        assert "p = 1 cell" in seen
+        calls = _count_reference_calls(monkeypatch)
+        got = _hard_phase_strict(net, "bernoulli", labels0, K)
+        assert _state_bytes(got) == _state_bytes(expect)
+        assert calls[0] >= n
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
+    def test_ties_fall_back_to_reference(self, kind, directed, monkeypatch):
+        """Blocks 1 and 2 are exchangeable, so scores tie up to rounding.
+
+        Hubs (block 0) reach mirror-image nodes of blocks 1 and 2 equally,
+        and the block parameters are symmetric under swapping 1 and 2:
+        the first hub's two best scores are equal in exact arithmetic and
+        may differ by rounding either way.  One sweep per draw, from the
+        same symmetric start, against the seed's hard E step.
+        """
+        calls = _count_reference_calls(monkeypatch)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            m, hubs = 6, 4
+            n = hubs + 2 * m
+            edges = {}
+            for i in range(m):
+                for j in range(m):
+                    if i != j and (directed or i < j) and rng.random() < 0.4:
+                        edges[(hubs + i, hubs + j)] = edges[(hubs + m + i, hubs + m + j)] = 1
+            for h in range(hubs):
+                for j in rng.choice(m, size=int(rng.integers(1, m)), replace=False):
+                    edges[(h, hubs + j)] = edges[(h, hubs + m + j)] = 1
+                    if directed:
+                        edges[(hubs + j, h)] = edges[(hubs + m + j, h)] = 1
+            if kind == "poisson":
+                edges = {e: int(rng.integers(1, 4)) for e in edges}
+            net = Network.from_edges(n, edges, directed=directed,
+                                     value_kind="binary" if kind == "bernoulli" else "count")
+            labels0 = np.repeat([0, 1, 2], [hubs, m, m])
+            x, y, w = rng.uniform(0.05, 0.9, size=3)
+            cells = np.array([[rng.uniform(0.01, 0.2), w, w], [w, x, y], [w, y, x]])
+            block_matrix = cells if kind == "bernoulli" else np.log(3.0 * cells)
+            r = rng.uniform(0.1, 0.4)
+            params = BlockParams(kind, 3, [1.0 - 2.0 * r, r, r], block_matrix)
+            resp = np.zeros((n, 3))
+            resp[np.arange(n), labels0] = 1.0
+            start = VariationalState(resp, params, 0.0)
+            expect = _seed_e_step_dense(net.to_dense().astype(np.float64), directed, start, harden=True)
+            sweeps = vem._HardSweeps(net, labels0, 3, kind)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                sweeps.sweep(params)
+            assert np.argmax(expect.resp, axis=1).tobytes() == sweeps.stats.z.tobytes()
+        assert calls[0] > 0
