@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blockmix.models import Partition
+from blockmix.models import Partition, _cell_sums
 
 __all__ = ["PartitionComparison", "rand_index"]
 
@@ -37,8 +37,7 @@ def rand_index(a: Partition, b: Partition) -> PartitionComparison:
     if a.n != b.n:
         raise ValueError("partitions must cover the same number of nodes")
     n = a.n
-    confusion = np.zeros((a.K, b.K), dtype=np.int64)
-    np.add.at(confusion, (a.zero_based(), b.zero_based()), 1)
+    confusion = _cell_sums(a.zero_based(), b.zero_based(), None, (a.K, b.K))
 
     total = n * (n - 1) // 2
     same_both = int(_choose2(confusion).sum())

@@ -182,7 +182,7 @@ class Network:
         """CSR arrays of the reversed edges (row j: j's in-neighbours); undirected, its own."""
         if not self.directed:
             return self.indptr, self.indices, self.data
-        return _grouped(self.n_nodes, self.indices, self.row_index(), self.data)
+        return self.derived("transpose", lambda net: _grouped(net.n_nodes, net.indices, net.row_index(), net.data))
 
     def to_dense(self, dtype=np.int64) -> np.ndarray:
         """Dense value matrix with zero diagonal; symmetric if undirected."""

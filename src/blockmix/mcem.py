@@ -11,15 +11,18 @@ assignment frequencies and normalized Gini uncertainty scores.
 Only the Bernoulli model is reformulated this way; count models are
 served by the other engines.
 
-One Gibbs sweep costs O(m) to build the n x K neighbour-block count
-table from the m stored pairs, O(n K) for the per-node scalar loop, and
-O(deg) per accepted move to update the count rows of the node's
-neighbours.  Accept/reject decisions are defined by
-``_Sampler.node_log_ratio`` (NumPy dot products): the scalar loop takes
-a decision on its own only where a rounding-error bound shows that the
-reference expression would take the same one, and calls it otherwise.
-Chains are therefore byte-identical to the per-node reference sweep for
-a given NumPy/BLAS build.
+``_Sampler.start`` swaps in a graphon and places the nodes in its
+intervals; ``_Sampler.chain`` then runs the sweeps of one E step, or of
+the final chain, and counts the visits of the kept states.  One Gibbs
+sweep costs O(m) to build the n x K neighbour-block count table from the
+m stored pairs, O(n K) for the per-node scalar loop, and O(deg) per
+accepted move to update the count rows of the node's neighbours.
+Accept/reject decisions are defined by ``_Sampler.node_log_ratio`` (NumPy
+dot products): the scalar loop takes a decision on its own only where the
+rounding margin of ``models._ERR_SCALE`` shows that the reference
+expression would take the same one, and calls it otherwise.  Chains are
+therefore byte-identical to the per-node reference sweep for a given
+NumPy/BLAS build.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ import numpy as np
 
 from blockmix.graph import Network
 from blockmix.models import (
-    BlockParams, GraphonStep, Partition, bernoulli_loglik, block_pair_stats, global_rate,
+    _ERR_SCALE, BlockParams, GraphonStep, Partition, _cell_sums, bernoulli_loglik, block_pair_stats,
+    global_rate,
 )
 from blockmix.results import FitResult, map_restarts, restart_stream
 
@@ -141,17 +145,6 @@ def gini_uncertainty(freq_row: np.ndarray) -> float:
     return float(raw * k / (k - 1))
 
 
-# The scalar loop and node_log_ratio sum the same 2K + 1 products in
-# different orders (the BLAS dot may also fuse multiply-adds); summing k
-# terms in any order is off by at most about k * u * S, with u = 2**-53
-# the unit roundoff and S the sum of the terms' magnitudes, so the two
-# values differ by at most about (2K + 6) * u * S.  The loop's margin is
-# _ERR_SCALE * (2K + 6) * (S' + 1): S' >= S bounds every neighbour count
-# by the node's total weight, the + 1 covers the rounding of math.exp,
-# and the factor 64 is a safety margin.
-_ERR_SCALE = 64.0 * 2.0**-53
-
-
 class _Neighbours:
     """The network as the sampler reads it; built once per network."""
 
@@ -194,7 +187,6 @@ class _Sampler:
         self.log_q = np.log1p(-pc)
         with np.errstate(divide="ignore"):
             self.log_stay = np.log1p(-self.lens)
-        self.cell = self.src * self.K  # row offsets into the n x K count table
         # nodes of a full-width interval have an empty proposal support
         self.support = 1.0 - self.lens
         self.any_full = min(self.support.tolist()) <= 1e-15
@@ -207,7 +199,10 @@ class _Sampler:
         """Scalar tables of the move kc -> ks, indexed by the neighbour's block.
 
         Returns (d_lp - d_lq, d_lq, d_stay) and the two coefficients of
-        the error bound: per unit of neighbour weight, and fixed.
+        the error bound: per unit of neighbour weight, and fixed.  The bound
+        is the margin of models._ERR_SCALE with N = 2K + 6 for the sweep's
+        2K + 1 products, and M bounding every neighbour count by the node's
+        total weight.
         """
         lp, lq, sub = self._lp, self._lq, operator.sub
         d_lp = list(map(sub, lp[ks], lp[kc]))
@@ -220,8 +215,11 @@ class _Sampler:
         self.moves[kc][ks] = terms = (list(map(sub, d_lp, d_lq)), d_lq, d_stay, per_weight, fixed)
         return terms
 
-    def assign(self, u: np.ndarray) -> np.ndarray:
-        return self.tau.searchsorted(u, side="right") - 1
+    def start(self, g: GraphonStep, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Swap in graphon g; returns the intervals of positions u and their occupancies."""
+        self.set_graphon(g)
+        z = self.tau.searchsorted(u, side="right") - 1
+        return z, np.bincount(z, minlength=self.K)
 
     def node_log_ratio(self, j: int, z: np.ndarray, occ: np.ndarray, ks: int, kc: int) -> float:
         """Metropolis log ratio for moving node j's interval kc -> ks.
@@ -266,8 +264,7 @@ class _Sampler:
         xs = x * self.support[z]
         u_star = np.where(xs < self.tau[z], xs, xs + lens)
         kss = (self.tau.searchsorted(u_star, side="right") - 1).tolist()
-        cnt = np.bincount(self.cell + z[self.dst], weights=self.w, minlength=n * K)
-        cnt = cnt.reshape(n, K).tolist()
+        cnt = _cell_sums(self.src, z[self.dst], self.w, (n, K)).tolist()
         kcs, coins, occ_l, u_star = z.tolist(), coins.tolist(), occ.tolist(), u_star.tolist()
         pf, strength, moves = self.pair_factor, self.strength, self.moves
         nbr_lists, wt_lists = self.nbr_lists, self.wt_lists
@@ -303,6 +300,21 @@ class _Sampler:
         if accepted:
             occ[:] = occ_l
 
+    def chain(self, u, z, occ, rng, sweeps: int, n_burn: int, thinning: int) -> np.ndarray:
+        """Run ``sweeps`` sweeps; n x K visit counts of every thinning-th post-burn-in state.
+
+        When no state is kept the chain's last state is counted instead.
+        """
+        counts = np.zeros((self.n, self.K))
+        ar = np.arange(self.n)
+        for t in range(sweeps):
+            self.sweep(u, z, occ, rng)
+            if t >= n_burn and (t - n_burn + 1) % thinning == 0:
+                counts[ar, z] += 1
+        if not counts.any():
+            counts[ar, z] += 1
+        return counts
+
 
 def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> float:
     """Metropolis acceptance for proposing node j's position u_star.
@@ -311,15 +323,12 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
     likelihood ratio over node j's pairs is corrected by the ratio of
     complement lengths.
     """
-    pos = _positions(u)
     sampler = _Sampler(net)
-    sampler.set_graphon(g)
-    z = sampler.assign(pos)
+    z, occ = sampler.start(g, _positions(u))
     kc = int(z[j])
     ks = int(g.interval_of(float(u_star)))
     if ks == kc:
         raise ValueError("u_star lies inside the current interval")
-    occ = np.bincount(z, minlength=g.K)
     log_r = sampler.node_log_ratio(j, z, occ, ks, kc)
     return 1.0 if log_r >= 0 else float(math.exp(log_r))
 
@@ -328,10 +337,7 @@ def gibbs_sweep(net: Network, u, g: GraphonStep, rng: np.random.Generator) -> La
     """One full sweep; rejected proposals retain the previous position."""
     pos = _positions(u)
     sampler = _Sampler(net)
-    sampler.set_graphon(g)
-    z = sampler.assign(pos)
-    occ = np.bincount(z, minlength=g.K)
-    sampler.sweep(pos, z, occ, rng)
+    sampler.sweep(pos, *sampler.start(g, pos), rng)
     return LatentPositions(pos)
 
 
@@ -399,22 +405,8 @@ def _run_restart(args):
     u_trace: list[np.ndarray] = []
     for m in range(1, cfg.em_max_iter + 1):
         sweeps = min(cfg.sweeps_base + (m - 1) * cfg.sweeps_increment, cfg.sweeps_cap)
-        n_burn = int(cfg.burn_in * sweeps)
-        sampler.set_graphon(g)
-        z = sampler.assign(u)
-        occ = np.bincount(z, minlength=K)
-        counts = np.zeros((n, K))
-        kept = 0
-        last_z = z
-        for t in range(sweeps):
-            sampler.sweep(u, z, occ, rng)
-            if t >= n_burn:
-                kept += 1
-                if kept % cfg.thinning == 0:
-                    counts[np.arange(n), z] += 1
-                    last_z = z.copy()
-        if not counts.any():
-            counts[np.arange(n), last_z] += 1
+        z, occ = sampler.start(g, u)
+        counts = sampler.chain(u, z, occ, rng, sweeps, int(cfg.burn_in * sweeps), cfg.thinning)
         z_hat = np.argmax(counts, axis=1)
         u_hat = _mode_from_counts(counts, g.tau)
         u_trace.append(u_hat)
@@ -451,18 +443,10 @@ def mcem_fit(net: Network, cfg: McemConfig) -> FitResult:
     best = max(range(cfg.restarts), key=lambda r: runs[r][0])
     objective, z_hat, g, trace, u, u_trace = runs[best]
 
-    n, K = net.n_nodes, cfg.K
     sampler = _Sampler(net)
-    sampler.set_graphon(g)
     rng = restart_stream(cfg.seed, FINAL_CHAIN_ID, best)
-    z = sampler.assign(u)
-    occ = np.bincount(z, minlength=K)
-    n_burn = int(cfg.burn_in * cfg.final_sweeps)
-    counts = np.zeros((n, K))
-    for t in range(cfg.final_sweeps):
-        sampler.sweep(u, z, occ, rng)
-        if t >= n_burn:
-            counts[np.arange(n), z] += 1
+    counts = sampler.chain(u, *sampler.start(g, u), rng, cfg.final_sweeps,
+                           int(cfg.burn_in * cfg.final_sweeps), 1)
     freq = counts / counts.sum(axis=1, keepdims=True)
     gini = np.array([gini_uncertainty(row) for row in freq])
     posterior = PosteriorSummary(freq, gini)
@@ -470,7 +454,7 @@ def mcem_fit(net: Network, cfg: McemConfig) -> FitResult:
     result = FitResult(
         engine="mcem",
         kind="bernoulli",
-        K=K,
+        K=cfg.K,
         labels=z_hat + 1,
         node_labels=net.labels(),
         params=g,

@@ -174,6 +174,25 @@ def _xlogy(a, b):
     return np.where(a > 0, a * np.log(b), 0.0)
 
 
+# Rounding margin of the engines' fast decision paths.  A fast path and
+# its reference expression sum the same N terms in other orders and
+# groupings (and BLAS may fuse multiply-adds).  When the terms'
+# magnitudes add up to at most M, each value lies within about N u M of
+# the exact sum (u = 2**-53 the unit roundoff), so the two differ by at
+# most 2 N u M.  A margin of _ERR_SCALE * N * (M + 1) is 32 times that;
+# the + 1 covers roundings outside the sum, such as math.exp's.
+_ERR_SCALE = 64.0 * 2.0**-53
+
+
+def _cell_sums(rows, cols, vals, shape) -> np.ndarray:
+    """Table of the given shape summing vals (counting entries when None) per (row, col) cell.
+
+    Each cell adds its values one at a time in input order, starting from
+    0.0, so float sums are the same bit for bit as any such in-order sum.
+    """
+    return np.bincount(rows * shape[1] + cols, vals, shape[0] * shape[1]).reshape(shape)
+
+
 def block_pair_stats(net: Network, labels0: np.ndarray, K: int):
     """Ordered-pair sufficient statistics for a hard partition.
 
@@ -184,8 +203,7 @@ def block_pair_stats(net: Network, labels0: np.ndarray, K: int):
     The stored values are summed cell by cell; they are whole numbers, so
     the float64 sums are exact whatever the order.
     """
-    edge_total = np.zeros((K, K))
-    np.add.at(edge_total, (labels0[net.row_index()], labels0[net.indices]), net.data)
+    edge_total = _cell_sums(labels0[net.row_index()], labels0[net.indices], net.data, (K, K))
     sizes = np.bincount(labels0, minlength=K).astype(np.float64)
     pair_count = np.outer(sizes, sizes) - np.diag(sizes)
     return edge_total, pair_count, sizes
@@ -252,10 +270,8 @@ def poisson_complete_loglik(net: Network, part: Partition, params: BlockParams) 
 def _dc_pair_weights(gamma: np.ndarray, labels0: np.ndarray, K: int) -> np.ndarray:
     """Ordered-pair sums of exp(gamma_i + gamma_j) per block cell."""
     expg = np.exp(gamma)
-    s = np.zeros(K)
-    q = np.zeros(K)
-    np.add.at(s, labels0, expg)
-    np.add.at(q, labels0, expg * expg)
+    s = np.bincount(labels0, expg, K)
+    q = np.bincount(labels0, expg * expg, K)
     return np.outer(s, s) - np.diag(q)
 
 
@@ -321,8 +337,7 @@ def mle_block_params(net: Network, part: Partition, kind: str, allow_empty: bool
     # dc_poisson: profile gamma by degree share, normalized so that
     # sum of exp(gamma) within each block equals the block size
     deg = degrees(net).astype(np.float64)
-    kappa = np.zeros(part.K)
-    np.add.at(kappa, labels0, deg)
+    kappa = np.bincount(labels0, deg, part.K)
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = np.where(
             (deg > 0) & (kappa[labels0] > 0),

@@ -147,32 +147,44 @@ def to_json(result: FitResult) -> str:
     return _render(obj, 0) + "\n"
 
 
+def _posterior_from_obj(obj: dict | None):
+    if obj is None:
+        return None
+    from blockmix.mcem import PosteriorSummary
+
+    return PosteriorSummary(np.array(obj["freq"], dtype=np.float64), np.array(obj["gini"], dtype=np.float64))
+
+
 def from_json(text: str) -> FitResult:
-    """Parse fit-result JSON back into a FitResult, without loss."""
+    """Parse fit-result JSON back into a FitResult, without loss.
+
+    A missing or unreadable field raises ValueError naming the field.
+    """
     obj = json.loads(text)
-    version = obj.get("schema_version")
+    version = obj.get("schema_version") if isinstance(obj, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
-    posterior = None
-    if obj.get("posterior") is not None:
-        from blockmix.mcem import PosteriorSummary
 
-        posterior = PosteriorSummary(
-            np.array(obj["posterior"]["freq"], dtype=np.float64),
-            np.array(obj["posterior"]["gini"], dtype=np.float64),
-        )
+    def field(name: str, convert=lambda v: v):
+        if name not in obj:
+            raise ValueError(f"malformed result file: missing field {name!r}")
+        try:
+            return convert(obj[name])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed result file: bad field {name!r} ({exc})") from None
+
     return FitResult(
-        engine=obj["engine"],
-        kind=obj["model"],
-        K=int(obj["K"]),
-        labels=np.array(obj["partition"], dtype=np.int64),
-        node_labels=tuple(obj["node_labels"]),
-        params=_params_from_obj(obj["params"]),
-        objective=float(obj["objective"]),
-        trace=[float(v) for v in obj["trace"]],
-        seed=int(obj["seed"]),
-        config=obj["config"],
-        posterior=posterior,
+        engine=field("engine"),
+        kind=field("model"),
+        K=field("K", int),
+        labels=field("partition", lambda v: np.array(v, dtype=np.int64)),
+        node_labels=field("node_labels", tuple),
+        params=field("params", _params_from_obj),
+        objective=field("objective", float),
+        trace=field("trace", lambda v: [float(x) for x in v]),
+        seed=field("seed", int),
+        config=field("config"),
+        posterior=field("posterior", _posterior_from_obj) if "posterior" in obj else None,
     )
 
 

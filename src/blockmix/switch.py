@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from blockmix.graph import Network, degrees
-from blockmix.models import Partition, _xlogy, block_pair_stats, mle_block_params
+from blockmix.models import Partition, _cell_sums, _xlogy, block_pair_stats, mle_block_params
 from blockmix.results import FitResult, map_restarts, restart_stream
 
 __all__ = ["SwitchConfig", "MoveDelta", "delta_loglik", "profile_loglik", "switch_fit"]
@@ -110,22 +110,16 @@ class _Stats:
         self.total = float(net.total_value)
         rows, cols, vals = net.row_index(), net.indices, net.data.astype(np.float64)
         # v's out-neighbours are out_nbrs[out_ptr[v]:out_ptr[v + 1]], and
-        # (directed) likewise for "in"
+        # likewise for "in" (the out-lists again when undirected)
         self.out_ptr, self.out_nbrs, self.out_vals = net.indptr, cols, vals
-        if self.directed:
-            self.in_ptr, self.in_nbrs, in_vals = net.transpose()
-            self.in_vals = in_vals.astype(np.float64)
+        self.in_ptr, self.in_nbrs, in_vals = net.transpose()
+        self.in_vals = in_vals.astype(np.float64)
         self.edge, _, self.sizes = block_pair_stats(net, labels0, K)
         # vcount[v, k]: value from v toward block k (and from block k into
         # v for the directed in-table); no self-loops, so moving v never
         # changes v's own row
-        self.vcount_out = np.zeros((self.n, K))
-        np.add.at(self.vcount_out, (rows, labels0[cols]), vals)
-        if self.directed:
-            self.vcount_in = np.zeros((self.n, K))
-            np.add.at(self.vcount_in, (cols, labels0[rows]), vals)
-        else:
-            self.vcount_in = self.vcount_out
+        self.vcount_out = _cell_sums(rows, labels0[cols], vals, (self.n, K))
+        self.vcount_in = _cell_sums(cols, labels0[rows], vals, (self.n, K)) if self.directed else self.vcount_out
         self._ar = np.arange(K)
         self._cell_ids = np.arange(K * K).reshape(K, K)
         self._half = np.where(np.eye(K, dtype=bool), 0.5, 1.0)
@@ -140,10 +134,8 @@ class _Stats:
         else:
             self._keep = offdiag[:, None, :]
         if kind == "dc_poisson":
-            self.kappa = np.zeros(K)
-            self.degsq = np.zeros(K)
-            np.add.at(self.kappa, labels0, self.deg)
-            np.add.at(self.degsq, labels0, self.deg * self.deg)
+            self.kappa = np.bincount(labels0, self.deg, K)
+            self.degsq = np.bincount(labels0, self.deg * self.deg, K)
             with np.errstate(divide="ignore", invalid="ignore"):
                 self.dlogd = float(_xlogy(self.deg, self.deg).sum())
 
@@ -465,34 +457,20 @@ def switch_fit(net: Network, cfg: SwitchConfig) -> FitResult:
     _check_kind(net, cfg.kind)
     if cfg.K > net.n_nodes:
         raise ValueError("K cannot exceed the number of nodes")
-    if cfg.K == 1:
-        labels = np.ones(net.n_nodes, dtype=np.int64)
-        part = Partition(labels, 1)
-        obj = profile_loglik(net, part, cfg.kind)
-        return FitResult(
-            engine="switch",
-            kind=cfg.kind,
-            K=1,
-            labels=labels,
-            node_labels=net.labels(),
-            params=mle_block_params(net, part, cfg.kind),
-            objective=obj,
-            trace=[obj],
-            seed=cfg.seed,
-            config=asdict(cfg),
-        )
-    runs = map_restarts(_run_restart, [(net, cfg, r) for r in range(cfg.restarts)])
-    best = max(range(cfg.restarts), key=lambda r: runs[r][0])
-    obj, labels0, trace = runs[best]
-    part = Partition(labels0 + 1, cfg.K)
-    params = mle_block_params(net, part, cfg.kind, allow_empty=True)
+    if cfg.K == 1:  # nothing to search
+        labels0 = np.zeros(net.n_nodes, dtype=np.int64)
+        obj = _Stats(net, labels0, 1, cfg.kind).objective()
+        trace = [obj]
+    else:
+        runs = map_restarts(_run_restart, [(net, cfg, r) for r in range(cfg.restarts)])
+        obj, labels0, trace = max(runs, key=lambda run: run[0])
     return FitResult(
         engine="switch",
         kind=cfg.kind,
         K=cfg.K,
         labels=labels0 + 1,
         node_labels=net.labels(),
-        params=params,
+        params=mle_block_params(net, Partition(labels0 + 1, cfg.K), cfg.kind, allow_empty=True),
         objective=obj,
         trace=trace,
         seed=cfg.seed,

@@ -7,10 +7,12 @@ M step never decreases the bound, which the test suite asserts on random
 instances.
 
 Each restart starts with a hard (classification) phase on the
-vertex-switching engine's count tables: O(n K^2) per sweep plus
-O((deg + 1) K^2) per moved node, with results bit-identical to hard sweeps
-over the dense matrix.  The soft phase that follows works on the dense
-n x n matrix.
+vertex-switching engine's count tables (``switch._Stats``): O(n K^2) per
+sweep plus O((deg + 1) K^2) per moved node, with results bit-identical to
+hard sweeps over the dense matrix.  The soft phase that follows works on
+the dense n x n matrix.  Both phases end each iteration in the same
+closed-form M step, ``_m_step``, fed from the count tables or from the
+dense responsibility products.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from blockmix.graph import Network
-from blockmix.models import BlockParams, _xlogy, global_rate
+from blockmix.models import _ERR_SCALE, BlockParams, _xlogy, global_rate
 from blockmix.results import FitResult, map_restarts, restart_stream
 from blockmix.switch import _Stats
 
@@ -153,23 +155,25 @@ def _e_step_dense(yd: np.ndarray, directed: bool, state: VariationalState) -> np
     return resp
 
 
-def _fit_params(kind: str, edge, pairs, colsum, n: int, fallback: float) -> BlockParams:
-    """Closed-form M step: block rates (the fallback where a cell has no pairs) and weights."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = np.where(pairs > 1e-12, edge / np.maximum(pairs, 1e-12), fallback)
+@np.errstate(divide="ignore", invalid="ignore")
+def _m_step(kind: str, edge, pairs, colsum, entropy: float, n: int, directed: bool,
+            fallback: float) -> tuple[BlockParams, float]:
+    """Closed-form block rates (the fallback where a cell has no pairs) and weights, and their bound."""
+    rate = np.where(pairs > 1e-12, edge / np.maximum(pairs, 1e-12), fallback)
     pi = colsum / n
     if kind == "bernoulli":
-        return BlockParams("bernoulli", colsum.size, pi, np.clip(rate, 0.0, 1.0))
-    with np.errstate(divide="ignore"):
-        return BlockParams("poisson", colsum.size, pi, np.log(rate))
+        params = BlockParams("bernoulli", colsum.size, pi, np.clip(rate, 0.0, 1.0))
+    else:
+        params = BlockParams("poisson", colsum.size, pi, np.log(rate))
+    return params, _bound(edge, pairs, colsum, entropy, directed, params)
 
 
 def _m_step_dense(
     yd: np.ndarray, directed: bool, fallback: float, state: VariationalState
 ) -> VariationalState:
     edge, pairs, colsum = _dense_stats(yd, state.resp)
-    params = _fit_params(state.params.kind, edge, pairs, colsum, yd.shape[0], fallback)
-    bound = _bound(edge, pairs, colsum, _entropy(state.resp), directed, params)
+    params, bound = _m_step(state.params.kind, edge, pairs, colsum, _entropy(state.resp), yd.shape[0],
+                            directed, fallback)
     return VariationalState(state.resp, params, bound)
 
 
@@ -197,152 +201,127 @@ def m_step(net: Network, state: VariationalState) -> VariationalState:
 
 _INIT_CANDIDATES = 4
 
-# The fast hard-phase scores and _node_score sum the same terms in other
-# orders and groupings (and BLAS may fuse multiply-adds).  With N = 2 *
-# sides * K + 6 terms (sides is 2 for directed networks, 1 otherwise)
-# whose magnitudes sum to at most M, each value lies
-# within about N * u * M of the exact score (u = 2**-53 the unit
-# roundoff), so the two differ by at most 2 N u M.  The margin
-# _ERR_SCALE * N * (M + 1) is 32 times that; M is bounded per node by
-# |log pi| + the node's total value * (|a| + |b|) + sides * (n + 1) * |b|
-# over the finite table entries a (log p or log-rate) and b.
-_ERR_SCALE = 64.0 * 2.0**-53
 
+def _hard_m_step(st: _Stats, fallback: float) -> tuple[BlockParams, float]:
+    """The M step for one-hot responsibilities, from the count tables.
 
-class _HardSweeps:
-    """Hard E steps and M steps on the vertex-switching count tables.
-
-    For one-hot responsibilities, row i of ``vcount_out`` (``vcount_in``)
-    is exactly ``yd[i] @ resp`` (``yd[:, i] @ resp``), and ``edge`` and
-    ``sizes`` are the M step's block-pair totals; all are whole numbers,
-    so every statistic equals its dense counterpart bit for bit.  A move
-    updates them in O(deg + K).
+    Row i of ``st.vcount_out`` (``vcount_in``) is exactly ``yd[i] @ resp``
+    (``yd[:, i] @ resp``), and ``edge`` and ``sizes`` are the block-pair
+    totals; all are whole numbers, so every statistic equals its dense
+    counterpart bit for bit.
     """
+    s = st.sizes
+    # one-hot rows: the entropy is -sum(1 log 1 + 0 log 0) = -0.0
+    return _m_step(st.kind, st.edge, np.outer(s, s) - np.diag(s), s, -0.0, st.n, st.directed, fallback)
 
-    def __init__(self, net: Network, labels0: np.ndarray, K: int, kind: str):
-        self.stats = _Stats(net, labels0, K, kind)
-        self.kind = kind
 
-    def m_step(self, fallback: float) -> tuple[BlockParams, float]:
-        st = self.stats
-        s = st.sizes
-        pairs = np.outer(s, s) - np.diag(s)
-        params = _fit_params(self.kind, st.edge, pairs, s, st.n, fallback)
-        # one-hot rows: the entropy is -sum(1 log 1 + 0 log 0) = -0.0
-        return params, _bound(st.edge, pairs, s, -0.0, st.directed, params)
+@np.errstate(divide="ignore", invalid="ignore")
+def _hard_sweep(st: _Stats, params: BlockParams) -> bool:
+    """One hard E step in node index order; True when a node changed block.
 
-    def _reference(self, i: int, c: int, log_pi, table_a, table_b) -> int:
-        st = self.stats
+    Node i joins the argmax of its ``_node_score`` given every other
+    node's current block.  Splitting off the block totals, a node's
+    score is T[i] + BG[z_i]: T (n x K) holds its counts times the
+    per-value table (-inf where a count meets a zero-rate cell), and
+    is built once per sweep and then only for the neighbours of a node
+    that moves; BG (K x K) holds log pi and the block-total terms, and
+    is rebuilt on each move.  The fast path decides alone only when
+    its top-two gap exceeds twice the rounding margin; it calls
+    ``_node_score`` otherwise, and for every node when a table entry is
+    +-inf outside the zero-rate cells (a p = 1 cell), where the margin
+    is infinite.  Decisions taken from the sweep-start table also allow
+    for the block-total drift of the moves made since.
+    """
+    n, K, z, directed = st.n, st.K, st.z, st.directed
+    table_a, table_b = _pair_tables(params)
+    log_pi = np.log(params.pi)
+    zero_rate = np.isneginf(table_a)
+    a0 = np.where(zero_rate, 0.0, table_a)
+
+    def reference(i: int, c: int) -> int:
         others = st.sizes.copy()
         others[c] -= 1.0
-        t_in = st.vcount_in[i] if st.directed else None
-        score = _node_score(st.vcount_out[i], t_in, others, log_pi, table_a, table_b,
-                            self.kind == "bernoulli")
-        return int(np.argmax(score))
+        t_in = st.vcount_in[i] if directed else None
+        return int(np.argmax(_node_score(st.vcount_out[i], t_in, others, log_pi, table_a, table_b,
+                                         st.kind == "bernoulli")))
 
-    @np.errstate(divide="ignore", invalid="ignore")
-    def sweep(self, params: BlockParams) -> bool:
-        """One hard E step in node index order; True when a node changed block.
+    # score = log pi + sum_l others_l g_kl + sum_l t_l d_kl (+ the
+    # transposed in-terms), with others = block totals minus the node
+    g = table_b if st.kind == "bernoulli" else -table_b
+    d = a0 - table_b if st.kind == "bernoulli" else a0
+    G = g + g.T if directed else g
+    forbid = zero_rate.astype(np.float64) if zero_rate.any() else None
 
-        Node i joins the argmax of its ``_node_score`` given every other
-        node's current block.  Splitting off the block totals, a node's
-        score is T[i] + BG[z_i]: T (n x K) holds its counts times the
-        per-value table (-inf where a count meets a zero-rate cell), and
-        is built once per sweep and then only for the neighbours of a node
-        that moves; BG (K x K) holds log pi and the block-total terms, and
-        is rebuilt on each move.  The fast path decides alone only when
-        its top-two gap exceeds twice the rounding margin; it calls
-        ``_node_score`` otherwise, and for every node when a table entry is
-        +-inf outside the zero-rate cells (a p = 1 cell).  Decisions taken
-        from the sweep-start table also allow for the block-total drift of
-        the moves made since.
-        """
-        st, kind = self.stats, self.kind
-        n, K, z, directed = st.n, st.K, st.z, st.directed
-        table_a, table_b = _pair_tables(params)
-        log_pi = np.log(params.pi)
-        zero_rate = np.isneginf(table_a)
-        a0 = np.where(zero_rate, 0.0, table_a)
-        changed = False
-        if not (np.isfinite(a0).all() and np.isfinite(table_b).all()):
-            for i in range(n):
-                c = int(z[i])
-                k = self._reference(i, c, log_pi, table_a, table_b)
-                if k != c:
-                    st.apply(i, k)
-                    changed = True
-            return changed
-        # score = log pi + sum_l others_l g_kl + sum_l t_l d_kl (+ the
-        # transposed in-terms), with others = block totals minus the node
-        g = table_b if kind == "bernoulli" else -table_b
-        d = a0 - table_b if kind == "bernoulli" else a0
-        G = g + g.T if directed else g
-        forbid = zero_rate.astype(np.float64) if zero_rate.any() else None
-
-        def count_rows(idx):
-            rows = st.vcount_out[idx] @ d.T
+    def count_rows(idx):
+        rows = st.vcount_out[idx] @ d.T
+        if directed:
+            rows += st.vcount_in[idx] @ d
+        if forbid is not None:
+            hits = st.vcount_out[idx] @ forbid.T
             if directed:
-                rows += st.vcount_in[idx] @ d
-            if forbid is not None:
-                hits = st.vcount_out[idx] @ forbid.T
-                if directed:
-                    hits += st.vcount_in[idx] @ forbid
-                rows[hits > 0] = -np.inf
-            return rows
+                hits += st.vcount_in[idx] @ forbid
+            rows[hits > 0] = -np.inf
+        return rows
 
-        sides = 2 if directed else 1
-        mag_b = np.abs(table_b).max()
-        mag = (np.abs(log_pi[np.isfinite(log_pi)]).max() + st.deg * (np.abs(a0).max() + mag_b)
-               + sides * (n + 1) * mag_b)
-        # either of the top two scores may be off by the margin
-        thr = 2.0 * _ERR_SCALE * (2 * sides * K + 6) * (mag + 1.0)
-        # a move shifts every block-total term by at most 2 max|G|, so a
-        # decision from the sweep-start table needs twice that more gap
-        drift_step = 4.0 * np.abs(G).max()
-        T = count_rows(slice(None))
-        BG = (log_pi + G @ st.sizes) - G.T
-        start = T + BG[z]
-        top = start.argmax(axis=1)
-        ar = np.arange(n)
-        best = start[ar, top]
-        start[ar, top] = -np.inf
-        slack = (best - start.max(axis=1)) - thr  # nan where every block is -inf
-        dirty = np.zeros(n, dtype=bool)
-        drift = 0.0
-        for i in range(n):
-            c = z[i]
-            if slack[i] > drift and not dirty[i]:
-                k = top[i]
-            else:
-                score = T[i] + BG[c]
-                k = score.argmax()
-                best = score[k]
-                score[k] = -np.inf
-                if not best - score.max() > thr[i]:
-                    k = self._reference(i, int(c), log_pi, table_a, table_b)
-            if k != c:
-                st.apply(i, k)
-                nbrs = st.out_nbrs[st.out_ptr[i]:st.out_ptr[i + 1]]
-                if directed:
-                    nbrs = np.concatenate((nbrs, st.in_nbrs[st.in_ptr[i]:st.in_ptr[i + 1]]))
-                dirty[nbrs] = True
-                T[nbrs] = count_rows(nbrs)
-                BG = (log_pi + G @ st.sizes) - G.T
-                drift += drift_step
-                changed = True
-        return changed
+    # the margin of models._ERR_SCALE, for either of the top two scores:
+    # N = 2 * sides * K + 6 terms, and M is bounded per node by |log pi|
+    # + its total value * (|a| + |b|) + sides * (n + 1) * |b| over the
+    # finite table entries a (log p or log-rate) and b
+    sides = 2 if directed else 1
+    mag_b = np.abs(table_b).max()
+    mag = (np.abs(log_pi[np.isfinite(log_pi)]).max() + st.deg * (np.abs(a0).max() + mag_b)
+           + sides * (n + 1) * mag_b)
+    thr = 2.0 * _ERR_SCALE * (2 * sides * K + 6) * (mag + 1.0)
+    if not (np.isfinite(a0).all() and np.isfinite(table_b).all()):
+        thr[:] = np.inf
+    # a move shifts every block-total term by at most 2 max|G|, so a
+    # decision from the sweep-start table needs twice that more gap
+    drift_step = 4.0 * np.abs(G).max()
+    T = count_rows(slice(None))
+    BG = (log_pi + G @ st.sizes) - G.T
+    start = T + BG[z]
+    top = start.argmax(axis=1)
+    ar = np.arange(n)
+    best = start[ar, top]
+    start[ar, top] = -np.inf
+    slack = (best - start.max(axis=1)) - thr  # nan where every block is -inf
+    dirty = np.zeros(n, dtype=bool)
+    drift = 0.0
+    changed = False
+    for i in range(n):
+        c = z[i]
+        if slack[i] > drift and not dirty[i]:
+            k = top[i]
+        else:
+            score = T[i] + BG[c]
+            k = score.argmax()
+            best = score[k]
+            score[k] = -np.inf
+            if not best - score.max() > thr[i]:
+                k = reference(i, int(c))
+        if k != c:
+            st.apply(i, k)
+            nbrs = st.out_nbrs[st.out_ptr[i]:st.out_ptr[i + 1]]
+            if directed:
+                nbrs = np.concatenate((nbrs, st.in_nbrs[st.in_ptr[i]:st.in_ptr[i + 1]]))
+            dirty[nbrs] = True
+            T[nbrs] = count_rows(nbrs)
+            BG = (log_pi + G @ st.sizes) - G.T
+            drift += drift_step
+            changed = True
+    return changed
 
 
 def _hard_phase(net, kind, fallback, labels0, K, max_iter) -> VariationalState:
-    sweeps = _HardSweeps(net, labels0, K, kind)
-    params, bound = sweeps.m_step(fallback)
+    st = _Stats(net, labels0, K, kind)
+    params, bound = _hard_m_step(st, fallback)
     for _ in range(max_iter):
-        if not sweeps.sweep(params):
+        if not _hard_sweep(st, params):
             break
-        params, bound = sweeps.m_step(fallback)
+        params, bound = _hard_m_step(st, fallback)
     n = net.n_nodes
     resp = np.zeros((n, K))
-    resp[np.arange(n), sweeps.stats.z] = 1.0
+    resp[np.arange(n), st.z] = 1.0
     return VariationalState(resp, params, bound)
 
 

@@ -288,6 +288,22 @@ class TestFitAndEval:
         assert code == 1
         assert "node 'extra' missing from the predicted labels" in err
 
+    @pytest.mark.parametrize("text", ['{"schema_version": 1}', None])
+    def test_eval_malformed_result_file(self, planted, tmp_path, capsys, text):
+        edges, truth = planted
+        out = tmp_path / "fit.json"
+        if text is None:  # a fit file whose partition is null
+            run(capsys, "fit", edges, "--method", "switch", "--K", "2", "--out", str(out))
+            obj = json.loads(out.read_text())
+            obj["partition"] = None
+            text = json.dumps(obj)
+        out.write_text(text)
+        code, text_out, err = run(capsys, "eval", str(out), truth)
+        assert code == 1
+        assert text_out == ""
+        assert err.startswith("error: malformed result file:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestMcemCli:
     def test_fit_trace_and_uncertainty(self, tmp_path, capsys):

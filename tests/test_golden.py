@@ -9,6 +9,11 @@ orientation pins the positions after 200 ``gibbs_sweep`` calls.
 ``vemK<K>`` cases fit vem with K = 6 or 10 to a sparse four-block graph,
 where the hard warm-start candidates drain blocks and meet zero-edge
 block pairs (and, at K = 10, complete block pairs with p = 1).
+``switchK<K>`` cases run the switch engine with K = 1 or 4 blocks.
+``mcemthin`` cases thin more than the early E steps keep, so those steps
+count the chain's last state instead of a thinned sample.  ``delta``
+cases hash ``delta_loglik`` for every single-vertex move of a random
+three-block partition, for the poisson and dc_poisson kinds.
 
 A change that is meant to be behaviour-neutral (a speed-up, a refactor)
 must leave every hash here unchanged.  A change that is meant to alter
@@ -29,9 +34,9 @@ import pytest
 
 from blockmix.graph import Network
 from blockmix.mcem import McemConfig, gibbs_sweep, mcem_fit
-from blockmix.models import GraphonStep
+from blockmix.models import GraphonStep, Partition
 from blockmix.results import to_json
-from blockmix.switch import SwitchConfig, switch_fit
+from blockmix.switch import SwitchConfig, delta_loglik, switch_fit
 from blockmix.vem import VemConfig, vem_fit
 
 
@@ -77,6 +82,13 @@ def _fit(case: str):
         return switch_fit(
             net, SwitchConfig(K=2, restarts=2, seed=2, kind=model, greedy=engine == "greedy")
         )
+    if engine.startswith("switchK"):
+        return switch_fit(net, SwitchConfig(K=int(engine[7:]), restarts=2, seed=4, kind=model))
+    if engine == "mcemthin":
+        # E steps of 3 to 5 sweeps keep no fifth sample
+        cfg = McemConfig(K=3, em_max_iter=6, sweeps_base=3, sweeps_increment=1, sweeps_cap=6,
+                         thinning=5, restarts=2, final_sweeps=50, seed=6)
+        return mcem_fit(net, cfg)
     return mcem_fit(net, _mcem_cfg())
 
 
@@ -90,6 +102,17 @@ def _digest(case: str) -> str:
         for _ in range(200):
             u = gibbs_sweep(net, u, g, rng).u
         h.update(u.tobytes())
+        return h.hexdigest()
+    if case.startswith("delta-"):
+        net = _planted(8, 24, case.endswith("-directed"), True)
+        labels = np.random.default_rng(10).integers(1, 4, size=net.n_nodes)
+        part = Partition(labels, 3)
+        for kind in ("poisson", "dc_poisson"):
+            for v in range(net.n_nodes):
+                for to in range(1, 4):
+                    if to != labels[v]:
+                        move = delta_loglik(net, part, v, to, kind)
+                        h.update(np.float64(move.value).tobytes() + bytes([move.empties_block]))
         return h.hexdigest()
     result = _fit(case)
     h.update(to_json(result).encode())
@@ -121,6 +144,14 @@ GOLDEN = {
     "mcem-bernoulli-directed": "b865224f7b23d2a73efed12a48f0a7c268323bd6c585a22b207c52cf09772199",
     "gibbs-undirected": "08de9a26930b6270420ddfb59e03b5c04d16004677e0d690a28f542638037ee5",
     "gibbs-directed": "6708a64a8759fa454d03f5aa97f5f8390615b911140cf93b54a3d36ddf4229d7",
+    "switchK1-dc_poisson-undirected": "22fc0a0af6fd2ee678158176535c2566dc03cac5c74bab7c8815064d5be264b1",
+    "switchK1-dc_poisson-directed": "47bef923746d7e0c899740da1e775e41e450f3102c18e5e2a33ce340af4b1840",
+    "switchK4-dc_poisson-undirected": "1528fc9c71e96234883787f4c2b1c086f6960f10cee85efc9e351671fd2226c1",
+    "switchK4-dc_poisson-directed": "1275762f8eac665c8c462d227b89da8edd341aa10d63581ed1b628d731f4a876",
+    "mcemthin-bernoulli-undirected": "97656d5e22b1669210b8fe4d8814af71e9257aa595a5d62513b84fc7669ea7c5",
+    "mcemthin-bernoulli-directed": "08cbcf63a7d4a657c04fa93074db4fc3385dbfd2404cd1a9d4bd3b067b7772d6",
+    "delta-undirected": "1cb3a8795666261c94d9f4cac7f1cbd0bf07e88d401b8c17e05b1137568dddb7",
+    "delta-directed": "45c3ce5ad0e832100ec0be2b5fd7ecbf6a7d716598fce478e659fc9d0c7bdaa6",
 }
 
 

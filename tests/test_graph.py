@@ -1,5 +1,7 @@
 """Edge-list parsing, serialization round trips, and graph statistics."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,6 +230,11 @@ class TestStatistics:
         assert indptr.tolist() == [0, 1, 3, 3]
         assert indices.tolist() == [2, 0, 2]
         assert data.tolist() == [5, 2, 1]
+        # kept on the network, left out of pickles and rebuilt equal
+        assert all(a is b for a, b in zip(net.transpose(), (indptr, indices, data)))
+        clone = pickle.loads(pickle.dumps(net))
+        assert clone._derived == {}
+        assert all(np.array_equal(a, b) for a, b in zip(clone.transpose(), (indptr, indices, data)))
         undirected = Network.from_edges(3, [(0, 1)])
         assert undirected.transpose()[1] is undirected.indices
 

@@ -128,6 +128,25 @@ class TestFormat:
         with pytest.raises(ValueError, match="schema_version"):
             from_json(text)
 
+    def test_missing_field_is_named(self):
+        with pytest.raises(ValueError, match="malformed result file: missing field 'engine'"):
+            from_json('{"schema_version": 1}')
+
+    @pytest.mark.parametrize("name, value", [
+        ("partition", None), ("K", None), ("trace", 3), ("params", {"kind": "bernoulli"}),
+        ("posterior", {"freq": [[1.0]]}),
+    ])
+    def test_bad_field_is_named(self, name, value):
+        params = BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))
+        obj = json.loads(to_json(_result(params)))
+        obj[name] = value
+        with pytest.raises(ValueError, match=f"malformed result file: bad field '{name}'"):
+            from_json(json.dumps(obj))
+
+    def test_non_object_is_rejected(self):
+        with pytest.raises(ValueError, match="schema_version"):
+            from_json("[1]")
+
     def test_node_labels_length_validated(self):
         params = BlockParams("bernoulli", 1, [1.0], [[0.5]])
         with pytest.raises(ValueError, match="node_labels"):

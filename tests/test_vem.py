@@ -440,9 +440,9 @@ class TestHardPhaseOracle:
             resp[np.arange(n), labels0] = 1.0
             start = VariationalState(resp, params, 0.0)
             expect = _seed_e_step_dense(net.to_dense().astype(np.float64), directed, start, harden=True)
-            sweeps = vem._HardSweeps(net, labels0, 3, kind)
+            st = vem._Stats(net, labels0, 3, kind)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                sweeps.sweep(params)
-            assert np.argmax(expect.resp, axis=1).tobytes() == sweeps.stats.z.tobytes()
+                vem._hard_sweep(st, params)
+            assert np.argmax(expect.resp, axis=1).tobytes() == st.z.tobytes()
         assert calls[0] > 0
