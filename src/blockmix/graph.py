@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -36,8 +36,28 @@ def _grouped(n: int, src: np.ndarray, dst: np.ndarray, vals: np.ndarray):
     return np.searchsorted(src[order], np.arange(n + 1)), dst[order], vals[order]
 
 
+class Derived:
+    """Structures computed from an instance that is immutable by convention.
+
+    A dataclass using it declares ``_derived: dict = field(default_factory=dict,
+    init=False, repr=False, compare=False)``; pickles leave the store out.
+    """
+
+    _derived: dict
+
+    def __getstate__(self):
+        # pool workers rebuild derived structures rather than receive them
+        return {**self.__dict__, "_derived": {}}
+
+    def derived(self, key: Hashable, build: Callable):
+        """``build(self)``, computed on the first call for ``key`` and kept on the instance."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
+
+
 @dataclass(eq=False)
-class Network:
+class Network(Derived):
     """A binary or count-valued graph without self-loops.
 
     Storage is compressed sparse row (CSR): node i's out-neighbours are
@@ -57,7 +77,7 @@ class Network:
     indices: np.ndarray
     data: np.ndarray
     node_labels: tuple[str, ...] | None = None
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_nodes
@@ -105,16 +125,6 @@ class Network:
                 k = int(np.argmax(bad))
                 i, j = divmod(int(min(key[k], t_key[k])), n)
                 raise ValueError(f"undirected network is asymmetric at ({i}, {j})")
-
-    def __getstate__(self):
-        # pool workers rebuild derived structures rather than receive them
-        return {**self.__dict__, "_derived": {}}
-
-    def derived(self, key: str, build: Callable[["Network"], object]):
-        """``build(self)``, computed on the first call for ``key`` and kept on the instance."""
-        if key not in self._derived:
-            self._derived[key] = build(self)
-        return self._derived[key]
 
     @classmethod
     def from_arrays(cls, n_nodes: int, src, dst, values, directed: bool = False,

@@ -11,12 +11,13 @@ assignment frequencies and normalized Gini uncertainty scores.
 Only the Bernoulli model is reformulated this way; count models are
 served by the other engines.
 
-``_Sampler.start`` swaps in a graphon and places the nodes in its
-intervals; ``_Sampler.chain`` then runs the sweeps of one E step, or of
-the final chain, and counts the visits of the kept states.  One Gibbs
-sweep costs O(m) to build the n x K neighbour-block count table from the
-m stored pairs, O(n K) for the per-node scalar loop, and O(deg) per
-accepted move to update the count rows of the node's neighbours.
+``_Sampler.start`` swaps in a graphon, places the nodes in its intervals
+and builds the n x K neighbour-block count table from the m stored pairs,
+in O(m) once per chain; ``_Sampler.chain`` then runs the sweeps of one E
+step, or of the final chain, and counts the visits of the kept states.
+One Gibbs sweep costs O(n K) for the per-node scalar loop and O(deg) per
+accepted move to update the count rows of the node's neighbours, which
+keeps the table exact from sweep to sweep.
 Accept/reject decisions are defined by ``_Sampler.node_log_ratio`` (NumPy
 dot products): the scalar loop takes a decision on its own only where the
 rounding margin of ``models._ERR_SCALE`` shows that the reference
@@ -179,21 +180,25 @@ class _Sampler:
         self.nbr_lists, self.wt_lists = nb.nbr_lists, nb.wt_lists
 
     def set_graphon(self, g: GraphonStep):
-        self.tau = g.tau
-        self.lens = g.tau[1:] - g.tau[:-1]
-        self.K = g.K
+        # the tables depend on the graphon and on the network's size and
+        # orientation only, so the graphon keeps them for later samplers
+        self.__dict__.update(g.derived(("mcem.sampler", self.n, self.pair_factor), self._graphon_tables))
+
+    def _graphon_tables(self, g: GraphonStep) -> dict:
+        lens = g.tau[1:] - g.tau[:-1]
         pc = np.clip(g.P, _CLAMP, 1.0 - _CLAMP)
-        self.log_p = np.log(pc)
-        self.log_q = np.log1p(-pc)
+        log_p, log_q = np.log(pc), np.log1p(-pc)
         with np.errstate(divide="ignore"):
-            self.log_stay = np.log1p(-self.lens)
+            log_stay = np.log1p(-lens)
         # nodes of a full-width interval have an empty proposal support
-        self.support = 1.0 - self.lens
-        self.any_full = min(self.support.tolist()) <= 1e-15
-        self._lp, self._lq = self.log_p.tolist(), self.log_q.tolist()
-        self._ls = self.log_stay.tolist()
-        # per-move tables, filled on first use by sweep
-        self.moves = [[None] * self.K for _ in range(self.K)]
+        support = 1.0 - lens
+        return dict(
+            tau=g.tau, lens=lens, K=g.K, log_p=log_p, log_q=log_q, log_stay=log_stay,
+            support=support, any_full=min(support.tolist()) <= 1e-15,
+            _lp=log_p.tolist(), _lq=log_q.tolist(), _ls=log_stay.tolist(),
+            # per-move tables, filled on first use by sweep
+            moves=[[None] * g.K for _ in range(g.K)],
+        )
 
     def _move_terms(self, kc: int, ks: int) -> tuple:
         """Scalar tables of the move kc -> ks, indexed by the neighbour's block.
@@ -202,7 +207,10 @@ class _Sampler:
         the error bound: per unit of neighbour weight, and fixed.  The bound
         is the margin of models._ERR_SCALE with N = 2K + 6 for the sweep's
         2K + 1 products, and M bounding every neighbour count by the node's
-        total weight.
+        total weight.  The sweep adds the count products to a cached
+        occupancy term, pf (occ . d_lq - d_lq[kc]) + d_stay, instead of
+        adding d_stay last; the margin bounds the sum of those terms in any
+        order and grouping, so the regrouping stays inside it.
         """
         lp, lq, sub = self._lp, self._lq, operator.sub
         d_lp = list(map(sub, lp[ks], lp[kc]))
@@ -215,11 +223,17 @@ class _Sampler:
         self.moves[kc][ks] = terms = (list(map(sub, d_lp, d_lq)), d_lq, d_stay, per_weight, fixed)
         return terms
 
-    def start(self, g: GraphonStep, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Swap in graphon g; returns the intervals of positions u and their occupancies."""
+    def start(self, g: GraphonStep, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        """Swap in graphon g; the chain state of positions u.
+
+        Returns their intervals z, the intervals' occupancies and the
+        neighbour-block count table: row i holds node i's weight into each
+        interval, as Python lists that ``sweep`` keeps current.
+        """
         self.set_graphon(g)
         z = self.tau.searchsorted(u, side="right") - 1
-        return z, np.bincount(z, minlength=self.K)
+        cnt = _cell_sums(self.src, z[self.dst], self.w, (self.n, self.K)).tolist()
+        return z, np.bincount(z, minlength=self.K), cnt
 
     def node_log_ratio(self, j: int, z: np.ndarray, occ: np.ndarray, ks: int, kc: int) -> float:
         """Metropolis log ratio for moving node j's interval kc -> ks.
@@ -236,17 +250,19 @@ class _Sampler:
         log_r = float(e @ d_lp + (m - e) @ d_lq)
         return float(log_r + (self.log_stay[kc] - self.log_stay[ks]))
 
-    def sweep(self, u: np.ndarray, z: np.ndarray, occ: np.ndarray, rng: np.random.Generator):
+    def sweep(self, u: np.ndarray, z: np.ndarray, occ: np.ndarray, cnt: list,
+              rng: np.random.Generator):
         """One in-place pass over all nodes in ascending index order.
 
         Node j draws two uniforms (proposal, then coin) when it is
         visited; drawing all 2n at once gives the same numbers.  Until
         node j is visited z[j] holds its start-of-sweep value, so every
-        proposal is computed up front.  The loop keeps a neighbour-block
-        count table (the weight from each node into each interval),
-        scores a proposal in O(K) scalar arithmetic and, on acceptance,
-        updates the table rows of the node's neighbours in O(deg).  The
-        counts are whole numbers, so the table is exact.
+        proposal is computed up front.  The loop scores a proposal in
+        O(K) scalar arithmetic from the count table of ``start`` and, on
+        acceptance, updates the table rows of the node's neighbours in
+        O(deg).  The counts are whole numbers, so the table stays exact.
+        A move's occupancy term changes only when a move is accepted, so
+        it is kept until then.
         """
         n, K = self.n, self.K
         draws = rng.random(2 * n)
@@ -264,16 +280,18 @@ class _Sampler:
         xs = x * self.support[z]
         u_star = np.where(xs < self.tau[z], xs, xs + lens)
         kss = (self.tau.searchsorted(u_star, side="right") - 1).tolist()
-        cnt = _cell_sums(self.src, z[self.dst], self.w, (n, K)).tolist()
         kcs, coins, occ_l, u_star = z.tolist(), coins.tolist(), occ.tolist(), u_star.tolist()
         pf, strength, moves = self.pair_factor, self.strength, self.moves
         nbr_lists, wt_lists = self.nbr_lists, self.wt_lists
+        occ_terms = {}  # kc * K + k -> the move's occupancy term
         accepted = False
         for j in todo:
             kc, k, coin = kcs[j], kss[j], coins[j]
             d_pq, d_lq, d_stay, per_weight, fixed = moves[kc][k] or self._move_terms(kc, k)
-            log_r = (sum(map(operator.mul, cnt[j], d_pq))
-                     + pf * (sum(map(operator.mul, occ_l, d_lq)) - d_lq[kc]) + d_stay)
+            occ_term = occ_terms.get(key := kc * K + k)
+            if occ_term is None:
+                occ_terms[key] = occ_term = pf * (sum(map(operator.mul, occ_l, d_lq)) - d_lq[kc]) + d_stay
+            log_r = sum(map(operator.mul, cnt[j], d_pq)) + occ_term
             err = strength[j] * per_weight + fixed
             # decide here only when every value within err of log_r, which
             # includes node_log_ratio's, gives the same decision; where exp
@@ -296,19 +314,21 @@ class _Sampler:
                     row[kc] -= w
                     row[k] += w
                 u[j] = u_star[j]
+                occ_terms.clear()
                 accepted = True
         if accepted:
             occ[:] = occ_l
 
-    def chain(self, u, z, occ, rng, sweeps: int, n_burn: int, thinning: int) -> np.ndarray:
-        """Run ``sweeps`` sweeps; n x K visit counts of every thinning-th post-burn-in state.
+    def chain(self, u, z, occ, cnt, rng, sweeps: int, n_burn: int, thinning: int) -> np.ndarray:
+        """Run ``sweeps`` sweeps from a ``start`` state; n x K visit counts of the kept states.
 
-        When no state is kept the chain's last state is counted instead.
+        Every thinning-th post-burn-in state is kept; when there is none,
+        the chain's last state is counted instead.
         """
         counts = np.zeros((self.n, self.K))
         ar = np.arange(self.n)
         for t in range(sweeps):
-            self.sweep(u, z, occ, rng)
+            self.sweep(u, z, occ, cnt, rng)
             if t >= n_burn and (t - n_burn + 1) % thinning == 0:
                 counts[ar, z] += 1
         if not counts.any():
@@ -324,7 +344,7 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
     complement lengths.
     """
     sampler = _Sampler(net)
-    z, occ = sampler.start(g, _positions(u))
+    z, occ, _ = sampler.start(g, _positions(u))
     kc = int(z[j])
     ks = int(g.interval_of(float(u_star)))
     if ks == kc:
@@ -405,8 +425,7 @@ def _run_restart(args):
     u_trace: list[np.ndarray] = []
     for m in range(1, cfg.em_max_iter + 1):
         sweeps = min(cfg.sweeps_base + (m - 1) * cfg.sweeps_increment, cfg.sweeps_cap)
-        z, occ = sampler.start(g, u)
-        counts = sampler.chain(u, z, occ, rng, sweeps, int(cfg.burn_in * sweeps), cfg.thinning)
+        counts = sampler.chain(u, *sampler.start(g, u), rng, sweeps, int(cfg.burn_in * sweeps), cfg.thinning)
         z_hat = np.argmax(counts, axis=1)
         u_hat = _mode_from_counts(counts, g.tau)
         u_trace.append(u_hat)

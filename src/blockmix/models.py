@@ -9,11 +9,11 @@ ordered pairs i != j for directed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from blockmix.graph import Network, degrees
+from blockmix.graph import Derived, Network, degrees
 
 __all__ = [
     "MODEL_KINDS",
@@ -117,18 +117,21 @@ class BlockParams:
 
 
 @dataclass
-class GraphonStep:
+class GraphonStep(Derived):
     """Piecewise-constant graphon on a K x K grid.
 
     ``tau`` holds the K+1 interval boundaries with tau[0] = 0 and
     tau[K] = 1; interval k is [tau[k-1], tau[k]).  Boundaries are
     non-decreasing; a zero-width interval encodes an empty block (this
     arises when a mixing weight hits zero during estimation).  ``P`` is
-    the symmetric connection-probability matrix.
+    the symmetric connection-probability matrix.  Instances are immutable
+    by convention: the sampler keeps tables it derives from them with
+    :meth:`derived`.
     """
 
     tau: np.ndarray
     P: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.tau = np.asarray(self.tau, dtype=np.float64)

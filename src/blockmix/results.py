@@ -155,10 +155,20 @@ def _posterior_from_obj(obj: dict | None):
     return PosteriorSummary(np.array(obj["freq"], dtype=np.float64), np.array(obj["gini"], dtype=np.float64))
 
 
+def _partition_from_obj(obj, K: int) -> np.ndarray:
+    if not isinstance(obj, list):
+        raise TypeError(f"expected a list of labels, got {type(obj).__name__}")
+    for label in obj:
+        if isinstance(label, bool) or not isinstance(label, (int, float)) or not 1 <= label <= K or label % 1:
+            raise ValueError(f"label {label!r} is not a whole number in 1..{K}")
+    return np.array(obj, dtype=np.int64)
+
+
 def from_json(text: str) -> FitResult:
     """Parse fit-result JSON back into a FitResult, without loss.
 
-    A missing or unreadable field raises ValueError naming the field.
+    A missing or unreadable field raises ValueError naming the field;
+    partition labels must be whole numbers in 1..K.
     """
     obj = json.loads(text)
     version = obj.get("schema_version") if isinstance(obj, dict) else None
@@ -173,11 +183,12 @@ def from_json(text: str) -> FitResult:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed result file: bad field {name!r} ({exc})") from None
 
+    engine, kind, K = field("engine"), field("model"), field("K", int)
     return FitResult(
-        engine=field("engine"),
-        kind=field("model"),
-        K=field("K", int),
-        labels=field("partition", lambda v: np.array(v, dtype=np.int64)),
+        engine=engine,
+        kind=kind,
+        K=K,
+        labels=field("partition", lambda v: _partition_from_obj(v, K)),
         node_labels=field("node_labels", tuple),
         params=field("params", _params_from_obj),
         objective=field("objective", float),

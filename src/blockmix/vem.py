@@ -116,24 +116,26 @@ def _softmax_row(score: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _node_score(t_out, t_in, others, log_pi, table_a, table_b, bernoulli: bool) -> np.ndarray:
+def _node_score(t_out, t_in, others, log_pi, table_a, table_b, bernoulli: bool, mul=_mul) -> np.ndarray:
     """One node's E-step score for each block: log pi plus its expected pair terms.
 
     ``t_out`` (``t_in``) holds the node's values toward (from) each block
     weighted by the other nodes' responsibilities, ``others`` the other
     nodes' block totals; ``t_in`` is None for undirected networks.  The
     soft E step and the hard phase's reference decisions both score a
-    node with this expression.
+    node with this expression.  ``mul`` may be np.multiply when both
+    tables are finite: its products then differ from ``_mul``'s only in
+    the sign of zeros, which no sum into the score can carry.
     """
     if bernoulli:
-        score = log_pi + _mul(t_out, table_a).sum(axis=1) + _mul(others - t_out, table_b).sum(axis=1)
+        score = log_pi + mul(t_out, table_a).sum(axis=1) + mul(others - t_out, table_b).sum(axis=1)
     else:
-        score = log_pi + _mul(t_out, table_a).sum(axis=1) - table_b @ others
+        score = log_pi + mul(t_out, table_a).sum(axis=1) - table_b @ others
     if t_in is not None:
         if bernoulli:
-            score = score + _mul(t_in, table_a.T).sum(axis=1) + _mul(others - t_in, table_b.T).sum(axis=1)
+            score = score + mul(t_in, table_a.T).sum(axis=1) + mul(others - t_in, table_b.T).sum(axis=1)
         else:
-            score = score + _mul(t_in, table_a.T).sum(axis=1) - table_b.T @ others
+            score = score + mul(t_in, table_a.T).sum(axis=1) - table_b.T @ others
     return score
 
 
@@ -146,9 +148,10 @@ def _e_step_dense(yd: np.ndarray, directed: bool, state: VariationalState) -> np
     table_a, table_b = _pair_tables(params)
     log_pi = np.log(params.pi)
     bernoulli = params.kind == "bernoulli"
+    mul = np.multiply if np.isfinite(table_a).all() and np.isfinite(table_b).all() else _mul
     for i in range(yd.shape[0]):
         t_in = yd[:, i] @ resp if directed else None
-        score = _node_score(yd[i] @ resp, t_in, colsum - resp[i], log_pi, table_a, table_b, bernoulli)
+        score = _node_score(yd[i] @ resp, t_in, colsum - resp[i], log_pi, table_a, table_b, bernoulli, mul)
         row = _softmax_row(score)
         colsum += row - resp[i]
         resp[i] = row

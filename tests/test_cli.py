@@ -288,14 +288,18 @@ class TestFitAndEval:
         assert code == 1
         assert "node 'extra' missing from the predicted labels" in err
 
-    @pytest.mark.parametrize("text", ['{"schema_version": 1}', None])
-    def test_eval_malformed_result_file(self, planted, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, partition", [
+        ('{"schema_version": 1}', None), (None, None), (None, [1.5, 7]), (None, [3]),
+    ])
+    def test_eval_malformed_result_file(self, planted, tmp_path, capsys, text, partition):
         edges, truth = planted
         out = tmp_path / "fit.json"
-        if text is None:  # a fit file whose partition is null
+        if text is None:  # a K = 2 fit file whose partition is null or replaced
             run(capsys, "fit", edges, "--method", "switch", "--K", "2", "--out", str(out))
             obj = json.loads(out.read_text())
-            obj["partition"] = None
+            if partition is not None:
+                partition = partition + obj["partition"][len(partition):]
+            obj["partition"] = partition
             text = json.dumps(obj)
         out.write_text(text)
         code, text_out, err = run(capsys, "eval", str(out), truth)

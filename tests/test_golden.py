@@ -11,7 +11,9 @@ where the hard warm-start candidates drain blocks and meet zero-edge
 block pairs (and, at K = 10, complete block pairs with p = 1).
 ``switchK<K>`` cases run the switch engine with K = 1 or 4 blocks.
 ``mcemthin`` cases thin more than the early E steps keep, so those steps
-count the chain's last state instead of a thinned sample.  ``delta``
+count the chain's last state instead of a thinned sample.  ``mcembusy``
+cases fit three intervals to the two planted blocks, so two intervals
+share one block and the chains accept a move every few node visits.  ``delta``
 cases hash ``delta_loglik`` for every single-vertex move of a random
 three-block partition, for the poisson and dc_poisson kinds.
 
@@ -28,6 +30,7 @@ scipy-openblas OpenBLAS 0.3.31 build (DYNAMIC_ARCH, Haswell kernels).
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +92,8 @@ def _fit(case: str):
         cfg = McemConfig(K=3, em_max_iter=6, sweeps_base=3, sweeps_increment=1, sweeps_cap=6,
                          thinning=5, restarts=2, final_sweeps=50, seed=6)
         return mcem_fit(net, cfg)
+    if engine == "mcembusy":
+        return mcem_fit(net, replace(_mcem_cfg(), K=3, seed=8))
     return mcem_fit(net, _mcem_cfg())
 
 
@@ -150,6 +155,8 @@ GOLDEN = {
     "switchK4-dc_poisson-directed": "1275762f8eac665c8c462d227b89da8edd341aa10d63581ed1b628d731f4a876",
     "mcemthin-bernoulli-undirected": "97656d5e22b1669210b8fe4d8814af71e9257aa595a5d62513b84fc7669ea7c5",
     "mcemthin-bernoulli-directed": "08cbcf63a7d4a657c04fa93074db4fc3385dbfd2404cd1a9d4bd3b067b7772d6",
+    "mcembusy-bernoulli-undirected": "4eec684247fdd3e22de06c959c081ac2264916d283ded5628af850fd192571b1",
+    "mcembusy-bernoulli-directed": "120a4a9d571366da893041dba3d7fea55c325f23347f87c37bf0e0e4baf77605",
     "delta-undirected": "1cb3a8795666261c94d9f4cac7f1cbd0bf07e88d401b8c17e05b1137568dddb7",
     "delta-directed": "45c3ce5ad0e832100ec0be2b5fd7ecbf6a7d716598fce478e659fc9d0c7bdaa6",
 }

@@ -12,6 +12,7 @@ from blockmix.evaluate import rand_index
 from blockmix.generate import GenConfig, sample_sbm
 from blockmix import mcem
 from blockmix.graph import Network
+from blockmix.results import FitResult, to_json
 from blockmix.mcem import (
     LatentPositions,
     McemConfig,
@@ -23,7 +24,7 @@ from blockmix.mcem import (
     mcem_fit,
     posterior_mode,
 )
-from blockmix.models import BlockParams, GraphonStep
+from blockmix.models import BlockParams, GraphonStep, _cell_sums
 from netfixtures import random_network, same_network
 
 _CLAMP = 1e-6
@@ -151,6 +152,28 @@ class TestGibbsSweep:
         assert same_network(clone, net)
         assert np.array_equal(gibbs_sweep(clone, u0, g, np.random.default_rng(2)).u, first.u)
 
+    def test_graphon_tables_kept_on_the_graphon_and_not_pickled(self):
+        rng = np.random.default_rng(5)
+        net = random_network(rng, n=8, directed=False, binary=True)
+        g = GraphonStep([0.0, 0.4, 1.0], [[0.7, 0.1], [0.1, 0.5]])
+        u0 = rng.random(8)
+        first = gibbs_sweep(net, u0, g, np.random.default_rng(2))
+        a, b = mcem._Sampler(net), mcem._Sampler(net)
+        a.set_graphon(g)
+        b.set_graphon(g)
+        assert a.moves is b.moves and a.log_p is b.log_p
+        assert any(row != [None, None] for row in a.moves)
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone._derived == {} and g._derived
+        assert repr(clone) == repr(g) and "_derived" not in repr(g)
+        assert to_json(_graphon_result(clone)) == to_json(_graphon_result(g))
+        assert np.array_equal(gibbs_sweep(net, u0, clone, np.random.default_rng(2)).u, first.u)
+        # another network size gets its own tables
+        other = random_network(rng, n=9, directed=False, binary=True)
+        c = mcem._Sampler(other)
+        c.set_graphon(g)
+        assert c.moves is not a.moves
+
     def test_single_interval_resamples_uniformly(self):
         # the proposal support is empty, so positions are redrawn and
         # every redraw is accepted: the likelihood cannot change
@@ -160,6 +183,11 @@ class TestGibbsSweep:
         out = gibbs_sweep(net, u0, g, np.random.default_rng(1))
         assert not np.array_equal(out.u, u0)
         assert out.u.min() >= 0 and out.u.max() < 1
+
+
+def _graphon_result(g):
+    return FitResult("mcem", "bernoulli", g.K, np.ones(3, dtype=np.int64), ("a", "b", "c"), g, 0.0, [0.0],
+                     0, {})
 
 
 class _SeedSampler:
@@ -233,8 +261,29 @@ class _Scripted:
         out, self.values = np.array(self.values[:size]), self.values[size:]
         return out
 
+def _seed_chain(sampler, u, z, occ, rng, sweeps, n_burn, thinning):
+    """Visit counts of the kept states of ``sweeps`` seed sweeps.
+
+    Kept are the states after sweeps n_burn + thinning, n_burn + 2 thinning,
+    ... (1-based), or the last state when there is none.
+    """
+    states = []
+    for _ in range(sweeps):
+        sampler.sweep(u, z, occ, rng)
+        states.append(z.copy())
+    counts = np.zeros((z.size, sampler.K))
+    for zk in states[n_burn + thinning - 1::thinning] or states[-1:]:
+        counts[np.arange(z.size), zk] += 1
+    return counts
+
+
 class TestSweepMatchesSeedSweep:
-    """The count-table sweep reproduces the per-node sweep bit for bit."""
+    """The count-table chain reproduces the per-node sweep bit for bit.
+
+    ``_Sampler.start`` builds the neighbour-block count table once and
+    every sweep of ``_Sampler.chain`` keeps it; at the end of the chain it
+    must equal a table rebuilt from the final state.
+    """
 
     @pytest.fixture
     def exact_calls(self, monkeypatch):
@@ -248,25 +297,28 @@ class TestSweepMatchesSeedSweep:
         monkeypatch.setattr(mcem._Sampler, "node_log_ratio", counted)
         return calls
 
-    def _chains(self, net, g, seed, sweeps=300):
-        rng = np.random.default_rng(seed)
-        u0 = rng.random(net.n_nodes)
-        states = []
-        for sampler in (_SeedSampler(net), mcem._Sampler(net)):
-            sampler.set_graphon(g)
-            u = u0.copy()
-            z = sampler.tau.searchsorted(u, side="right") - 1
-            occ = np.bincount(z, minlength=g.K)
-            chain = np.random.default_rng(seed + 1)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                for _ in range(sweeps):
-                    sampler.sweep(u, z, occ, chain)
-            states.append((u, z, occ))
-        (u_a, z_a, occ_a), (u_b, z_b, occ_b) = states
+    def _chains(self, net, g, seed, sweeps=300, n_burn=0, thinning=1):
+        u0 = np.random.default_rng(seed).random(net.n_nodes)
+        ref = _SeedSampler(net)
+        ref.set_graphon(g)
+        u_a = u0.copy()
+        z_a = g.interval_of(u_a)
+        occ_a = np.bincount(z_a, minlength=g.K)
+        counts_a = _seed_chain(ref, u_a, z_a, occ_a, np.random.default_rng(seed + 1), sweeps, n_burn, thinning)
+
+        fast = mcem._Sampler(net)
+        u_b = u0.copy()
+        z_b, occ_b, cnt = fast.start(g, u_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            counts_b = fast.chain(u_b, z_b, occ_b, cnt, np.random.default_rng(seed + 1), sweeps, n_burn,
+                                  thinning)
         assert u_a.tobytes() == u_b.tobytes()
         assert z_a.tobytes() == z_b.tobytes()
         assert occ_a.tobytes() == occ_b.tobytes()
+        assert counts_a.tobytes() == counts_b.tobytes()
+        rebuilt = _cell_sums(fast.src, z_b[fast.dst], fast.w, (net.n_nodes, g.K))
+        assert np.array(cnt).tobytes() == rebuilt.tobytes()
         return u_b
 
     @staticmethod
@@ -275,28 +327,58 @@ class TestSweepMatchesSeedSweep:
         P = rng.uniform(0.05, 0.95, size=(K, K))
         return GraphonStep(tau, (P + P.T) / 2)
 
+    @pytest.mark.parametrize("n_burn, thinning", [(0, 1), (60, 7)])
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_random_graphs(self, seed, directed, exact_calls):
+    def test_random_graphs(self, seed, directed, n_burn, thinning, exact_calls):
         rng = np.random.default_rng(seed)
         net = random_network(rng, n=25, directed=directed, binary=True, p=0.3)
         cuts = np.sort(rng.uniform(0.1, 0.9, size=2))
-        self._chains(net, self._graphon(rng, [0.0, *cuts, 1.0]), seed)
+        self._chains(net, self._graphon(rng, [0.0, *cuts, 1.0]), seed, n_burn=n_burn, thinning=thinning)
         # far from every decision boundary the fast path decides alone
         assert exact_calls == []
 
-    def test_single_interval(self, exact_calls):
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_busy_chain(self, directed):
+        # two intervals share one planted block, so moves between them are
+        # accepted every few visits and rewrite many count rows
+        rng = np.random.default_rng(6 + directed)
+        n = 40
+        block = np.arange(n) % 2
+        y = rng.random((n, n)) < np.where(block[:, None] == block[None, :], 0.5, 0.05)
+        if not directed:
+            y = np.triu(y, 1)
+        edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(y)) if i != j]
+        net = Network.from_edges(n, edges, directed=directed)
+        P = [[0.52, 0.47, 0.05], [0.47, 0.5, 0.06], [0.05, 0.06, 0.45]]
+        g = GraphonStep([0.0, 0.25, 0.5, 1.0], P)
+        moved = []
+        sweep = _SeedSampler.sweep
+
+        def counted(self, u, z, occ, rng):
+            before = z.copy()
+            sweep(self, u, z, occ, rng)
+            moved.append(int((before != z).sum()))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_SeedSampler, "sweep", counted)
+            self._chains(net, g, 6, sweeps=200, n_burn=20, thinning=3)
+        assert sum(moved) >= 3 * len(moved)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_single_interval(self, directed, exact_calls):
         # K = 1: the proposal support is empty, every node is redrawn
-        net = random_network(np.random.default_rng(2), n=10, directed=False, binary=True)
-        u = self._chains(net, GraphonStep([0.0, 1.0], [[0.4]]), 2)
+        net = random_network(np.random.default_rng(2), n=10, directed=directed, binary=True)
+        u = self._chains(net, GraphonStep([0.0, 1.0], [[0.4]]), 2, n_burn=10, thinning=4)
         assert u.min() >= 0 and u.max() < 1
         assert exact_calls == []
 
+    @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("tau", [[0.0, 0.4, 0.4, 1.0], [0.0, 0.0, 1.0, 1.0]])
-    def test_zero_width_intervals(self, tau):
+    def test_zero_width_intervals(self, tau, directed):
         rng = np.random.default_rng(3)
-        net = random_network(rng, n=20, directed=True, binary=True, p=0.4)
-        self._chains(net, self._graphon(rng, tau), 3)
+        net = random_network(rng, n=20, directed=directed, binary=True, p=0.4)
+        self._chains(net, self._graphon(rng, tau), 3, n_burn=50, thinning=5)
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_clamped_cells(self, directed):
@@ -340,11 +422,13 @@ class TestSweepMatchesSeedSweep:
                 continue
             draws[1] = math.exp(log_r) if trial % 4 < 2 else np.nextafter(math.exp(log_r), 0.0)
             states = []
-            for sampler in (seed, mcem._Sampler(net)):
-                sampler.set_graphon(g)
-                u, zz = u0.copy(), z.copy()
-                sampler.sweep(u, zz, np.bincount(zz, minlength=3), _Scripted(draws))
-                states.append(u.tobytes())
+            u = u0.copy()
+            seed.sweep(u, z.copy(), np.bincount(z, minlength=3), _Scripted(draws))
+            states.append(u.tobytes())
+            fast = mcem._Sampler(net)
+            u = u0.copy()
+            fast.sweep(u, *fast.start(g, u), _Scripted(draws))
+            states.append(u.tobytes())
             assert states[0] == states[1], trial
             decided += 1
         assert decided >= 20

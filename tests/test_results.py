@@ -135,6 +135,9 @@ class TestFormat:
     @pytest.mark.parametrize("name, value", [
         ("partition", None), ("K", None), ("trace", 3), ("params", {"kind": "bernoulli"}),
         ("posterior", {"freq": [[1.0]]}),
+        ("partition", [1.5, 2, 1, 2]), ("partition", [1, 7, 1, 2]), ("partition", [0, 2, 1, 2]),
+        ("partition", [1, "2", 1, 2]), ("partition", [1, True, 1, 2]), ("partition", [[1, 2], [1, 2]]),
+        ("partition", {"a": 1}),
     ])
     def test_bad_field_is_named(self, name, value):
         params = BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))
@@ -142,6 +145,12 @@ class TestFormat:
         obj[name] = value
         with pytest.raises(ValueError, match=f"malformed result file: bad field '{name}'"):
             from_json(json.dumps(obj))
+
+    def test_whole_float_labels_load(self):
+        params = BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))
+        obj = json.loads(to_json(_result(params)))
+        obj["partition"] = [1.0, 2.0, 1, 2]
+        assert from_json(json.dumps(obj)).labels.tolist() == [1, 2, 1, 2]
 
     def test_non_object_is_rejected(self):
         with pytest.raises(ValueError, match="schema_version"):

@@ -446,3 +446,36 @@ class TestHardPhaseOracle:
                 vem._hard_sweep(st, params)
             assert np.argmax(expect.resp, axis=1).tobytes() == st.z.tobytes()
         assert calls[0] > 0
+
+
+class TestSoftEStepOracle:
+    """``vem._e_step_dense`` against the seed's soft E step, bit for bit.
+
+    Finite tables are scored with np.multiply, tables holding -inf (a
+    zero-probability or zero-rate cell, or a p = 1 cell's log1p(-p))
+    with ``_mul``; both must give the seed's responsibilities.
+    """
+
+    @pytest.mark.parametrize("K", [3, 9])
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("kind, cell", [
+        ("bernoulli", None), ("bernoulli", 0.0), ("bernoulli", 1.0), ("poisson", None), ("poisson", -np.inf),
+    ])
+    def test_soft_e_step_byte_equal(self, kind, cell, directed, K, monkeypatch):
+        rng = np.random.default_rng(10 * K + directed)
+        net = random_network(rng, 30, directed, kind == "bernoulli", p=0.2, max_count=4, n_isolated=2)
+        yd = net.to_dense().astype(np.float64)
+        state = _random_state(rng, net, K, kind)
+        if cell is not None:
+            state.params.block_matrix[0, 1] = state.params.block_matrix[1, 0] = cell
+        mul_calls = []
+        mul = vem._mul
+        monkeypatch.setattr(vem, "_mul", lambda *args: mul_calls.append(1) or mul(*args))
+        for _ in range(3):
+            expect = _seed_e_step_dense(yd, directed, state)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = vem._e_step_dense(yd, directed, state)
+            assert got.tobytes() == expect.resp.tobytes()
+            state = VariationalState(got, state.params, 0.0)
+        assert bool(mul_calls) == (cell is not None)
