@@ -9,7 +9,7 @@ ordered pairs i != j for directed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,8 +32,22 @@ __all__ = [
 MODEL_KINDS = ("bernoulli", "poisson", "dc_poisson")
 
 
-@dataclass
-class Partition:
+class _ValueEq:
+    """Equality of two instances of one dataclass by their compared fields.
+
+    Values compare with np.array_equal: arrays cell by cell (-inf equals
+    -inf), and None equals only None.
+    """
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        compared = [f.name for f in fields(self) if f.compare]
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in compared)
+
+
+@dataclass(eq=False)
+class Partition(_ValueEq):
     """Hard block assignment: per-node labels in {1..K}.
 
     Labels are 1-based externally; internal numeric code uses
@@ -64,14 +78,9 @@ class Partition:
         """Length-K vector of block occupancies."""
         return np.bincount(self.labels - 1, minlength=self.K)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.K == other.K and np.array_equal(self.labels, other.labels)
 
-
-@dataclass
-class BlockParams:
+@dataclass(eq=False)
+class BlockParams(_ValueEq):
     """Mixing weights and block matrix for one model kind.
 
     ``block_matrix`` holds probabilities p_kl in [0, 1] for the bernoulli
@@ -116,8 +125,8 @@ class BlockParams:
                 raise ValueError("gamma must not contain NaN")
 
 
-@dataclass
-class GraphonStep(Derived):
+@dataclass(eq=False)
+class GraphonStep(Derived, _ValueEq):
     """Piecewise-constant graphon on a K x K grid.
 
     ``tau`` holds the K+1 interval boundaries with tau[0] = 0 and
@@ -192,8 +201,10 @@ def _cell_sums(rows, cols, vals, shape) -> np.ndarray:
 
     Each cell adds its values one at a time in input order, starting from
     0.0, so float sums are the same bit for bit as any such in-order sum.
+    Sums of values are float64 even without entries, where bincount gives int64.
     """
-    return np.bincount(rows * shape[1] + cols, vals, shape[0] * shape[1]).reshape(shape)
+    out = np.bincount(rows * shape[1] + cols, vals, shape[0] * shape[1])
+    return (out if vals is None else out.astype(np.float64, copy=False)).reshape(shape)
 
 
 def block_pair_stats(net: Network, labels0: np.ndarray, K: int):

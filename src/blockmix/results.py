@@ -147,12 +147,16 @@ def to_json(result: FitResult) -> str:
     return _render(obj, 0) + "\n"
 
 
-def _posterior_from_obj(obj: dict | None):
+def _posterior_from_obj(obj: dict | None, n: int, K: int):
     if obj is None:
         return None
     from blockmix.mcem import PosteriorSummary
 
-    return PosteriorSummary(np.array(obj["freq"], dtype=np.float64), np.array(obj["gini"], dtype=np.float64))
+    post = PosteriorSummary(np.array(obj["freq"], dtype=np.float64), np.array(obj["gini"], dtype=np.float64))
+    if post.freq.shape != (n, K):
+        rows, cols = post.freq.shape
+        raise ValueError(f"freq has {rows} x {cols} entries, expected {n} nodes x {K} blocks")
+    return post
 
 
 def _partition_from_obj(obj, K: int) -> np.ndarray:
@@ -168,7 +172,8 @@ def from_json(text: str) -> FitResult:
     """Parse fit-result JSON back into a FitResult, without loss.
 
     A missing or unreadable field raises ValueError naming the field;
-    partition labels must be whole numbers in 1..K.
+    partition labels must be whole numbers in 1..K, and a posterior
+    needs one row of K frequencies per node.
     """
     obj = json.loads(text)
     version = obj.get("schema_version") if isinstance(obj, dict) else None
@@ -184,18 +189,20 @@ def from_json(text: str) -> FitResult:
             raise ValueError(f"malformed result file: bad field {name!r} ({exc})") from None
 
     engine, kind, K = field("engine"), field("model"), field("K", int)
+    node_labels = field("node_labels", tuple)
+    n = len(node_labels)
     return FitResult(
         engine=engine,
         kind=kind,
         K=K,
         labels=field("partition", lambda v: _partition_from_obj(v, K)),
-        node_labels=field("node_labels", tuple),
+        node_labels=node_labels,
         params=field("params", _params_from_obj),
         objective=field("objective", float),
         trace=field("trace", lambda v: [float(x) for x in v]),
         seed=field("seed", int),
         config=field("config"),
-        posterior=field("posterior", _posterior_from_obj) if "posterior" in obj else None,
+        posterior=field("posterior", lambda v: _posterior_from_obj(v, n, K)) if "posterior" in obj else None,
     )
 
 

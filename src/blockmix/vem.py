@@ -9,10 +9,10 @@ instances.
 Each restart starts with a hard (classification) phase on the
 vertex-switching engine's count tables (``switch._Stats``): O(n K^2) per
 sweep plus O((deg + 1) K^2) per moved node, with results bit-identical to
-hard sweeps over the dense matrix.  The soft phase that follows works on
-the dense n x n matrix.  Both phases end each iteration in the same
-closed-form M step, ``_m_step``, fed from the count tables or from the
-dense responsibility products.
+hard sweeps over the dense matrix.  The soft phase reads only the stored
+pairs: O(m K + n K^2) per iteration for m stored pairs, in O(m + n K)
+memory.  Both phases end each iteration in the same closed-form M step,
+``_m_step``, fed from the count tables or from ``_soft_stats``.
 """
 
 from __future__ import annotations
@@ -79,10 +79,11 @@ def _pair_tables(params: BlockParams):
         return params.block_matrix, np.exp(params.block_matrix)
 
 
-def _dense_stats(yd: np.ndarray, resp: np.ndarray):
-    """Responsibility-weighted block-pair values, pair counts and block totals."""
+def _soft_stats(net: Network, resp: np.ndarray):
+    """Responsibility-weighted block-pair values (over the stored pairs), pair counts and block totals."""
     colsum = resp.sum(axis=0)
-    return resp.T @ yd @ resp, np.outer(colsum, colsum) - resp.T @ resp, colsum
+    edge = (resp.T.take(net.row_index(), axis=1) * net.data) @ resp.take(net.indices, axis=0)
+    return edge, np.outer(colsum, colsum) - resp.T @ resp, colsum
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -102,10 +103,6 @@ def _bound(edge, pairs, colsum, entropy: float, directed: bool, params: BlockPar
 @np.errstate(divide="ignore", invalid="ignore")
 def _entropy(resp: np.ndarray) -> float:
     return -_xlogy(resp, resp).sum()
-
-
-def _elbo_dense(yd: np.ndarray, directed: bool, state: VariationalState) -> float:
-    return _bound(*_dense_stats(yd, state.resp), _entropy(state.resp), directed, state.params)
 
 
 def _softmax_row(score: np.ndarray) -> np.ndarray:
@@ -140,8 +137,8 @@ def _node_score(t_out, t_in, others, log_pi, table_a, table_b, bernoulli: bool, 
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _e_step_dense(yd: np.ndarray, directed: bool, state: VariationalState) -> np.ndarray:
-    """Responsibilities after one soft sweep; the bound is left to the caller."""
+def _e_step(net: Network, state: VariationalState) -> np.ndarray:
+    """Responsibilities after one soft sweep over the CSR rows; the bound is left to the caller."""
     params = state.params
     resp = state.resp.copy()
     colsum = resp.sum(axis=0)
@@ -149,9 +146,19 @@ def _e_step_dense(yd: np.ndarray, directed: bool, state: VariationalState) -> np
     log_pi = np.log(params.pi)
     bernoulli = params.kind == "bernoulli"
     mul = np.multiply if np.isfinite(table_a).all() and np.isfinite(table_b).all() else _mul
-    for i in range(yd.shape[0]):
-        t_in = yd[:, i] @ resp if directed else None
-        score = _node_score(yd[i] @ resp, t_in, colsum - resp[i], log_pi, table_a, table_b, bernoulli, mul)
+    # Python-int bounds: slicing with them is cheaper than with NumPy scalars
+    ptr, nbrs, vals = net.indptr.tolist(), net.indices, net.data.astype(np.float64)
+    if net.directed:
+        in_ptr, in_nbrs, in_vals = net.transpose()
+        in_ptr, in_vals = in_ptr.tolist(), in_vals.astype(np.float64)
+    t_in = None
+    for i in range(net.n_nodes):
+        lo, hi = ptr[i], ptr[i + 1]
+        t_out = vals[lo:hi] @ resp.take(nbrs[lo:hi], axis=0)
+        if net.directed:
+            lo, hi = in_ptr[i], in_ptr[i + 1]
+            t_in = in_vals[lo:hi] @ resp.take(in_nbrs[lo:hi], axis=0)
+        score = _node_score(t_out, t_in, colsum - resp[i], log_pi, table_a, table_b, bernoulli, mul)
         row = _softmax_row(score)
         colsum += row - resp[i]
         resp[i] = row
@@ -171,18 +178,9 @@ def _m_step(kind: str, edge, pairs, colsum, entropy: float, n: int, directed: bo
     return params, _bound(edge, pairs, colsum, entropy, directed, params)
 
 
-def _m_step_dense(
-    yd: np.ndarray, directed: bool, fallback: float, state: VariationalState
-) -> VariationalState:
-    edge, pairs, colsum = _dense_stats(yd, state.resp)
-    params, bound = _m_step(state.params.kind, edge, pairs, colsum, _entropy(state.resp), yd.shape[0],
-                            directed, fallback)
-    return VariationalState(state.resp, params, bound)
-
-
 def elbo(net: Network, state: VariationalState) -> float:
     """Expected complete-data log-likelihood plus responsibility entropy."""
-    return _elbo_dense(net.to_dense(np.float64), net.directed, state)
+    return _bound(*_soft_stats(net, state.resp), _entropy(state.resp), net.directed, state.params)
 
 
 def e_step(net: Network, state: VariationalState) -> VariationalState:
@@ -191,15 +189,17 @@ def e_step(net: Network, state: VariationalState) -> VariationalState:
     Each row is set to its exact conditional optimum given every other
     row's freshest value, so the bound cannot decrease.
     """
-    yd = net.to_dense(np.float64)
-    out = VariationalState(_e_step_dense(yd, net.directed, state), state.params, 0.0)
-    out.elbo = _elbo_dense(yd, net.directed, out)
+    out = VariationalState(_e_step(net, state), state.params, 0.0)
+    out.elbo = elbo(net, out)
     return out
 
 
 def m_step(net: Network, state: VariationalState) -> VariationalState:
     """Closed-form parameter update from responsibility-weighted counts."""
-    return _m_step_dense(net.to_dense(np.float64), net.directed, global_rate(net), state)
+    edge, pairs, colsum = _soft_stats(net, state.resp)
+    params, bound = _m_step(state.params.kind, edge, pairs, colsum, _entropy(state.resp), net.n_nodes,
+                            net.directed, global_rate(net))
+    return VariationalState(state.resp, params, bound)
 
 
 _INIT_CANDIDATES = 4
@@ -208,10 +208,11 @@ _INIT_CANDIDATES = 4
 def _hard_m_step(st: _Stats, fallback: float) -> tuple[BlockParams, float]:
     """The M step for one-hot responsibilities, from the count tables.
 
-    Row i of ``st.vcount_out`` (``vcount_in``) is exactly ``yd[i] @ resp``
-    (``yd[:, i] @ resp``), and ``edge`` and ``sizes`` are the block-pair
-    totals; all are whole numbers, so every statistic equals its dense
-    counterpart bit for bit.
+    Row i of ``st.vcount_out`` (``vcount_in``) holds node i's values toward
+    (from) each block, the one-hot case of the soft E step's row terms,
+    and ``edge`` and ``sizes`` are the block-pair totals; all are whole
+    numbers, so every statistic equals the soft statistics of the same
+    one-hot responsibilities bit for bit.
     """
     s = st.sizes
     # one-hot rows: the entropy is -sum(1 log 1 + 0 log 0) = -0.0
@@ -345,11 +346,9 @@ def _run_restart(args) -> tuple[float, np.ndarray, BlockParams, list[float]]:
         cand = _hard_phase(net, kind, fallback, rng.integers(0, cfg.K, size=n), cfg.K, cfg.max_iter)
         if state is None or cand.elbo > state.elbo:
             state = cand
-    yd = net.to_dense(np.float64)
     trace = [state.elbo]
     for _ in range(cfg.max_iter):
-        resp = _e_step_dense(yd, net.directed, state)
-        state = _m_step_dense(yd, net.directed, fallback, VariationalState(resp, state.params, 0.0))
+        state = m_step(net, VariationalState(_e_step(net, state), state.params, 0.0))
         trace.append(state.elbo)
         if trace[-1] - trace[-2] < cfg.tol:
             break

@@ -288,18 +288,25 @@ class TestFitAndEval:
         assert code == 1
         assert "node 'extra' missing from the predicted labels" in err
 
-    @pytest.mark.parametrize("text, partition", [
-        ('{"schema_version": 1}', None), (None, None), (None, [1.5, 7]), (None, [3]),
+    @pytest.mark.parametrize("text, partition, posterior", [
+        ('{"schema_version": 1}', None, None), (None, None, None), (None, [1.5, 7], None), (None, [3], None),
+        (None, [], (1, 2)), (None, [], (0, 3)),
     ])
-    def test_eval_malformed_result_file(self, planted, tmp_path, capsys, text, partition):
+    def test_eval_malformed_result_file(self, planted, tmp_path, capsys, text, partition, posterior):
         edges, truth = planted
         out = tmp_path / "fit.json"
-        if text is None:  # a K = 2 fit file whose partition is null or replaced
+        if text is None:
+            # a K = 2 fit file whose partition is null or has its leading
+            # labels replaced, or that gains a posterior short of
+            # ``posterior[0]`` rows with ``posterior[1]`` columns
             run(capsys, "fit", edges, "--method", "switch", "--K", "2", "--out", str(out))
             obj = json.loads(out.read_text())
             if partition is not None:
                 partition = partition + obj["partition"][len(partition):]
             obj["partition"] = partition
+            if posterior is not None:
+                rows, width = len(obj["node_labels"]) - posterior[0], posterior[1]
+                obj["posterior"] = {"freq": [[1.0] + [0.0] * (width - 1)] * rows, "gini": [1.0] * rows}
             text = json.dumps(obj)
         out.write_text(text)
         code, text_out, err = run(capsys, "eval", str(out), truth)
@@ -307,6 +314,21 @@ class TestFitAndEval:
         assert text_out == ""
         assert err.startswith("error: malformed result file:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("method, model", [
+        ("vem", "bernoulli"), ("vem", "poisson"),
+        ("switch", "bernoulli"), ("switch", "poisson"), ("switch", "dc_poisson"),
+    ])
+    def test_fit_edgeless_network(self, method, model, directed, tmp_path, capsys):
+        edges = tmp_path / "iso.edges"
+        edges.write_text("a\nb\nc\nd\n")
+        flags = (["--directed"] if directed else []) + ([] if model == "bernoulli" else ["--count"])
+        out = tmp_path / "fit.json"
+        code, _, err = run(capsys, "fit", str(edges), "--method", method, "--model", model, "--K", "2",
+                           "--restarts", "2", "--out", str(out), *flags)
+        assert code == 0, err
+        assert from_json(out.read_text()).labels.size == 4
 
 
 class TestMcemCli:

@@ -21,6 +21,13 @@ A change that is meant to be behaviour-neutral (a speed-up, a refactor)
 must leave every hash here unchanged.  A change that is meant to alter
 results updates the hashes and says so in CHANGES.md.
 
+The ten ``vem*`` hashes were re-recorded when vem's soft phase moved from
+the dense n x n matrix to the CSR arrays: its row sums then add only the
+stored pairs, in another order than the dense BLAS products, so the last
+bits of the responsibilities, parameters and bounds moved.  Every one of
+the ten fits kept its partition and its trace length, and its objective
+moved by at most 2.3e-13 (CHANGES.md lists each case).
+
 The hashes belong to one NumPy/OpenBLAS build: accept/reject decisions
 and likelihood sums depend on the exact floating-point results of NumPy's
 dot products and reductions, so another build (another BLAS kernel, or
@@ -127,16 +134,16 @@ def _digest(case: str) -> str:
 
 
 GOLDEN = {
-    "vem-bernoulli-undirected": "2f33894486902f32760c7f3903a615ea11a0b370f734f25eac670e565b3b3e9c",
-    "vem-bernoulli-directed": "d186664fa9f0c69c476965af3f94a45291427ed661b03b79f0f4dd2fef835426",
-    "vem-poisson-undirected": "ad63c2809568189e0ad435e3154c729a43a2876d1554ac8fd44e6dd61b077189",
-    "vem-poisson-directed": "31008a0f7c07b58f1d26867fcffd9028273978a41987051736f1f5687c0b7b44",
-    "vemK6-bernoulli-undirected": "14eb9f3bac502678f8deda2cc5b5f0ce1f4b2c9920833c733cf4e14f388ed399",
-    "vemK6-bernoulli-directed": "7cc2a3ff2325bbc05f1383d3fa78f7255d8eb0c67eea6ac438430b6f2d82d171",
-    "vemK6-poisson-undirected": "3101047b01a3d38eabc4b2df2ed1a0e5261ef45a3952561c5eab0d9fc4aade06",
-    "vemK6-poisson-directed": "1e3bae87e847b5dd3d9bf602c9ea3b8a406b051075caf1ae95f6ddb4e99bba40",
-    "vemK10-bernoulli-undirected": "ebdc00a3745e0f63b0ae411855eae0a0a8c29148c38cf4e29bc0818232c19b48",
-    "vemK10-bernoulli-directed": "8a1d0de36a88f714460ca8ff854c90b47e7bd1fd480307badd7a307df96412e9",
+    "vem-bernoulli-undirected": "e0197261636bdf99862e7dae0fdd02a5f842e1e0a38dceb321f6419027a77806",
+    "vem-bernoulli-directed": "d0e2121536dadce0878cad650bf05b5f35a903f76162ab3bc4f409a2e839b11c",
+    "vem-poisson-undirected": "43e580b4e4a1d3df23efb021e0f061bb3affc6f3e792665f134e888f0615ee37",
+    "vem-poisson-directed": "556256bd810d00ee78b8deb85110a7f4373ff46c4e4390d18a3b8e628f3d5195",
+    "vemK6-bernoulli-undirected": "a890736a5187c307c3257e286b7ca98660beb1d1f700c9586d26589a1bbced7b",
+    "vemK6-bernoulli-directed": "7e9b8fc1fdb5caf410a65f5dbf8c54983d0a500f4eb4e05499407238c7b8b2a0",
+    "vemK6-poisson-undirected": "37c52b757f672b60263e72012807488838574b13c84fd212bf02a533d1def3ad",
+    "vemK6-poisson-directed": "2e4ca4c63e0ff45300e2e184e7841aba126b96ecae174f09cf92dd22b80dc94b",
+    "vemK10-bernoulli-undirected": "f7152e8da88f6f9ad80f1e6b558e04868d988e3bf54f04e7848ae6d13da76a06",
+    "vemK10-bernoulli-directed": "792ec5dfe80e52701163e634786f69cecf47e2adcfa58354bd87166c544e82e1",
     "switch-bernoulli-undirected": "54a8d44c658fe34f01cad98e97c5561c045b42775f0ed486db4b5ad5f3e9a3bf",
     "switch-bernoulli-directed": "9579e88e6740f862f369a9dfb7248acb80ddd9a87485dce56dd375b8fbc02d31",
     "switch-poisson-undirected": "93e9800dac7af74feced50eb7960fc0d0a61779008a19a0d7d08d28833f076a5",

@@ -284,6 +284,20 @@ class TestValidation:
         assert a != Partition(np.array([2, 1]), 2)
         assert a != Partition(np.array([1, 2]), 3)
 
+    def test_block_params_equality(self):
+        def params(kind="poisson", pi=(0.5, 0.5), corner=1.0, gamma=None):
+            return BlockParams(kind, 2, list(pi), [[0.0, -np.inf], [-np.inf, corner]], gamma=gamma)
+
+        a = params()
+        assert a == params()  # -inf cells count as equal
+        assert a != params(pi=(0.25, 0.75))
+        assert a != params(corner=0.5)
+        assert a != params("dc_poisson", gamma=[0.0, 1.0])
+        assert params("dc_poisson", gamma=[0.0, -np.inf]) == params("dc_poisson", gamma=[0.0, -np.inf])
+        assert params("dc_poisson", gamma=[0.0, -np.inf]) != params("dc_poisson", gamma=[0.0, 0.0])
+        assert BlockParams("bernoulli", 1, [1.0], [[0.0]]) != BlockParams("poisson", 1, [1.0], [[0.0]])
+        assert a != "params"
+
     def test_block_params_simplex(self):
         with pytest.raises(ValueError, match="simplex"):
             BlockParams("bernoulli", 2, [0.7, 0.7], np.full((2, 2), 0.5))
@@ -318,6 +332,14 @@ class TestGraphonStep:
             GraphonStep([0.0, 0.6, 0.4, 1.0], np.full((3, 3), 0.5))
         with pytest.raises(ValueError, match="symmetric"):
             GraphonStep([0.0, 0.5, 1.0], [[0.1, 0.2], [0.3, 0.4]])
+
+    def test_equality(self):
+        g = GraphonStep([0.0, 0.5, 1.0], [[0.6, 0.1], [0.1, 0.4]])
+        g.derived("cached", lambda step: 1)  # derived tables do not take part
+        assert g == GraphonStep([0.0, 0.5, 1.0], [[0.6, 0.1], [0.1, 0.4]])
+        assert g != GraphonStep([0.0, 0.25, 1.0], [[0.6, 0.1], [0.1, 0.4]])
+        assert g != GraphonStep([0.0, 0.5, 1.0], [[0.6, 0.2], [0.2, 0.4]])
+        assert g != BlockParams("bernoulli", 2, [0.5, 0.5], [[0.6, 0.1], [0.1, 0.4]])
 
     def test_interval_lookup(self):
         g = GraphonStep([0.0, 0.5, 0.7, 1.0], np.full((3, 3), 0.5))

@@ -138,6 +138,8 @@ class TestFormat:
         ("partition", [1.5, 2, 1, 2]), ("partition", [1, 7, 1, 2]), ("partition", [0, 2, 1, 2]),
         ("partition", [1, "2", 1, 2]), ("partition", [1, True, 1, 2]), ("partition", [[1, 2], [1, 2]]),
         ("partition", {"a": 1}),
+        ("posterior", {"freq": [[1.0, 0.0]] * 3, "gini": [1.0] * 3}),
+        ("posterior", {"freq": [[1.0, 0.0, 0.0]] * 4, "gini": [1.0] * 4}),
     ])
     def test_bad_field_is_named(self, name, value):
         params = BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from blockmix.evaluate import rand_index
 from blockmix.generate import GenConfig, sample_sbm
 from blockmix.graph import Network
+from blockmix.mcem import McemConfig, mcem_fit
 from blockmix.models import (
     BlockParams,
     Partition,
@@ -19,6 +21,7 @@ from blockmix.models import (
 )
 from blockmix import vem
 from blockmix.models import _xlogy, global_rate
+from blockmix.switch import SwitchConfig, switch_fit
 from blockmix.vem import VariationalState, VemConfig, e_step, elbo, m_step, vem_fit
 from netfixtures import random_network
 
@@ -449,11 +452,13 @@ class TestHardPhaseOracle:
 
 
 class TestSoftEStepOracle:
-    """``vem._e_step_dense`` against the seed's soft E step, bit for bit.
+    """The CSR soft phase against the seed's dense soft E and M steps.
 
-    Finite tables are scored with np.multiply, tables holding -inf (a
-    zero-probability or zero-rate cell, or a p = 1 cell's log1p(-p))
-    with ``_mul``; both must give the seed's responsibilities.
+    The CSR sums add only the stored pairs, in another order than the
+    dense row products, so results agree within rounding instead of bit
+    for bit.  Finite tables are scored with np.multiply, tables holding
+    -inf (a zero-probability or zero-rate cell, or a p = 1 cell's
+    log1p(-p)) with ``_mul``.
     """
 
     @pytest.mark.parametrize("K", [3, 9])
@@ -461,7 +466,7 @@ class TestSoftEStepOracle:
     @pytest.mark.parametrize("kind, cell", [
         ("bernoulli", None), ("bernoulli", 0.0), ("bernoulli", 1.0), ("poisson", None), ("poisson", -np.inf),
     ])
-    def test_soft_e_step_byte_equal(self, kind, cell, directed, K, monkeypatch):
+    def test_soft_e_step_matches_dense(self, kind, cell, directed, K, monkeypatch):
         rng = np.random.default_rng(10 * K + directed)
         net = random_network(rng, 30, directed, kind == "bernoulli", p=0.2, max_count=4, n_isolated=2)
         yd = net.to_dense().astype(np.float64)
@@ -475,7 +480,87 @@ class TestSoftEStepOracle:
             expect = _seed_e_step_dense(yd, directed, state)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                got = vem._e_step_dense(yd, directed, state)
-            assert got.tobytes() == expect.resp.tobytes()
+                got = vem._e_step(net, state)
+            assert np.allclose(got, expect.resp, rtol=0.0, atol=1e-12)
+            assert np.array_equal(got.argmax(axis=1), expect.resp.argmax(axis=1))
             state = VariationalState(got, state.params, 0.0)
         assert bool(mul_calls) == (cell is not None)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
+    def test_m_step_and_elbo_match_dense(self, kind, directed):
+        """Soft rows, and rows where the isolated nodes alone fill the last block.
+
+        The second start leaves the last block without an edge, so its
+        cells get zero rates (-inf log-rates for poisson).
+        """
+        K = 4
+        rng = np.random.default_rng(20 + directed)
+        net = random_network(rng, 30, directed, kind == "bernoulli", p=0.2, max_count=4, n_isolated=2)
+        yd = net.to_dense().astype(np.float64)
+        state = _random_state(rng, net, K, kind)
+        drained = np.zeros((30, K))
+        drained[:-2, :-1] = rng.dirichlet(np.ones(K - 1), size=28)
+        drained[-2:, -1] = 1.0
+
+        def close(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            inf = ~np.isfinite(b)
+            return np.array_equal(a[inf], b[inf]) and np.allclose(a[~inf], b[~inf], rtol=1e-12, atol=0.0)
+
+        for resp in (state.resp, drained):
+            start = VariationalState(resp, state.params, 0.0)
+            expect = _seed_m_step_dense(yd, directed, global_rate(net), start)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = m_step(net, start)
+                bound = elbo(net, expect)
+            assert np.array_equal(got.params.pi, expect.params.pi)
+            assert close(got.params.block_matrix, expect.params.block_matrix)
+            assert close(got.elbo, expect.elbo)
+            assert close(bound, _seed_elbo_dense(yd, directed, expect))
+        if kind == "poisson":
+            assert np.isneginf(got.params.block_matrix[-1]).all()
+
+
+def _small_fit_networks():
+    rng = np.random.default_rng(31)
+    return [random_network(rng, 12, directed, binary, p=0.3, n_isolated=1)
+            for directed in (False, True) for binary in (True, False)]
+
+
+class TestNoDenseMatrix:
+    """No engine builds the n x n matrix: ``Network.to_dense`` is for tests and callers only."""
+
+    def test_fits_never_call_to_dense(self, monkeypatch):
+        def forbidden(self, dtype=np.int64):
+            raise AssertionError("a fit built the dense matrix")
+
+        monkeypatch.setattr(Network, "to_dense", forbidden)
+        monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
+        for net in _small_fit_networks():
+            kind = "bernoulli" if net.value_kind == "binary" else "poisson"
+            vem_fit(net, VemConfig(K=2, restarts=1), kind=kind)
+            switch_fit(net, SwitchConfig(K=2, restarts=1, kind=kind))
+            if net.value_kind == "binary":
+                mcem_fit(net, McemConfig(K=2, em_max_iter=2, sweeps_base=2, sweeps_cap=4,
+                                         restarts=1, final_sweeps=10))
+
+    def test_soft_steps_stay_small_on_a_sparse_network(self):
+        # n = 3000 with about 10 neighbours a node: one dense float64 matrix alone takes 69 MB
+        n, K = 3000, 4
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, n, size=30000)
+        dst = rng.integers(0, n, size=30000)
+        keep = src < dst
+        pairs = np.unique(src[keep] * n + dst[keep])
+        net = Network.from_arrays(n, pairs // n, pairs % n, np.ones(pairs.size, dtype=np.int64))
+        state = _random_state(rng, net, K)
+        tracemalloc.start()
+        try:
+            after = m_step(net, e_step(net, state))
+            elbo(net, after)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
