@@ -37,6 +37,9 @@ class GenConfig:
             raise ValueError("n must be at least 2")
         if self.params.gamma is not None and self.params.gamma.size != self.n:
             raise ValueError("gamma must have one entry per node")
+        bm = self.params.block_matrix
+        if not self.directed and not np.array_equal(bm, bm.T):
+            raise ValueError("an undirected network needs a symmetric block matrix")
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:

@@ -18,27 +18,21 @@ step, or of the final chain, and counts the visits of the kept states.
 One Gibbs sweep costs O(n K) for the per-node scalar loop and O(deg) per
 accepted move to update the count rows of the node's neighbours, which
 keeps the table exact from sweep to sweep.
-Accept/reject decisions are defined by ``_Sampler.node_log_ratio`` (NumPy
-dot products): the scalar loop takes a decision on its own only where the
-rounding margin of ``models._ERR_SCALE`` shows that the reference
-expression would take the same one, and calls it otherwise.  Chains are
-therefore byte-identical to the per-node reference sweep for a given
-NumPy/BLAS build.
+Accept/reject decisions are the loop's own scalar sums, so for a given
+NumPy build a chain is a pure function of the seed and the inputs.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from blockmix.graph import Network
 from blockmix.models import (
-    _ERR_SCALE, BlockParams, GraphonStep, Partition, _cell_sums, bernoulli_loglik, block_pair_stats,
-    global_rate,
+    BlockParams, GraphonStep, Partition, _cell_sums, bernoulli_loglik, block_pair_stats, global_rate,
 )
 from blockmix.results import FitResult, map_restarts, restart_stream
 
@@ -60,7 +54,6 @@ FINAL_CHAIN_ID = 4
 # cell probabilities are clamped here before any likelihood ratio so the
 # acceptance computation stays finite
 _CLAMP = 1e-6
-_TINY = sys.float_info.min
 
 
 @dataclass
@@ -165,7 +158,6 @@ class _Neighbours:
             self.wt_lists = [row + wts[a:b] for row, a, b in zip(self.wt_lists, ptr, ptr[1:])]
             self.src, self.dst = np.concatenate((self.src, self.dst)), np.concatenate((self.dst, self.src))
             self.w = np.concatenate((self.w, self.w))
-        self.strength = [sum(w) for w in self.wt_lists]
 
 
 class _Sampler:
@@ -175,7 +167,7 @@ class _Sampler:
         # gibbs_sweep and acceptance_prob build a sampler per call; the
         # network part is built once and kept on the network
         nb = net.derived("mcem.neighbours", _Neighbours)
-        self.n, self.pair_factor, self.strength = nb.n, nb.pair_factor, nb.strength
+        self.n, self.pair_factor = nb.n, nb.pair_factor
         self.src, self.dst, self.w = nb.src, nb.dst, nb.w
         self.nbr_lists, self.wt_lists = nb.nbr_lists, nb.wt_lists
 
@@ -203,24 +195,14 @@ class _Sampler:
     def _move_terms(self, kc: int, ks: int) -> tuple:
         """Scalar tables of the move kc -> ks, indexed by the neighbour's block.
 
-        Returns (d_lp - d_lq, d_lq, d_stay) and the two coefficients of
-        the error bound: per unit of neighbour weight, and fixed.  The bound
-        is the margin of models._ERR_SCALE with N = 2K + 6 for the sweep's
-        2K + 1 products, and M bounding every neighbour count by the node's
-        total weight.  The sweep adds the count products to a cached
-        occupancy term, pf (occ . d_lq - d_lq[kc]) + d_stay, instead of
-        adding d_stay last; the margin bounds the sum of those terms in any
-        order and grouping, so the regrouping stays inside it.
+        Returns (d_lp - d_lq, d_lq, d_stay).  The sweep's log ratio of the
+        move is cnt[j] . (d_lp - d_lq) plus the occupancy term
+        pf (occ . d_lq - d_lq[kc]) + d_stay, summed left to right.
         """
         lp, lq, sub = self._lp, self._lq, operator.sub
         d_lp = list(map(sub, lp[ks], lp[kc]))
         d_lq = list(map(sub, lq[ks], lq[kc]))
-        d_stay = self._ls[kc] - self._ls[ks]
-        scale = _ERR_SCALE * (2 * self.K + 6)
-        max_lq = max(map(abs, d_lq))
-        per_weight = scale * (max(map(abs, d_lp)) + max_lq)
-        fixed = scale * (self.pair_factor * (self.n + 1) * max_lq + abs(d_stay) + 1.0)
-        self.moves[kc][ks] = terms = (list(map(sub, d_lp, d_lq)), d_lq, d_stay, per_weight, fixed)
+        self.moves[kc][ks] = terms = (list(map(sub, d_lp, d_lq)), d_lq, self._ls[kc] - self._ls[ks])
         return terms
 
     def start(self, g: GraphonStep, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
@@ -238,9 +220,9 @@ class _Sampler:
     def node_log_ratio(self, j: int, z: np.ndarray, occ: np.ndarray, ks: int, kc: int) -> float:
         """Metropolis log ratio for moving node j's interval kc -> ks.
 
-        This expression defines every accept/reject decision; the fast
-        path in ``sweep`` only decides where its own value provably
-        agrees with it.
+        ``acceptance_prob`` reports this expression (NumPy dot products
+        over the node's neighbours); the sweep computes the same sum from
+        its count table, equal up to rounding.
         """
         e = np.bincount(z[self.nbr_lists[j]], weights=self.wt_lists[j], minlength=self.K)
         m = occ * self.pair_factor
@@ -262,7 +244,8 @@ class _Sampler:
         acceptance, updates the table rows of the node's neighbours in
         O(deg).  The counts are whole numbers, so the table stays exact.
         A move's occupancy term changes only when a move is accepted, so
-        it is kept until then.
+        it is kept until then.  The move is accepted if and only if this
+        scalar log ratio is >= 0 or the coin is below its exp.
         """
         n, K = self.n, self.K
         draws = rng.random(2 * n)
@@ -281,31 +264,18 @@ class _Sampler:
         u_star = np.where(xs < self.tau[z], xs, xs + lens)
         kss = (self.tau.searchsorted(u_star, side="right") - 1).tolist()
         kcs, coins, occ_l, u_star = z.tolist(), coins.tolist(), occ.tolist(), u_star.tolist()
-        pf, strength, moves = self.pair_factor, self.strength, self.moves
+        pf, moves = self.pair_factor, self.moves
         nbr_lists, wt_lists = self.nbr_lists, self.wt_lists
         occ_terms = {}  # kc * K + k -> the move's occupancy term
         accepted = False
         for j in todo:
             kc, k, coin = kcs[j], kss[j], coins[j]
-            d_pq, d_lq, d_stay, per_weight, fixed = moves[kc][k] or self._move_terms(kc, k)
+            d_pq, d_lq, d_stay = moves[kc][k] or self._move_terms(kc, k)
             occ_term = occ_terms.get(key := kc * K + k)
             if occ_term is None:
                 occ_terms[key] = occ_term = pf * (sum(map(operator.mul, occ_l, d_lq)) - d_lq[kc]) + d_stay
             log_r = sum(map(operator.mul, cnt[j], d_pq)) + occ_term
-            err = strength[j] * per_weight + fixed
-            # decide here only when every value within err of log_r, which
-            # includes node_log_ratio's, gives the same decision; where exp
-            # underflows, leave the decision to node_log_ratio
-            if log_r > err:
-                accept = True
-            elif log_r < -err and coin > 0.0 and coin >= math.exp(log_r + err):
-                accept = False
-            elif log_r < -err and coin < (lo := math.exp(log_r - err)) and lo > _TINY:
-                accept = True
-            else:
-                exact = self.node_log_ratio(j, z, np.array(occ_l), k, kc)
-                accept = exact >= 0 or coin < math.exp(exact)
-            if accept:
+            if log_r >= 0 or coin < math.exp(log_r):
                 occ_l[kc] -= 1
                 occ_l[k] += 1
                 z[j] = k
@@ -344,7 +314,9 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
     complement lengths.
     """
     sampler = _Sampler(net)
-    z, occ, _ = sampler.start(g, _positions(u))
+    sampler.set_graphon(g)
+    z = g.interval_of(_positions(u))
+    occ = np.bincount(z, minlength=g.K)
     kc = int(z[j])
     ks = int(g.interval_of(float(u_star)))
     if ks == kc:

@@ -186,16 +186,6 @@ def _xlogy(a, b):
     return np.where(a > 0, a * np.log(b), 0.0)
 
 
-# Rounding margin of the engines' fast decision paths.  A fast path and
-# its reference expression sum the same N terms in other orders and
-# groupings (and BLAS may fuse multiply-adds).  When the terms'
-# magnitudes add up to at most M, each value lies within about N u M of
-# the exact sum (u = 2**-53 the unit roundoff), so the two differ by at
-# most 2 N u M.  A margin of _ERR_SCALE * N * (M + 1) is 32 times that;
-# the + 1 covers roundings outside the sum, such as math.exp's.
-_ERR_SCALE = 64.0 * 2.0**-53
-
-
 def _cell_sums(rows, cols, vals, shape) -> np.ndarray:
     """Table of the given shape summing vals (counting entries when None) per (row, col) cell.
 

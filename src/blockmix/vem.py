@@ -7,12 +7,14 @@ M step never decreases the bound, which the test suite asserts on random
 instances.
 
 Each restart starts with a hard (classification) phase on the
-vertex-switching engine's count tables (``switch._Stats``): O(n K^2) per
-sweep plus O((deg + 1) K^2) per moved node, with results bit-identical to
-hard sweeps over the dense matrix.  The soft phase reads only the stored
-pairs: O(m K + n K^2) per iteration for m stored pairs, in O(m + n K)
-memory.  Both phases end each iteration in the same closed-form M step,
-``_m_step``, fed from the count tables or from ``_soft_stats``.
+vertex-switching engine's count tables (``switch._Stats``).  It scores
+runs of nodes at once with the soft E step's expression, bit for bit, so
+its decisions are those of the seed's dense hard E step: O(n K^2) per
+sweep plus O(K^2) for each node scored again after a move.  The soft
+phase reads only the stored pairs: O(m K + n K^2) per iteration for m
+stored pairs, in O(m + n K) memory.  Both phases end each iteration in
+the same closed-form M step, ``_m_step``, fed from the count tables or
+from ``_soft_stats``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from blockmix.graph import Network
-from blockmix.models import _ERR_SCALE, BlockParams, _xlogy, global_rate
+from blockmix.models import BlockParams, _xlogy, global_rate
 from blockmix.results import FitResult, map_restarts, restart_stream
 from blockmix.switch import _Stats
 
@@ -119,10 +121,11 @@ def _node_score(t_out, t_in, others, log_pi, table_a, table_b, bernoulli: bool, 
     ``t_out`` (``t_in``) holds the node's values toward (from) each block
     weighted by the other nodes' responsibilities, ``others`` the other
     nodes' block totals; ``t_in`` is None for undirected networks.  The
-    soft E step and the hard phase's reference decisions both score a
-    node with this expression.  ``mul`` may be np.multiply when both
-    tables are finite: its products then differ from ``_mul``'s only in
-    the sign of zeros, which no sum into the score can carry.
+    soft E step scores a node with this expression, and so does the hard
+    sweep (``_run_scorer`` reproduces it bit for bit).  ``mul`` may be
+    np.multiply when both tables are finite: its products then differ
+    from ``_mul``'s only in the sign of zeros, which no sum into the
+    score can carry.
     """
     if bernoulli:
         score = log_pi + mul(t_out, table_a).sum(axis=1) + mul(others - t_out, table_b).sum(axis=1)
@@ -219,100 +222,94 @@ def _hard_m_step(st: _Stats, fallback: float) -> tuple[BlockParams, float]:
     return _m_step(st.kind, st.edge, np.outer(s, s) - np.diag(s), s, -0.0, st.n, st.directed, fallback)
 
 
+def _run_scorer(st: _Stats, table_a, table_b, log_pi):
+    """``scores(lo, hi)``: the ``_node_score`` of nodes lo..hi-1 in their current blocks.
+
+    The scores equal one ``_node_score`` call per node bit for bit: each
+    product is the same, each row sums its K products in the same order,
+    and the terms add up in the same order.  Counts are whole numbers,
+    so ``_mul``'s products are the plain ones, and -inf where a count
+    meets a zero-rate cell.  A node in block c has the other nodes'
+    totals sizes - e_c, and poisson's ``table_b @ others`` is one
+    matrix-vector product per block.  ``table_b`` must be finite.
+    """
+    zero_rate = np.isneginf(table_a)
+    a0 = np.where(zero_rate, 0.0, table_a)
+    forbid = zero_rate.astype(np.float64) if zero_rate.any() else None
+    sides = [(st.vcount_out, a0, table_b, forbid)]
+    if st.directed:
+        sides.append((st.vcount_in, a0.T, table_b.T, None if forbid is None else forbid.T))
+    eye = np.eye(st.K)
+    bernoulli = st.kind == "bernoulli"
+
+    def scores(lo: int, hi: int) -> np.ndarray:
+        z = st.z[lo:hi]
+        # poisson's products take fresh 1-D vectors, as _node_score's do
+        others = (st.sizes - eye)[z] if bernoulli else [st.sizes - e for e in eye]
+        score = log_pi
+        for counts, a, b, f in sides:
+            t = counts[lo:hi]
+            term = np.add.reduce(t[:, None, :] * a, axis=-1)
+            if f is not None:
+                term[t @ f.T > 0] = -np.inf
+            if bernoulli:
+                rest = np.add.reduce((others - t)[:, None, :] * b, axis=-1)
+            else:
+                rest = -np.array([b @ o for o in others])[z]
+            score = score + term + rest
+        return score
+
+    return scores
+
+
+def _reference_sweep(st: _Stats, table_a, table_b, log_pi) -> bool:
+    """``_hard_sweep`` with one ``_node_score`` call per node, which takes any table."""
+    changed = False
+    for i in range(st.n):
+        others = st.sizes.copy()
+        others[st.z[i]] -= 1.0
+        k = np.argmax(_node_score(st.vcount_out[i], st.vcount_in[i] if st.directed else None, others, log_pi,
+                                  table_a, table_b, st.kind == "bernoulli"))
+        if k != st.z[i]:
+            st.apply(i, k)
+            changed = True
+    return changed
+
+
+# nodes scored by a sweep's first run; a run doubles while nobody moves
+_FIRST_RUN = 16
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def _hard_sweep(st: _Stats, params: BlockParams) -> bool:
     """One hard E step in node index order; True when a node changed block.
 
     Node i joins the argmax of its ``_node_score`` given every other
-    node's current block.  Splitting off the block totals, a node's
-    score is T[i] + BG[z_i]: T (n x K) holds its counts times the
-    per-value table (-inf where a count meets a zero-rate cell), and
-    is built once per sweep and then only for the neighbours of a node
-    that moves; BG (K x K) holds log pi and the block-total terms, and
-    is rebuilt on each move.  The fast path decides alone only when
-    its top-two gap exceeds twice the rounding margin; it calls
-    ``_node_score`` otherwise, and for every node when a table entry is
-    +-inf outside the zero-rate cells (a p = 1 cell), where the margin
-    is infinite.  Decisions taken from the sweep-start table also allow
-    for the block-total drift of the moves made since.
+    node's current block.  That is the seed's dense hard E step on
+    one-hot responsibilities, so every decision is the seed's, including
+    scores that tie up to the last bit.  Runs of nodes are scored at once
+    (``_run_scorer``); the first node of a run that leaves its block
+    moves, and the next run starts after it.  A sweep whose tables hold a
+    p = 1 cell, where table_b is -inf, runs ``_reference_sweep``.
     """
-    n, K, z, directed = st.n, st.K, st.z, st.directed
     table_a, table_b = _pair_tables(params)
     log_pi = np.log(params.pi)
-    zero_rate = np.isneginf(table_a)
-    a0 = np.where(zero_rate, 0.0, table_a)
-
-    def reference(i: int, c: int) -> int:
-        others = st.sizes.copy()
-        others[c] -= 1.0
-        t_in = st.vcount_in[i] if directed else None
-        return int(np.argmax(_node_score(st.vcount_out[i], t_in, others, log_pi, table_a, table_b,
-                                         st.kind == "bernoulli")))
-
-    # score = log pi + sum_l others_l g_kl + sum_l t_l d_kl (+ the
-    # transposed in-terms), with others = block totals minus the node
-    g = table_b if st.kind == "bernoulli" else -table_b
-    d = a0 - table_b if st.kind == "bernoulli" else a0
-    G = g + g.T if directed else g
-    forbid = zero_rate.astype(np.float64) if zero_rate.any() else None
-
-    def count_rows(idx):
-        rows = st.vcount_out[idx] @ d.T
-        if directed:
-            rows += st.vcount_in[idx] @ d
-        if forbid is not None:
-            hits = st.vcount_out[idx] @ forbid.T
-            if directed:
-                hits += st.vcount_in[idx] @ forbid
-            rows[hits > 0] = -np.inf
-        return rows
-
-    # the margin of models._ERR_SCALE, for either of the top two scores:
-    # N = 2 * sides * K + 6 terms, and M is bounded per node by |log pi|
-    # + its total value * (|a| + |b|) + sides * (n + 1) * |b| over the
-    # finite table entries a (log p or log-rate) and b
-    sides = 2 if directed else 1
-    mag_b = np.abs(table_b).max()
-    mag = (np.abs(log_pi[np.isfinite(log_pi)]).max() + st.deg * (np.abs(a0).max() + mag_b)
-           + sides * (n + 1) * mag_b)
-    thr = 2.0 * _ERR_SCALE * (2 * sides * K + 6) * (mag + 1.0)
-    if not (np.isfinite(a0).all() and np.isfinite(table_b).all()):
-        thr[:] = np.inf
-    # a move shifts every block-total term by at most 2 max|G|, so a
-    # decision from the sweep-start table needs twice that more gap
-    drift_step = 4.0 * np.abs(G).max()
-    T = count_rows(slice(None))
-    BG = (log_pi + G @ st.sizes) - G.T
-    start = T + BG[z]
-    top = start.argmax(axis=1)
-    ar = np.arange(n)
-    best = start[ar, top]
-    start[ar, top] = -np.inf
-    slack = (best - start.max(axis=1)) - thr  # nan where every block is -inf
-    dirty = np.zeros(n, dtype=bool)
-    drift = 0.0
-    changed = False
-    for i in range(n):
-        c = z[i]
-        if slack[i] > drift and not dirty[i]:
-            k = top[i]
-        else:
-            score = T[i] + BG[c]
-            k = score.argmax()
-            best = score[k]
-            score[k] = -np.inf
-            if not best - score.max() > thr[i]:
-                k = reference(i, int(c))
-        if k != c:
-            st.apply(i, k)
-            nbrs = st.out_nbrs[st.out_ptr[i]:st.out_ptr[i + 1]]
-            if directed:
-                nbrs = np.concatenate((nbrs, st.in_nbrs[st.in_ptr[i]:st.in_ptr[i + 1]]))
-            dirty[nbrs] = True
-            T[nbrs] = count_rows(nbrs)
-            BG = (log_pi + G @ st.sizes) - G.T
-            drift += drift_step
-            changed = True
+    if not np.isfinite(table_b).all():
+        return _reference_sweep(st, table_a, table_b, log_pi)
+    scores = _run_scorer(st, table_a, table_b, log_pi)
+    z, i, run, changed = st.z, 0, _FIRST_RUN, False
+    while i < st.n:
+        top = scores(i, i + run).argmax(axis=1)
+        moved = top != z[i:i + run]
+        j = int(moved.argmax())
+        if not moved[j]:
+            i += run
+            run *= 2
+            continue
+        st.apply(i + j, int(top[j]))
+        changed = True
+        i += j + 1
+        run = max(_FIRST_RUN, 2 * j)
     return changed
 
 

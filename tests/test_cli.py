@@ -198,6 +198,16 @@ class TestGenerate:
         assert open(tmp_path / "a.edges").read() == open(tmp_path / "b.edges").read()
         assert open(tmp_path / "a.labels").read() == open(tmp_path / "b.labels").read()
 
+    def test_asymmetric_block_matrix_needs_directed(self, tmp_path, capsys):
+        args = ["generate", "--n", "6", "--K", "2", "--block-matrix", "0.9,0.1;0.5,0.9"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out-prefix", str(tmp_path / "u")])
+        assert exc.value.code == 2
+        assert "symmetric" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        code, _, _ = run(capsys, *args, "--directed", "--out-prefix", str(tmp_path / "d"))
+        assert code == 0 and (tmp_path / "d.edges").exists()
+
     def test_poisson_model(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,

@@ -112,3 +112,10 @@ class TestConfigValidation:
         params = BlockParams("dc_poisson", 1, [1.0], [[0.0]], gamma=np.zeros(3))
         with pytest.raises(ValueError, match="per node"):
             GenConfig(5, params)
+
+    def test_undirected_needs_symmetric_block_matrix(self):
+        # sample_sbm reads only the upper triangle, so the lower one would be ignored
+        params = BlockParams("bernoulli", 2, [0.5, 0.5], [[0.9, 0.1], [0.5, 0.9]])
+        with pytest.raises(ValueError, match="symmetric"):
+            GenConfig(6, params)
+        GenConfig(6, params, directed=True)

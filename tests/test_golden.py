@@ -28,11 +28,18 @@ bits of the responsibilities, parameters and bounds moved.  Every one of
 the ten fits kept its partition and its trace length, and its objective
 moved by at most 2.3e-13 (CHANGES.md lists each case).
 
+No hash moved when the rounding margins and their reference fallbacks
+were deleted.  The mcem sweep now decides from its scalar count-table
+sum, which may differ from the former reference dot products in the last
+bits; no case here meets a decision that close.  vem's hard sweep scores
+runs of nodes with an expression equal bit for bit to the soft E step's
+``_node_score``, the seed's own decision expression.
+
 The hashes belong to one NumPy/OpenBLAS build: accept/reject decisions
 and likelihood sums depend on the exact floating-point results of NumPy's
-dot products and reductions, so another build (another BLAS kernel, or
-another CPU dispatch path) can move the last bits and with them the
-hashes.  They were recorded with Python 3.11, NumPy 2.4.6 and the
+logarithms, matrix products and reductions, so another build (another
+BLAS kernel, or another CPU dispatch path) can move the last bits and
+with them the hashes.  They were recorded with Python 3.11, NumPy 2.4.6 and the
 scipy-openblas OpenBLAS 0.3.31 build (DYNAMIC_ARCH, Haswell kernels).
 """
 

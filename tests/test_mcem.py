@@ -1,6 +1,7 @@
 """Graphon MCEM: chain operations, closed-form updates, uncertainty."""
 
 import math
+import operator
 import pickle
 import warnings
 
@@ -114,6 +115,18 @@ class TestAcceptanceProb:
             u_star = float(rng.random())
         got = acceptance_prob(net, u, j, u_star, g)
         assert got == pytest.approx(slow_acceptance(net, u, j, u_star, g), rel=1e-9)
+
+    def test_builds_no_count_table(self, monkeypatch):
+        # only the chain reads the neighbour-block count table
+        net = Network.from_edges(3, [(0, 1)])
+        g = GraphonStep([0.0, 0.5, 1.0], [[0.8, 0.2], [0.2, 0.6]])
+        expect = acceptance_prob(net, [0.1, 0.2, 0.7], 0, 0.75, g)
+
+        def refuse(*args):
+            raise AssertionError("acceptance_prob built the count table")
+
+        monkeypatch.setattr(mcem, "_cell_sums", refuse)
+        assert acceptance_prob(net, [0.1, 0.2, 0.7], 0, 0.75, g) == expect
 
     def test_same_interval_rejected(self):
         net = Network.from_edges(2, [(0, 1)])
@@ -249,6 +262,14 @@ class _SeedSampler:
                 u[j] = u_star
 
 
+def _sweep_log_ratio(sampler, j, z, occ, cnt, ks):
+    """The log ratio of moving node j to interval ks, in ``_Sampler.sweep``'s own expression."""
+    kc = int(z[j])
+    d_pq, d_lq, d_stay = sampler._move_terms(kc, ks)
+    occ_term = sampler.pair_factor * (sum(map(operator.mul, occ.tolist(), d_lq)) - d_lq[kc]) + d_stay
+    return sum(map(operator.mul, cnt[j], d_pq)) + occ_term
+
+
 class _Scripted:
     """Stand-in generator that replays fixed uniforms, one or many at a time."""
 
@@ -280,7 +301,10 @@ def _seed_chain(sampler, u, z, occ, rng, sweeps, n_burn, thinning):
 class TestSweepMatchesSeedSweep:
     """The count-table chain reproduces the per-node sweep bit for bit.
 
-    ``_Sampler.start`` builds the neighbour-block count table once and
+    The sweep decides from its own scalar sums, which may differ from the
+    seed's dot products in the last bits; a decision can then differ only
+    when a coin lies within about one ulp of exp(log_r), which no seeded
+    chain here meets.  ``_Sampler.start`` builds the neighbour-block count table once and
     every sweep of ``_Sampler.chain`` keeps it; at the end of the chain it
     must equal a table rebuilt from the final state.
     """
@@ -335,7 +359,7 @@ class TestSweepMatchesSeedSweep:
         net = random_network(rng, n=25, directed=directed, binary=True, p=0.3)
         cuts = np.sort(rng.uniform(0.1, 0.9, size=2))
         self._chains(net, self._graphon(rng, [0.0, *cuts, 1.0]), seed, n_burn=n_burn, thinning=thinning)
-        # far from every decision boundary the fast path decides alone
+        # the sweep decides from its own sums
         assert exact_calls == []
 
     @pytest.mark.parametrize("directed", [False, True])
@@ -388,21 +412,21 @@ class TestSweepMatchesSeedSweep:
         self._chains(net, GraphonStep([0.0, 0.3, 0.7, 1.0], P), 4)
 
     @pytest.mark.parametrize("directed", [False, True])
-    def test_identical_blocks_use_the_exact_ratio(self, directed, exact_calls):
+    def test_identical_blocks_decide_from_zero_sum(self, directed, exact_calls):
         # blocks 0 and 1 share their rows of P and their length, so a
-        # move between them has a log ratio of exactly 0: only the
-        # reference expression can decide it
+        # move between them has a log ratio of exactly 0.0 in the sweep's
+        # sum and in the seed's dot products alike: both accept it
         rng = np.random.default_rng(5)
         net = random_network(rng, n=20, directed=directed, binary=True, p=0.4)
         P = [[0.6, 0.6, 0.1], [0.6, 0.6, 0.1], [0.1, 0.1, 0.5]]
         self._chains(net, GraphonStep([0.0, 0.3, 0.6, 1.0], P), 5)
-        assert len(exact_calls) > 100
+        assert exact_calls == []
 
     def test_coins_on_the_threshold(self):
         # the first node's coin is placed exactly on, or one ulp below,
-        # exp of the reference log ratio; the fast sum differs from the
-        # reference dot products in the last bits, so only a correct
-        # error margin reproduces every decision
+        # exp of the sweep's own log ratio: the move is rejected on it and
+        # accepted below it.  The seed sweep gets a coin that forces the
+        # same decision, and the rest of the sweep must match it.
         decided = 0
         for trial in range(60):
             rng = np.random.default_rng(100 + trial)
@@ -410,28 +434,50 @@ class TestSweepMatchesSeedSweep:
             g = self._graphon(rng, [0.0, *np.sort(rng.uniform(0.1, 0.9, size=2)), 1.0])
             u0 = rng.random(net.n_nodes)
             draws = rng.random(2 * net.n_nodes)
-            seed = _SeedSampler(net)
-            seed.set_graphon(g)
-            z = g.interval_of(u0)
+            fast = mcem._Sampler(net)
+            z, occ, cnt = fast.start(g, u0)
             kc = z[0]
-            x = draws[0] * (1.0 - seed.lens[kc])
-            ks = g.interval_of(float(x if x < seed.tau[kc] else x + seed.lens[kc]))
-            log_r = seed.node_log_ratio(0, z, np.bincount(z, minlength=3).astype(float), ks, kc)
-            log_r += seed.log_stay[kc] - seed.log_stay[ks]
+            x = draws[0] * (1.0 - fast.lens[kc])
+            ks = g.interval_of(float(x if x < fast.tau[kc] else x + fast.lens[kc]))
+            log_r = _sweep_log_ratio(fast, 0, z, occ, cnt, ks)
             if log_r >= 0:
                 continue
-            draws[1] = math.exp(log_r) if trial % 4 < 2 else np.nextafter(math.exp(log_r), 0.0)
-            states = []
+            accept = trial % 4 >= 2
+            draws[1] = np.nextafter(math.exp(log_r), 0.0) if accept else math.exp(log_r)
             u = u0.copy()
-            seed.sweep(u, z.copy(), np.bincount(z, minlength=3), _Scripted(draws))
-            states.append(u.tobytes())
-            fast = mcem._Sampler(net)
-            u = u0.copy()
-            fast.sweep(u, *fast.start(g, u), _Scripted(draws))
-            states.append(u.tobytes())
-            assert states[0] == states[1], trial
+            fast.sweep(u, z, occ, cnt, _Scripted(draws))
+            assert (u[0] != u0[0]) == accept, trial
+            draws[1] = 0.0 if accept else 1.0
+            seed = _SeedSampler(net)
+            seed.set_graphon(g)
+            expect = u0.copy()
+            seed.sweep(expect, g.interval_of(u0), np.bincount(g.interval_of(u0), minlength=3), _Scripted(draws))
+            assert u.tobytes() == expect.tobytes(), trial
             decided += 1
         assert decided >= 20
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_sweep_log_ratio_matches_node_log_ratio(self, directed):
+        # the sweep's count-table sum and acceptance_prob's dot products
+        # are two independent codings of one log ratio
+        worst = 0.0
+        for trial in range(100):
+            rng = np.random.default_rng(1000 + trial)
+            K = 2 + trial % 4
+            net = random_network(rng, n=int(rng.integers(K, 30)), directed=directed, binary=True,
+                                 p=float(rng.uniform(0.05, 0.6)))
+            cuts = np.sort(rng.uniform(0.0, 1.0, size=K - 1))
+            g = self._graphon(rng, [0.0, *cuts, 1.0])
+            sampler = mcem._Sampler(net)
+            z, occ, cnt = sampler.start(g, rng.random(net.n_nodes))
+            for j in range(net.n_nodes):
+                for ks in range(K):
+                    if ks == z[j]:
+                        continue
+                    ref = sampler.node_log_ratio(j, z, occ, ks, int(z[j]))
+                    got = _sweep_log_ratio(sampler, j, z, occ, cnt, ks)
+                    worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
+        assert worst <= 1e-12
 
 
 class TestPosteriorMode:
