@@ -66,7 +66,7 @@ class LatentPositions:
         self.u = np.asarray(self.u, dtype=np.float64)
         if self.u.ndim != 1:
             raise ValueError("u must be a vector")
-        if self.u.size and (self.u.min() < 0 or self.u.max() >= 1):
+        if not ((self.u >= 0) & (self.u < 1)).all():
             raise ValueError("latent positions must lie in [0, 1)")
 
 
@@ -172,11 +172,11 @@ class _Sampler:
         self.nbr_lists, self.wt_lists = nb.nbr_lists, nb.wt_lists
 
     def set_graphon(self, g: GraphonStep):
-        # the tables depend on the graphon and on the network's size and
-        # orientation only, so the graphon keeps them for later samplers
-        self.__dict__.update(g.derived(("mcem.sampler", self.n, self.pair_factor), self._graphon_tables))
+        # the tables depend on the graphon only, so it keeps them for later samplers
+        self.__dict__.update(g.derived("mcem.sampler", self._graphon_tables))
 
-    def _graphon_tables(self, g: GraphonStep) -> dict:
+    @staticmethod
+    def _graphon_tables(g: GraphonStep) -> dict:
         lens = g.tau[1:] - g.tau[:-1]
         pc = np.clip(g.P, _CLAMP, 1.0 - _CLAMP)
         log_p, log_q = np.log(pc), np.log1p(-pc)
@@ -327,10 +327,10 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
 
 def gibbs_sweep(net: Network, u, g: GraphonStep, rng: np.random.Generator) -> LatentPositions:
     """One full sweep; rejected proposals retain the previous position."""
-    pos = _positions(u)
+    out = LatentPositions(_positions(u))  # validated once: the sweep keeps positions in [0, 1)
     sampler = _Sampler(net)
-    sampler.sweep(pos, *sampler.start(g, pos), rng)
-    return LatentPositions(pos)
+    sampler.sweep(out.u, *sampler.start(g, out.u), rng)
+    return out
 
 
 def _mode_from_counts(counts: np.ndarray, tau: np.ndarray) -> np.ndarray:

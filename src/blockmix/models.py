@@ -152,6 +152,8 @@ class GraphonStep(Derived, _ValueEq):
             raise ValueError("boundaries must start at 0 and end at 1")
         if np.any(np.diff(self.tau) < -1e-12):
             raise ValueError("boundaries must be non-decreasing")
+        # stored exact, so every u in [0, 1) falls in one of the K intervals
+        self.tau = np.append(np.minimum(np.maximum.accumulate(self.tau[:-1]), 1.0), 1.0)
         if self.P.shape != (K, K):
             raise ValueError("P must be K x K")
         if self.P.min() < 0 or self.P.max() > 1:
@@ -171,7 +173,7 @@ class GraphonStep(Derived, _ValueEq):
     def interval_of(self, u) -> np.ndarray | int:
         """0-based index of the interval containing each u in [0, 1)."""
         u_arr = np.asarray(u, dtype=np.float64)
-        if (u_arr < 0).any() or (u_arr >= 1).any():
+        if not ((u_arr >= 0) & (u_arr < 1)).all():
             raise ValueError("u must lie in [0, 1)")
         idx = self.tau.searchsorted(u_arr, side="right") - 1
         return idx if u_arr.ndim else int(idx)

@@ -15,6 +15,9 @@ phase reads only the stored pairs: O(m K + n K^2) per iteration for m
 stored pairs, in O(m + n K) memory.  Both phases end each iteration in
 the same closed-form M step, ``_m_step``, fed from the count tables or
 from ``_soft_stats``.
+
+A p = 0, p = 1 or zero-rate cell puts -inf in a log table; every score and
+bound takes 0 * (-inf) = 0 by one rule, ``_sum`` on tables split once.
 """
 
 from __future__ import annotations
@@ -59,26 +62,44 @@ class VariationalState:
     elbo: float
 
 
-def _mul(coef, table):
-    """coef * table with 0 * (-inf) defined as 0.
-
-    Coefficients within rounding noise of zero are treated as zero when
-    the table entry is infinite, so a p = 1 cell whose complement count
-    is -1e-17 instead of exactly 0 cannot poison the sum.  ``models._xlogy``
-    zeroes only non-positive coefficients, enough for whole-number counts.
-    Callers run it under np.errstate(divide="ignore", invalid="ignore"),
-    entered once per E step or bound evaluation, not once per product.
-    """
-    out = np.where(coef != 0, coef * table, 0.0)
-    snap = ~np.isfinite(table) & (np.abs(coef) < 1e-9)
-    return np.where(snap, 0.0, out)
+def _split(table):
+    """``table``'s finite part (0 at its -inf cells) and a float mask of those cells (None when there is none)."""
+    neginf = np.isneginf(table)
+    return np.where(neginf, 0.0, table), (neginf.astype(np.float64) if neginf.any() else None)
 
 
 def _pair_tables(params: BlockParams):
+    """The ``_split`` tables of an edge and a non-edge (bernoulli), or of the log-rate and the (finite) rate."""
     with np.errstate(divide="ignore"):
         if params.kind == "bernoulli":
-            return np.log(params.block_matrix), np.log1p(-params.block_matrix)
-        return params.block_matrix, np.exp(params.block_matrix)
+            return _split(np.log(params.block_matrix)), _split(np.log1p(-params.block_matrix))
+    return _split(params.block_matrix), (np.exp(params.block_matrix), None)
+
+
+def _sides(params: BlockParams, directed: bool) -> list:
+    """``_pair_tables`` for the values toward each block, and from each block (transposed) when directed."""
+    tables = _pair_tables(params)
+    flipped = tuple((value.T, None if neginf is None else neginf.T) for value, neginf in tables)
+    return [tables, flipped] if directed else [tables]
+
+
+def _sum(*terms, axis=-1):
+    """The sum over ``axis`` of the products coef * table, added up over ``terms`` cell by cell.
+
+    Each term pairs coefficients with a ``_split`` table they broadcast
+    against.  The products take the tables' finite parts, and a sum is
+    -inf where a coefficient of at least 1e-9 meets a -inf cell: for
+    whole-number counts, any count > 0.  Coefficients nearer zero are
+    rounding noise, such as a p = 1 cell's non-edge count of -1e-17.
+    """
+    total = hit = None
+    for coef, (value, neginf) in terms:
+        total = coef * value if total is None else total + coef * value
+        if neginf is not None:
+            meets = np.add.reduce((coef >= 1e-9) * neginf, axis=axis) > 0
+            hit = meets if hit is None else hit | meets
+    total = np.add.reduce(total, axis=axis)
+    return total if hit is None else np.where(hit, -np.inf, total)
 
 
 def _soft_stats(net: Network, resp: np.ndarray):
@@ -93,12 +114,9 @@ def _bound(edge, pairs, colsum, entropy: float, directed: bool, params: BlockPar
     """The bound from block-pair statistics and the responsibility entropy."""
     scale = 1.0 if directed else 0.5
     table_a, table_b = _pair_tables(params)
-    if params.kind == "bernoulli":
-        pair_term = (_mul(edge, table_a) + _mul(pairs - edge, table_b)).sum()
-    else:
-        pair_term = (_mul(edge, table_a) - pairs * table_b).sum()
-    log_pi = np.log(params.pi)
-    mix_term = _mul(colsum, log_pi).sum()
+    rest = pairs - edge if params.kind == "bernoulli" else -pairs
+    pair_term = _sum((edge, table_a), (rest, table_b), axis=None)
+    mix_term = _sum((colsum, _split(np.log(params.pi))), axis=None)
     return float(pair_term * scale + mix_term + entropy)
 
 
@@ -115,27 +133,22 @@ def _softmax_row(score: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _node_score(t_out, t_in, others, log_pi, table_a, table_b, bernoulli: bool, mul=_mul) -> np.ndarray:
+def _node_score(t_out, t_in, others, log_pi, sides, bernoulli: bool) -> np.ndarray:
     """One node's E-step score for each block: log pi plus its expected pair terms.
 
     ``t_out`` (``t_in``) holds the node's values toward (from) each block
     weighted by the other nodes' responsibilities, ``others`` the other
-    nodes' block totals; ``t_in`` is None for undirected networks.  The
-    soft E step scores a node with this expression, and so does the hard
-    sweep (``_run_scorer`` reproduces it bit for bit).  ``mul`` may be
-    np.multiply when both tables are finite: its products then differ
-    from ``_mul``'s only in the sign of zeros, which no sum into the
-    score can carry.
+    nodes' block totals, and ``sides`` the ``_sides`` tables; ``t_in`` is
+    None for undirected networks.  The soft E step scores a node with this
+    expression, and so does the hard sweep (``_run_scorer`` reproduces it
+    bit for bit).
     """
-    if bernoulli:
-        score = log_pi + mul(t_out, table_a).sum(axis=1) + mul(others - t_out, table_b).sum(axis=1)
-    else:
-        score = log_pi + mul(t_out, table_a).sum(axis=1) - table_b @ others
-    if t_in is not None:
+    score = log_pi
+    for t, (table_a, table_b) in zip((t_out, t_in), sides):
         if bernoulli:
-            score = score + mul(t_in, table_a.T).sum(axis=1) + mul(others - t_in, table_b.T).sum(axis=1)
+            score = score + _sum((t, table_a)) + _sum((others - t, table_b))
         else:
-            score = score + mul(t_in, table_a.T).sum(axis=1) - table_b.T @ others
+            score = score + _sum((t, table_a)) - table_b[0] @ others
     return score
 
 
@@ -145,10 +158,9 @@ def _e_step(net: Network, state: VariationalState) -> np.ndarray:
     params = state.params
     resp = state.resp.copy()
     colsum = resp.sum(axis=0)
-    table_a, table_b = _pair_tables(params)
+    sides = _sides(params, net.directed)
     log_pi = np.log(params.pi)
     bernoulli = params.kind == "bernoulli"
-    mul = np.multiply if np.isfinite(table_a).all() and np.isfinite(table_b).all() else _mul
     # Python-int bounds: slicing with them is cheaper than with NumPy scalars
     ptr, nbrs, vals = net.indptr.tolist(), net.indices, net.data.astype(np.float64)
     if net.directed:
@@ -161,7 +173,7 @@ def _e_step(net: Network, state: VariationalState) -> np.ndarray:
         if net.directed:
             lo, hi = in_ptr[i], in_ptr[i + 1]
             t_in = in_vals[lo:hi] @ resp.take(in_nbrs[lo:hi], axis=0)
-        score = _node_score(t_out, t_in, colsum - resp[i], log_pi, table_a, table_b, bernoulli, mul)
+        score = _node_score(t_out, t_in, colsum - resp[i], log_pi, sides, bernoulli)
         row = _softmax_row(score)
         colsum += row - resp[i]
         resp[i] = row
@@ -222,23 +234,15 @@ def _hard_m_step(st: _Stats, fallback: float) -> tuple[BlockParams, float]:
     return _m_step(st.kind, st.edge, np.outer(s, s) - np.diag(s), s, -0.0, st.n, st.directed, fallback)
 
 
-def _run_scorer(st: _Stats, table_a, table_b, log_pi):
+def _run_scorer(st: _Stats, sides, log_pi):
     """``scores(lo, hi)``: the ``_node_score`` of nodes lo..hi-1 in their current blocks.
 
     The scores equal one ``_node_score`` call per node bit for bit: each
     product is the same, each row sums its K products in the same order,
-    and the terms add up in the same order.  Counts are whole numbers,
-    so ``_mul``'s products are the plain ones, and -inf where a count
-    meets a zero-rate cell.  A node in block c has the other nodes'
-    totals sizes - e_c, and poisson's ``table_b @ others`` is one
-    matrix-vector product per block.  ``table_b`` must be finite.
+    and the terms add up in the same order.  A node in block c has the
+    other nodes' totals sizes - e_c, and poisson's ``table_b @ others`` is
+    one matrix-vector product per block.
     """
-    zero_rate = np.isneginf(table_a)
-    a0 = np.where(zero_rate, 0.0, table_a)
-    forbid = zero_rate.astype(np.float64) if zero_rate.any() else None
-    sides = [(st.vcount_out, a0, table_b, forbid)]
-    if st.directed:
-        sides.append((st.vcount_in, a0.T, table_b.T, None if forbid is None else forbid.T))
     eye = np.eye(st.K)
     bernoulli = st.kind == "bernoulli"
 
@@ -247,33 +251,16 @@ def _run_scorer(st: _Stats, table_a, table_b, log_pi):
         # poisson's products take fresh 1-D vectors, as _node_score's do
         others = (st.sizes - eye)[z] if bernoulli else [st.sizes - e for e in eye]
         score = log_pi
-        for counts, a, b, f in sides:
-            t = counts[lo:hi]
-            term = np.add.reduce(t[:, None, :] * a, axis=-1)
-            if f is not None:
-                term[t @ f.T > 0] = -np.inf
+        for vcount, (table_a, table_b) in zip((st.vcount_out, st.vcount_in), sides):
+            t = vcount[lo:hi]
             if bernoulli:
-                rest = np.add.reduce((others - t)[:, None, :] * b, axis=-1)
+                rest = _sum(((others - t)[:, None, :], table_b))
             else:
-                rest = -np.array([b @ o for o in others])[z]
-            score = score + term + rest
+                rest = -np.array([table_b[0] @ o for o in others])[z]
+            score = score + _sum((t[:, None, :], table_a)) + rest
         return score
 
     return scores
-
-
-def _reference_sweep(st: _Stats, table_a, table_b, log_pi) -> bool:
-    """``_hard_sweep`` with one ``_node_score`` call per node, which takes any table."""
-    changed = False
-    for i in range(st.n):
-        others = st.sizes.copy()
-        others[st.z[i]] -= 1.0
-        k = np.argmax(_node_score(st.vcount_out[i], st.vcount_in[i] if st.directed else None, others, log_pi,
-                                  table_a, table_b, st.kind == "bernoulli"))
-        if k != st.z[i]:
-            st.apply(i, k)
-            changed = True
-    return changed
 
 
 # nodes scored by a sweep's first run; a run doubles while nobody moves
@@ -289,14 +276,10 @@ def _hard_sweep(st: _Stats, params: BlockParams) -> bool:
     one-hot responsibilities, so every decision is the seed's, including
     scores that tie up to the last bit.  Runs of nodes are scored at once
     (``_run_scorer``); the first node of a run that leaves its block
-    moves, and the next run starts after it.  A sweep whose tables hold a
-    p = 1 cell, where table_b is -inf, runs ``_reference_sweep``.
+    moves, and the next run starts after it.  Zero-rate and p = 1 cells
+    take the same -inf rule as in the soft E step (``_sum``).
     """
-    table_a, table_b = _pair_tables(params)
-    log_pi = np.log(params.pi)
-    if not np.isfinite(table_b).all():
-        return _reference_sweep(st, table_a, table_b, log_pi)
-    scores = _run_scorer(st, table_a, table_b, log_pi)
+    scores = _run_scorer(st, _sides(params, st.directed), np.log(params.pi))
     z, i, run, changed = st.z, 0, _FIRST_RUN, False
     while i < st.n:
         top = scores(i, i + run).argmax(axis=1)

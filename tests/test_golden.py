@@ -35,6 +35,12 @@ bits; no case here meets a decision that close.  vem's hard sweep scores
 runs of nodes with an expression equal bit for bit to the soft E step's
 ``_node_score``, the seed's own decision expression.
 
+No hash moved either when vem's three codings of the rule 0 * (-inf) = 0
+became one (``_mul``, the run scorer's own mask, and the per-node
+``_reference_sweep`` that hard sweeps with a p = 1 cell took): each log
+table is split once into its finite part and a -inf mask, and the
+scores and bounds equal the former ones byte for byte.
+
 The hashes belong to one NumPy/OpenBLAS build: accept/reject decisions
 and likelihood sums depend on the exact floating-point results of NumPy's
 logarithms, matrix products and reductions, so another build (another

@@ -181,11 +181,36 @@ class TestGibbsSweep:
         assert repr(clone) == repr(g) and "_derived" not in repr(g)
         assert to_json(_graphon_result(clone)) == to_json(_graphon_result(g))
         assert np.array_equal(gibbs_sweep(net, u0, clone, np.random.default_rng(2)).u, first.u)
-        # another network size gets its own tables
-        other = random_network(rng, n=9, directed=False, binary=True)
-        c = mcem._Sampler(other)
-        c.set_graphon(g)
-        assert c.moves is not a.moves
+        # the tables read the graphon alone: another network size and
+        # orientation shares them, with the results of fresh tables
+        for directed in (False, True):
+            other, u1 = random_network(rng, n=9, directed=directed, binary=True), rng.random(9)
+            c = mcem._Sampler(other)
+            c.set_graphon(g)
+            assert c.moves is a.moves
+            fresh = GraphonStep(g.tau, g.P)
+            assert np.array_equal(gibbs_sweep(other, u1, g, np.random.default_rng(3)).u,
+                                  gibbs_sweep(other, u1, fresh, np.random.default_rng(3)).u)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.2, np.nan])
+    def test_positions_outside_the_unit_interval_are_rejected(self, bad):
+        net = Network.from_edges(3, [(0, 1)])
+        g = GraphonStep([0.0, 0.5, 1.0], np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match=r"latent positions must lie in \[0, 1\)"):
+            gibbs_sweep(net, np.array([0.1, bad, 0.7]), g, np.random.default_rng(0))
+
+    def test_boundaries_within_tolerance(self):
+        # the last boundary 1e-13 short of 1 is stored as 1, so a position
+        # just below 1 lies in the last interval
+        rng = np.random.default_rng(6)
+        net = random_network(rng, n=8, directed=False, binary=True)
+        P = [[0.7, 0.1], [0.1, 0.5]]
+        g = GraphonStep([0.0, 0.5, 1.0 - 1e-13], P)
+        u0 = np.concatenate((rng.random(7) * 0.9, [1.0 - 1e-14]))
+        out = gibbs_sweep(net, u0, g, np.random.default_rng(1))
+        expect = gibbs_sweep(net, u0, GraphonStep([0.0, 0.5, 1.0], P), np.random.default_rng(1))
+        assert np.array_equal(out.u, expect.u)
+        assert acceptance_prob(net, u0, 7, 0.2, g) == acceptance_prob(net, u0, 7, 0.2, GraphonStep([0.0, 0.5, 1.0], P))
 
     def test_single_interval_resamples_uniformly(self):
         # the proposal support is empty, so positions are redrawn and
@@ -637,6 +662,12 @@ class TestLatentPositions:
             LatentPositions(np.array([0.5, 1.0]))
         with pytest.raises(ValueError, match="vector"):
             LatentPositions(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # every comparison with NaN is false, so a min/max range check passed it
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            LatentPositions(np.array([0.5, bad]))
 
     def test_posterior_summary_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):

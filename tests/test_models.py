@@ -356,6 +356,27 @@ class TestGraphonStep:
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             g.interval_of(-0.1)
 
+    def test_interval_of_rejects_nan(self):
+        g = GraphonStep([0.0, 0.5, 1.0], np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            g.interval_of(np.nan)
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            g.interval_of(np.array([0.2, np.nan]))
+
+    def test_boundaries_within_tolerance_are_stored_exact(self):
+        # an end 1e-13 short of 1 passes validation; stored as is, u just
+        # below 1 fell past the last interval (index K)
+        P = np.array([[0.9, 0.1], [0.1, 0.4]])
+        tau = np.array([0.0, 0.5, 1.0 - 1e-13])
+        g = GraphonStep(tau, P)
+        assert g.tau[-1] == 1.0 and tau[-1] == 1.0 - 1e-13  # the caller's array is left alone
+        assert g.interval_of(1.0 - 1e-14) == 1
+        assert graphon_eval(g, 1.0 - 1e-14, 0.2) == 0.1
+        # a boundary that dips by 1e-13 passes too, and left a negative length
+        g = GraphonStep([0.0, 0.5, 0.5 - 1e-13, 1.0], np.full((3, 3), 0.5))
+        assert (np.diff(g.tau) >= 0).all() and g.pi.min() == 0.0
+        assert g.interval_of(0.5 - 1e-14) == 0
+
     def test_zero_width_interval_never_selected(self):
         g = GraphonStep([0.0, 0.5, 0.5, 1.0], np.full((3, 3), 0.5))
         assert g.interval_of(0.5) == 2
