@@ -313,6 +313,8 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
     likelihood ratio over node j's pairs is corrected by the ratio of
     complement lengths.
     """
+    if not 0 <= j < net.n_nodes:
+        raise ValueError(f"node index {j} lies outside 0..{net.n_nodes - 1}")
     sampler = _Sampler(net)
     sampler.set_graphon(g)
     z = g.interval_of(_positions(u))

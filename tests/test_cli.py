@@ -208,6 +208,19 @@ class TestGenerate:
         code, _, _ = run(capsys, *args, "--directed", "--out-prefix", str(tmp_path / "d"))
         assert code == 0 and (tmp_path / "d.edges").exists()
 
+    def test_unsampleable_poisson_rate_is_one_error(self, tmp_path, capsys):
+        # exp(800) overflows; the rate is refused before any file is written
+        code, out, err = run(
+            capsys,
+            "generate", "--n", "6", "--K", "2", "--model", "poisson",
+            "--block-matrix", "800,0;0,800", "--out-prefix", str(tmp_path / "p"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: node pair (") and err.count("\n") == 1
+        assert "RuntimeWarning" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_poisson_model(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,

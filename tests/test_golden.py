@@ -15,7 +15,10 @@ count the chain's last state instead of a thinned sample.  ``mcembusy``
 cases fit three intervals to the two planted blocks, so two intervals
 share one block and the chains accept a move every few node visits.  ``delta``
 cases hash ``delta_loglik`` for every single-vertex move of a random
-three-block partition, for the poisson and dc_poisson kinds.
+three-block partition, for the poisson and dc_poisson kinds.  ``sample``
+cases hash the edge-list text and the labels of one ``sample_sbm`` draw of
+60 nodes and K = 3 per kind and orientation; one cell's Poisson rate is
+15, so the per-pair stream branch runs.
 
 A change that is meant to be behaviour-neutral (a speed-up, a refactor)
 must leave every hash here unchanged.  A change that is meant to alter
@@ -41,6 +44,10 @@ became one (``_mul``, the run scorer's own mask, and the per-node
 table is split once into its finite part and a -inf mask, and the
 scores and bounds equal the former ones byte for byte.
 
+The six ``sample`` hashes were recorded from the sampler that enumerated
+all n(n-1)/2 candidate pairs at once, before it drew them in row blocks;
+the row blocks draw the same uniforms in the same order and kept them.
+
 The hashes belong to one NumPy/OpenBLAS build: accept/reject decisions
 and likelihood sums depend on the exact floating-point results of NumPy's
 logarithms, matrix products and reductions, so another build (another
@@ -55,9 +62,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockmix.graph import Network
+from blockmix.generate import GenConfig, sample_sbm
+from blockmix.graph import Network, to_edge_list_text
 from blockmix.mcem import McemConfig, gibbs_sweep, mcem_fit
-from blockmix.models import GraphonStep, Partition
+from blockmix.models import BlockParams, GraphonStep, Partition
 from blockmix.results import to_json
 from blockmix.switch import SwitchConfig, delta_loglik, switch_fit
 from blockmix.vem import VemConfig, vem_fit
@@ -117,8 +125,28 @@ def _fit(case: str):
     return mcem_fit(net, _mcem_cfg())
 
 
+def _sample(case: str):
+    _, kind, orient = case.split("-")
+    directed = orient == "directed"
+    if kind == "bernoulli":
+        bm = np.array([[0.5, 0.1, 0.05], [0.1, 0.4, 0.2], [0.05, 0.2, 0.6]])
+    else:
+        # log-rates; block pair (1, 1) has rate 15, above the inversion limit of 10
+        bm = np.log([[15.0, 0.3, 0.1], [0.3, 2.0, 0.6], [0.1, 0.6, 4.0]])
+    if directed:
+        bm = bm * np.array([[1.0, 1.3, 0.7], [0.8, 1.0, 1.2], [1.1, 0.9, 1.0]])
+    gamma = np.random.default_rng(14).normal(0.0, 0.3, 60) if kind == "dc_poisson" else None
+    params = BlockParams(kind, 3, [0.2, 0.5, 0.3], bm, gamma=gamma)
+    return sample_sbm(GenConfig(60, params, directed=directed, seed=21))
+
+
 def _digest(case: str) -> str:
     h = hashlib.sha256()
+    if case.startswith("sample-"):
+        net, part = _sample(case)
+        h.update(to_edge_list_text(net).encode())
+        h.update(part.labels.astype(np.int64).tobytes())
+        return h.hexdigest()
     if case.startswith("gibbs-"):
         net = _planted(5, 14, case.endswith("-directed"), False)
         g = GraphonStep([0.0, 0.35, 0.7, 1.0], [[0.6, 0.1, 0.2], [0.1, 0.5, 0.3], [0.2, 0.3, 0.4]])
@@ -179,6 +207,12 @@ GOLDEN = {
     "mcembusy-bernoulli-directed": "120a4a9d571366da893041dba3d7fea55c325f23347f87c37bf0e0e4baf77605",
     "delta-undirected": "1cb3a8795666261c94d9f4cac7f1cbd0bf07e88d401b8c17e05b1137568dddb7",
     "delta-directed": "45c3ce5ad0e832100ec0be2b5fd7ecbf6a7d716598fce478e659fc9d0c7bdaa6",
+    "sample-bernoulli-undirected": "5f295c2c2e6070fdca38ad4c63199c9751c227162b615d36d1dc95805cea5d0c",
+    "sample-bernoulli-directed": "a9a03ed07ffd0691619c90ef22128dede039a2831fb4dfbf2a8bb1c49c3effad",
+    "sample-poisson-undirected": "274db1ccc867eb55150ce9c9e624468b6f74ac7f2b0f74cf520831c9101eeb09",
+    "sample-poisson-directed": "40169afbfd1ece68f42d4098434382a48d666d58e2394a61d09dd19f3ea462ac",
+    "sample-dc_poisson-undirected": "09f8e03330d0798f5f0162ce8ddba6a7a91bfae2ea1302bcaa0b34b044ec5a8e",
+    "sample-dc_poisson-directed": "85a5ff1f6f2dd35a56375a6ff1eb353a8186c5f401d7139ab1f0ea9fc7faecbf",
 }
 
 

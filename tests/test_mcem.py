@@ -128,6 +128,16 @@ class TestAcceptanceProb:
         monkeypatch.setattr(mcem, "_cell_sums", refuse)
         assert acceptance_prob(net, [0.1, 0.2, 0.7], 0, 0.75, g) == expect
 
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_node_index_outside_range_rejected(self, j):
+        # a 3-node path: j = -1 would otherwise score node 2 through Python indexing
+        net = Network.from_edges(3, [(0, 1), (1, 2)])
+        g = GraphonStep([0.0, 0.5, 1.0], [[0.8, 0.2], [0.2, 0.6]])
+        u = [0.1, 0.2, 0.3]
+        assert acceptance_prob(net, u, 0, 0.75, g) > 0 and acceptance_prob(net, u, 2, 0.75, g) > 0
+        with pytest.raises(ValueError, match=r"node index -?\d+ lies outside 0\.\.2"):
+            acceptance_prob(net, u, j, 0.75, g)
+
     def test_same_interval_rejected(self):
         net = Network.from_edges(2, [(0, 1)])
         g = GraphonStep([0.0, 0.5, 1.0], np.full((2, 2), 0.5))
