@@ -27,12 +27,11 @@ from blockmix.graph import (
     to_edge_list_text,
 )
 from blockmix.mcem import McemConfig, mcem_fit
-from blockmix.models import BlockParams, Partition
+from blockmix.models import MODEL_KINDS, BlockParams, Partition
 from blockmix.results import from_json, to_json
 from blockmix.switch import SwitchConfig, switch_fit
 from blockmix.vem import VemConfig, vem_fit
 
-MODELS = ("bernoulli", "poisson", "dc_poisson")
 METHODS = ("vem", "switch", "mcem")
 
 
@@ -76,9 +75,8 @@ def _load_network(args) -> Network:
 
 def cmd_stats(args, parser) -> int:
     net = _load_network(args)
-    print(f"nodes\t{net.n_nodes}")
-    print(f"edges\t{net.n_edges}")
-    print(f"density\t{density(net):.3f}")
+    rho = density(net)  # may raise: print nothing before it has
+    print(f"nodes\t{net.n_nodes}\nedges\t{net.n_edges}\ndensity\t{rho:.3f}")
     return 0
 
 
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a blockmodel and write a result file")
     _add_input_flags(p_fit)
-    p_fit.add_argument("--model", choices=MODELS, default="bernoulli")
+    p_fit.add_argument("--model", choices=MODEL_KINDS, default="bernoulli")
     p_fit.add_argument("--method", choices=METHODS, required=True)
     p_fit.add_argument("--K", type=_int_in(1), required=True, help="number of blocks")
     p_fit.add_argument(
@@ -256,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="rows ';'-separated, entries ','-separated; probabilities, or log-rates for poisson kinds",
     )
-    p_gen.add_argument("--model", choices=MODELS, default="bernoulli")
+    p_gen.add_argument("--model", choices=MODEL_KINDS, default="bernoulli")
     p_gen.add_argument("--gamma", default=None, help="dc_poisson only: comma-separated node offsets")
     p_gen.add_argument("--directed", action="store_true")
     p_gen.add_argument("--seed", type=_int_in(0, 2**64), default=0)

@@ -174,6 +174,8 @@ class Network(Derived):
         return s if self.directed else s // 2
 
     def value(self, i: int, j: int) -> int:
+        if not 0 <= min(i, j) <= max(i, j) < self.n_nodes:
+            raise ValueError(f"node pair ({i}, {j}) lies outside 0..{self.n_nodes - 1}")
         lo, hi = self.indptr[i], self.indptr[i + 1]
         k = lo + int(np.searchsorted(self.indices[lo:hi], j))
         return int(self.data[k]) if k < hi and self.indices[k] == j else 0
@@ -383,9 +385,12 @@ def density(net: Network) -> float:
     """
     if net.n_nodes < 2:
         raise ValueError("density needs at least two nodes")
-    n = net.n_nodes
-    possible = n * (n - 1) if net.directed else n * (n - 1) // 2
-    return net.n_edges / possible
+    return net.n_edges / _n_pairs(net)
+
+
+def _n_pairs(net: Network) -> int:
+    """Number of possible node pairs: ordered ones when directed, unordered ones when not."""
+    return net.n_nodes * (net.n_nodes - 1) // (1 if net.directed else 2)
 
 
 def degrees(net: Network) -> np.ndarray:

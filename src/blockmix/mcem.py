@@ -42,7 +42,6 @@ __all__ = [
     "PosteriorSummary",
     "acceptance_prob",
     "gibbs_sweep",
-    "posterior_mode",
     "m_step",
     "mcem_fit",
     "gini_uncertainty",
@@ -179,15 +178,13 @@ class _Sampler:
     def _graphon_tables(g: GraphonStep) -> dict:
         lens = g.tau[1:] - g.tau[:-1]
         pc = np.clip(g.P, _CLAMP, 1.0 - _CLAMP)
-        log_p, log_q = np.log(pc), np.log1p(-pc)
         with np.errstate(divide="ignore"):
             log_stay = np.log1p(-lens)
         # nodes of a full-width interval have an empty proposal support
         support = 1.0 - lens
         return dict(
-            tau=g.tau, lens=lens, K=g.K, log_p=log_p, log_q=log_q, log_stay=log_stay,
-            support=support, any_full=min(support.tolist()) <= 1e-15,
-            _lp=log_p.tolist(), _lq=log_q.tolist(), _ls=log_stay.tolist(),
+            tau=g.tau, lens=lens, K=g.K, support=support, any_full=min(support.tolist()) <= 1e-15,
+            _lp=np.log(pc).tolist(), _lq=np.log1p(-pc).tolist(), _ls=log_stay.tolist(),
             # per-move tables, filled on first use by sweep
             moves=[[None] * g.K for _ in range(g.K)],
         )
@@ -195,9 +192,8 @@ class _Sampler:
     def _move_terms(self, kc: int, ks: int) -> tuple:
         """Scalar tables of the move kc -> ks, indexed by the neighbour's block.
 
-        Returns (d_lp - d_lq, d_lq, d_stay).  The sweep's log ratio of the
-        move is cnt[j] . (d_lp - d_lq) plus the occupancy term
-        pf (occ . d_lq - d_lq[kc]) + d_stay, summed left to right.
+        Returns (d_lp - d_lq, d_lq, d_stay).  The log ratio of the move is
+        cnt[j] . (d_lp - d_lq) plus ``_occ_term``, summed left to right.
         """
         lp, lq, sub = self._lp, self._lq, operator.sub
         d_lp = list(map(sub, lp[ks], lp[kc]))
@@ -217,20 +213,10 @@ class _Sampler:
         cnt = _cell_sums(self.src, z[self.dst], self.w, (self.n, self.K)).tolist()
         return z, np.bincount(z, minlength=self.K), cnt
 
-    def node_log_ratio(self, j: int, z: np.ndarray, occ: np.ndarray, ks: int, kc: int) -> float:
-        """Metropolis log ratio for moving node j's interval kc -> ks.
-
-        ``acceptance_prob`` reports this expression (NumPy dot products
-        over the node's neighbours); the sweep computes the same sum from
-        its count table, equal up to rounding.
-        """
-        e = np.bincount(z[self.nbr_lists[j]], weights=self.wt_lists[j], minlength=self.K)
-        m = occ * self.pair_factor
-        m[kc] -= self.pair_factor
-        d_lp = self.log_p[ks] - self.log_p[kc]
-        d_lq = self.log_q[ks] - self.log_q[kc]
-        log_r = float(e @ d_lp + (m - e) @ d_lq)
-        return float(log_r + (self.log_stay[kc] - self.log_stay[ks]))
+    def _occ_term(self, occ: list, kc: int, d_lq: list, d_stay: float) -> float:
+        """The part of the move's log ratio read from the interval occupancies:
+        pf (occ . d_lq - d_lq[kc]) + d_stay, with d_lq and d_stay from ``_move_terms``."""
+        return self.pair_factor * (sum(map(operator.mul, occ, d_lq)) - d_lq[kc]) + d_stay
 
     def sweep(self, u: np.ndarray, z: np.ndarray, occ: np.ndarray, cnt: list,
               rng: np.random.Generator):
@@ -264,7 +250,7 @@ class _Sampler:
         u_star = np.where(xs < self.tau[z], xs, xs + lens)
         kss = (self.tau.searchsorted(u_star, side="right") - 1).tolist()
         kcs, coins, occ_l, u_star = z.tolist(), coins.tolist(), occ.tolist(), u_star.tolist()
-        pf, moves = self.pair_factor, self.moves
+        moves, occ_term_of = self.moves, self._occ_term
         nbr_lists, wt_lists = self.nbr_lists, self.wt_lists
         occ_terms = {}  # kc * K + k -> the move's occupancy term
         accepted = False
@@ -273,7 +259,7 @@ class _Sampler:
             d_pq, d_lq, d_stay = moves[kc][k] or self._move_terms(kc, k)
             occ_term = occ_terms.get(key := kc * K + k)
             if occ_term is None:
-                occ_terms[key] = occ_term = pf * (sum(map(operator.mul, occ_l, d_lq)) - d_lq[kc]) + d_stay
+                occ_terms[key] = occ_term = occ_term_of(occ_l, kc, d_lq, d_stay)
             log_r = sum(map(operator.mul, cnt[j], d_pq)) + occ_term
             if log_r >= 0 or coin < math.exp(log_r):
                 occ_l[kc] -= 1
@@ -311,19 +297,22 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
 
     The proposal is uniform outside the node's current interval, so the
     likelihood ratio over node j's pairs is corrected by the ratio of
-    complement lengths.
+    complement lengths.  The log ratio is the sweep's own sum, from node
+    j's count row, so this is the probability the chain accepts with.
     """
     if not 0 <= j < net.n_nodes:
         raise ValueError(f"node index {j} lies outside 0..{net.n_nodes - 1}")
     sampler = _Sampler(net)
     sampler.set_graphon(g)
     z = g.interval_of(_positions(u))
-    occ = np.bincount(z, minlength=g.K)
     kc = int(z[j])
     ks = int(g.interval_of(float(u_star)))
     if ks == kc:
         raise ValueError("u_star lies inside the current interval")
-    log_r = sampler.node_log_ratio(j, z, occ, ks, kc)
+    d_pq, d_lq, d_stay = sampler.moves[kc][ks] or sampler._move_terms(kc, ks)
+    row = np.bincount(z[sampler.nbr_lists[j]], sampler.wt_lists[j], g.K).tolist()
+    occ = np.bincount(z, minlength=g.K).tolist()
+    log_r = sum(map(operator.mul, row, d_pq)) + sampler._occ_term(occ, kc, d_lq, d_stay)
     return 1.0 if log_r >= 0 else float(math.exp(log_r))
 
 
@@ -339,22 +328,6 @@ def _mode_from_counts(counts: np.ndarray, tau: np.ndarray) -> np.ndarray:
     mode = np.argmax(counts, axis=1)  # ties resolve to the lowest interval
     mids = (tau[:-1] + tau[1:]) / 2.0
     return mids[mode]
-
-
-def posterior_mode(samples, g: GraphonStep, thinning: int) -> LatentPositions:
-    """Midpoint of each node's most-visited interval in the thinned chain."""
-    if thinning < 1:
-        raise ValueError("thinning must be positive")
-    arrays = [_positions(s) for s in samples]
-    thinned = arrays[thinning - 1 :: thinning]
-    if not thinned:
-        raise ValueError("need at least one thinned sample")
-    K = g.K
-    counts = np.zeros((thinned[0].size, K))
-    for pos in thinned:
-        z = g.interval_of(pos)
-        counts[np.arange(z.size), z] += 1
-    return LatentPositions(_mode_from_counts(counts, g.tau))
 
 
 def m_step(net: Network, u_hat, g: GraphonStep, delta: float, K: int) -> GraphonStep:

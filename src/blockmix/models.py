@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from blockmix.graph import Derived, Network, degrees
+from blockmix.graph import Derived, Network, _n_pairs, degrees
 
 __all__ = [
     "MODEL_KINDS",
@@ -222,8 +222,7 @@ def _pair_scale(directed: bool) -> float:
 
 def global_rate(net: Network) -> float:
     """Mean edge value per possible pair; equals density for binary nets."""
-    n = net.n_nodes
-    possible = n * (n - 1) if net.directed else n * (n - 1) // 2
+    possible = _n_pairs(net)
     return net.total_value / possible if possible else 0.0
 
 

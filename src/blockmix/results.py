@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -159,20 +160,27 @@ def _posterior_from_obj(obj: dict | None, n: int, K: int):
     return post
 
 
-def _partition_from_obj(obj, K: int) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise TypeError(f"expected a list of labels, got {type(obj).__name__}")
-    for label in obj:
-        if isinstance(label, bool) or not isinstance(label, (int, float)) or not 1 <= label <= K or label % 1:
-            raise ValueError(f"label {label!r} is not a whole number in 1..{K}")
-    return np.array(obj, dtype=np.int64)
+def _typed(types, v):
+    """v itself when it is a JSON value of the given types; true and false are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, types):
+        raise TypeError(f"unexpected value {v!r}")
+    return v
+
+
+def _whole(v, low: int, high: int) -> int:
+    """A JSON number without a fractional part, in low..high, as an int."""
+    if not low <= _typed((int, float), v) <= high or v % 1:
+        raise ValueError(f"{v!r} is not a whole number in {low}..{high}")
+    return int(v)
 
 
 def from_json(text: str) -> FitResult:
     """Parse fit-result JSON back into a FitResult, without loss.
 
-    A missing or unreadable field raises ValueError naming the field;
-    partition labels must be whole numbers in 1..K, and a posterior
+    A missing or unreadable field raises ValueError naming the field.
+    The engine, model and node labels are strings, the objective and
+    trace JSON numbers; K equals the params' K, the seed and the
+    partition labels are whole numbers (labels in 1..K), and a posterior
     needs one row of K frequencies per node.
     """
     obj = json.loads(text)
@@ -188,19 +196,22 @@ def from_json(text: str) -> FitResult:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed result file: bad field {name!r} ({exc})") from None
 
-    engine, kind, K = field("engine"), field("model"), field("K", int)
-    node_labels = field("node_labels", tuple)
+    string, number = partial(_typed, str), lambda v: float(_typed((int, float), v))
+    engine, kind = field("engine", string), field("model", string)
+    params = field("params", _params_from_obj)
+    K = field("K", lambda v: _whole(v, params.K, params.K))  # the K of the params
+    node_labels = tuple(field("node_labels", lambda v: [string(x) for x in _typed(list, v)]))
     n = len(node_labels)
     return FitResult(
         engine=engine,
         kind=kind,
         K=K,
-        labels=field("partition", lambda v: _partition_from_obj(v, K)),
+        labels=np.array(field("partition", lambda v: [_whole(x, 1, K) for x in _typed(list, v)]), dtype=np.int64),
         node_labels=node_labels,
-        params=field("params", _params_from_obj),
-        objective=field("objective", float),
-        trace=field("trace", lambda v: [float(x) for x in v]),
-        seed=field("seed", int),
+        params=params,
+        objective=field("objective", number),
+        trace=field("trace", lambda v: [number(x) for x in _typed(list, v)]),
+        seed=field("seed", lambda v: _whole(v, 0, 2**64 - 1)),
         config=field("config"),
         posterior=field("posterior", lambda v: _posterior_from_obj(v, n, K)) if "posterior" in obj else None,
     )

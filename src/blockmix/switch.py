@@ -6,8 +6,7 @@ moves every vertex exactly once: at each step the not-yet-moved vertex
 with the largest objective change is relocated to its best alternative
 block, even when every available change is negative.  The pass keeps
 its best intermediate state and rewinds the rest; this escapes shallow
-local maxima that defeat plain greedy sweeps.  A greedy toggle is
-available for comparison.
+local maxima that defeat sweeps which take only improving moves.
 
 Each step scores every unmoved vertex against every block in one batch
 (``_Stats.deltas``).  With m such vertices and K blocks a step evaluates
@@ -27,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from blockmix.graph import Network, degrees
-from blockmix.models import Partition, _cell_sums, _xlogy, block_pair_stats, mle_block_params
+from blockmix.models import MODEL_KINDS, Partition, _cell_sums, _xlogy, block_pair_stats, mle_block_params
 from blockmix.results import FitResult, map_restarts, restart_stream
 
 __all__ = ["SwitchConfig", "MoveDelta", "delta_loglik", "profile_loglik", "switch_fit"]
@@ -42,7 +41,6 @@ class SwitchConfig:
     max_passes: int = 100
     seed: int = 0
     kind: str = "bernoulli"
-    greedy: bool = False
 
     def __post_init__(self):
         if self.K < 1:
@@ -183,19 +181,15 @@ class _Stats:
         if self.kind == "dc_poisson":
             svec, qvec, ratio = self._dc_weights(s, self.kappa, self.degsq)
             weight = np.outer(svec, svec) - np.diag(qvec)
-            e_u, w_u = self._unordered_cells(self.edge, weight)
-            cell_term = _xlogy(e_u, e_u / np.maximum(w_u, 1e-300)).sum()
-            kappa_term = _xlogy(self.kappa, ratio).sum()
-            return self.dlogd + kappa_term + cell_term - self.total
-        pair_w = np.outer(s, s) - np.diag(s)
-        e_u, n_u = self._unordered_cells(self.edge, pair_w)
+        else:
+            weight = np.outer(s, s) - np.diag(s)
+        e_u, w_u = self._unordered_cells(self.edge, weight)
+        cells = self._cell_term(e_u, w_u)
         if self.kind == "bernoulli":
-            term = _xlogy(e_u, e_u) + _xlogy(n_u - e_u, n_u - e_u) - _xlogy(n_u, n_u)
-            return float(term.sum())
-        # poisson: cell rates plus the profiled mixing weights
-        cell_term = (_xlogy(e_u, e_u / np.maximum(n_u, 1.0)) - e_u).sum()
-        mix_term = _xlogy(s, s / self.n).sum()
-        return float(cell_term + mix_term)
+            return float(cells.sum())
+        if self.kind == "poisson":  # cell rates plus the profiled mixing weights
+            return float((cells - e_u).sum() + _xlogy(s, s / self.n).sum())
+        return float(self.dlogd + _xlogy(self.kappa, ratio).sum() + cells.sum() - self.total)
 
     def _cell_term(self, e, w):
         """Per-cell objective term; constants under vertex moves omitted."""
@@ -357,7 +351,7 @@ class _Stats:
 
 
 def _check_kind(net: Network, kind: str):
-    if kind not in ("bernoulli", "poisson", "dc_poisson"):
+    if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     if kind == "bernoulli" and net.value_kind != "binary":
         raise ValueError("bernoulli objective needs a binary network")
@@ -395,16 +389,6 @@ def delta_loglik(net: Network, part: Partition, vertex: int, to: int, kind: str 
     return MoveDelta(float(value), bool(empties))
 
 
-def _best_move(stats: _Stats, v: int) -> tuple[int, float]:
-    """Best destination block for v and the move's objective change."""
-    row = stats.deltas(np.array([v], dtype=np.int64))[0].tolist()
-    best_b, best_delta = -1, -np.inf
-    for b, delta in enumerate(row):  # the stay-put entry is -inf, never taken
-        if delta > best_delta:  # strict: ties keep the lowest block index
-            best_b, best_delta = b, delta
-    return best_b, best_delta
-
-
 def _run_restart(args) -> tuple[float, np.ndarray, list[float]]:
     net, cfg, restart = args
     rng = restart_stream(cfg.seed, ENGINE_ID, restart)
@@ -414,19 +398,6 @@ def _run_restart(args) -> tuple[float, np.ndarray, list[float]]:
     trace = [cur]
     for _ in range(cfg.max_passes):
         start = cur
-        if cfg.greedy:
-            moved = False
-            for v in range(stats.n):
-                b, delta = _best_move(stats, v)
-                if delta > 1e-12:
-                    stats.apply(v, b)
-                    cur += delta
-                    moved = True
-            if not moved:
-                break
-            cur = stats.objective()
-            trace.append(cur)
-            continue
         # Kernighan-Lin pass: the best-gaining unmoved vertex goes first,
         # every vertex moves exactly once, keep the pass's best prefix
         active = np.ones(stats.n, dtype=bool)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from blockmix.graph import Network
-from blockmix.models import BlockParams, _xlogy, global_rate
+from blockmix.models import BlockParams, _pair_scale, _xlogy, global_rate
 from blockmix.results import FitResult, map_restarts, restart_stream
 from blockmix.switch import _Stats
 
@@ -112,12 +112,11 @@ def _soft_stats(net: Network, resp: np.ndarray):
 @np.errstate(divide="ignore", invalid="ignore")
 def _bound(edge, pairs, colsum, entropy: float, directed: bool, params: BlockParams) -> float:
     """The bound from block-pair statistics and the responsibility entropy."""
-    scale = 1.0 if directed else 0.5
     table_a, table_b = _pair_tables(params)
     rest = pairs - edge if params.kind == "bernoulli" else -pairs
     pair_term = _sum((edge, table_a), (rest, table_b), axis=None)
     mix_term = _sum((colsum, _split(np.log(params.pi))), axis=None)
-    return float(pair_term * scale + mix_term + entropy)
+    return float(pair_term * _pair_scale(directed) + mix_term + entropy)
 
 
 @np.errstate(divide="ignore", invalid="ignore")

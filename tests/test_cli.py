@@ -62,6 +62,14 @@ class TestStats:
         assert err.startswith("error:")
         assert "no edges" in err
 
+    def test_one_node_file_prints_only_the_error(self, tmp_path, capsys):
+        path = tmp_path / "one.edges"
+        path.write_text("a\n")
+        code, out, err = run(capsys, "stats", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: density needs at least two nodes\n"
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "stats", str(tmp_path / "absent.edges"))
         assert code == 1

@@ -5,7 +5,6 @@ a change to ``blockmix.generate`` cannot move it), fits it with one
 engine, and hashes ``to_json`` of the result.  mcem cases also hash the
 per-iteration ``u_trace`` that ``--trace-out`` writes, and one case per
 orientation pins the positions after 200 ``gibbs_sweep`` calls.
-``greedy`` cases run the switch engine with ``SwitchConfig(greedy=True)``.
 ``vemK<K>`` cases fit vem with K = 6 or 10 to a sparse four-block graph,
 where the hard warm-start candidates drain blocks and meet zero-edge
 block pairs (and, at K = 10, complete block pairs with p = 1).
@@ -43,6 +42,12 @@ became one (``_mul``, the run scorer's own mask, and the per-node
 ``_reference_sweep`` that hard sweeps with a p = 1 cell took): each log
 table is split once into its finite part and a -inf mask, and the
 scores and bounds equal the former ones byte for byte.
+
+The ten ``switch*`` hashes were re-recorded when ``SwitchConfig`` lost
+its ``greedy`` field (and the ``greedy`` cases went with it): the result
+JSON echoes the configuration, so each file lost its ``"greedy": false``
+line and the comma before it.  Partitions, objectives and traces stayed
+byte for byte the same (CHANGES.md shows the diff of each case).
 
 The six ``sample`` hashes were recorded from the sampler that enumerated
 all n(n-1)/2 candidate pairs at once, before it drew them in row blocks;
@@ -109,10 +114,8 @@ def _fit(case: str):
     net = _planted(11 if directed else 7, 30, directed, count)
     if engine == "vem":
         return vem_fit(net, VemConfig(K=2, restarts=2, seed=1), kind=model)
-    if engine in ("switch", "greedy"):
-        return switch_fit(
-            net, SwitchConfig(K=2, restarts=2, seed=2, kind=model, greedy=engine == "greedy")
-        )
+    if engine == "switch":
+        return switch_fit(net, SwitchConfig(K=2, restarts=2, seed=2, kind=model))
     if engine.startswith("switchK"):
         return switch_fit(net, SwitchConfig(K=int(engine[7:]), restarts=2, seed=4, kind=model))
     if engine == "mcemthin":
@@ -185,22 +188,20 @@ GOLDEN = {
     "vemK6-poisson-directed": "2e4ca4c63e0ff45300e2e184e7841aba126b96ecae174f09cf92dd22b80dc94b",
     "vemK10-bernoulli-undirected": "f7152e8da88f6f9ad80f1e6b558e04868d988e3bf54f04e7848ae6d13da76a06",
     "vemK10-bernoulli-directed": "792ec5dfe80e52701163e634786f69cecf47e2adcfa58354bd87166c544e82e1",
-    "switch-bernoulli-undirected": "54a8d44c658fe34f01cad98e97c5561c045b42775f0ed486db4b5ad5f3e9a3bf",
-    "switch-bernoulli-directed": "9579e88e6740f862f369a9dfb7248acb80ddd9a87485dce56dd375b8fbc02d31",
-    "switch-poisson-undirected": "93e9800dac7af74feced50eb7960fc0d0a61779008a19a0d7d08d28833f076a5",
-    "switch-poisson-directed": "8f27e6374aecbb82eda655ec875bcdf44a4dff72182025c8b8ab46b4578451ba",
-    "switch-dc_poisson-undirected": "5b0fe70f4c7ff121d004cb38d21ee80b1277600b88b66c443abb35d05125b8c4",
-    "switch-dc_poisson-directed": "1de111c494c6aaa42309e5a038fd4b826c2c99ac57861e1b4ef4b4c9422900e9",
-    "greedy-bernoulli-undirected": "6070effbf8fe795cf97013885cda1a6770be107a06d427acd042b00ace076c74",
-    "greedy-dc_poisson-directed": "b5d112755524c46495cbe4a4199c2c223abc9f427e9ee9d61fbba7368e0a29ff",
+    "switch-bernoulli-undirected": "8fd724e406a640a15fae77a507d0c66302911f5d68962677e5e2ed192fcebe71",
+    "switch-bernoulli-directed": "cd4f8a035672a085afe428853c0edb175d88480c633b94d167ee63525faa8f8d",
+    "switch-poisson-undirected": "6fc48586447cabfec59106f208b71ad5401be95c31c5bc92e5555ac59a1587e8",
+    "switch-poisson-directed": "07a8dc0aefbb3a6f1d9ed9e0b5e33f554f3f4abdd692430574ddcb6998323c9b",
+    "switch-dc_poisson-undirected": "50af03ccfffddab28f2ce937e279c76cfe2b957637750204f23aafba6005cf55",
+    "switch-dc_poisson-directed": "35884ded9f87c4989273ffdd2279e9ee260b3ebc9a87a75250e50f82751bf399",
     "mcem-bernoulli-undirected": "0d16664f40a355aa5244961269782108fee0c88cb8067bcd60a2fe417b2bbede",
     "mcem-bernoulli-directed": "b865224f7b23d2a73efed12a48f0a7c268323bd6c585a22b207c52cf09772199",
     "gibbs-undirected": "08de9a26930b6270420ddfb59e03b5c04d16004677e0d690a28f542638037ee5",
     "gibbs-directed": "6708a64a8759fa454d03f5aa97f5f8390615b911140cf93b54a3d36ddf4229d7",
-    "switchK1-dc_poisson-undirected": "22fc0a0af6fd2ee678158176535c2566dc03cac5c74bab7c8815064d5be264b1",
-    "switchK1-dc_poisson-directed": "47bef923746d7e0c899740da1e775e41e450f3102c18e5e2a33ce340af4b1840",
-    "switchK4-dc_poisson-undirected": "1528fc9c71e96234883787f4c2b1c086f6960f10cee85efc9e351671fd2226c1",
-    "switchK4-dc_poisson-directed": "1275762f8eac665c8c462d227b89da8edd341aa10d63581ed1b628d731f4a876",
+    "switchK1-dc_poisson-undirected": "b2a5eddd234cd8c82f8b26fb7384ea1fa2245017d628ce4bf593f541cd058d30",
+    "switchK1-dc_poisson-directed": "ef6cc25a94adef935f2901a5b7aca6d776431e94bec77891a0c56d4dde7a3042",
+    "switchK4-dc_poisson-undirected": "8221339dc7fc0decc7cdac9d9e79f3af8e7496fab478f8582b0a89cc007ff056",
+    "switchK4-dc_poisson-directed": "283a2425845d638209059486c880c04e2d96cef9ab198625f5d2d46d1e2b24c8",
     "mcemthin-bernoulli-undirected": "97656d5e22b1669210b8fe4d8814af71e9257aa595a5d62513b84fc7669ea7c5",
     "mcemthin-bernoulli-directed": "08cbcf63a7d4a657c04fa93074db4fc3385dbfd2404cd1a9d4bd3b067b7772d6",
     "mcembusy-bernoulli-undirected": "4eec684247fdd3e22de06c959c081ac2264916d283ded5628af850fd192571b1",

@@ -17,6 +17,7 @@ from blockmix.graph import (
     load_weighted_edge_list,
     to_edge_list_text,
 )
+from blockmix.models import global_rate
 from netfixtures import random_network, same_network
 
 
@@ -215,6 +216,22 @@ class TestStatistics:
     def test_density_needs_two_nodes(self):
         with pytest.raises(ValueError, match="two nodes"):
             density(Network(1, False, "binary", [0, 0], [], []))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_one_node_has_no_pairs(self, directed):
+        # density refuses what global_rate reads as no edge value per pair
+        net = Network(1, directed, "count", [0, 0], [], [])
+        assert global_rate(net) == 0.0
+        with pytest.raises(ValueError, match="two nodes"):
+            density(net)
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (0, 3), (3, 0)])
+    def test_value_rejects_pairs_outside_the_network(self, i, j):
+        # a 3-node path: negative indices would otherwise wrap around
+        net = Network.from_edges(3, [(0, 1), (1, 2)])
+        assert net.value(2, 1) == 1 and net.value(0, 2) == 0
+        with pytest.raises(ValueError, match=r"node pair \(-?\d+, -?\d+\) lies outside 0\.\.2"):
+            net.value(i, j)
 
     def test_degrees_sum_values(self):
         net = Network.from_edges(3, {(0, 1): 2, (1, 2): 5}, value_kind="count")

@@ -33,7 +33,7 @@ def _result(params, posterior=None, extras=None):
         objective=-12.345678901234567,
         trace=[-20.0, -15.5, -12.345678901234567],
         seed=42,
-        config={"restarts": 3, "greedy": False},
+        config={"restarts": 3, "max_passes": 100},
         posterior=posterior,
         extras=extras or {},
     )
@@ -102,7 +102,7 @@ class TestRoundTrip:
         back = from_json(to_json(_result(params)))
         assert back.labels.tolist() == [1, 2, 1, 2]
         assert back.node_labels == ("a", "b", "c", "d")
-        assert back.config == {"restarts": 3, "greedy": False}
+        assert back.config == {"restarts": 3, "max_passes": 100}
         assert back.engine == "switch"
         assert back.seed == 42
 
@@ -142,6 +142,21 @@ class TestFormat:
         ("posterior", {"freq": [[1.0, 0.0, 0.0]] * 4, "gini": [1.0] * 4}),
     ])
     def test_bad_field_is_named(self, name, value):
+        params = BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))
+        obj = json.loads(to_json(_result(params)))
+        obj[name] = value
+        with pytest.raises(ValueError, match=f"malformed result file: bad field '{name}'"):
+            from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("name, value", [
+        ("node_labels", "abcd"), ("node_labels", [1, 2, 3, 4]),
+        ("K", 2.5), ("K", 3), ("K", True), ("seed", 1.7), ("seed", -1), ("seed", "42"),
+        ("objective", "nan"), ("objective", None), ("trace", "12"), ("trace", [1.0, "2"]),
+        ("engine", 5), ("model", ["bernoulli"]),
+    ])
+    def test_field_of_the_wrong_type_is_named(self, name, value):
+        # each of these once loaded as something else (nodes "a", "b", ...;
+        # K = 2; seed 1; trace [1.0, 2.0]) or passed unchecked
         params = BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))
         obj = json.loads(to_json(_result(params)))
         obj[name] = value

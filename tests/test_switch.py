@@ -143,13 +143,6 @@ class TestSwitchFit:
         assert (np.diff(fit.trace) >= -1e-9).all()
         assert fit.objective == fit.trace[-1]
 
-    def test_greedy_variant(self):
-        params = BlockParams("bernoulli", 2, [0.5, 0.5], [[0.5, 0.05], [0.05, 0.5]])
-        net, truth = sample_sbm(GenConfig(50, params, seed=3))
-        fit = switch_fit(net, SwitchConfig(K=2, seed=0, greedy=True))
-        assert fit.config["greedy"] is True
-        assert rand_index(fit.partition, truth).rand_index == 1.0
-
     def test_poisson_kind(self):
         params = BlockParams("poisson", 2, [0.5, 0.5], np.log([[2.5, 0.2], [0.2, 2.5]]))
         net, truth = sample_sbm(GenConfig(50, params, seed=4))
