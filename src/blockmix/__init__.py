@@ -3,80 +3,43 @@
 Fits Bernoulli, Poisson, and degree-corrected blockmodels with three
 engines: variational EM, vertex-switching search, and Monte-Carlo EM
 over a piecewise-constant graphon with per-node allocation uncertainty.
+
+The public names below load their submodule on first use (PEP 562), so
+``import blockmix`` loads no submodule.
 """
 
-from blockmix.graph import (
-    EdgeListError,
-    Network,
-    degrees,
-    density,
-    discretize_weights,
-    load_edge_list,
-    load_labels,
-    load_weighted_edge_list,
-    to_edge_list_text,
-)
-from blockmix.models import (
-    BlockParams,
-    GraphonStep,
-    Partition,
-    bernoulli_loglik,
-    dc_poisson_loglik,
-    graphon_eval,
-    mle_block_params,
-    poisson_complete_loglik,
-)
-from blockmix.generate import GenConfig, sample_sbm
-from blockmix.vem import VemConfig, vem_fit
-from blockmix.switch import MoveDelta, SwitchConfig, delta_loglik, profile_loglik, switch_fit
-from blockmix.mcem import (
-    LatentPositions,
-    McemConfig,
-    PosteriorSummary,
-    gini_uncertainty,
-    mcem_fit,
-)
-from blockmix.evaluate import PartitionComparison, rand_index
-from blockmix.results import FitResult, from_json, to_json
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EdgeListError",
-    "Network",
-    "degrees",
-    "density",
-    "discretize_weights",
-    "load_edge_list",
-    "load_labels",
-    "load_weighted_edge_list",
-    "to_edge_list_text",
-    "BlockParams",
-    "GraphonStep",
-    "Partition",
-    "bernoulli_loglik",
-    "dc_poisson_loglik",
-    "graphon_eval",
-    "mle_block_params",
-    "poisson_complete_loglik",
-    "GenConfig",
-    "sample_sbm",
-    "VemConfig",
-    "vem_fit",
-    "MoveDelta",
-    "SwitchConfig",
-    "delta_loglik",
-    "profile_loglik",
-    "switch_fit",
-    "LatentPositions",
-    "McemConfig",
-    "PosteriorSummary",
-    "gini_uncertainty",
-    "mcem_fit",
-    "PartitionComparison",
-    "rand_index",
-    "FitResult",
-    "from_json",
-    "to_json",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_SOURCE = {
+    **dict.fromkeys(["EdgeListError", "Network", "degrees", "density", "discretize_weights",
+                     "load_edge_list", "load_labels", "load_weighted_edge_list",
+                     "to_edge_list_text"], "graph"),
+    **dict.fromkeys(["BlockParams", "GraphonStep", "Partition", "bernoulli_loglik",
+                     "dc_poisson_loglik", "graphon_eval", "mle_block_params",
+                     "poisson_complete_loglik"], "models"),
+    **dict.fromkeys(["GenConfig", "sample_sbm"], "generate"),
+    **dict.fromkeys(["VemConfig", "vem_fit"], "vem"),
+    **dict.fromkeys(["MoveDelta", "SwitchConfig", "delta_loglik", "profile_loglik", "switch_fit"],
+                    "switch"),
+    **dict.fromkeys(["LatentPositions", "McemConfig", "PosteriorSummary", "gini_uncertainty",
+                     "mcem_fit"], "mcem"),
+    **dict.fromkeys(["PartitionComparison", "rand_index"], "evaluate"),
+    **dict.fromkeys(["FitResult", "from_json", "to_json"], "results"),
+}
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name: str):
+    # an unknown name, a submodule's included, is an AttributeError, so that
+    # ``from blockmix import vem`` falls through to importing the submodule
+    if name not in _SOURCE:
+        raise AttributeError(f"module 'blockmix' has no attribute {name!r}")
+    return getattr(importlib.import_module(f"blockmix.{_SOURCE[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from blockmix.evaluate import rand_index
-from blockmix.generate import GenConfig, sample_sbm
+# The engines, generate, evaluate and results are imported by the commands
+# that run them, so starting the CLI loads only numpy, graph and models.
 from blockmix.graph import (
     EdgeListError,
     Network,
@@ -26,11 +26,7 @@ from blockmix.graph import (
     load_weighted_edge_list,
     to_edge_list_text,
 )
-from blockmix.mcem import McemConfig, mcem_fit
 from blockmix.models import MODEL_KINDS, BlockParams, Partition
-from blockmix.results import from_json, to_json
-from blockmix.switch import SwitchConfig, switch_fit
-from blockmix.vem import VemConfig, vem_fit
 
 METHODS = ("vem", "switch", "mcem")
 
@@ -93,14 +89,22 @@ def cmd_fit(args, parser) -> int:
     restarts = {} if args.restarts is None else {"restarts": args.restarts}
 
     if args.method == "vem":
+        from blockmix.vem import VemConfig, vem_fit
+
         cfg = VemConfig(K=args.K, seed=args.seed, **restarts)
         result = vem_fit(net, cfg, kind=args.model)
     elif args.method == "switch":
+        from blockmix.switch import SwitchConfig, switch_fit
+
         cfg = SwitchConfig(K=args.K, seed=args.seed, kind=args.model, **restarts)
         result = switch_fit(net, cfg)
     else:
+        from blockmix.mcem import McemConfig, mcem_fit
+
         cfg = McemConfig(K=args.K, seed=args.seed, **restarts)
         result = mcem_fit(net, cfg)
+
+    from blockmix.results import to_json
 
     Path(args.out).write_text(to_json(result), encoding="utf-8")
     if args.trace_out:
@@ -127,6 +131,8 @@ def _parse_matrix(text: str, parser) -> np.ndarray:
 
 
 def cmd_generate(args, parser) -> int:
+    from blockmix.generate import GenConfig, sample_sbm
+
     K = args.K
     pi = np.full(K, 1.0 / K) if args.pi is None else _parse_vector(args.pi, "--pi", parser)
     if pi.size != K:
@@ -166,6 +172,8 @@ def _labels_from_file(path: str):
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        from blockmix.results import from_json
+
         result = from_json(text)
         order = list(result.node_labels)
         mapping = {node: str(result.labels[i]) for i, node in enumerate(order)}
@@ -186,6 +194,8 @@ def _to_partition(order, mapping) -> Partition:
 
 
 def cmd_eval(args, parser) -> int:
+    from blockmix.evaluate import rand_index
+
     pred_map, order, result = _labels_from_file(args.predicted)
     truth_map = load_labels(Path(args.truth).read_text(encoding="utf-8"))
     for node in order:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -86,7 +87,7 @@ class Network(Derived):
         if self.value_kind not in ("binary", "count"):
             raise ValueError(f"unknown value_kind {self.value_kind!r}")
         if self.node_labels is not None:
-            self.node_labels = tuple(str(s) for s in self.node_labels)
+            self.node_labels = _distinct_labels(tuple(str(s) for s in self.node_labels))
             if len(self.node_labels) != n:
                 raise ValueError("node_labels length must equal n_nodes")
         for name in ("indptr", "indices", "data"):
@@ -201,6 +202,14 @@ class Network(Derived):
         y = np.zeros((self.n_nodes, self.n_nodes), dtype=dtype)
         y[self.row_index(), self.indices] = self.data
         return y
+
+
+def _distinct_labels(labels: tuple) -> tuple:
+    """``labels`` itself when no label repeats."""
+    if len(set(labels)) < len(labels):
+        repeated = next(s for s, count in Counter(labels).items() if count > 1)
+        raise ValueError(f"node label {repeated!r} repeats")
+    return labels
 
 
 def _tokens(line: str) -> list[str]:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from blockmix.graph import _distinct_labels
 from blockmix.models import BlockParams, GraphonStep, Partition
 
 __all__ = ["FitResult", "to_json", "from_json", "map_restarts", "restart_stream"]
@@ -115,15 +115,20 @@ def _params_obj(params: BlockParams | GraphonStep) -> dict:
 
 def _params_from_obj(obj: dict) -> BlockParams | GraphonStep:
     if obj.get("tau") is not None:
-        return GraphonStep(np.array(obj["tau"]), np.array(obj["block_matrix"]))
-    gamma = obj.get("gamma")
-    return BlockParams(
-        obj["kind"],
-        int(obj["K"]),
-        np.array(obj["pi"]),
-        np.array(obj["block_matrix"]),
-        gamma=None if gamma is None else np.array(gamma),
-    )
+        params = GraphonStep(np.array(obj["tau"]), np.array(obj["block_matrix"]))
+        _same(obj["kind"], "bernoulli")
+    else:
+        gamma = obj.get("gamma")
+        pi = np.array(obj["pi"])
+        params = BlockParams(
+            obj["kind"],
+            pi.size,
+            pi,
+            np.array(obj["block_matrix"]),
+            gamma=None if gamma is None else np.array(gamma),
+        )
+    _whole(obj["K"], params.K, params.K)  # the K that the arrays imply
+    return params
 
 
 def to_json(result: FitResult) -> str:
@@ -167,6 +172,13 @@ def _typed(types, v):
     return v
 
 
+def _same(v, expected):
+    """v itself when it equals expected."""
+    if v != expected:
+        raise ValueError(f"{v!r} differs from {expected!r}")
+    return v
+
+
 def _whole(v, low: int, high: int) -> int:
     """A JSON number without a fractional part, in low..high, as an int."""
     if not low <= _typed((int, float), v) <= high or v % 1:
@@ -178,10 +190,11 @@ def from_json(text: str) -> FitResult:
     """Parse fit-result JSON back into a FitResult, without loss.
 
     A missing or unreadable field raises ValueError naming the field.
-    The engine, model and node labels are strings, the objective and
-    trace JSON numbers; K equals the params' K, the seed and the
-    partition labels are whole numbers (labels in 1..K), and a posterior
-    needs one row of K frequencies per node.
+    The engine and the distinct node labels are strings, the objective
+    and trace JSON numbers; the model is the params' kind, K (top-level
+    and the params') is the K that the params' arrays imply, the seed and
+    the partition labels are whole numbers (labels in 1..K), and a
+    posterior needs one row of K frequencies per node.
     """
     obj = json.loads(text)
     version = obj.get("schema_version") if isinstance(obj, dict) else None
@@ -197,10 +210,11 @@ def from_json(text: str) -> FitResult:
             raise ValueError(f"malformed result file: bad field {name!r} ({exc})") from None
 
     string, number = partial(_typed, str), lambda v: float(_typed((int, float), v))
-    engine, kind = field("engine", string), field("model", string)
+    engine = field("engine", string)
     params = field("params", _params_from_obj)
+    kind = field("model", lambda v: _same(v, obj["params"]["kind"]))
     K = field("K", lambda v: _whole(v, params.K, params.K))  # the K of the params
-    node_labels = tuple(field("node_labels", lambda v: [string(x) for x in _typed(list, v)]))
+    node_labels = field("node_labels", lambda v: _distinct_labels(tuple(string(x) for x in _typed(list, v))))
     n = len(node_labels)
     return FitResult(
         engine=engine,
@@ -246,5 +260,7 @@ def map_restarts(fn: Callable, args: Sequence) -> list:
     workers = worker_count()
     if workers <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor  # serial restarts skip its import chain
+
     with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
         return list(pool.map(fn, args))

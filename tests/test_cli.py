@@ -346,6 +346,20 @@ class TestFitAndEval:
         assert err.startswith("error: malformed result file:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_eval_repeated_node_in_result_file(self, tmp_path, capsys):
+        # the repeated node "a" was once counted twice, and eval exited 0
+        fit, truth = tmp_path / "fit.json", tmp_path / "truth.labels"
+        params = {"kind": "bernoulli", "K": 1, "pi": [1.0], "block_matrix": [[0.5]], "gamma": None, "tau": None}
+        fit.write_text(json.dumps({
+            "schema_version": 1, "engine": "switch", "model": "bernoulli", "K": 1, "seed": 0, "config": {},
+            "node_labels": ["a", "a", "b", "c"], "partition": [1, 1, 1, 1], "params": params,
+            "objective": 0.0, "trace": [], "posterior": None,
+        }))
+        truth.write_text("a 1\nb 1\nc 2\n")
+        code, out, err = run(capsys, "eval", str(fit), str(truth))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: malformed result file: bad field 'node_labels'") and err.count("\n") == 1
+
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("method, model", [
         ("vem", "bernoulli"), ("vem", "poisson"),

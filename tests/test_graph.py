@@ -198,6 +198,10 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match="node_labels"):
             Network(2, False, "binary", [0, 0, 0], [], [], node_labels=("a",))
 
+    def test_repeated_node_label_rejected(self):
+        with pytest.raises(ValueError, match="node label 'a' repeats"):
+            Network(4, False, "binary", [0, 0, 0, 0, 0], [], [], node_labels=("a", "a", "b", "c"))
+
 
 class TestStatistics:
     def test_density_undirected(self):

@@ -152,15 +152,29 @@ class TestFormat:
         ("node_labels", "abcd"), ("node_labels", [1, 2, 3, 4]),
         ("K", 2.5), ("K", 3), ("K", True), ("seed", 1.7), ("seed", -1), ("seed", "42"),
         ("objective", "nan"), ("objective", None), ("trace", "12"), ("trace", [1.0, "2"]),
-        ("engine", 5), ("model", ["bernoulli"]),
+        ("engine", 5), ("model", ["bernoulli"]), ("model", "poisson"), ("node_labels", ["a", "a", "b", "c"]),
     ])
     def test_field_of_the_wrong_type_is_named(self, name, value):
         # each of these once loaded as something else (nodes "a", "b", ...;
-        # K = 2; seed 1; trace [1.0, 2.0]) or passed unchecked
+        # K = 2; seed 1; trace [1.0, 2.0]) or passed unchecked (a model
+        # other than the params' kind, a node listed twice)
         params = BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))
         obj = json.loads(to_json(_result(params)))
         obj[name] = value
         with pytest.raises(ValueError, match=f"malformed result file: bad field '{name}'"):
+            from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("graphon, key, value", [
+        (False, "K", 2.5), (False, "K", 3), (False, "K", 1),
+        (True, "K", 2.5), (True, "K", 3), (True, "kind", "poisson"),
+    ])
+    def test_params_that_contradict_their_arrays_are_named(self, graphon, key, value):
+        # "K": 2.5 once loaded as K = 2, and a graphon's kind went unread
+        params = GraphonStep([0.0, 0.5, 1.0], np.full((2, 2), 0.5)) if graphon else \
+            BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))
+        obj = json.loads(to_json(_result(params)))
+        obj["params"][key] = value
+        with pytest.raises(ValueError, match="malformed result file: bad field 'params'"):
             from_json(json.dumps(obj))
 
     def test_whole_float_labels_load(self):
