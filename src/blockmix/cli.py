@@ -76,6 +76,13 @@ def cmd_stats(args, parser) -> int:
     return 0
 
 
+def _check_out_dirs(*paths) -> None:
+    """Fail before any work if an output file's folder is missing."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"output folder {str(Path(path).parent)!r} does not exist")
+
+
 def cmd_fit(args, parser) -> int:
     if args.method == "mcem" and args.model != "bernoulli":
         parser.error("the mcem method supports the bernoulli model only")
@@ -83,6 +90,7 @@ def cmd_fit(args, parser) -> int:
         parser.error("the vem method supports the bernoulli and poisson models")
     if args.trace_out and args.method != "mcem":
         parser.error("--trace-out applies to the mcem method only")
+    _check_out_dirs(args.out, args.trace_out)
     net = _load_network(args)
     if args.K > net.n_nodes:
         parser.error("K cannot exceed the number of nodes")
@@ -156,6 +164,7 @@ def cmd_generate(args, parser) -> int:
         cfg = GenConfig(n=args.n, params=params, directed=args.directed, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
+    _check_out_dirs(args.out_prefix)
     net, part = sample_sbm(cfg)
     labels = net.labels()
     edge_path = Path(args.out_prefix + ".edges")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping
@@ -212,45 +213,39 @@ def _distinct_labels(labels: tuple) -> tuple:
     return labels
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split("#", 1)[0].split()
-
-
-def _read_edges(source, usage: str, value, default):
-    """The line loop shared by the edge-list readers.
+def _read_edges(text: str, usage: str, value, default):
+    """The tokenized lines shared by the edge-list readers.
 
     ``value(token, lineno)`` converts a third field; a line without one
-    takes ``default``, or is an error when that is None.  Returns the node
-    names and, per edge line, source and target index, value and line.
+    takes ``default``, or is an error when that is None.  The first line
+    that fails raises: on one line a self-loop before a wrong field count
+    before a bad value.  Returns the node names and, per edge line, source
+    and target index, value and line.
     """
-    if isinstance(source, str):
-        source = source.splitlines()
-    index: dict[str, int] = {}
-    src, dst, vals, lines = [], [], [], []
-    for lineno, raw in enumerate(source, start=1):
-        toks = _tokens(raw)
-        if len(toks) < 2:
-            if toks and toks[0] not in index:
-                index[toks[0]] = len(index)
-            continue
-        a, b = toks[0], toks[1]
-        if a == b:
-            raise EdgeListError(f"line {lineno}: self-loop on node {a!r}")
-        if len(toks) > 3 or (len(toks) == 2 and default is None):
-            raise EdgeListError(f"line {lineno}: expected {usage}, got {len(toks)} fields")
-        i = index.get(a)
-        if i is None:
-            i = index[a] = len(index)
-        j = index.get(b)
-        if j is None:
-            j = index[b] = len(index)
-        src.append(i)
-        dst.append(j)
-        vals.append(default if len(toks) == 2 else value(toks[2], lineno))
-        lines.append(lineno)
-    if not index:
+    from blockmix._tokenizer import split  # loaded by the first read, so CLI start does not compile it
+
+    f = split(text, 2)
+    if not f.count.size:
         raise EdgeListError("no edges")
-    return tuple(index), src, dst, vals, lines
+    src, dst = f.keys.T
+    loop = src == dst
+    bad = loop | (f.count > 3) | ((f.count == 2) & (default is None))
+    stop = int(np.argmax(bad)) if bad.any() else bad.size
+    edges = np.flatnonzero(f.count[:stop] >= 2)
+    given = f.count[edges] == 3
+    lines = f.lineno[edges]
+    tokens = f.strings(f.first[edges[given]] + 2)
+    values = [value(token, lineno) for token, lineno in zip(tokens, lines[given].tolist())]
+    if stop < bad.size:
+        if loop[stop]:
+            raise EdgeListError(f"line {f.lineno[stop]}: self-loop on node {f.strings([f.first[stop]])[0]!r}")
+        raise EdgeListError(f"line {f.lineno[stop]}: expected {usage}, got {f.count[stop]} fields")
+    if default is None:
+        vals = np.array(values)
+    else:
+        vals = np.full(edges.size, default)
+        vals[given] = values
+    return tuple(f.strings(f.names)), src[edges], dst[edges], vals, lines
 
 
 def _merge_lines(n: int, names, src, dst, vals, lines, directed: bool, binary: bool):
@@ -260,15 +255,14 @@ def _merge_lines(n: int, names, src, dst, vals, lines, directed: bool, binary: b
     undirected, both orientations of a pair must total the same.  An error
     names the last line of the pair that ends first.
     """
-    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
     # undirected keys: the unordered pair, then the orientation
     key = src * n + dst if directed else (np.minimum(src, dst) * n + np.maximum(src, dst)) * 2 + (src > dst)
     order = np.argsort(key)
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     src, dst, key = src[order[starts]], dst[order[starts]], key[starts]
-    total = np.add.reduceat(np.array(vals, dtype=np.int64)[order], starts)
-    last = np.maximum.reduceat(np.array(lines, dtype=np.int64)[order], starts)
+    total = np.add.reduceat(np.asarray(vals, dtype=np.int64)[order], starts)
+    last = np.maximum.reduceat(lines[order], starts)
     if binary and (total > 1).any():
         k = int(np.argmin(np.where(total > 1, last, _INT64_MAX)))
         raise EdgeListError(f"line {last[k]}: duplicate edge {names[src[k]]!r} {names[dst[k]]!r}")
@@ -282,7 +276,41 @@ def _merge_lines(n: int, names, src, dst, vals, lines, directed: bool, binary: b
     return src[keep], dst[keep], total[keep]
 
 
-def load_edge_list(source, directed: bool = False, value_kind: str = "binary") -> Network:
+def _int_value(token: str, lineno: int, binary: bool = False) -> int:
+    try:
+        v = int(token)
+    except ValueError:
+        raise EdgeListError(f"line {lineno}: non-numeric value {token!r}") from None
+    if v < 0:
+        raise EdgeListError(f"line {lineno}: negative value {v}")
+    if binary and v != 1:
+        raise EdgeListError(f"line {lineno}: binary edge list carries value {v}")
+    if v == 0:
+        raise EdgeListError(f"line {lineno}: count value 0 (leave non-edges out)")
+    if v > _INT64_MAX:
+        raise EdgeListError(f"line {lineno}: value {v} does not fit in 64 bits")
+    return v
+
+
+def _weight(token: str, lineno: int) -> float:
+    try:
+        w = float(token)
+    except ValueError:
+        raise EdgeListError(f"line {lineno}: non-numeric weight {token!r}") from None
+    if not 0.0 <= w <= 1.0:
+        raise EdgeListError(f"line {lineno}: weight {w} outside [0, 1]")
+    return w
+
+
+# per edge-list kind, the arguments of _read_edges after the text
+_FORMATS = {
+    "binary": ("'src dst [value]'", functools.partial(_int_value, binary=True), 1),
+    "count": ("'src dst value'", _int_value, None),
+    "weighted": ("'src dst weight'", _weight, None),
+}
+
+
+def load_edge_list(text: str, directed: bool = False, value_kind: str = "binary") -> Network:
     """Parse edge-list text into a :class:`Network`.
 
     Each non-comment line is ``src dst [value]`` (whitespace-delimited,
@@ -295,76 +323,61 @@ def load_edge_list(source, directed: bool = False, value_kind: str = "binary") -
     least 1, and duplicate (src, dst) lines sum, where in binary mode they
     are an error.  Undirected input may list a pair once or both ways
     (``a b`` and ``b a``), and then both orientations must total the same.
+    ``text`` is the whole file as a ``str``; anything else raises
+    ``TypeError``.
     """
     if value_kind not in ("binary", "count"):
         raise ValueError(f"unknown value_kind {value_kind!r}")
-    binary = value_kind == "binary"
-
-    def value(token: str, lineno: int) -> int:
-        try:
-            v = int(token)
-        except ValueError:
-            raise EdgeListError(f"line {lineno}: non-numeric value {token!r}") from None
-        if v < 0:
-            raise EdgeListError(f"line {lineno}: negative value {v}")
-        if binary and v != 1:
-            raise EdgeListError(f"line {lineno}: binary edge list carries value {v}")
-        if v == 0:
-            raise EdgeListError(f"line {lineno}: count value 0 (leave non-edges out)")
-        if v > _INT64_MAX:
-            raise EdgeListError(f"line {lineno}: value {v} does not fit in 64 bits")
-        return v
-
-    usage = "'src dst [value]'" if binary else "'src dst value'"
-    names, *parsed = _read_edges(source, usage, value, 1 if binary else None)
+    names, *parsed = _read_edges(text, *_FORMATS[value_kind])
     n = len(names)
-    edges = _merge_lines(n, names, *parsed, directed, binary)
-    del parsed  # free the line lists before the build, or the heap stays grown for later work
-    return Network.from_arrays(n, *edges, directed=directed, value_kind=value_kind, node_labels=names)
+    src, dst, total = _merge_lines(n, names, *parsed, directed, value_kind == "binary")
+    del parsed  # free the line arrays before the build, or the heap stays grown for later work
+    # the build copies the indices to int64: the smallest type that holds them keeps less alive meanwhile
+    index = np.min_scalar_type(n - 1)
+    src, dst = src.astype(index), dst.astype(index)
+    return Network.from_arrays(n, src, dst, total, directed=directed, value_kind=value_kind, node_labels=names)
 
 
-def load_weighted_edge_list(source, directed: bool = False):
+def load_weighted_edge_list(text: str, directed: bool = False):
     """Parse a real-valued edge list with weights in [0, 1].
 
     Returns ``(weights, node_labels)`` where ``weights`` maps index pairs
     to floats.  Each pair is listed once.  Use :func:`discretize_weights`
-    to turn the result into a count network.
+    to turn the result into a count network.  ``text`` is the whole file
+    as a ``str``; anything else raises ``TypeError``.
     """
-
-    def value(token: str, lineno: int) -> float:
-        try:
-            w = float(token)
-        except ValueError:
-            raise EdgeListError(f"line {lineno}: non-numeric weight {token!r}") from None
-        if not 0.0 <= w <= 1.0:
-            raise EdgeListError(f"line {lineno}: weight {w} outside [0, 1]")
-        return w
-
-    names, src, dst, vals, lines = _read_edges(source, "'src dst weight'", value, None)
-    weights: dict[tuple[int, int], float] = {}
-    for i, j, w, lineno in zip(src, dst, vals, lines):
-        key = (i, j) if directed or i < j else (j, i)
-        if key in weights:
-            raise EdgeListError(f"line {lineno}: duplicate weighted edge {names[i]!r} {names[j]!r}")
-        weights[key] = w
-    return weights, names
+    names, src, dst, vals, lines = _read_edges(text, *_FORMATS["weighted"])
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    key = src * len(names) + dst
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(key.size, dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    if repeat.any():
+        k = int(np.argmax(repeat))
+        raise EdgeListError(f"line {lines[k]}: duplicate weighted edge {names[src[k]]!r} {names[dst[k]]!r}")
+    return dict(zip(zip(src.tolist(), dst.tolist()), vals.tolist())), names
 
 
-def load_labels(source) -> dict[str, str]:
-    """Parse a ground-truth label file with ``node_id group_label`` lines."""
-    if isinstance(source, str):
-        source = source.splitlines()
-    labels: dict[str, str] = {}
-    for lineno, raw in enumerate(source, start=1):
-        toks = _tokens(raw)
-        if not toks:
-            continue
-        if len(toks) != 2:
-            raise EdgeListError(f"line {lineno}: expected 'node_id group_label'")
-        if toks[0] in labels:
-            raise EdgeListError(f"line {lineno}: duplicate node {toks[0]!r}")
-        labels[toks[0]] = toks[1]
-    return labels
+def load_labels(text: str) -> dict[str, str]:
+    """Parse a ground-truth label file with ``node_id group_label`` lines.
+
+    ``text`` is the whole file as a ``str``; anything else raises
+    ``TypeError``.
+    """
+    from blockmix._tokenizer import split  # loaded by the first read, so CLI start does not compile it
+
+    f = split(text, 1)
+    node = f.keys[:, 0]
+    repeat = np.zeros(node.size, dtype=bool)  # numbers rise at each node's first line
+    repeat[1:] = node[1:] <= np.maximum.accumulate(node)[:-1]
+    bad = (f.count != 2) | repeat
+    if bad.any():
+        k = int(np.argmax(bad))
+        if f.count[k] != 2:
+            raise EdgeListError(f"line {f.lineno[k]}: expected 'node_id group_label'")
+        raise EdgeListError(f"line {f.lineno[k]}: duplicate node {f.strings([f.first[k]])[0]!r}")
+    return dict(zip(f.strings(f.first), f.strings(f.first + 1)))
 
 
 def to_edge_list_text(net: Network) -> str:

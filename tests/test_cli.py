@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from blockmix import cli
 from blockmix.cli import main
 from blockmix.results import from_json
 
@@ -240,6 +241,18 @@ class TestGenerate:
         assert "nodes\t10" in out
 
 
+    def test_missing_output_folder_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+        import blockmix.generate
+
+        monkeypatch.setattr(blockmix.generate, "sample_sbm", lambda cfg: pytest.fail("sampled"))
+        missing = tmp_path / "missing"
+        code, out, err = run(capsys, "generate", "--n", "6", "--K", "2", "--block-matrix", "0.5,0.1;0.1,0.5",
+                             "--out-prefix", str(missing / "x"))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: output folder {str(missing)!r} does not exist\n"
+
+
 class TestFitAndEval:
     def test_switch_pipeline_recovers_truth(self, planted, tmp_path, capsys):
         edges, labels = planted
@@ -374,6 +387,22 @@ class TestFitAndEval:
                            "--restarts", "2", "--out", str(out), *flags)
         assert code == 0, err
         assert from_json(out.read_text()).labels.size == 4
+
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace-out"])
+    def test_missing_output_folder_fails_before_loading(self, flag, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "toy.edges"
+        path.write_text("a b\nb c\n")
+        missing = tmp_path / "missing"
+        outs = {"--out": str(tmp_path / "r.json"), "--trace-out": str(tmp_path / "t.tsv")}
+        outs[flag] = str(missing / "x")
+        monkeypatch.setattr(cli, "_load_network", lambda args: pytest.fail("the network was loaded"))
+        code, out, err = run(capsys, "fit", str(path), "--method", "mcem", "--K", "2",
+                             "--out", outs["--out"], "--trace-out", outs["--trace-out"])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: output folder {str(missing)!r} does not exist\n"
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestMcemCli:

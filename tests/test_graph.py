@@ -1,11 +1,14 @@
 """Edge-list parsing, serialization round trips, and graph statistics."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import lineloop
+from blockmix import _tokenizer, graph
 from blockmix.graph import (
     EdgeListError,
     Network,
@@ -102,6 +105,136 @@ class TestLoadEdgeList:
     def test_unknown_value_kind(self):
         with pytest.raises(ValueError, match="value_kind"):
             load_edge_list("a b\n", value_kind="weird")
+
+
+# every code point str.isspace accepts, and every one str.splitlines breaks on
+SPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+BREAK = [c for c in SPACE if len(f"a{c}b".splitlines()) == 2]
+INLINE = [c for c in SPACE if c not in BREAK]
+
+# names collide often (self-loops, repeated pairs); long names differ only in
+# their last or a middle word of 8 (ASCII) or 2 characters; '#' inside a token starts a comment
+NAMES = ["a", "b", "c", "ab", "é", "名", "a\x00", "\x00", "\ud800x", "𝔘", "abcdefgh", "abcdefghi",
+         "abcdefghj", "abcdefgh名", "abcdefgh1jklmnopq", "abcdefgh2jklmnopq", "名名名名名", "名名1名名",
+         "a#", "ab#c", "#c"]
+VALUES = ["1", "1", "2", "0.5", "1.0", "0", "-1", "x", "1.5", "nan", "+1", "1_0", "١", "01", str(2**63),
+          "1e0", "inf", "-0.0", "0x1"]
+name = st.one_of(st.sampled_from(NAMES), st.text(st.characters(exclude_characters=SPACE), min_size=1, max_size=10))
+value = st.sampled_from(VALUES)
+messy = st.one_of(st.tuples(name), st.tuples(name, name), st.tuples(name, name, value),
+                  st.lists(st.one_of(name, value), max_size=4))
+# lines that every reader accepts, or rejects only for a repeated pair
+tidy = st.one_of(st.tuples(name), st.tuples(name, name, st.just("1")))
+
+
+@st.composite
+def edge_texts(draw):
+    lines = []
+    for line in draw(st.lists(draw(st.sampled_from([messy, tidy])), max_size=8)):
+        gaps = draw(st.lists(st.text(st.sampled_from(INLINE), min_size=1, max_size=2),
+                             min_size=len(line) + 1, max_size=len(line) + 1))
+        gaps[0] = draw(st.sampled_from(["", gaps[0]]))
+        body = "".join(g + f for g, f in zip(gaps, line)) + draw(st.sampled_from(["", gaps[-1]]))
+        lines.append(body + draw(st.sampled_from(["", "", "#", "# x y", "#a b 1"])))
+    breaks = draw(st.lists(st.sampled_from([*BREAK, "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text if draw(st.booleans()) else text[:-1] if text and text[-1] in BREAK else text
+
+
+def outcome(read, *args):
+    """What a reader returns, its lists as Python lists, or the message of its EdgeListError."""
+    try:
+        out = read(*args)
+    except EdgeListError as exc:
+        return "error", str(exc)
+    if isinstance(out, tuple) and len(out) == 5:
+        names, *rest = out
+        return (names, *(np.asarray(a).tolist() for a in rest))
+    return out
+
+
+# a bad value before, and after, a line with a structural error
+STRUCTURE = ["a b x\nc c\n", "c c\na b x\n", "a b -1\nb c 1 2 3\n", "b c 1 2 3\na b -1\n",
+             "a b 2\nb c\n", "b c\na b 2\n", "a b 0.5\nb c\nd\n", "x\r\ny 1\r\n\r\ny y x", "a b 1.5\na a 2"]
+
+
+class TestTokenizer:
+    def test_tables_match_the_str_methods(self):
+        codes = range(0x110000)
+        assert np.array_equal(_tokenizer._IS_SPACE, [chr(c).isspace() for c in codes])
+        assert np.array_equal(_tokenizer._IS_BREAK, [len(f"a{chr(c)}b".splitlines()) == 2 for c in codes])
+
+    @settings(max_examples=250, deadline=None)
+    @given(text=edge_texts(), kind=st.sampled_from(["binary", "count", "weighted"]))
+    @example(text="", kind="binary")
+    @example(text="abcdefghi abcdefghj\nabcdefghi\tabcdefghi 1", kind="binary")
+    def test_edge_readers_match_the_line_loop(self, text, kind):
+        args = (text, *graph._FORMATS[kind])
+        assert outcome(graph._read_edges, *args) == outcome(lineloop.read_edges, *args)
+
+    @pytest.mark.parametrize("text", STRUCTURE)
+    @pytest.mark.parametrize("kind", ["binary", "count", "weighted"])
+    def test_first_failing_line_matches_the_line_loop(self, text, kind):
+        args = (text, *graph._FORMATS[kind])
+        assert outcome(graph._read_edges, *args) == outcome(lineloop.read_edges, *args)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=edge_texts(), directed=st.booleans(), kind=st.sampled_from(["binary", "count"]))
+    def test_networks_match_the_line_loop(self, text, directed, kind):
+        def old(text):
+            names, *parsed = lineloop.read_edges(text, *graph._FORMATS[kind])
+            src, dst, vals, lines = (np.array(a, dtype=np.int64) for a in parsed)
+            edges = graph._merge_lines(len(names), names, src, dst, vals, lines, directed, kind == "binary")
+            return Network.from_arrays(len(names), *edges, directed=directed, value_kind=kind, node_labels=names)
+
+        def arrays(load):
+            net = load(text)
+            return [net.node_labels, *(a.tolist() for a in (net.indptr, net.indices, net.data))]
+
+        new = lambda text: load_edge_list(text, directed, kind)  # noqa: E731
+        assert outcome(arrays, new) == outcome(arrays, old)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=edge_texts(), directed=st.booleans())
+    def test_weighted_reader_matches_the_line_loop(self, text, directed):
+        usage, value, _ = graph._FORMATS["weighted"]
+        assert (outcome(load_weighted_edge_list, text, directed)
+                == outcome(lineloop.weighted, text, usage, value, directed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=edge_texts())
+    @example(text="a 1\nb 2 # c\n  \nc 1\n")
+    def test_label_reader_matches_the_line_loop(self, text):
+        assert outcome(load_labels, text) == outcome(lineloop.labels, text)
+
+    @pytest.mark.parametrize("read", [load_edge_list, load_weighted_edge_list, load_labels])
+    def test_readers_take_text_only(self, read):
+        with pytest.raises(TypeError, match="not list"):
+            read(["a b\n", "b c\n"])
+        with pytest.raises(TypeError, match="not bytes"):
+            read(b"a b\n")
+
+    def test_load_peak_memory_per_edge_line(self):
+        # 10 000 declared nodes then 90 000 distinct edges in random
+        # orientation, as perfbench's ingest input at a fifth of its size
+        rng = np.random.default_rng(0)
+        n, m = 10_000, 90_000
+        pairs = np.unique(np.sort(rng.integers(0, n, (2 * m, 2)), axis=1), axis=0)
+        pairs = rng.permutation(pairs[pairs[:, 0] != pairs[:, 1]])[:m]
+        flip = rng.random(m) < 0.5
+        pairs[flip] = pairs[flip, ::-1]
+        names = [f"v{k}" for k in rng.permutation(n).tolist()]
+        text = "\n".join(names + [f"{names[a]} {names[b]}" for a, b in pairs.tolist()]) + "\n"
+        load_edge_list("a b\n")  # the tokenizer module's import is not part of the peak
+        tracemalloc.start()
+        try:
+            net = load_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.n_edges == m
+        # the line-loop reader peaked at 208.6 bytes per edge line here
+        assert peak / m <= 209
 
 
 class TestRoundTrip:
