@@ -155,5 +155,5 @@ def sample_sbm(cfg: GenConfig) -> tuple[Network, Partition]:
     rows, cols, values = (np.concatenate(parts) for parts in zip(*kept))
 
     value_kind = "binary" if params.kind == "bernoulli" else "count"
-    net = Network.from_arrays(n, rows, cols, values, directed=cfg.directed, value_kind=value_kind)
+    net = Network(n, rows, cols, values, directed=cfg.directed, value_kind=value_kind)
     return net, part

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
@@ -41,8 +40,9 @@ def _grouped(n: int, src: np.ndarray, dst: np.ndarray, vals: np.ndarray):
 class Derived:
     """Structures computed from an instance that is immutable by convention.
 
-    A dataclass using it declares ``_derived: dict = field(default_factory=dict,
-    init=False, repr=False, compare=False)``; pickles leave the store out.
+    The class using it keeps them in ``_derived``, a dict that starts
+    empty: a dataclass declares ``_derived: dict = field(default_factory=dict,
+    init=False, repr=False, compare=False)``.  Pickles leave the store out.
     """
 
     _derived: dict
@@ -58,9 +58,17 @@ class Derived:
         return self._derived[key]
 
 
-@dataclass(eq=False)
 class Network(Derived):
     """A binary or count-valued graph without self-loops.
+
+    Built from parallel arrays giving each edge once: ``src[k] -> dst[k]``
+    with the integer value ``values[k]``.  Zero values are left out, and an
+    undirected edge, given in either orientation, gains the other.  The
+    constructor raises ValueError for an array that is not 1-d integer
+    (an empty one of any dtype passes), a node index outside
+    ``0..n_nodes-1``, a self-loop, a negative value, a binary value other
+    than 1, a node pair given twice (undirected: in either orientation),
+    and node labels that repeat or do not number ``n_nodes``.
 
     Storage is compressed sparse row (CSR): node i's out-neighbours are
     ``indices[indptr[i]:indptr[i + 1]]`` in ascending order, with their
@@ -78,71 +86,57 @@ class Network(Derived):
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    node_labels: tuple[str, ...] | None = None
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    node_labels: tuple[str, ...] | None
 
-    def __post_init__(self):
-        n = self.n_nodes
-        if n < 1:
+    def __init__(self, n_nodes: int, src, dst, values, directed: bool = False,
+                 value_kind: str = "binary", node_labels: Iterable[str] | None = None):
+        if n_nodes < 1:
             raise ValueError("a network needs at least one node")
-        if self.value_kind not in ("binary", "count"):
-            raise ValueError(f"unknown value_kind {self.value_kind!r}")
-        if self.node_labels is not None:
-            self.node_labels = _distinct_labels(tuple(str(s) for s in self.node_labels))
-            if len(self.node_labels) != n:
+        if value_kind not in ("binary", "count"):
+            raise ValueError(f"unknown value_kind {value_kind!r}")
+        if node_labels is not None:
+            node_labels = _distinct_labels(tuple(str(s) for s in node_labels))
+            if len(node_labels) != n_nodes:
                 raise ValueError("node_labels length must equal n_nodes")
-        for name in ("indptr", "indices", "data"):
-            a = np.asarray(getattr(self, name))
+        arrays = {"src": src, "dst": dst, "values": values}
+        for name, a in arrays.items():
+            a = np.asarray(a)
             if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
                 raise ValueError(f"{name} must be a 1-d integer array")
-            setattr(self, name, a.astype(np.int64, copy=False))
-        ptr, cols, vals = self.indptr, self.indices, self.data
-        bad = (cols < 0) | (cols >= n)
+            arrays[name] = a.astype(np.int64, copy=False)
+        src, dst, vals = arrays.values()
+        if not src.size == dst.size == vals.size:
+            raise ValueError("src, dst and values must have the same length")
+        keep = vals != 0
+        src, dst, vals = src[keep], dst[keep], vals[keep]
+        outside = (src < 0) | (src >= n_nodes)
+        bad = outside | (dst < 0) | (dst >= n_nodes)
         if bad.any():
-            raise ValueError(f"node index {cols[np.argmax(bad)]} out of range")
-        if (ptr.size != n + 1 or ptr[0] != 0 or (np.diff(ptr) < 0).any()
-                or ptr[-1] != cols.size or cols.size != vals.size):
-            raise ValueError("indptr must rise from 0 to the number of stored values in n_nodes + 1 steps")
-        rows = self.row_index()
+            k = int(np.argmax(bad))
+            raise ValueError(f"node index {(src if outside[k] else dst)[k]} out of range")
         checks = [
-            (cols == rows, "self-loop stored on node {i}"),
-            (vals <= 0, "stored value for ({i}, {j}) must be a positive integer, got {v}"),
+            (src == dst, "self-loop stored on node {i}"),
+            (vals < 0, "stored value for ({i}, {j}) must be a positive integer, got {v}"),
         ]
-        if self.value_kind == "binary":
+        if value_kind == "binary":
             checks.append((vals != 1, "binary network holds value {v} at ({i}, {j})"))
         for bad, message in checks:
             if bad.any():
                 k = int(np.argmax(bad))
-                raise ValueError(message.format(i=rows[k], j=cols[k], v=vals[k]))
-        key = rows * n + cols
-        unsorted = np.diff(key) <= 0
-        if unsorted.any():
-            raise ValueError(f"row {rows[np.argmax(unsorted) + 1]} is not in ascending order or repeats a pair")
-        if not self.directed:
-            t_ptr, t_cols, t_vals = _grouped(n, cols, rows, vals)
-            t_key = np.repeat(np.arange(n), np.diff(t_ptr)) * n + t_cols
-            bad = (key != t_key) | (vals != t_vals)
-            if bad.any():
-                # the smaller of the first differing keys is stored one way only
-                k = int(np.argmax(bad))
-                i, j = divmod(int(min(key[k], t_key[k])), n)
-                raise ValueError(f"undirected network is asymmetric at ({i}, {j})")
-
-    @classmethod
-    def from_arrays(cls, n_nodes: int, src, dst, values, directed: bool = False,
-                    value_kind: str = "binary", node_labels: Iterable[str] | None = None) -> "Network":
-        """Build a network from parallel arrays giving each edge in one orientation.
-
-        Zero values are left out; undirected networks gain the mirrored
-        orientation.
-        """
-        src, dst, values = (np.asarray(a, dtype=np.int64) for a in (src, dst, values))
-        keep = values != 0
-        src, dst, values = src[keep], dst[keep], values[keep]
+                raise ValueError(message.format(i=src[k], j=dst[k], v=vals[k]))
         if not directed:
-            src, dst, values = np.concatenate((src, dst)), np.concatenate((dst, src)), np.tile(values, 2)
-        labels = tuple(node_labels) if node_labels is not None else None
-        return cls(n_nodes, directed, value_kind, *_grouped(n_nodes, src, dst, values), labels)
+            src, dst, vals = np.concatenate((src, dst)), np.concatenate((dst, src)), np.tile(vals, 2)
+        ptr, cols, data = _grouped(n_nodes, src, dst, vals)
+        # a pair given twice sits next to itself within one row
+        at = np.flatnonzero(cols[1:] == cols[:-1]) + 1
+        rows = np.searchsorted(ptr, at, side="right") - 1
+        repeat = ptr[rows] != at
+        if repeat.any():
+            k = int(np.argmax(repeat))
+            raise ValueError(f"node pair ({rows[k]}, {cols[at[k]]}) is given twice")
+        self.n_nodes, self.directed, self.value_kind = n_nodes, directed, value_kind
+        self.indptr, self.indices, self.data, self.node_labels = ptr, cols, data, node_labels
+        self._derived = {}
 
     @classmethod
     def from_edges(
@@ -161,8 +155,8 @@ class Network(Derived):
         """
         if not isinstance(edges, Mapping):
             edges = dict.fromkeys(edges, 1)
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        return cls.from_arrays(n_nodes, *pairs.T, list(edges.values()), directed, value_kind, node_labels)
+        pairs = np.array(list(edges)).reshape(-1, 2)
+        return cls(n_nodes, *pairs.T, list(edges.values()), directed, value_kind, node_labels)
 
     @property
     def n_edges(self) -> int:
@@ -332,10 +326,7 @@ def load_edge_list(text: str, directed: bool = False, value_kind: str = "binary"
     n = len(names)
     src, dst, total = _merge_lines(n, names, *parsed, directed, value_kind == "binary")
     del parsed  # free the line arrays before the build, or the heap stays grown for later work
-    # the build copies the indices to int64: the smallest type that holds them keeps less alive meanwhile
-    index = np.min_scalar_type(n - 1)
-    src, dst = src.astype(index), dst.astype(index)
-    return Network.from_arrays(n, src, dst, total, directed=directed, value_kind=value_kind, node_labels=names)
+    return Network(n, src, dst, total, directed=directed, value_kind=value_kind, node_labels=names)
 
 
 def load_weighted_edge_list(text: str, directed: bool = False):
@@ -438,7 +429,7 @@ def discretize_weights(
     """
     if not 1 <= n_bins <= 2**53:
         raise ValueError("n_bins must lie in 1..2**53")
-    pairs = np.array(list(weights), dtype=np.int64).reshape(-1, 2)
+    pairs = np.array(list(weights)).reshape(-1, 2)
     w = np.array(list(weights.values()), dtype=np.float64)
     bad = ~((w >= 0.0) & (w <= 1.0))
     if bad.any():
@@ -447,5 +438,5 @@ def discretize_weights(
     values = np.minimum(np.floor(w * n_bins), n_bins).astype(np.int64)
     if n_nodes is None:
         n_nodes = int(pairs.max(initial=-1)) + 1
-    return Network.from_arrays(n_nodes, pairs[:, 0], pairs[:, 1], values, directed=directed,
-                               value_kind="count", node_labels=node_labels)
+    return Network(n_nodes, pairs[:, 0], pairs[:, 1], values, directed=directed,
+                   value_kind="count", node_labels=node_labels)

@@ -59,13 +59,16 @@ class Partition(_ValueEq):
     K: int
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.ndim != 1 or self.labels.size == 0:
+        given = np.asarray(self.labels)
+        if given.ndim != 1 or given.size == 0:
             raise ValueError("labels must be a non-empty 1-d sequence")
         if self.K < 1:
             raise ValueError("K must be at least 1")
-        if self.labels.min() < 1 or self.labels.max() > self.K:
+        if not ((given >= 1) & (given <= self.K)).all():  # False for NaN
             raise ValueError(f"labels must lie in 1..{self.K}")
+        self.labels = given.astype(np.int64, copy=False)
+        if (self.labels != given).any():
+            raise ValueError("labels must be whole numbers")
 
     @property
     def n(self) -> int:
@@ -148,6 +151,9 @@ class GraphonStep(Derived, _ValueEq):
         K = self.tau.size - 1
         if K < 1:
             raise ValueError("tau needs at least two boundaries")
+        for name in ("tau", "P"):
+            if np.isnan(getattr(self, name)).any():
+                raise ValueError(f"{name} must not contain NaN")
         if self.tau[0] != 0.0 or abs(self.tau[-1] - 1.0) > 1e-12:
             raise ValueError("boundaries must start at 0 and end at 1")
         if np.any(np.diff(self.tau) < -1e-12):

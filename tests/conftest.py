@@ -1,11 +1,17 @@
-"""Shared pytest wiring: acceptance-gate reporting.
+"""Shared pytest wiring: Hypothesis settings and acceptance-gate reporting.
 
-Each acceptance test records its verdict through the ``gate`` fixture;
-the terminal summary then prints one PASS/FAIL line per criterion so a
-plain ``pytest -v`` run shows the whole gate at a glance.
+Hypothesis draws the same examples on every run and keeps no example
+database, so a commit's verdict does not depend on the run.  Each
+acceptance test records its verdict through the ``gate`` fixture; the
+terminal summary then prints one PASS/FAIL line per criterion so a plain
+``pytest -v`` run shows the whole gate at a glance.
 """
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("default", derandomize=True, database=None)
+settings.load_profile("default")
 
 ACCEPTANCE: dict[int, tuple[str, bool, str]] = {}
 

@@ -373,6 +373,21 @@ class TestFitAndEval:
         assert (code, out) == (1, "")
         assert err.startswith("error: malformed result file: bad field 'node_labels'") and err.count("\n") == 1
 
+    def test_eval_nan_graphon_boundary(self, tmp_path, capsys):
+        # an mcem file whose tau holds NaN was once scored with exit 0
+        fit, truth = tmp_path / "fit.json", tmp_path / "truth.labels"
+        params = {"kind": "bernoulli", "K": 2, "pi": [0.5, 0.5], "block_matrix": [[0.5, 0.1], [0.1, 0.5]],
+                  "gamma": None, "tau": [0.0, float("nan"), 1.0]}
+        fit.write_text(json.dumps({
+            "schema_version": 1, "engine": "mcem", "model": "bernoulli", "K": 2, "seed": 0, "config": {},
+            "node_labels": ["a", "b"], "partition": [1, 2], "params": params,
+            "objective": 0.0, "trace": [], "posterior": None,
+        }))
+        truth.write_text("a 1\nb 2\n")
+        code, out, err = run(capsys, "eval", str(fit), str(truth))
+        assert (code, out) == (1, "")
+        assert err == "error: malformed result file: bad field 'params' (tau must not contain NaN)\n"
+
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("method, model", [
         ("vem", "bernoulli"), ("vem", "poisson"),

@@ -185,7 +185,7 @@ class TestTokenizer:
             names, *parsed = lineloop.read_edges(text, *graph._FORMATS[kind])
             src, dst, vals, lines = (np.array(a, dtype=np.int64) for a in parsed)
             edges = graph._merge_lines(len(names), names, src, dst, vals, lines, directed, kind == "binary")
-            return Network.from_arrays(len(names), *edges, directed=directed, value_kind=kind, node_labels=names)
+            return Network(len(names), *edges, directed=directed, value_kind=kind, node_labels=names)
 
         def arrays(load):
             net = load(text)
@@ -279,45 +279,109 @@ class TestRoundTrip:
         assert same_network(mirrored, net)
 
 
+def reference_csr(n, src, dst, vals, directed):
+    """indptr, indices and data of the given edges, built with a dict: zeros out, undirected mirrored."""
+    stored = {}
+    for i, j, v in zip(src.tolist(), dst.tolist(), vals.tolist()):
+        if v:
+            stored[i, j] = v
+            if not directed:
+                stored[j, i] = v
+    pairs = sorted(stored)
+    indptr = [sum(i < row for i, _ in pairs) for row in range(n + 1)]
+    return indptr, [j for _, j in pairs], [stored[p] for p in pairs]
+
+
+@st.composite
+def edge_arrays(draw):
+    """(n, src, dst, values, directed, kind): distinct pairs in shuffled order, undirected in either orientation."""
+    n = draw(st.integers(1, 12))
+    directed, kind = draw(st.booleans()), draw(st.sampled_from(["binary", "count"]))
+    possible = [(i, j) for i in range(n) for j in range(n) if i != j and (directed or i < j)]
+    pairs = draw(st.lists(st.sampled_from(possible), unique=True) if possible else st.just([]))
+    if not directed:
+        pairs = [p[::-1] if draw(st.booleans()) else p for p in pairs]
+    top = 1 if kind == "binary" else 5
+    vals = draw(st.lists(st.integers(0, top), min_size=len(pairs), max_size=len(pairs)))
+    index = draw(st.sampled_from([np.int64, np.uint16, np.uint32]))
+    src, dst = np.array(pairs, dtype=index).reshape(-1, 2).T
+    return n, src, dst, np.array(vals, dtype=np.int64), directed, kind
+
+
 class TestNetworkValidation:
-    # Network(n_nodes, directed, value_kind, indptr, indices, data)
+    @settings(max_examples=200, deadline=None)
+    @given(case=edge_arrays())
+    def test_matches_the_dict_reference(self, case):
+        n, src, dst, vals, directed, kind = case
+        net = Network(n, src, dst, vals, directed=directed, value_kind=kind)
+        assert [a.tolist() for a in (net.indptr, net.indices, net.data)] == list(reference_csr(*case[:5]))
+        assert all(a.dtype == np.int64 for a in (net.indptr, net.indices, net.data))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=edge_arrays(), defect=st.sampled_from(
+        ["outside", "loop", "negative", "binary", "twice", "both ways", "float"]), data=st.data())
+    def test_rejects_each_bad_edge(self, case, defect, data):
+        n, src, dst, vals, directed, kind = case
+        n += 1  # room for a pair of distinct nodes
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        extra, message = {
+            "outside": ([(i, n, 1)], "node index"),
+            "loop": ([(i, i, 1)], "self-loop"),
+            "negative": ([(i, j, -1)], "must be a positive integer"),
+            "binary": ([(i, j, 2)], "binary network holds value 2"),
+            "twice": ([(i, j, 1)] * 2, "is given twice"),
+            "both ways": ([(i, j, 1), (j, i, 1)], "is given twice"),
+            "float": ([(i, j, 1)], "src must be a 1-d integer array"),  # empty arrays of any dtype pass
+        }[defect]
+        if defect == "binary":
+            kind, vals = "binary", np.minimum(vals, 1)
+        directed = directed and defect != "both ways"
+        edges = [*zip(src.tolist(), dst.tolist(), vals.tolist()), *extra]
+        edges = data.draw(st.permutations(edges))
+        src, dst, vals = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+        if defect == "float":
+            src = src.astype(np.float64)
+        with pytest.raises(ValueError, match=message):
+            Network(n, src, dst, vals, directed=directed, value_kind=kind)
+
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            Network(2, False, "binary", [0, 0, 1], [1], [1])
+        with pytest.raises(ValueError, match="self-loop stored on node 1"):
+            Network(2, [0, 1], [1, 1], [1, 1])
 
     def test_index_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Network(2, False, "binary", [0, 1, 1], [5], [1])
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="node index 5 out of range"):
+            Network(2, [0], [5], [1])
+        with pytest.raises(ValueError, match="node index 5 out of range"):
             Network.from_edges(2, {(0, 5): 1})
 
     def test_nonpositive_value_rejected(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            Network(2, False, "count", [0, 1, 2], [1, 0], [0, 0])
+        with pytest.raises(ValueError, match=r"value for \(0, 1\) must be a positive integer, got -2"):
+            Network(2, [0], [1], [-2], value_kind="count")
         with pytest.raises(ValueError, match="integer array"):
-            Network(2, False, "count", [0, 1, 2], [1, 0], [1.5, 1.5])
+            Network(2, [0], [1], [1.5], value_kind="count")
 
     def test_binary_value_must_be_one(self):
-        with pytest.raises(ValueError, match="binary network holds value"):
-            Network(2, False, "binary", [0, 1, 2], [1, 0], [2, 2])
+        with pytest.raises(ValueError, match=r"binary network holds value 2 at \(0, 1\)"):
+            Network(2, [0], [1], [2])
 
-    def test_undirected_must_be_symmetric(self):
-        with pytest.raises(ValueError, match=r"asymmetric at \(0, 1\)"):
-            Network(2, False, "binary", [0, 1, 1], [1], [1])
-        with pytest.raises(ValueError, match=r"asymmetric at \(0, 1\)"):
-            Network(2, False, "count", [0, 1, 2], [1, 0], [2, 3])
+    def test_pair_given_twice(self):
+        with pytest.raises(ValueError, match=r"node pair \(0, 1\) is given twice"):
+            Network(2, [1, 0], [0, 1], [1, 1])
+        with pytest.raises(ValueError, match=r"node pair \(1, 2\) is given twice"):
+            Network(3, [1, 1], [2, 2], [1, 1], directed=True)
+        with pytest.raises(ValueError, match="same length"):
+            Network(2, [0], [1], [1, 1])
 
-    @pytest.mark.parametrize("indptr,indices,data,message", [
-        ([0, 2, 2, 2], [2, 1], [1, 1], "row 0 is not in ascending order"),
-        ([0, 2, 2, 2], [1, 1], [1, 1], "repeats a pair"),
-        ([0, 1, 1], [1], [1], "indptr"),
-        ([1, 1, 1, 1], [], [], "indptr"),
-        ([0, 2, 1, 2], [1, 0], [1, 1], "indptr"),
-        ([0, 1, 1, 1], [1], [], "indptr"),
-    ])
-    def test_csr_layout_checked(self, indptr, indices, data, message):
-        with pytest.raises(ValueError, match=message):
-            Network(3, True, "binary", indptr, indices, data)
+    def test_non_integer_edges_rejected(self):
+        # each was truncated to an integer once
+        with pytest.raises(ValueError, match="values must be a 1-d integer array"):
+            Network.from_edges(3, {(0, 1): 2.7}, value_kind="count")
+        with pytest.raises(ValueError, match="values must be a 1-d integer array"):
+            Network(3, [0, 1], [1, 2], [1.5, 0.5], value_kind="count")
+        with pytest.raises(ValueError, match="src must be a 1-d integer array"):
+            Network(3, [0.9], [1], [1])
+        with pytest.raises(ValueError, match="dst must be a 1-d integer array"):
+            Network(3, [0], [[1]], [1])
 
     def test_from_edges_mirrors_undirected(self):
         net = Network.from_edges(3, [(0, 1)])
@@ -329,11 +393,11 @@ class TestNetworkValidation:
 
     def test_node_labels_length_checked(self):
         with pytest.raises(ValueError, match="node_labels"):
-            Network(2, False, "binary", [0, 0, 0], [], [], node_labels=("a",))
+            Network(2, [], [], [], node_labels=("a",))
 
     def test_repeated_node_label_rejected(self):
         with pytest.raises(ValueError, match="node label 'a' repeats"):
-            Network(4, False, "binary", [0, 0, 0, 0, 0], [], [], node_labels=("a", "a", "b", "c"))
+            Network(4, [], [], [], node_labels=("a", "a", "b", "c"))
 
 
 class TestStatistics:
@@ -352,12 +416,12 @@ class TestStatistics:
 
     def test_density_needs_two_nodes(self):
         with pytest.raises(ValueError, match="two nodes"):
-            density(Network(1, False, "binary", [0, 0], [], []))
+            density(Network(1, [], [], []))
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_one_node_has_no_pairs(self, directed):
         # density refuses what global_rate reads as no edge value per pair
-        net = Network(1, directed, "count", [0, 0], [], [])
+        net = Network(1, [], [], [], directed, "count")
         assert global_rate(net) == 0.0
         with pytest.raises(ValueError, match="two nodes"):
             density(net)
@@ -437,6 +501,8 @@ class TestWeightedInput:
         assert discretize_weights({(0, 1): 0.5}, n_bins=2**53).value(0, 1) == 2**52
         with pytest.raises(ValueError, match="outside"):
             discretize_weights({(0, 1): 2.0}, n_bins=4)
+        with pytest.raises(ValueError, match="src must be a 1-d integer array"):
+            discretize_weights({(0.9, 2): 0.5}, n_bins=4)
 
 
 class TestLoadLabels:

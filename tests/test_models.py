@@ -277,6 +277,14 @@ class TestValidation:
             Partition(np.array([1, 3]), 2)
         with pytest.raises(ValueError, match="at least 1"):
             Partition(np.array([1]), 0)
+        with pytest.raises(ValueError, match="1..2"):
+            Partition([1.0, np.nan], 2)
+
+    def test_partition_labels_whole(self):
+        # [1.5, 2.7] was once truncated to [1, 2]
+        with pytest.raises(ValueError, match="whole numbers"):
+            Partition([1.5, 2.7], 3)
+        assert Partition([1.0, 2.0], 2).labels.tolist() == [1, 2]
 
     def test_partition_equality(self):
         a = Partition(np.array([1, 2]), 2)
@@ -332,6 +340,13 @@ class TestGraphonStep:
             GraphonStep([0.0, 0.6, 0.4, 1.0], np.full((3, 3), 0.5))
         with pytest.raises(ValueError, match="symmetric"):
             GraphonStep([0.0, 0.5, 1.0], [[0.1, 0.2], [0.3, 0.4]])
+
+    def test_nan_rejected(self):
+        # a NaN boundary once gave pi == [nan, nan]; a NaN in P read as asymmetric
+        with pytest.raises(ValueError, match="tau must not contain NaN"):
+            GraphonStep([0.0, np.nan, 1.0], np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="P must not contain NaN"):
+            GraphonStep([0.0, 0.5, 1.0], [[0.5, np.nan], [np.nan, 0.5]])
 
     def test_equality(self):
         g = GraphonStep([0.0, 0.5, 1.0], [[0.6, 0.1], [0.1, 0.4]])

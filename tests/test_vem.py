@@ -657,7 +657,7 @@ class TestNoDenseMatrix:
         dst = rng.integers(0, n, size=30000)
         keep = src < dst
         pairs = np.unique(src[keep] * n + dst[keep])
-        net = Network.from_arrays(n, pairs // n, pairs % n, np.ones(pairs.size, dtype=np.int64))
+        net = Network(n, pairs // n, pairs % n, np.ones(pairs.size, dtype=np.int64))
         state = _random_state(rng, net, K)
         tracemalloc.start()
         try:
