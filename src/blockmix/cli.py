@@ -107,17 +107,21 @@ def cmd_fit(args, parser) -> int:
         cfg = SwitchConfig(K=args.K, seed=args.seed, kind=args.model, **restarts)
         result = switch_fit(net, cfg)
     else:
-        from blockmix.mcem import McemConfig, mcem_fit
+        from blockmix.mcem import McemConfig, mcem_fit, mcem_fit_positions
 
         cfg = McemConfig(K=args.K, seed=args.seed, **restarts)
-        result = mcem_fit(net, cfg)
+        # without a trace file the fit runs as mcem_fit, the span that perfbench times
+        if args.trace_out:
+            result, positions = mcem_fit_positions(net, cfg)
+        else:
+            result = mcem_fit(net, cfg)
 
     from blockmix.results import to_json
 
     Path(args.out).write_text(to_json(result), encoding="utf-8")
     if args.trace_out:
         lines = []
-        for it, u_hat in enumerate(result.extras.get("u_trace", []), start=1):
+        for it, u_hat in enumerate(positions, start=1):
             for node, value in zip(result.node_labels, u_hat):
                 lines.append(f"{it}\t{node}\t{format(float(value), '.17g')}")
         Path(args.trace_out).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -34,7 +34,7 @@ from blockmix.graph import Network
 from blockmix.models import (
     BlockParams, GraphonStep, Partition, _cell_sums, bernoulli_loglik, block_pair_stats, global_rate,
 )
-from blockmix.results import FitResult, map_restarts, restart_stream
+from blockmix.results import FitResult, Restart, fit_restarts, restart_stream
 
 __all__ = [
     "LatentPositions",
@@ -44,6 +44,7 @@ __all__ = [
     "gibbs_sweep",
     "m_step",
     "mcem_fit",
+    "mcem_fit_positions",
     "gini_uncertainty",
 ]
 
@@ -353,8 +354,8 @@ def m_step(net: Network, u_hat, g: GraphonStep, delta: float, K: int) -> Graphon
     return GraphonStep(tau, p)
 
 
-def _run_restart(args):
-    net, cfg, restart = args
+def _run_restart(args) -> Restart:
+    net, cfg, _kind, restart = args
     rng = restart_stream(cfg.seed, ENGINE_ID, restart)
     n, K = net.n_nodes, cfg.K
     sampler = _Sampler(net)
@@ -390,7 +391,24 @@ def _run_restart(args):
         if done:
             break
 
-    return trace[-1], z_hat, g, trace, u.copy(), u_trace
+    return Restart(trace[-1], z_hat, g, trace, (u.copy(), u_trace))
+
+
+def mcem_fit_positions(net: Network, cfg: McemConfig) -> tuple[FitResult, list[np.ndarray]]:
+    """``mcem_fit`` and the winning restart's mode positions, one vector per EM iteration."""
+    if net.value_kind != "binary":
+        raise ValueError("the graphon engine needs a binary network")
+    result, best, run = fit_restarts("mcem", "bernoulli", _run_restart, net, cfg, asdict(cfg))
+    u, u_trace = run.extra
+
+    sampler = _Sampler(net)
+    rng = restart_stream(cfg.seed, FINAL_CHAIN_ID, best)
+    counts = sampler.chain(u, *sampler.start(run.params, u), rng, cfg.final_sweeps,
+                           int(cfg.burn_in * cfg.final_sweeps), 1)
+    freq = counts / counts.sum(axis=1, keepdims=True)
+    gini = np.array([gini_uncertainty(row) for row in freq])
+    result.posterior = PosteriorSummary(freq, gini)
+    return result, u_trace
 
 
 def mcem_fit(net: Network, cfg: McemConfig) -> FitResult:
@@ -401,34 +419,4 @@ def mcem_fit(net: Network, cfg: McemConfig) -> FitResult:
     at fixed parameters, and the post-burn-in chain yields the
     assignment frequency matrix and Gini scores.
     """
-    if net.value_kind != "binary":
-        raise ValueError("the graphon engine needs a binary network")
-    if cfg.K > net.n_nodes:
-        raise ValueError("K cannot exceed the number of nodes")
-    runs = map_restarts(_run_restart, [(net, cfg, r) for r in range(cfg.restarts)])
-    best = max(range(cfg.restarts), key=lambda r: runs[r][0])
-    objective, z_hat, g, trace, u, u_trace = runs[best]
-
-    sampler = _Sampler(net)
-    rng = restart_stream(cfg.seed, FINAL_CHAIN_ID, best)
-    counts = sampler.chain(u, *sampler.start(g, u), rng, cfg.final_sweeps,
-                           int(cfg.burn_in * cfg.final_sweeps), 1)
-    freq = counts / counts.sum(axis=1, keepdims=True)
-    gini = np.array([gini_uncertainty(row) for row in freq])
-    posterior = PosteriorSummary(freq, gini)
-
-    result = FitResult(
-        engine="mcem",
-        kind="bernoulli",
-        K=cfg.K,
-        labels=z_hat + 1,
-        node_labels=net.labels(),
-        params=g,
-        objective=objective,
-        trace=trace,
-        seed=cfg.seed,
-        config=asdict(cfg),
-        posterior=posterior,
-    )
-    result.extras["u_trace"] = u_trace
-    return result
+    return mcem_fit_positions(net, cfg)[0]

@@ -1,4 +1,4 @@
-"""Fit-result container, reproducible serialization, and restart mapping.
+"""Fit-result container, reproducible serialization, and the restart driver.
 
 The on-disk format is JSON with two documented extensions of note:
 floats are written with 17 significant digits so values round-trip
@@ -12,16 +12,16 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from blockmix.graph import _distinct_labels
 from blockmix.models import BlockParams, GraphonStep, Partition
 
-__all__ = ["FitResult", "to_json", "from_json", "map_restarts", "restart_stream"]
+__all__ = ["FitResult", "Restart", "to_json", "from_json", "fit_restarts", "map_restarts", "restart_stream"]
 
 SCHEMA_VERSION = 1
 
@@ -47,7 +47,6 @@ class FitResult:
     seed: int
     config: dict[str, Any]
     posterior: Any = None  # PosteriorSummary for the mcem engine
-    extras: dict = field(default_factory=dict)  # runtime-only, never serialized
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -264,3 +263,43 @@ def map_restarts(fn: Callable, args: Sequence) -> list:
 
     with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
         return list(pool.map(fn, args))
+
+
+class Restart(NamedTuple):
+    """What one engine restart reports: ``labels`` is its 0-based partition
+    and ``extra`` holds engine state that the fit needs after the restarts."""
+
+    objective: float
+    labels: np.ndarray
+    params: BlockParams | GraphonStep
+    trace: list[float]
+    extra: Any = None
+
+
+def fit_restarts(engine: str, kind: str, restart_fn: Callable, net, cfg,
+                 config: dict) -> tuple[FitResult, int, Restart]:
+    """Best of ``cfg.restarts`` runs of ``restart_fn((net, cfg, kind, r))``.
+
+    K may not exceed the number of nodes; that is checked before any
+    restart runs.  The highest objective wins, and among equal objectives
+    the lowest restart index.  Returns the FitResult of the winner (with
+    ``config`` as its configuration echo), its index and its record.
+    """
+    if cfg.K > net.n_nodes:
+        raise ValueError("K cannot exceed the number of nodes")
+    runs = map_restarts(restart_fn, [(net, cfg, kind, r) for r in range(cfg.restarts)])
+    best = max(range(len(runs)), key=lambda r: runs[r].objective)  # max keeps the first
+    run = runs[best]
+    result = FitResult(
+        engine=engine,
+        kind=kind,
+        K=cfg.K,
+        labels=run.labels + 1,
+        node_labels=net.labels(),
+        params=run.params,
+        objective=run.objective,
+        trace=run.trace,
+        seed=cfg.seed,
+        config=config,
+    )
+    return result, best, run

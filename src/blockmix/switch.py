@@ -27,7 +27,7 @@ import numpy as np
 
 from blockmix.graph import Network, degrees
 from blockmix.models import MODEL_KINDS, Partition, _cell_sums, _xlogy, block_pair_stats, mle_block_params
-from blockmix.results import FitResult, map_restarts, restart_stream
+from blockmix.results import FitResult, Restart, fit_restarts, restart_stream
 
 __all__ = ["SwitchConfig", "MoveDelta", "delta_loglik", "profile_loglik", "switch_fit"]
 
@@ -389,14 +389,14 @@ def delta_loglik(net: Network, part: Partition, vertex: int, to: int, kind: str 
     return MoveDelta(float(value), bool(empties))
 
 
-def _run_restart(args) -> tuple[float, np.ndarray, list[float]]:
-    net, cfg, restart = args
+def _run_restart(args) -> Restart:
+    net, cfg, kind, restart = args
     rng = restart_stream(cfg.seed, ENGINE_ID, restart)
     labels0 = rng.integers(0, cfg.K, size=net.n_nodes)
-    stats = _Stats(net, labels0, cfg.K, cfg.kind)
+    stats = _Stats(net, labels0, cfg.K, kind)
     cur = stats.objective()
     trace = [cur]
-    for _ in range(cfg.max_passes):
+    for _ in range(cfg.max_passes if cfg.K > 1 else 0):  # one block leaves nothing to search
         start = cur
         # Kernighan-Lin pass: the best-gaining unmoved vertex goes first,
         # every vertex moves exactly once, keep the pass's best prefix
@@ -420,30 +420,12 @@ def _run_restart(args) -> tuple[float, np.ndarray, list[float]]:
         trace.append(cur)
         if cur <= start + 1e-9:
             break
-    return cur, stats.z.copy(), trace
+    labels = stats.z.copy()
+    params = mle_block_params(net, Partition(labels + 1, cfg.K), kind, allow_empty=True)
+    return Restart(cur, labels, params, trace)
 
 
 def switch_fit(net: Network, cfg: SwitchConfig) -> FitResult:
     """Best-of-restarts vertex-switching search."""
     _check_kind(net, cfg.kind)
-    if cfg.K > net.n_nodes:
-        raise ValueError("K cannot exceed the number of nodes")
-    if cfg.K == 1:  # nothing to search
-        labels0 = np.zeros(net.n_nodes, dtype=np.int64)
-        obj = _Stats(net, labels0, 1, cfg.kind).objective()
-        trace = [obj]
-    else:
-        runs = map_restarts(_run_restart, [(net, cfg, r) for r in range(cfg.restarts)])
-        obj, labels0, trace = max(runs, key=lambda run: run[0])
-    return FitResult(
-        engine="switch",
-        kind=cfg.kind,
-        K=cfg.K,
-        labels=labels0 + 1,
-        node_labels=net.labels(),
-        params=mle_block_params(net, Partition(labels0 + 1, cfg.K), cfg.kind, allow_empty=True),
-        objective=obj,
-        trace=trace,
-        seed=cfg.seed,
-        config=asdict(cfg),
-    )
+    return fit_restarts("switch", cfg.kind, _run_restart, net, cfg, asdict(cfg))[0]

@@ -28,7 +28,7 @@ import numpy as np
 
 from blockmix.graph import Network
 from blockmix.models import BlockParams, _pair_scale, _xlogy, global_rate
-from blockmix.results import FitResult, map_restarts, restart_stream
+from blockmix.results import FitResult, Restart, fit_restarts, restart_stream
 from blockmix.switch import _Stats
 
 __all__ = ["VemConfig", "VariationalState", "elbo", "e_step", "m_step", "vem_fit"]
@@ -308,7 +308,7 @@ def _hard_phase(net, kind, fallback, labels0, K, max_iter) -> VariationalState:
     return VariationalState(resp, params, bound)
 
 
-def _run_restart(args) -> tuple[float, np.ndarray, BlockParams, list[float]]:
+def _run_restart(args) -> Restart:
     net, cfg, kind, restart = args
     n = net.n_nodes
     fallback = global_rate(net)
@@ -331,7 +331,8 @@ def _run_restart(args) -> tuple[float, np.ndarray, BlockParams, list[float]]:
         trace.append(state.elbo)
         if trace[-1] - trace[-2] < cfg.tol:
             break
-    return state.elbo, state.resp, state.params, trace
+    # ties resolve to the lowest block
+    return Restart(state.elbo, np.argmax(state.resp, axis=1), state.params, trace)
 
 
 def vem_fit(net: Network, cfg: VemConfig, kind: str = "bernoulli") -> FitResult:
@@ -340,21 +341,4 @@ def vem_fit(net: Network, cfg: VemConfig, kind: str = "bernoulli") -> FitResult:
         raise ValueError("vem supports the bernoulli and poisson kinds")
     if kind == "bernoulli" and net.value_kind != "binary":
         raise ValueError("bernoulli fit needs a binary network")
-    if cfg.K > net.n_nodes:
-        raise ValueError("K cannot exceed the number of nodes")
-    runs = map_restarts(_run_restart, [(net, cfg, kind, r) for r in range(cfg.restarts)])
-    best = max(range(cfg.restarts), key=lambda r: runs[r][0])
-    best_elbo, resp, params, trace = runs[best]
-    labels = np.argmax(resp, axis=1) + 1  # ties resolve to the lowest block
-    return FitResult(
-        engine="vem",
-        kind=kind,
-        K=cfg.K,
-        labels=labels,
-        node_labels=net.labels(),
-        params=params,
-        objective=best_elbo,
-        trace=trace,
-        seed=cfg.seed,
-        config={**asdict(cfg), "kind": kind},
-    )
+    return fit_restarts("vem", kind, _run_restart, net, cfg, {**asdict(cfg), "kind": kind})[0]

@@ -8,7 +8,9 @@ import pytest
 
 from blockmix import cli
 from blockmix.cli import main
-from blockmix.results import from_json
+from blockmix.graph import load_edge_list
+from blockmix.mcem import McemConfig, mcem_fit_positions
+from blockmix.results import from_json, to_json
 
 
 def run(capsys, *argv):
@@ -440,6 +442,15 @@ class TestMcemCli:
         assert 0.0 <= float(first[2]) < 1.0
         iterations = {int(l.split("\t")[0]) for l in lines}
         assert len(lines) == len(iterations) * 24
+        # the winning restart's positions: one block of 24 lines per EM iteration of its trace
+        result = from_json(open(out).read())
+        assert sorted(iterations) == list(range(1, len(result.trace) + 1))
+        net = load_edge_list(open(prefix + ".edges").read())
+        fit, positions = mcem_fit_positions(net, McemConfig(K=2, seed=0, restarts=3))
+        assert to_json(fit) == open(out).read()
+        expected = [f"{it}\t{node}\t{format(float(v), '.17g')}"
+                    for it, u_hat in enumerate(positions, start=1) for node, v in zip(net.labels(), u_hat)]
+        assert lines == expected
 
         code, text, _ = run(capsys, "eval", out, prefix + ".labels", "--uncertain", "2")
         assert code == 0

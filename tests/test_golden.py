@@ -3,8 +3,9 @@
 Each case builds a small planted network from its own numpy stream (so
 a change to ``blockmix.generate`` cannot move it), fits it with one
 engine, and hashes ``to_json`` of the result.  mcem cases also hash the
-per-iteration ``u_trace`` that ``--trace-out`` writes, and one case per
-orientation pins the positions after 200 ``gibbs_sweep`` calls.
+winning restart's per-iteration positions that ``--trace-out`` writes
+(from ``mcem_fit_positions``), and one case per orientation pins the
+positions after 200 ``gibbs_sweep`` calls.
 ``vemK<K>`` cases fit vem with K = 6 or 10 to a sparse four-block graph,
 where the hard warm-start candidates drain blocks and meet zero-edge
 block pairs (and, at K = 10, complete block pairs with p = 1).
@@ -49,6 +50,11 @@ JSON echoes the configuration, so each file lost its ``"greedy": false``
 line and the comma before it.  Partitions, objectives and traces stayed
 byte for byte the same (CHANGES.md shows the diff of each case).
 
+No hash moved when the three engines' restart loops became one driver,
+``results.fit_restarts``, and the positions left ``FitResult`` for
+``mcem_fit_positions``: the digest hashes the same bytes in the same
+order.
+
 The six ``sample`` hashes were recorded from the sampler that enumerated
 all n(n-1)/2 candidate pairs at once, before it drew them in row blocks;
 the row blocks draw the same uniforms in the same order and kept them.
@@ -69,7 +75,7 @@ import pytest
 
 from blockmix.generate import GenConfig, sample_sbm
 from blockmix.graph import Network, to_edge_list_text
-from blockmix.mcem import McemConfig, gibbs_sweep, mcem_fit
+from blockmix.mcem import McemConfig, gibbs_sweep, mcem_fit_positions
 from blockmix.models import BlockParams, GraphonStep, Partition
 from blockmix.results import to_json
 from blockmix.switch import SwitchConfig, delta_loglik, switch_fit
@@ -104,28 +110,29 @@ def _mcem_cfg():
 
 
 def _fit(case: str):
+    """The case's result and, for mcem, the winning restart's positions."""
     engine, model, orient = case.split("-")
     directed = orient == "directed"
     count = model != "bernoulli"
     if engine.startswith("vemK"):
         # four blocks, about three neighbours per node
         net = _planted(13 if directed else 12, 80, directed, count, 4, 0.12, 0.01, 1.5)
-        return vem_fit(net, VemConfig(K=int(engine[4:]), restarts=2, seed=5), kind=model)
+        return vem_fit(net, VemConfig(K=int(engine[4:]), restarts=2, seed=5), kind=model), []
     net = _planted(11 if directed else 7, 30, directed, count)
     if engine == "vem":
-        return vem_fit(net, VemConfig(K=2, restarts=2, seed=1), kind=model)
+        return vem_fit(net, VemConfig(K=2, restarts=2, seed=1), kind=model), []
     if engine == "switch":
-        return switch_fit(net, SwitchConfig(K=2, restarts=2, seed=2, kind=model))
+        return switch_fit(net, SwitchConfig(K=2, restarts=2, seed=2, kind=model)), []
     if engine.startswith("switchK"):
-        return switch_fit(net, SwitchConfig(K=int(engine[7:]), restarts=2, seed=4, kind=model))
+        return switch_fit(net, SwitchConfig(K=int(engine[7:]), restarts=2, seed=4, kind=model)), []
     if engine == "mcemthin":
         # E steps of 3 to 5 sweeps keep no fifth sample
         cfg = McemConfig(K=3, em_max_iter=6, sweeps_base=3, sweeps_increment=1, sweeps_cap=6,
                          thinning=5, restarts=2, final_sweeps=50, seed=6)
-        return mcem_fit(net, cfg)
+        return mcem_fit_positions(net, cfg)
     if engine == "mcembusy":
-        return mcem_fit(net, replace(_mcem_cfg(), K=3, seed=8))
-    return mcem_fit(net, _mcem_cfg())
+        return mcem_fit_positions(net, replace(_mcem_cfg(), K=3, seed=8))
+    return mcem_fit_positions(net, _mcem_cfg())
 
 
 def _sample(case: str):
@@ -170,9 +177,9 @@ def _digest(case: str) -> str:
                         move = delta_loglik(net, part, v, to, kind)
                         h.update(np.float64(move.value).tobytes() + bytes([move.empties_block]))
         return h.hexdigest()
-    result = _fit(case)
+    result, positions = _fit(case)
     h.update(to_json(result).encode())
-    for u_hat in result.extras.get("u_trace", []):
+    for u_hat in positions:
         h.update(np.asarray(u_hat, dtype=np.float64).tobytes())
     return h.hexdigest()
 

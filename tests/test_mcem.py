@@ -23,6 +23,7 @@ from blockmix.mcem import (
     gini_uncertainty,
     m_step,
     mcem_fit,
+    mcem_fit_positions,
 )
 from blockmix.models import BlockParams, GraphonStep, _cell_sums
 from netfixtures import random_network, same_network
@@ -598,13 +599,15 @@ class TestMcemFit:
     def test_posterior_summary_shape(self):
         params = BlockParams("bernoulli", 2, [0.5, 0.5], [[0.5, 0.05], [0.05, 0.5]])
         net, _ = sample_sbm(GenConfig(30, params, seed=20))
-        fit = mcem_fit(net, self._small_cfg())
+        fit, positions = mcem_fit_positions(net, self._small_cfg())
         assert fit.posterior.freq.shape == (30, 2)
         assert np.allclose(fit.posterior.freq.sum(axis=1), 1.0)
         assert fit.posterior.gini.shape == (30,)
         # clean planted structure concentrates almost every node
         assert fit.posterior.gini.mean() > 0.8
-        assert "u_trace" in fit.extras
+        # one position vector per EM iteration
+        assert len(positions) == len(fit.trace)
+        assert all(u.shape == (30,) for u in positions)
 
     def test_deterministic(self):
         rng = np.random.default_rng(25)

@@ -1,15 +1,19 @@
-"""Result serialization: lossless floats, determinism, restart mapping."""
+"""Result serialization: lossless floats, determinism, the restart driver."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockmix.graph import Network
 from blockmix.mcem import McemConfig, PosteriorSummary, mcem_fit
 from blockmix.models import BlockParams, GraphonStep
 from blockmix.results import (
     FitResult,
+    Restart,
+    fit_restarts,
     from_json,
     map_restarts,
     restart_stream,
@@ -21,7 +25,7 @@ from blockmix.vem import VemConfig, vem_fit
 from netfixtures import random_network
 
 
-def _result(params, posterior=None, extras=None):
+def _result(params, posterior=None):
     n = 4
     return FitResult(
         engine="switch",
@@ -35,7 +39,6 @@ def _result(params, posterior=None, extras=None):
         seed=42,
         config={"restarts": 3, "max_passes": 100},
         posterior=posterior,
-        extras=extras or {},
     )
 
 
@@ -88,14 +91,6 @@ class TestRoundTrip:
         back = from_json(to_json(res))
         assert np.array_equal(back.posterior.freq, post.freq)
         assert np.array_equal(back.posterior.gini, post.gini)
-
-    def test_extras_never_serialized(self):
-        params = BlockParams("bernoulli", 1, [1.0], [[0.5]])
-        res = _result(params, extras={"u_trace": np.zeros(3)})
-        res.labels = np.array([1, 1, 1, 1])
-        text = to_json(res)
-        assert "u_trace" not in text
-        assert from_json(text).extras == {}
 
     def test_labels_and_config_preserved(self):
         params = BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))
@@ -207,6 +202,46 @@ class TestRestartStream:
         assert not np.array_equal(base, restart_stream(3, 2, 1).random(4))
         assert not np.array_equal(base, restart_stream(3, 1, 0).random(4))
         assert not np.array_equal(base, restart_stream(4, 2, 0).random(4))
+
+
+_TIE_PARAMS = BlockParams("bernoulli", 2, [0.5, 0.5], [[0.5, 0.1], [0.1, 0.5]])
+
+
+def _tied_restart(args):
+    """Restarts 1 and 2 share the best objective; each labels nodes by its index."""
+    net, cfg, kind, restart = args
+    objective = -1.0 if restart in (1, 2) else -5.0
+    labels = np.full(net.n_nodes, restart % cfg.K)
+    return Restart(objective, labels, _TIE_PARAMS, [-9.0, objective], extra=restart)
+
+
+def _must_not_run(args):
+    raise AssertionError("a restart ran")
+
+
+class TestFitRestarts:
+    def _cfg(self, K, restarts=4):
+        return SimpleNamespace(K=K, restarts=restarts, seed=7)
+
+    def test_first_of_equal_objectives_wins(self, monkeypatch):
+        monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
+        net = Network.from_edges(3, [(0, 1)])
+        result, best, run = fit_restarts("switch", "bernoulli", _tied_restart, net, self._cfg(2), {"a": 1})
+        assert best == 1
+        assert run.extra == 1
+        assert result.labels.tolist() == [2, 2, 2]  # restart 2 would give [1, 1, 1]
+        assert result.objective == -1.0
+        assert result.trace == [-9.0, -1.0]
+        assert result.params is _TIE_PARAMS
+        assert (result.engine, result.kind, result.K, result.seed) == ("switch", "bernoulli", 2, 7)
+        assert result.node_labels == net.labels()
+        assert result.config == {"a": 1}
+
+    def test_k_above_n_raises_before_any_restart(self, monkeypatch):
+        monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
+        net = Network.from_edges(3, [(0, 1)])
+        with pytest.raises(ValueError, match="exceed"):
+            fit_restarts("vem", "bernoulli", _must_not_run, net, self._cfg(4), {})
 
 
 class TestMapRestarts:
