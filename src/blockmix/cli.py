@@ -107,14 +107,10 @@ def cmd_fit(args, parser) -> int:
         cfg = SwitchConfig(K=args.K, seed=args.seed, kind=args.model, **restarts)
         result = switch_fit(net, cfg)
     else:
-        from blockmix.mcem import McemConfig, mcem_fit, mcem_fit_positions
+        from blockmix.mcem import McemConfig, mcem_fit_positions
 
         cfg = McemConfig(K=args.K, seed=args.seed, **restarts)
-        # without a trace file the fit runs as mcem_fit, the span that perfbench times
-        if args.trace_out:
-            result, positions = mcem_fit_positions(net, cfg)
-        else:
-            result = mcem_fit(net, cfg)
+        result, positions = mcem_fit_positions(net, cfg)
 
     from blockmix.results import to_json
 

@@ -271,7 +271,7 @@ class Restart(NamedTuple):
 
     objective: float
     labels: np.ndarray
-    params: BlockParams | GraphonStep
+    params: BlockParams | GraphonStep | None
     trace: list[float]
     extra: Any = None
 

@@ -420,12 +420,12 @@ def _run_restart(args) -> Restart:
         trace.append(cur)
         if cur <= start + 1e-9:
             break
-    labels = stats.z.copy()
-    params = mle_block_params(net, Partition(labels + 1, cfg.K), kind, allow_empty=True)
-    return Restart(cur, labels, params, trace)
+    return Restart(cur, stats.z.copy(), None, trace)  # switch_fit fits the winner's params
 
 
 def switch_fit(net: Network, cfg: SwitchConfig) -> FitResult:
     """Best-of-restarts vertex-switching search."""
     _check_kind(net, cfg.kind)
-    return fit_restarts("switch", cfg.kind, _run_restart, net, cfg, asdict(cfg))[0]
+    result = fit_restarts("switch", cfg.kind, _run_restart, net, cfg, asdict(cfg))[0]
+    result.params = mle_block_params(net, result.partition, cfg.kind, allow_empty=True)
+    return result

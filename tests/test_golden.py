@@ -50,11 +50,6 @@ JSON echoes the configuration, so each file lost its ``"greedy": false``
 line and the comma before it.  Partitions, objectives and traces stayed
 byte for byte the same (CHANGES.md shows the diff of each case).
 
-No hash moved when the three engines' restart loops became one driver,
-``results.fit_restarts``, and the positions left ``FitResult`` for
-``mcem_fit_positions``: the digest hashes the same bytes in the same
-order.
-
 The six ``sample`` hashes were recorded from the sampler that enumerated
 all n(n-1)/2 candidate pairs at once, before it drew them in row blocks;
 the row blocks draw the same uniforms in the same order and kept them.
