@@ -290,9 +290,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# generate's value lists, whose entries may be negative ("-2.3,-4;-4,-2.3")
+_VALUE_LISTS = ("--pi", "--block-matrix", "--gamma")
+
+
+def _join_value_lists(argv: list[str]) -> list[str]:
+    """Join each value-list option with a following token that starts with one '-'.
+
+    argparse reads a token such as "-1,0" as an option, not as a value;
+    "--gamma -1,0" becomes "--gamma=-1,0", which it reads as the value.
+    A following "--option" is left alone, so a missing value is still
+    argparse's usage error.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _VALUE_LISTS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_value_lists(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args, parser)
     except (ValueError, OSError) as exc:  # EdgeListError is a ValueError

@@ -5,11 +5,13 @@ stream id), so each pair's value is a pure function of the seed and the
 pair's position in the canonical enumeration.  Output is identical
 however pair sampling is scheduled.
 
-The candidate pairs are drawn in row blocks of at most ``_PAIR_BLOCK``
-pairs, in canonical order, from the one pair stream; a block keeps only
-its non-zero pairs.  A generator draws the same doubles however its
-draws are split, so memory is O(block + edges) while time stays O(n^2)
-uniform draws, and the output bytes do not depend on the block size.
+One uniform per candidate pair is drawn from the one pair stream, in
+canonical order and in chunks of at most ``_PAIR_BLOCK`` doubles; a
+generator draws the same doubles however its draws are split.  Each chunk
+is screened on its uniforms alone: only the pairs whose uniform lets them
+be non-zero get a row, a column, a cell and a value.  Time is O(n^2)
+uniform draws plus O(candidates), memory O(chunk + edges), and the output
+bytes depend neither on the chunk size nor on the screen.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ _LABEL_STREAM = 0
 _PAIR_STREAM = 1
 # per-pair streams for large-rate Poisson rejection sampling
 _POISSON_STREAM_BASE = 1 << 63
-# most candidate pairs in one row block (a block holds one row at least)
+# most pair uniforms drawn and screened at once
 _PAIR_BLOCK = 1 << 20
 # the largest rate numpy's Generator.poisson accepts
 _POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
@@ -73,43 +75,57 @@ def _poisson_small(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         out[mask] += 1
 
 
-def _pair_blocks(n: int, directed: bool):
-    """Yield (index of the first pair, rows, cols) of each row block.
+def _screen_bound(params: BlockParams) -> float:
+    """The screen's bound on a pair's uniform u: bernoulli keeps the pairs
+    with u < bound, the Poisson kinds those with u >= bound.
 
-    Pairs run in canonical order: row-major over i != j when directed,
-    over i < j otherwise.  A block holds whole rows, at most
-    ``_PAIR_BLOCK`` pairs unless a single row is longer.
+    A bernoulli pair is non-zero only if u < its cell, so only if
+    u < max cell.  Below rate 10 a Poisson pair is zero exactly when
+    u < exp(-rate) (``_poisson_small``); with a bound rate at least every
+    pair's and below 10, only a pair with u >= exp(-bound rate) can be
+    non-zero.  The factor 1 - 2**-40 absorbs the rounding of the rates and
+    decides no value.  Otherwise the bound is 0 and every pair is kept.
     """
-    lengths = np.full(n, n - 1) if directed else np.arange(n - 1, -1, -1)
-    ends = np.cumsum(lengths)
-    first, i0 = 0, 0
-    while first < ends[-1]:
-        i1 = max(int(np.searchsorted(ends, first + _PAIR_BLOCK, side="right")), i0 + 1)
-        row_len = lengths[i0:i1]
-        rows = np.repeat(np.arange(i0, i1), row_len)
-        # each pair's position within its row, then its column
-        cols = np.arange(rows.size)
-        cols -= np.repeat(ends[i0:i1] - row_len - first, row_len)
-        cols += cols >= rows if directed else rows + 1
-        yield first, rows, cols
-        first, i0 = int(ends[i1 - 1]), i1
+    bm = params.block_matrix
+    if params.kind == "bernoulli":
+        return float(bm.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = np.exp(bm.max())
+        if params.kind == "dc_poisson":
+            rate = rate * np.exp(2 * params.gamma.max())
+    return float(np.exp(-rate) * (1 - 2.0**-40)) if rate < 10.0 else 0.0  # NaN fails too
 
 
-def _sample_block(cfg: GenConfig, labels0, pair_gen, first: int, rows, cols):
-    """Draw one row block's pairs; return the rows, columns and values of the non-zero ones."""
+def _pair_ends(n: int, directed: bool, idx: np.ndarray):
+    """Row and column of each pair, given its index in the canonical order.
+
+    Pairs run row-major over i != j when directed, over i < j otherwise.
+    """
+    if directed:
+        rows, cols = np.divmod(idx, n - 1)
+        cols += cols >= rows
+        return rows, cols
+    ends = np.cumsum(np.arange(n - 1, 0, -1))  # one past each row's last pair
+    rows = np.searchsorted(ends, idx, side="right")
+    return rows, idx - ends[rows] + n
+
+
+def _sample_pairs(cfg: GenConfig, labels0, idx, u):
+    """Rows, columns and values of the non-zero pairs among those with
+    canonical indices ``idx`` and uniforms ``u``."""
     params = cfg.params
-    u = pair_gen.random(rows.size)
+    rows, cols = _pair_ends(cfg.n, cfg.directed, idx)
     cell = params.block_matrix[labels0[rows], labels0[cols]]
     if params.kind == "bernoulli":
         values = (u < cell).astype(np.int64)
     else:
-        values = _poisson_values(cfg, labels0, first, rows, cols, cell, u)
+        values = _poisson_values(cfg, labels0, idx, rows, cols, cell, u)
     keep = values != 0
     return rows[keep], cols[keep], values[keep]
 
 
-def _poisson_values(cfg: GenConfig, labels0, first: int, rows, cols, cell, u) -> np.ndarray:
-    """Poisson draws for one row block whose first pair has index ``first``."""
+def _poisson_values(cfg: GenConfig, labels0, idx, rows, cols, cell, u) -> np.ndarray:
+    """Poisson draws for the pairs with canonical indices ``idx``."""
     params = cfg.params
     with np.errstate(over="ignore", invalid="ignore"):
         lam = np.exp(cell)
@@ -127,7 +143,7 @@ def _poisson_values(cfg: GenConfig, labels0, first: int, rows, cols, cell, u) ->
     small = lam < 10.0
     values[small] = _poisson_small(lam[small], u[small])
     for at in np.flatnonzero(~small):
-        gen = _stream(cfg.seed, _POISSON_STREAM_BASE + first + int(at))
+        gen = _stream(cfg.seed, _POISSON_STREAM_BASE + int(idx[at]))
         values[at] = gen.poisson(lam[at])
     return values
 
@@ -150,8 +166,15 @@ def sample_sbm(cfg: GenConfig) -> tuple[Network, Partition]:
     labels0 = np.minimum(np.searchsorted(cum, u_labels, side="right"), K - 1)
     part = Partition(labels0 + 1, K)
 
+    n_pairs = n * (n - 1) if cfg.directed else n * (n - 1) // 2
+    bound = _screen_bound(params)
     pair_gen = _stream(cfg.seed, _PAIR_STREAM)
-    kept = [_sample_block(cfg, labels0, pair_gen, *block) for block in _pair_blocks(n, cfg.directed)]
+    buf = np.empty(min(_PAIR_BLOCK, n_pairs))
+    kept = []
+    for first in range(0, n_pairs, buf.size):
+        u = pair_gen.random(out=buf[: n_pairs - first])
+        at = np.flatnonzero(u < bound if params.kind == "bernoulli" else u >= bound)
+        kept.append(_sample_pairs(cfg, labels0, first + at, u[at]))
     rows, cols, values = (np.concatenate(parts) for parts in zip(*kept))
 
     value_kind = "binary" if params.kind == "bernoulli" else "count"

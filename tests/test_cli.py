@@ -8,8 +8,9 @@ import pytest
 
 from blockmix import cli
 from blockmix.cli import main
-from blockmix.graph import load_edge_list
+from blockmix.graph import load_edge_list, to_edge_list_text
 from blockmix.mcem import McemConfig, mcem_fit_positions
+from blockmix.models import BlockParams
 from blockmix.results import from_json, to_json
 
 
@@ -242,6 +243,46 @@ class TestGenerate:
         _, out, _ = run(capsys, "stats", "--count", str(tmp_path / "p.edges"))
         assert "nodes\t10" in out
 
+
+    @pytest.mark.parametrize(
+        "model, flags",
+        [
+            ("poisson", ("--block-matrix", "-0.3,-2;-2,-0.3")),
+            ("dc_poisson", ("--block-matrix", "-0.3,-2;-2,-0.3", "--gamma", "-1,0,0.5,-0.5,0,0,1,-0.2")),
+        ],
+    )
+    def test_negative_value_lists_in_both_forms(self, model, flags, tmp_path, capsys):
+        from blockmix.generate import GenConfig, sample_sbm
+
+        base = ("generate", "--n", "8", "--K", "2", "--model", model, "--seed", "4")
+        joined = tuple(f"{opt}={value}" for opt, value in zip(flags[::2], flags[1::2]))
+        for prefix, form in (("spaced", flags), ("joined", joined)):
+            code, _, err = run(capsys, *base, *form, "--out-prefix", str(tmp_path / prefix))
+            assert code == 0, err
+        text = (tmp_path / "spaced.edges").read_text()
+        assert text == (tmp_path / "joined.edges").read_text()
+        assert (tmp_path / "spaced.labels").read_text() == (tmp_path / "joined.labels").read_text()
+        gamma = np.array(flags[3].split(","), dtype=float) if model == "dc_poisson" else None
+        params = BlockParams(model, 2, [0.5, 0.5], [[-0.3, -2.0], [-2.0, -0.3]], gamma=gamma)
+        net, _ = sample_sbm(GenConfig(8, params, seed=4))
+        assert net.n_edges > 0 and text == to_edge_list_text(net)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--seed", "-1"), "argument --seed: must be at least 0"),
+            (("--pi", "-0.5,1.5"), "simplex"),
+            (("--gamma", "--directed"), "argument --gamma: expected one argument"),
+        ],
+    )
+    def test_negative_values_after_a_value_list(self, flags, message, tmp_path, capsys):
+        argv = ["generate", "--n", "4", "--K", "2", "--model", "poisson",
+                "--block-matrix", "-1,-2;-2,-1", *flags, "--out-prefix", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_output_folder_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
         import blockmix.generate

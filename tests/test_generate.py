@@ -8,6 +8,7 @@ import pytest
 import blockmix.generate as generate
 from blockmix.generate import GenConfig, sample_sbm
 from blockmix.models import BlockParams
+import pairloop
 from netfixtures import same_network
 
 
@@ -127,19 +128,16 @@ def _block_params(kind: str, directed: bool) -> BlockParams:
 
 class TestRowBlocks:
     @pytest.mark.parametrize("directed", [False, True])
-    @pytest.mark.parametrize("n, block", [(2, 1), (5, 1), (9, 3), (9, 8), (9, 100), (30, 29), (30, 87)])
-    def test_blocks_cover_the_canonical_order(self, n, block, directed, monkeypatch):
-        monkeypatch.setattr(generate, "_PAIR_BLOCK", block)
-        blocks = list(generate._pair_blocks(n, directed))
-        rows = np.concatenate([b[1] for b in blocks])
-        cols = np.concatenate([b[2] for b in blocks])
+    @pytest.mark.parametrize("n", [2, 5, 9, 30])
+    def test_pair_index_maps_to_the_canonical_order(self, n, directed):
+        n_pairs = n * (n - 1) if directed else n * (n - 1) // 2
+        rows, cols = generate._pair_ends(n, directed, np.arange(n_pairs))
         expect = np.nonzero(~np.eye(n, dtype=bool)) if directed else np.triu_indices(n, k=1)
         assert np.array_equal(rows, expect[0]) and np.array_equal(cols, expect[1])
-        assert [b[0] for b in blocks] == list(np.cumsum([0] + [b[1].size for b in blocks[:-1]]))
-        for _, r, _ in blocks:
-            # whole rows, and no more pairs than a block holds unless it is one row
-            assert r.size <= block or np.unique(r).size == 1
-            assert np.array_equal(np.unique(r), np.arange(r[0], r[-1] + 1))
+        # any subset, in any order, maps pair by pair
+        pick = np.random.default_rng(n).permutation(n_pairs)[: n_pairs // 2 + 1]
+        rows, cols = generate._pair_ends(n, directed, pick)
+        assert np.array_equal(rows, expect[0][pick]) and np.array_equal(cols, expect[1][pick])
 
     @pytest.mark.parametrize("kind", ["bernoulli", "poisson", "dc_poisson"])
     @pytest.mark.parametrize("directed", [False, True])
@@ -204,3 +202,120 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="symmetric"):
             GenConfig(6, params)
         GenConfig(6, params, directed=True)
+
+
+def _screen_cases():
+    """(params, n, directed) for the differential tests against the enumeration, with ids."""
+    rng = np.random.default_rng(8)
+    log = np.log
+    cases = []
+    for directed in (False, True):
+        for kind in ("bernoulli", "poisson", "dc_poisson"):
+            # rate 20 in block pair (3, 3): the Poisson screen is off
+            cases.append((f"{kind}-rate20", _block_params(kind, directed), 40, directed))
+        sparse = np.array([[0.3, 0.02, 0.05], [0.02, 0.2, 0.01], [0.05, 0.01, 0.4]])
+        if directed:
+            sparse = sparse * np.array([[1.0, 0.6, 1.4], [1.2, 1.0, 0.9], [0.7, 1.1, 1.0]])
+        pi = [0.3, 0.3, 0.4]
+        cases += [
+            ("bernoulli-sparse", BlockParams("bernoulli", 3, pi, sparse), 60, directed),
+            ("poisson-sparse", BlockParams("poisson", 3, pi, log(sparse)), 60, directed),
+            ("dc_poisson-sparse", BlockParams("dc_poisson", 3, pi, log(sparse),
+                                              gamma=rng.normal(0.0, 0.5, 60)), 60, directed),
+            ("bernoulli-zero", BlockParams("bernoulli", 2, [0.5, 0.5], np.zeros((2, 2))), 30, directed),
+            ("bernoulli-one", BlockParams("bernoulli", 2, [0.5, 0.5], [[1.0, 0.1], [0.1, 0.3]]), 30, directed),
+            ("poisson-minus-inf", BlockParams("poisson", 2, [0.5, 0.5], [[-np.inf, log(0.5)], [log(0.5), 0.0]]),
+             30, directed),
+            ("poisson-all-minus-inf", BlockParams("poisson", 1, [1.0], [[-np.inf]]), 30, directed),
+            # the largest rate just under 10 (screen on, barely) and just over (screen off)
+            ("poisson-under-10", BlockParams("poisson", 2, [0.5, 0.5], log([[9.999, 0.3], [0.3, 0.5]])), 30,
+             directed),
+            ("poisson-over-10", BlockParams("poisson", 2, [0.5, 0.5], log([[10.001, 0.3], [0.3, 0.5]])), 30,
+             directed),
+            ("dc_poisson-under-10", BlockParams("dc_poisson", 1, [1.0], [[log(9.999) - 1.0]],
+                                                gamma=np.r_[0.5, rng.uniform(-2.0, 0.5, 29)]), 30, directed),
+            # large |gamma|: mostly -20 with one large pair rate, then +-20 mixed
+            ("dc_poisson-gamma-low", BlockParams("dc_poisson", 2, [0.5, 0.5], log(sparse[:2, :2]),
+                                                 gamma=np.r_[np.full(28, -20.0), 1.0, 1.0]), 30, directed),
+            ("dc_poisson-gamma-wide", BlockParams("dc_poisson", 2, [0.5, 0.5], log(sparse[:2, :2]),
+                                                  gamma=rng.choice([-20.0, -5.0, 0.0, 5.0, 20.0], 30)), 30,
+             directed),
+        ]
+    return [pytest.param(*case[1:], id=f"{case[0]}-{'directed' if case[3] else 'undirected'}") for case in cases]
+
+
+def _outcome(sampler, cfg):
+    try:
+        return sampler(cfg)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_outcome(cfg):
+    ours, theirs = _outcome(sample_sbm, cfg), _outcome(pairloop.sample, cfg)
+    if isinstance(theirs, str):
+        return ours == theirs
+    return not isinstance(ours, str) and same_network(ours[0], theirs[0]) and ours[1] == theirs[1]
+
+
+class TestAgainstEnumeration:
+    """sample_sbm screens chunks of pair uniforms; the enumerating sampler evaluates every pair."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("params, n, directed", _screen_cases())
+    def test_same_draw(self, params, n, directed, seed):
+        cfg = GenConfig(n, params, directed=directed, seed=seed)
+        assert _same_outcome(cfg)
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson", "dc_poisson"])
+    @pytest.mark.parametrize("n, directed", [(1500, False), (1100, True)])
+    def test_several_default_chunks(self, kind, n, directed):
+        bm = np.array([[0.02, 0.002], [0.002, 0.01]])
+        if kind != "bernoulli":
+            bm = np.log(bm * 2)
+        gamma = np.random.default_rng(n).normal(0.0, 0.3, n) if kind == "dc_poisson" else None
+        cfg = GenConfig(n, BlockParams(kind, 2, [0.4, 0.6], bm, gamma=gamma), directed=directed, seed=5)
+        assert cfg.n * (cfg.n - 1) // (1 if directed else 2) > generate._PAIR_BLOCK
+        assert _same_outcome(cfg)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            BlockParams("poisson", 2, [0.5, 0.5], [[0.0, 0.0], [0.0, 50.0]]),
+            BlockParams("poisson", 2, [0.5, 0.5], [[0.0, 0.0], [0.0, np.inf]]),
+            BlockParams("poisson", 2, [0.5, 0.5], [[800.0, 0.0], [0.0, 800.0]]),
+            BlockParams("dc_poisson", 1, [1.0], [[0.0]], gamma=np.r_[0.0, 0.0, 0.0, 0.0, 22.0, 22.0, 0.0, 0.0]),
+            BlockParams("dc_poisson", 1, [1.0], [[0.0]], gamma=np.r_[np.inf, 0.0, -np.inf, 0.0, 0, 0, 0, 0]),
+            BlockParams("dc_poisson", 1, [1.0], [[-np.inf]], gamma=np.r_[np.inf, np.zeros(7)]),
+        ],
+    )
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_unsampleable_rates_raise_the_same_error(self, params, directed):
+        cfg = GenConfig(8, params, directed=directed, seed=1)
+        message = _outcome(sample_sbm, cfg)
+        assert isinstance(message, str) and message.startswith("node pair (")
+        assert _same_outcome(cfg)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_screen_keeps_every_pair_that_can_be_nonzero(self, seed):
+        # a pair is zero when its uniform is below exp(-rate); the screen may drop only such pairs
+        rng = np.random.default_rng(seed)
+        n, K = 50, 3
+        omega = rng.uniform(-3.0, 0.5, (K, K))
+        gamma = np.minimum(rng.normal(0.0, 0.3, n), 0.4)
+        gamma[:2] = gamma.max()  # some pair meets the bound rate
+        params = BlockParams("dc_poisson", K, np.full(K, 1 / K), omega, gamma=gamma)
+        bound = generate._screen_bound(params)
+        assert bound > 0
+        lam = np.exp(omega)[:, :, None, None] * np.exp(gamma[:, None] + gamma[None, :])
+        assert bound <= np.exp(-lam).min()
+
+    @pytest.mark.parametrize("kind", ["poisson", "dc_poisson"])
+    def test_screen_is_off_from_rate_10(self, kind):
+        # from rate 10 up, a pair's zero is drawn from its own stream, so no uniform rules it out
+        def bound(rate):
+            gamma = np.zeros(4) if kind == "dc_poisson" else None
+            return generate._screen_bound(BlockParams(kind, 2, [0.5, 0.5], np.log([[rate, 1.0], [1.0, 1.0]]), gamma=gamma))
+
+        assert bound(9.999) == pytest.approx(np.exp(-9.999))
+        assert bound(10.0) == bound(10.001) == bound(np.inf) == 0.0
