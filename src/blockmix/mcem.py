@@ -34,7 +34,7 @@ from blockmix.graph import Network
 from blockmix.models import (
     BlockParams, GraphonStep, Partition, _cell_sums, bernoulli_loglik, block_pair_stats, global_rate,
 )
-from blockmix.results import FitResult, Restart, fit_restarts, restart_stream
+from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream
 
 __all__ = [
     "LatentPositions",
@@ -88,11 +88,8 @@ class McemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
-        if min(self.em_max_iter, self.sweeps_base, self.sweeps_increment, self.sweeps_cap,
-               self.thinning, self.restarts, self.final_sweeps) < 1:
-            raise ValueError("schedule values must be positive")
+        check_config(self, ("K", "em_max_iter", "sweeps_base", "sweeps_increment", "sweeps_cap", "thinning",
+                            "restarts", "final_sweeps"))
         if not 0 <= self.burn_in < 1:
             raise ValueError("burn_in must lie in [0, 1)")
 

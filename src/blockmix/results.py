@@ -230,6 +230,19 @@ def from_json(text: str) -> FitResult:
     )
 
 
+def check_config(cfg, counts: Sequence[str]) -> None:
+    """Raise ValueError naming the field unless each of ``counts`` is a whole number of at least 1
+    and the seed one in 0..2**64-1; bools and floats are not whole numbers here."""
+    def whole(v):
+        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+    for name in counts:
+        if not whole(getattr(cfg, name)) or getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be a positive whole number (at least 1), got {getattr(cfg, name)!r}")
+    if not whole(cfg.seed) or not 0 <= cfg.seed < 2**64:
+        raise ValueError(f"seed must be a whole number in 0..2**64-1, got {cfg.seed!r}")
+
+
 def restart_stream(seed: int, engine_id: int, restart: int) -> np.random.Generator:
     """Counter-based stream for one engine restart.
 
@@ -282,14 +295,22 @@ def fit_restarts(engine: str, kind: str, restart_fn: Callable, net, cfg,
 
     K may not exceed the number of nodes; that is checked before any
     restart runs.  The highest objective wins, and among equal objectives
-    the lowest restart index.  Returns the FitResult of the winner (with
-    ``config`` as its configuration echo), its index and its record.
+    the lowest restart index; only the best record so far is kept.
+    Returns the FitResult of the winner (with ``config`` as its
+    configuration echo), its index and its record.
     """
     if cfg.K > net.n_nodes:
         raise ValueError("K cannot exceed the number of nodes")
-    runs = map_restarts(restart_fn, [(net, cfg, kind, r) for r in range(cfg.restarts)])
-    best = max(range(len(runs)), key=lambda r: runs[r].objective)  # max keeps the first
-    run = runs[best]
+    # restarts run one at a time, or in batches of two a worker when pooled,
+    # and only the best record is kept from one batch to the next
+    size = 1 if worker_count() <= 1 else 2 * worker_count()
+    best = run = None
+    for start in range(0, cfg.restarts, size):
+        batch = [(net, cfg, kind, i) for i in range(start, min(start + size, cfg.restarts))]
+        for r, record in enumerate(map_restarts(restart_fn, batch), start):
+            if run is None or record.objective > run.objective:  # as max does: the first best stays
+                best, run = r, record
+        del record
     result = FitResult(
         engine=engine,
         kind=kind,

@@ -27,7 +27,7 @@ import numpy as np
 
 from blockmix.graph import Network, degrees
 from blockmix.models import MODEL_KINDS, Partition, _cell_sums, _xlogy, block_pair_stats, mle_block_params
-from blockmix.results import FitResult, Restart, fit_restarts, restart_stream
+from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream
 
 __all__ = ["SwitchConfig", "MoveDelta", "delta_loglik", "profile_loglik", "switch_fit"]
 
@@ -43,12 +43,7 @@ class SwitchConfig:
     kind: str = "bernoulli"
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
+        check_config(self, ("K", "restarts", "max_passes"))
 
 
 class MoveDelta(NamedTuple):

@@ -7,17 +7,22 @@ M step never decreases the bound, which the test suite asserts on random
 instances.
 
 Each restart starts with a hard (classification) phase on the
-vertex-switching engine's count tables (``switch._Stats``).  It scores
-runs of nodes at once with the soft E step's expression, bit for bit, so
-its decisions are those of the seed's dense hard E step: O(n K^2) per
-sweep plus O(K^2) for each node scored again after a move.  The soft
+vertex-switching engine's count tables (``switch._Stats``).  The soft
 phase reads only the stored pairs: O(m K + n K^2) per iteration for m
 stored pairs, in O(m + n K) memory.  Both phases end each iteration in
-the same closed-form M step, ``_m_step``, fed from the count tables or
-from ``_soft_stats``.
+the same closed-form M step, ``_m_step``, and score a node with one
+expression, ``_scorer``: per block, one dot product of the node's
+coefficients (its values toward and from each block, the other nodes'
+block totals, and 1) with the log tables regrouped as
+``log pi + t (A - B) + others B``.  The soft E step scores one node at a
+time, the hard sweep a run of nodes, and a node's scores have the same
+bytes either way.  The regrouped sums round differently from the seed's
+term-by-term expression (within 1e-12 relative), so where two blocks'
+scores tie up to the last bits a hard decision may differ from the seed's.
 
 A p = 0, p = 1 or zero-rate cell puts -inf in a log table; every score and
-bound takes 0 * (-inf) = 0 by one rule, ``_sum`` on tables split once.
+bound takes 0 * (-inf) = 0 by one rule, on tables split once into their
+finite parts and their -inf cells (``_split``).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from blockmix.graph import Network
 from blockmix.models import BlockParams, _pair_scale, _xlogy, global_rate
-from blockmix.results import FitResult, Restart, fit_restarts, restart_stream
+from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream
 from blockmix.switch import _Stats
 
 __all__ = ["VemConfig", "VariationalState", "elbo", "e_step", "m_step", "vem_fit"]
@@ -45,12 +50,9 @@ class VemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1 or self.restarts < 1:
-            raise ValueError("max_iter and restarts must be at least 1")
+        check_config(self, ("K", "max_iter", "restarts"))
+        if not isinstance(self.tol, (int, float)) or isinstance(self.tol, bool) or not 0 < self.tol < float("inf"):
+            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
 
 
 @dataclass
@@ -76,30 +78,20 @@ def _pair_tables(params: BlockParams):
     return _split(params.block_matrix), (np.exp(params.block_matrix), None)
 
 
-def _sides(params: BlockParams, directed: bool) -> list:
-    """``_pair_tables`` for the values toward each block, and from each block (transposed) when directed."""
-    tables = _pair_tables(params)
-    flipped = tuple((value.T, None if neginf is None else neginf.T) for value, neginf in tables)
-    return [tables, flipped] if directed else [tables]
+def _sum(*terms) -> float:
+    """The sum of the products coef * table over ``terms`` and all their cells.
 
-
-def _sum(*terms, axis=-1):
-    """The sum over ``axis`` of the products coef * table, added up over ``terms`` cell by cell.
-
-    Each term pairs coefficients with a ``_split`` table they broadcast
-    against.  The products take the tables' finite parts, and a sum is
-    -inf where a coefficient of at least 1e-9 meets a -inf cell: for
-    whole-number counts, any count > 0.  Coefficients nearer zero are
-    rounding noise, such as a p = 1 cell's non-edge count of -1e-17.
+    Each term pairs coefficients with a ``_split`` table; the products take
+    its finite part, and the sum is -inf where a coefficient of at least
+    1e-9 meets a -inf cell: for whole-number counts, any count > 0.
+    Smaller coefficients are rounding noise, such as a p = 1 cell's
+    non-edge count of -1e-17.
     """
-    total = hit = None
+    total, hit = None, False
     for coef, (value, neginf) in terms:
         total = coef * value if total is None else total + coef * value
-        if neginf is not None:
-            meets = np.add.reduce((coef >= 1e-9) * neginf, axis=axis) > 0
-            hit = meets if hit is None else hit | meets
-    total = np.add.reduce(total, axis=axis)
-    return total if hit is None else np.where(hit, -np.inf, total)
+        hit = hit or (neginf is not None and bool(((coef >= 1e-9) * neginf).any()))
+    return -np.inf if hit else np.add.reduce(total, axis=None)
 
 
 def _soft_stats(net: Network, resp: np.ndarray):
@@ -114,8 +106,8 @@ def _bound(edge, pairs, colsum, entropy: float, directed: bool, params: BlockPar
     """The bound from block-pair statistics and the responsibility entropy."""
     table_a, table_b = _pair_tables(params)
     rest = pairs - edge if params.kind == "bernoulli" else -pairs
-    pair_term = _sum((edge, table_a), (rest, table_b), axis=None)
-    mix_term = _sum((colsum, _split(np.log(params.pi))), axis=None)
+    pair_term = _sum((edge, table_a), (rest, table_b))
+    mix_term = _sum((colsum, _split(np.log(params.pi))))
     return float(pair_term * _pair_scale(directed) + mix_term + entropy)
 
 
@@ -124,57 +116,83 @@ def _entropy(resp: np.ndarray) -> float:
     return -_xlogy(resp, resp).sum()
 
 
-def _softmax_row(score: np.ndarray) -> np.ndarray:
-    m = score.max()
-    if m == -np.inf:
-        return np.full(score.size, 1.0 / score.size)
-    w = np.exp(score - m)
-    return w / w.sum()
+def _scorer(params: BlockParams, directed: bool):
+    """``score(c)``: each block's score, log pi plus the expected pair terms, for rows of coefficients ``c``.
 
-
-def _node_score(t_out, t_in, others, log_pi, sides, bernoulli: bool) -> np.ndarray:
-    """One node's E-step score for each block: log pi plus its expected pair terms.
-
-    ``t_out`` (``t_in``) holds the node's values toward (from) each block
-    weighted by the other nodes' responsibilities, ``others`` the other
-    nodes' block totals, and ``sides`` the ``_sides`` tables; ``t_in`` is
-    None for undirected networks.  The soft E step scores a node with this
-    expression, and so does the hard sweep (``_run_scorer`` reproduces it
-    bit for bit).
+    A row holds a node's values toward each block (``t``; when directed,
+    then its values from each block), weighted by the other nodes'
+    responsibilities, then the other nodes' block totals (``others``),
+    then 1.  With A and B the ``_split`` finite parts of the
+    ``_pair_tables``, block k scores log pi_k + t.(A - B)_k + others.B_k
+    (bernoulli) or log pi_k + t.log lambda_k - others.lambda_k (poisson),
+    a directed network's sides stacked as row k and then column k.  A
+    score is -inf where a coefficient of at least 1e-9 meets a -inf cell
+    (the ``_sum`` rule): of A through t, of B through others - t.
     """
-    score = log_pi
-    for t, (table_a, table_b) in zip((t_out, t_in), sides):
-        if bernoulli:
-            score = score + _sum((t, table_a)) + _sum((others - t, table_b))
-        else:
-            score = score + _sum((t, table_a)) - table_b[0] @ others
+    K, n_t = params.K, params.K * (1 + directed)
+    (a, a_inf), (b, b_inf) = _pair_tables(params)
+    bernoulli = params.kind == "bernoulli"
+
+    def stack(table):
+        return np.hstack((table, table.T)) if directed else table
+
+    rest = b + b.T if directed else b
+    weights = np.hstack((stack(a - b if bernoulli else a), rest if bernoulli else -rest, np.log(params.pi)[:, None]))
+    a_hits = None if a_inf is None else stack(a_inf).T
+    b_hits = None if b_inf is None else stack(b_inf).T
+
+    def score(c: np.ndarray) -> np.ndarray:
+        s = np.vecdot(c[..., None, :], weights)
+        if a_hits is None and b_hits is None:
+            return s
+        t = c[..., :n_t]
+        hits = 0.0 if a_hits is None else (t >= 1e-9) @ a_hits
+        if b_hits is not None:
+            others_minus_t = c[..., None, n_t:n_t + K] - t.reshape(*t.shape[:-1], n_t // K, K)
+            hits = hits + (others_minus_t.reshape(t.shape) >= 1e-9) @ b_hits
+        s[hits > 0] = -np.inf
+        return s
+
     return score
+
+
+def _neighbours(net: Network):
+    """Each node's neighbours as CSR: row pointers (Python ints), columns, and a row of values per side.
+
+    Directed, node i's out-neighbours come before its in-neighbours, and
+    each value row is 0 in the other side's places.
+    """
+    vals = net.data.astype(np.float64)
+    if not net.directed:
+        return net.indptr.tolist(), net.indices, vals[None, :]
+    in_ptr, in_nbrs, in_vals = net.transpose()
+    # a stable sort by node keeps each node's out-entries, listed first, before its in-entries
+    order = np.argsort(np.concatenate((net.row_index(), np.repeat(np.arange(net.n_nodes), np.diff(in_ptr)))),
+                       kind="stable")
+    values = np.zeros((2, order.size))
+    values[0, :vals.size], values[1, vals.size:] = vals, in_vals
+    return (net.indptr + in_ptr).tolist(), np.concatenate((net.indices, in_nbrs))[order], values[:, order]
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _e_step(net: Network, state: VariationalState) -> np.ndarray:
     """Responsibilities after one soft sweep over the CSR rows; the bound is left to the caller."""
-    params = state.params
-    resp = state.resp.copy()
+    resp, K = state.resp.copy(), state.params.K
+    score = _scorer(state.params, net.directed)
+    ptr, nbrs, values = net.derived("vem.neighbours", _neighbours)
+    # one coefficient row, rewritten in place for each node: t (a row per side), others, 1
+    c = np.ones(values.shape[0] * K + K + 1)
+    t, others = c[:-K - 1].reshape(-1, K), c[-K - 1:-1]
     colsum = resp.sum(axis=0)
-    sides = _sides(params, net.directed)
-    log_pi = np.log(params.pi)
-    bernoulli = params.kind == "bernoulli"
-    # Python-int bounds: slicing with them is cheaper than with NumPy scalars
-    ptr, nbrs, vals = net.indptr.tolist(), net.indices, net.data.astype(np.float64)
-    if net.directed:
-        in_ptr, in_nbrs, in_vals = net.transpose()
-        in_ptr, in_vals = in_ptr.tolist(), in_vals.astype(np.float64)
-    t_in = None
     for i in range(net.n_nodes):
         lo, hi = ptr[i], ptr[i + 1]
-        t_out = vals[lo:hi] @ resp.take(nbrs[lo:hi], axis=0)
-        if net.directed:
-            lo, hi = in_ptr[i], in_ptr[i + 1]
-            t_in = in_vals[lo:hi] @ resp.take(in_nbrs[lo:hi], axis=0)
-        score = _node_score(t_out, t_in, colsum - resp[i], log_pi, sides, bernoulli)
-        row = _softmax_row(score)
-        colsum += row - resp[i]
+        np.matmul(values[:, lo:hi], resp.take(nbrs[lo:hi], axis=0), out=t)
+        np.subtract(colsum, resp[i], out=others)
+        s = score(c)
+        m = np.maximum.reduce(s)
+        row = np.exp(s - m) if m > -np.inf else np.ones(K)  # a row of -inf scores becomes uniform
+        row /= np.add.reduce(row)
+        np.add(others, row, out=colsum)
         resp[i] = row
     return resp
 
@@ -185,10 +203,7 @@ def _m_step(kind: str, edge, pairs, colsum, entropy: float, n: int, directed: bo
     """Closed-form block rates (the fallback where a cell has no pairs) and weights, and their bound."""
     rate = np.where(pairs > 1e-12, edge / np.maximum(pairs, 1e-12), fallback)
     pi = colsum / n
-    if kind == "bernoulli":
-        params = BlockParams("bernoulli", colsum.size, pi, np.clip(rate, 0.0, 1.0))
-    else:
-        params = BlockParams("poisson", colsum.size, pi, np.log(rate))
+    params = BlockParams(kind, colsum.size, pi, np.clip(rate, 0.0, 1.0) if kind == "bernoulli" else np.log(rate))
     return params, _bound(edge, pairs, colsum, entropy, directed, params)
 
 
@@ -233,35 +248,6 @@ def _hard_m_step(st: _Stats, fallback: float) -> tuple[BlockParams, float]:
     return _m_step(st.kind, st.edge, np.outer(s, s) - np.diag(s), s, -0.0, st.n, st.directed, fallback)
 
 
-def _run_scorer(st: _Stats, sides, log_pi):
-    """``scores(lo, hi)``: the ``_node_score`` of nodes lo..hi-1 in their current blocks.
-
-    The scores equal one ``_node_score`` call per node bit for bit: each
-    product is the same, each row sums its K products in the same order,
-    and the terms add up in the same order.  A node in block c has the
-    other nodes' totals sizes - e_c, and poisson's ``table_b @ others`` is
-    one matrix-vector product per block.
-    """
-    eye = np.eye(st.K)
-    bernoulli = st.kind == "bernoulli"
-
-    def scores(lo: int, hi: int) -> np.ndarray:
-        z = st.z[lo:hi]
-        # poisson's products take fresh 1-D vectors, as _node_score's do
-        others = (st.sizes - eye)[z] if bernoulli else [st.sizes - e for e in eye]
-        score = log_pi
-        for vcount, (table_a, table_b) in zip((st.vcount_out, st.vcount_in), sides):
-            t = vcount[lo:hi]
-            if bernoulli:
-                rest = _sum(((others - t)[:, None, :], table_b))
-            else:
-                rest = -np.array([table_b[0] @ o for o in others])[z]
-            score = score + _sum((t[:, None, :], table_a)) + rest
-        return score
-
-    return scores
-
-
 # nodes scored by a sweep's first run; a run doubles while nobody moves
 _FIRST_RUN = 16
 
@@ -270,19 +256,21 @@ _FIRST_RUN = 16
 def _hard_sweep(st: _Stats, params: BlockParams) -> bool:
     """One hard E step in node index order; True when a node changed block.
 
-    Node i joins the argmax of its ``_node_score`` given every other
-    node's current block.  That is the seed's dense hard E step on
-    one-hot responsibilities, so every decision is the seed's, including
-    scores that tie up to the last bit.  Runs of nodes are scored at once
-    (``_run_scorer``); the first node of a run that leaves its block
-    moves, and the next run starts after it.  Zero-rate and p = 1 cells
-    take the same -inf rule as in the soft E step (``_sum``).
+    Node i joins the argmax of its ``_scorer`` row given every other
+    node's current block: the seed's dense hard E step on one-hot
+    responsibilities, with the regrouped score.  Runs of nodes are scored
+    at once; the first node of a run that leaves its block moves, and the
+    next run starts after it.
     """
-    scores = _run_scorer(st, _sides(params, st.directed), np.log(params.pi))
-    z, i, run, changed = st.z, 0, _FIRST_RUN, False
+    score, z, eye, ones = _scorer(params, st.directed), st.z, np.eye(st.K), np.ones((st.n, 1))
+    counts = [st.vcount_out, st.vcount_in][:1 + st.directed]
+    i, run, changed = 0, _FIRST_RUN, False
     while i < st.n:
-        top = scores(i, i + run).argmax(axis=1)
-        moved = top != z[i:i + run]
+        rows = slice(i, i + run)
+        # a node in block c has the other nodes' totals sizes - e_c
+        c = np.concatenate([t[rows] for t in counts] + [st.sizes - eye[z[rows]], ones[rows]], axis=1)
+        top = score(c).argmax(axis=1)
+        moved = top != z[rows]
         j = int(moved.argmax())
         if not moved[j]:
             i += run
@@ -302,10 +290,7 @@ def _hard_phase(net, kind, fallback, labels0, K, max_iter) -> VariationalState:
         if not _hard_sweep(st, params):
             break
         params, bound = _hard_m_step(st, fallback)
-    n = net.n_nodes
-    resp = np.zeros((n, K))
-    resp[np.arange(n), st.z] = 1.0
-    return VariationalState(resp, params, bound)
+    return VariationalState(np.eye(K)[st.z], params, bound)
 
 
 def _run_restart(args) -> Restart:

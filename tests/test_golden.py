@@ -34,15 +34,26 @@ moved by at most 2.3e-13 (CHANGES.md lists each case).
 No hash moved when the rounding margins and their reference fallbacks
 were deleted.  The mcem sweep now decides from its scalar count-table
 sum, which may differ from the former reference dot products in the last
-bits; no case here meets a decision that close.  vem's hard sweep scores
-runs of nodes with an expression equal bit for bit to the soft E step's
-``_node_score``, the seed's own decision expression.
+bits; no case here meets a decision that close.  vem's hard sweep then
+scored runs of nodes with an expression equal bit for bit to the soft E
+step's per-node score, the seed's own decision expression.
 
 No hash moved either when vem's three codings of the rule 0 * (-inf) = 0
 became one (``_mul``, the run scorer's own mask, and the per-node
 ``_reference_sweep`` that hard sweeps with a p = 1 cell took): each log
 table is split once into its finite part and a -inf mask, and the
 scores and bounds equal the former ones byte for byte.
+
+Seven of the ten ``vem*`` hashes were re-recorded when vem's two node
+scorers (the soft E step's per-node expression and the hard sweep's run
+scorer) became one regrouped scorer, ``vem._scorer``: a dot product per
+block of the node's coefficients with log pi, A - B and B (or log lambda
+and -lambda), in place of the seed's term-by-term sums.  The sums round
+differently, so the last bits of the responsibilities, parameters,
+bounds and trace moved.  Every one of the ten fits kept its partition
+and its trace length, and its objective moved by at most 2.3e-13;
+``vem-bernoulli-directed`` and both ``vem-poisson`` cases kept their
+bytes (CHANGES.md lists each case).
 
 The ten ``switch*`` hashes were re-recorded when ``SwitchConfig`` lost
 its ``greedy`` field (and the ``greedy`` cases went with it): the result
@@ -172,24 +183,29 @@ def _digest(case: str) -> str:
                         move = delta_loglik(net, part, v, to, kind)
                         h.update(np.float64(move.value).tobytes() + bytes([move.empties_block]))
         return h.hexdigest()
+    return _fit_digest(case)[0]
+
+
+def _fit_digest(case: str):
+    """The digest of a fit case and its result."""
     result, positions = _fit(case)
-    h.update(to_json(result).encode())
+    h = hashlib.sha256(to_json(result).encode())
     for u_hat in positions:
         h.update(np.asarray(u_hat, dtype=np.float64).tobytes())
-    return h.hexdigest()
+    return h.hexdigest(), result
 
 
 GOLDEN = {
-    "vem-bernoulli-undirected": "e0197261636bdf99862e7dae0fdd02a5f842e1e0a38dceb321f6419027a77806",
+    "vem-bernoulli-undirected": "e9598360dbdb932a11f5cda27ef88de311708c56dd0106a630c9627b42021a16",
     "vem-bernoulli-directed": "d0e2121536dadce0878cad650bf05b5f35a903f76162ab3bc4f409a2e839b11c",
     "vem-poisson-undirected": "43e580b4e4a1d3df23efb021e0f061bb3affc6f3e792665f134e888f0615ee37",
     "vem-poisson-directed": "556256bd810d00ee78b8deb85110a7f4373ff46c4e4390d18a3b8e628f3d5195",
-    "vemK6-bernoulli-undirected": "a890736a5187c307c3257e286b7ca98660beb1d1f700c9586d26589a1bbced7b",
-    "vemK6-bernoulli-directed": "7e9b8fc1fdb5caf410a65f5dbf8c54983d0a500f4eb4e05499407238c7b8b2a0",
-    "vemK6-poisson-undirected": "37c52b757f672b60263e72012807488838574b13c84fd212bf02a533d1def3ad",
-    "vemK6-poisson-directed": "2e4ca4c63e0ff45300e2e184e7841aba126b96ecae174f09cf92dd22b80dc94b",
-    "vemK10-bernoulli-undirected": "f7152e8da88f6f9ad80f1e6b558e04868d988e3bf54f04e7848ae6d13da76a06",
-    "vemK10-bernoulli-directed": "792ec5dfe80e52701163e634786f69cecf47e2adcfa58354bd87166c544e82e1",
+    "vemK6-bernoulli-undirected": "b22e1baac8b296a435fc95509f636c77d23bd9a61fb0890c23e356a44e0a333d",
+    "vemK6-bernoulli-directed": "3cb17d2747f5df898f85d94689cba46979636d44eaa1c6d6b0fb0f80843dfc08",
+    "vemK6-poisson-undirected": "64aa2b192430aeaac154e657a51fe4f3f85ee82ef861d83c639400c81d81aa67",
+    "vemK6-poisson-directed": "00970bb3513106705d1ab3287ee892db39397d0fef72436a22bd7b2add2cc7f8",
+    "vemK10-bernoulli-undirected": "0a5990097a64e2fabe37e5e587e67007738bb5393582f2113415e3f9176e2a29",
+    "vemK10-bernoulli-directed": "8894e4b42bd721b3bc16526774ee450a32ec67973c120ce4d048dc292275b744",
     "switch-bernoulli-undirected": "8fd724e406a640a15fae77a507d0c66302911f5d68962677e5e2ed192fcebe71",
     "switch-bernoulli-directed": "cd4f8a035672a085afe428853c0edb175d88480c633b94d167ee63525faa8f8d",
     "switch-poisson-undirected": "6fc48586447cabfec59106f208b71ad5401be95c31c5bc92e5555ac59a1587e8",
@@ -228,9 +244,17 @@ def test_golden_hash(case, monkeypatch):
 if __name__ == "__main__":
     # print every case's digest, e.g. to record new cases against another
     # checkout's sources: PYTHONPATH=<checkout>/src python tests/test_golden.py
+    # A fit case also prints the first 16 hex digits of its partition's
+    # sha256, its trace length and its objective, so two checkouts' fits
+    # can be compared where their digests differ.
     import os
 
     os.environ.pop("BLOCKMIX_WORKERS", None)
     for case in sorted(GOLDEN):
-        digest = _digest(case)
-        print(f"{case} {digest} {'ok' if digest == GOLDEN[case] else 'DIFFERS'}")
+        if case.startswith(("sample-", "gibbs-", "delta-")):
+            digest, fit = _digest(case), ""
+        else:
+            digest, result = _fit_digest(case)
+            part = hashlib.sha256(result.labels.astype(np.int64).tobytes()).hexdigest()[:16]
+            fit = f" partition {part} trace {len(result.trace)} objective {result.objective!r}"
+        print(f"{case} {digest} {'ok' if digest == GOLDEN[case] else 'DIFFERS'}{fit}")

@@ -1,6 +1,7 @@
 """Result serialization: lossless floats, determinism, the restart driver."""
 
 import json
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -242,6 +243,89 @@ class TestFitRestarts:
         net = Network.from_edges(3, [(0, 1)])
         with pytest.raises(ValueError, match="exceed"):
             fit_restarts("vem", "bernoulli", _must_not_run, net, self._cfg(4), {})
+
+
+class _Tracked:
+    """A restart record's payload, counted while it is alive."""
+
+    alive = weakref.WeakSet()
+
+    def __init__(self):
+        _Tracked.alive.add(self)
+
+
+_SEEN_ALIVE = []
+
+
+def _counted_restart(args):
+    """Records whose objectives rise, fall and tie; each notes how many records are alive once it exists."""
+    net, cfg, kind, restart = args
+    objective = [-5.0, -3.0, -4.0, -1.0, -2.0, -1.0, -6.0][restart % 7]
+    record = Restart(objective, np.full(net.n_nodes, restart % cfg.K), _TIE_PARAMS, [objective], extra=_Tracked())
+    _SEEN_ALIVE.append(len(_Tracked.alive))
+    return record
+
+
+def _fails_from_restart_5(args):
+    if args[3] >= 5:
+        raise RuntimeError(f"restart {args[3]} ran")
+    return _tied_restart(args)
+
+
+class TestLazyRestarts:
+    def test_only_the_best_record_is_kept(self, monkeypatch):
+        monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
+        _SEEN_ALIVE.clear()
+        net = Network.from_edges(3, [(0, 1)])
+        result, best, run = fit_restarts("switch", "bernoulli", _counted_restart, net,
+                                         SimpleNamespace(K=2, restarts=14, seed=7), {})
+        assert (best, result.objective) == (3, -1.0)  # restarts 5, 10 and 12 tie with it later
+        # at most the best so far and the record just made
+        assert len(_SEEN_ALIVE) == 14 and max(_SEEN_ALIVE) <= 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_restarts_start_before_all_arguments_exist(self, workers, monkeypatch):
+        # 10**20 arguments cannot be listed first; restart 5 fails as soon as it runs
+        monkeypatch.setenv("BLOCKMIX_WORKERS", workers)
+        net = Network.from_edges(3, [(0, 1)])
+        with pytest.raises(RuntimeError, match="restart 5 ran"):
+            fit_restarts("switch", "bernoulli", _fails_from_restart_5, net,
+                         SimpleNamespace(K=2, restarts=10**20, seed=7), {})
+
+    def test_pooled_winner_is_the_serial_winner(self, monkeypatch):
+        net = Network.from_edges(3, [(0, 1)])
+        cfg = SimpleNamespace(K=2, restarts=9, seed=7)  # more restarts than the pool keeps in flight
+        monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
+        serial = fit_restarts("switch", "bernoulli", _tied_restart, net, cfg, {})
+        monkeypatch.setenv("BLOCKMIX_WORKERS", "2")
+        pooled = fit_restarts("switch", "bernoulli", _tied_restart, net, cfg, {})
+        assert pooled[1] == serial[1] == 1
+        assert to_json(pooled[0]) == to_json(serial[0])
+
+
+_BAD_COUNTS = [2.5, 2.0, True, 0, -1, "3", None]
+_BAD_SEEDS = [-1, 2**64, 1.5, True, "0"]
+_CONFIG_FIELDS = [
+    (VemConfig, "K", _BAD_COUNTS), (VemConfig, "max_iter", _BAD_COUNTS), (VemConfig, "restarts", _BAD_COUNTS),
+    (VemConfig, "seed", _BAD_SEEDS), (VemConfig, "tol", [float("nan"), float("inf"), 0.0, -1e-6, True, "1e-6"]),
+    (SwitchConfig, "K", _BAD_COUNTS), (SwitchConfig, "restarts", _BAD_COUNTS),
+    (SwitchConfig, "max_passes", _BAD_COUNTS), (SwitchConfig, "seed", _BAD_SEEDS),
+    *((McemConfig, name, _BAD_COUNTS) for name in ("K", "em_max_iter", "sweeps_base", "sweeps_increment",
+                                                    "sweeps_cap", "thinning", "restarts", "final_sweeps")),
+    (McemConfig, "seed", _BAD_SEEDS),
+]
+
+
+@pytest.mark.parametrize("config, field, bad", _CONFIG_FIELDS,
+                         ids=[f"{config.__name__}.{field}" for config, field, _ in _CONFIG_FIELDS])
+def test_config_rejects_bad_values_naming_the_field(config, field, bad):
+    good = {"K": 2} if field != "K" else {}
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{field} "):
+            config(**good, **{field: value})
+    # the edges of the ranges are accepted, NumPy integers too
+    edge = {"seed": 2**64 - 1, "tol": 1e-300}.get(field, np.int64(1))
+    assert getattr(config(**good, **{field: edge}), field) == edge
 
 
 class TestMapRestarts:

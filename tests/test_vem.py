@@ -336,20 +336,66 @@ def _seed_hard_phase(yd, directed, kind, fallback, labels0, K, max_iter, seen=No
     return state
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _regrouped_score(params, directed, t_out, t_in, others):
+    """Test copy of the regrouped score of one node, block by block.
+
+    Block k takes one dot product of the coefficients t_out, t_in (when
+    directed), others and 1 with the weights (A - B) and B (bernoulli), or
+    log lambda and -lambda (poisson), row k and then column k of each,
+    and log pi_k, where A and B are the log tables' finite parts.  It is
+    -inf where a coefficient of at least 1e-9 meets a -inf cell of A
+    through t, or of B through others - t.
+    """
+    a, b = _seed_pair_tables(params)
+    fa, fb = np.where(np.isneginf(a), 0.0, a), np.where(np.isneginf(b), 0.0, b)
+    bernoulli = params.kind == "bernoulli"
+    t_w, o_w = (fa - fb, fb) if bernoulli else (fa, -fb)
+    sides = [(t_out, lambda x, k: x[k])] + ([(t_in, lambda x, k: x[:, k])] if directed else [])
+    coef = np.concatenate([t for t, _ in sides] + [others, [1.0]])
+    score = np.empty(params.K)
+    for k in range(params.K):
+        rest = o_w[k] + o_w[:, k] if directed else o_w[k]
+        score[k] = np.vecdot(coef, np.concatenate([cell(t_w, k) for _, cell in sides] + [rest, [np.log(params.pi[k])]]))
+        for t, cell in sides:
+            if ((t >= 1e-9) & np.isneginf(cell(a, k))).any() or ((others - t >= 1e-9) & np.isneginf(cell(b, k))).any():
+                score[k] = -np.inf
+    return score
+
+
+def _regrouped_hard_e_step_dense(yd, directed, state):
+    """Labels after one dense hard E step in node order that scores each node with ``_regrouped_score``."""
+    resp = state.resp.copy()
+    colsum = resp.sum(axis=0)
+    for i in range(yd.shape[0]):
+        score = _regrouped_score(state.params, directed, yd[i] @ resp, yd[:, i] @ resp, colsum - resp[i])
+        row = np.zeros(score.size)
+        row[int(np.argmax(score))] = 1.0
+        colsum += row - resp[i]
+        resp[i] = row
+    return np.argmax(resp, axis=1)
+
+
 def _state_bytes(state):
     return (state.resp.tobytes(), state.params.pi.tobytes(),
             state.params.block_matrix.tobytes(), np.float64(state.elbo).tobytes())
 
 
-def _count_reference_calls(monkeypatch):
-    calls = [0]
-    score = vem._node_score
+def _count_scored_rows(monkeypatch):
+    """Counts of the scorer's calls on one node's row (1-d) and on runs of rows (2-d)."""
+    calls = {1: 0, 2: 0}
+    scorer = vem._scorer
 
     def counted(*args):
-        calls[0] += 1
-        return score(*args)
+        score = scorer(*args)
 
-    monkeypatch.setattr(vem, "_node_score", counted)
+        def count(c):
+            calls[c.ndim] += 1
+            return score(c)
+
+        return count
+
+    monkeypatch.setattr(vem, "_scorer", counted)
     return calls
 
 
@@ -398,11 +444,11 @@ class TestHardPhaseOracle:
         expect = _seed_hard_phase(net.to_dense().astype(np.float64), directed, "bernoulli",
                                   global_rate(net), labels0, K, 200, seen)
         assert "p = 1 cell" in seen
-        calls = _count_reference_calls(monkeypatch)
+        calls = _count_scored_rows(monkeypatch)
         got = _hard_phase_strict(net, "bernoulli", labels0, K)
         assert _state_bytes(got) == _state_bytes(expect)
-        # the run scorer takes the -inf log1p(-p) cells too: no node is scored on its own
-        assert calls[0] == 0
+        # the runs take the -inf log1p(-p) cells too: no node is scored on its own
+        assert calls[1] == 0 and calls[2] > 0
 
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
@@ -413,7 +459,8 @@ class TestHardPhaseOracle:
         and the block parameters are symmetric under swapping 1 and 2:
         the first hub's two best scores are equal in exact arithmetic and
         may differ by rounding either way.  One sweep per draw, from the
-        same symmetric start, against the seed's hard E step.
+        same symmetric start, against a dense hard E step that scores each
+        node with a test copy of the regrouped score.
         """
         for seed in range(30):
             rng = np.random.default_rng(seed)
@@ -442,17 +489,18 @@ class TestHardPhaseOracle:
             resp = np.zeros((n, 3))
             resp[np.arange(n), labels0] = 1.0
             start = VariationalState(resp, params, 0.0)
-            expect = _seed_e_step_dense(net.to_dense().astype(np.float64), directed, start, harden=True)
+            expect = _regrouped_hard_e_step_dense(net.to_dense().astype(np.float64), directed, start)
             st = vem._Stats(net, labels0, 3, kind)
             vem._hard_sweep(st, params)
-            assert np.argmax(expect.resp, axis=1).tobytes() == st.z.tobytes()
+            assert expect.tobytes() == st.z.tobytes()
 
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
-    def test_run_scores_equal_node_score(self, kind, directed):
-        # the hard sweep's batched scores and _node_score are two codings
-        # of one expression, equal bit for bit, -inf cells included: zero
-        # rates, and for bernoulli p = 1 cells, whose log1p(-p) is -inf
+    def test_node_scores_alone_as_in_any_run(self, kind, directed):
+        # a node's row has the same bytes scored alone as inside a run of
+        # count rows (the hard sweep's) or of soft rows (fractional
+        # coefficients), -inf cells included: zero rates, and for
+        # bernoulli p = 1 cells, whose log1p(-p) is -inf
         hits = 0
         for trial in range(50):
             rng = np.random.default_rng(2000 + trial)
@@ -469,19 +517,22 @@ class TestHardPhaseOracle:
             with np.errstate(divide="ignore"):
                 params = BlockParams(kind, K, rng.dirichlet(np.ones(K)), bm if kind == "bernoulli" else np.log(3 * bm))
             st = vem._Stats(net, rng.integers(0, K, size=n), K, kind)
-            sides = vem._sides(params, directed)
+            counts = np.hstack([st.vcount_out, st.vcount_in][:1 + directed]
+                               + [st.sizes - np.eye(K)[st.z], np.ones((n, 1))])
+            soft = np.hstack([rng.uniform(0, 4, size=(n, K * (1 + directed))), rng.uniform(0, n, size=(n, K)),
+                              np.ones((n, 1))])
+            soft[rng.random(soft.shape) < 0.2] = 0.0
+            soft[:, -1] = 1.0
             lo = int(rng.integers(0, n))
             hi = lo + int(rng.integers(1, 2 * n))
             with np.errstate(divide="ignore", invalid="ignore"):
-                log_pi = np.log(params.pi)
-                got = vem._run_scorer(st, sides, log_pi)(lo, hi)
-                for row, i in zip(got, range(lo, min(hi, n)), strict=True):
-                    others = st.sizes.copy()
-                    others[st.z[i]] -= 1.0
-                    ref = vem._node_score(st.vcount_out[i], st.vcount_in[i] if directed else None, others,
-                                          log_pi, sides, kind == "bernoulli")
-                    assert row.tobytes() == ref.tobytes(), (trial, i)
-                    hits += int(np.isneginf(ref).sum())
+                score = vem._scorer(params, directed)
+                for rows in (counts, soft):
+                    got = score(rows[lo:hi])
+                    for row, i in zip(got, range(lo, min(hi, n)), strict=True):
+                        alone = score(rows[i])
+                        assert row.tobytes() == alone.tobytes(), (trial, i)
+                        hits += int(np.isneginf(alone).sum())
         assert hits > 0
 
 
@@ -557,12 +608,15 @@ _RULE_COEFS = np.array([0.0, 1e-12, 5e-10, 1e-9, 2e-9, -1e-17])
 
 
 class TestNegInfRule:
-    """``_node_score`` and ``_bound`` against the seed's ``_seed_mul`` expressions, byte for byte.
+    """``_scorer`` and ``_bound`` against the seed's ``_seed_mul`` expressions.
 
-    Where a coefficient of -1e-9 or less met a -inf cell, ``_seed_mul``
-    gave +inf, and the row or bound became +inf or NaN; such a coefficient
-    now adds 0.  No fit produces one (counts and pair totals differ from
-    whole numbers by rounding only), so the draws leave it out.
+    The scores are -inf exactly where the seed's are, and within 1e-12
+    relative of them elsewhere (the regrouped sum rounds differently);
+    the bound is byte for byte the seed's.  Where a coefficient of -1e-9
+    or less met a -inf cell, ``_seed_mul`` gave +inf, and the row or bound
+    became +inf or NaN; such a coefficient now adds 0.  No fit produces
+    one (counts and pair totals differ from whole numbers by rounding
+    only), so the draws leave it out.
     """
 
     @staticmethod
@@ -587,7 +641,7 @@ class TestNegInfRule:
 
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
-    def test_node_score_and_bound_equal_seed_mul(self, kind, directed):
+    def test_scores_and_bound_follow_seed_mul(self, kind, directed):
         bernoulli = kind == "bernoulli"
         rng = np.random.default_rng(40 + directed + 2 * bernoulli)
         neginf = 0
@@ -609,8 +663,11 @@ class TestNegInfRule:
                 if directed:
                     expect = expect + _seed_mul(t_in, a.T).sum(axis=1)
                     expect = expect + (_seed_mul(others - t_in, b.T).sum(axis=1) if bernoulli else -(b.T @ others))
-                got = vem._node_score(t_out, t_in, others, log_pi, vem._sides(params, directed), bernoulli)
-                assert got.tobytes() == expect.tobytes(), trial
+                got = vem._scorer(params, directed)(np.concatenate([t_out, t_in, others, [1.0]] if directed
+                                                                   else [t_out, others, [1.0]]))
+                inf = ~np.isfinite(expect)
+                assert got[inf].tobytes() == expect[inf].tobytes(), trial
+                assert np.allclose(got[~inf], expect[~inf], rtol=1e-12, atol=0.0), trial
                 # the bound from block-pair statistics
                 edge, rest, colsum = self._coefs(rng, (K, K), 9.0), self._coefs(rng, (K, K), 9.0), self._coefs(rng, K, 9.0)
                 pairs = edge + rest
