@@ -22,6 +22,7 @@ import numpy as np
 
 from blockmix.graph import Network
 from blockmix.models import BlockParams, Partition
+from blockmix.results import check_config
 
 __all__ = ["GenConfig", "sample_sbm"]
 
@@ -45,6 +46,7 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_config(self, ("n",))
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.params.gamma is not None and self.params.gamma.size != self.n:

@@ -192,11 +192,33 @@ class Network(Derived):
             return self.indptr, self.indices, self.data
         return self.derived("transpose", lambda net: _grouped(net.n_nodes, net.indices, net.row_index(), net.data))
 
+    def neighbours(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """Each node's neighbours as CSR: row pointers (Python ints), columns, and a row of values per side.
+
+        Directed, node i's out-neighbours come before its in-neighbours, and
+        each value row is 0 in the other side's places.  Built once and kept
+        on the network.
+        """
+        return self.derived("neighbours", _neighbours)
+
     def to_dense(self, dtype=np.int64) -> np.ndarray:
         """Dense value matrix with zero diagonal; symmetric if undirected."""
         y = np.zeros((self.n_nodes, self.n_nodes), dtype=dtype)
         y[self.row_index(), self.indices] = self.data
         return y
+
+
+def _neighbours(net: Network):
+    vals = net.data.astype(np.float64)
+    if not net.directed:
+        return net.indptr.tolist(), net.indices, vals[None, :]
+    in_ptr, in_nbrs, in_vals = net.transpose()
+    # a stable sort by node keeps each node's out-entries, listed first, before its in-entries
+    order = np.argsort(np.concatenate((net.row_index(), np.repeat(np.arange(net.n_nodes), np.diff(in_ptr)))),
+                       kind="stable")
+    values = np.zeros((2, order.size))
+    values[0, :vals.size], values[1, vals.size:] = vals, in_vals
+    return (net.indptr + in_ptr).tolist(), np.concatenate((net.indices, in_nbrs))[order], values[:, order]
 
 
 def _distinct_labels(labels: tuple) -> tuple:

@@ -34,7 +34,7 @@ from blockmix.graph import Network
 from blockmix.models import (
     BlockParams, GraphonStep, Partition, _cell_sums, bernoulli_loglik, block_pair_stats, global_rate,
 )
-from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream
+from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream, whole
 
 __all__ = [
     "LatentPositions",
@@ -144,17 +144,11 @@ class _Neighbours:
         self.pair_factor = 2.0 if net.directed else 1.0
         # a node's neighbours: its out-row plus, directed, its in-row; a pair
         # joined both ways is listed twice, and whole-number sums stay exact
-        self.src, self.dst, self.w = net.row_index(), net.indices, net.data.astype(np.float64)
-        ptr, nbrs, wts = net.indptr.tolist(), self.dst.tolist(), self.w.tolist()
+        ptr, self.dst, values = net.neighbours()
+        self.src, self.w = np.repeat(np.arange(self.n), np.diff(ptr)), values.sum(axis=0)
+        nbrs, wts = self.dst.tolist(), self.w.tolist()
         self.nbr_lists = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
         self.wt_lists = [wts[a:b] for a, b in zip(ptr, ptr[1:])]
-        if net.directed:
-            ptr, nbrs, wts = net.transpose()
-            ptr, nbrs, wts = ptr.tolist(), nbrs.tolist(), wts.astype(np.float64).tolist()
-            self.nbr_lists = [row + nbrs[a:b] for row, a, b in zip(self.nbr_lists, ptr, ptr[1:])]
-            self.wt_lists = [row + wts[a:b] for row, a, b in zip(self.wt_lists, ptr, ptr[1:])]
-            self.src, self.dst = np.concatenate((self.src, self.dst)), np.concatenate((self.dst, self.src))
-            self.w = np.concatenate((self.w, self.w))
 
 
 class _Sampler:
@@ -298,6 +292,8 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
     complement lengths.  The log ratio is the sweep's own sum, from node
     j's count row, so this is the probability the chain accepts with.
     """
+    if not whole(j):
+        raise ValueError(f"node index j must be a whole number, got {j!r}")
     if not 0 <= j < net.n_nodes:
         raise ValueError(f"node index {j} lies outside 0..{net.n_nodes - 1}")
     sampler = _Sampler(net)

@@ -230,12 +230,14 @@ def from_json(text: str) -> FitResult:
     )
 
 
-def check_config(cfg, counts: Sequence[str]) -> None:
-    """Raise ValueError naming the field unless each of ``counts`` is a whole number of at least 1
-    and the seed one in 0..2**64-1; bools and floats are not whole numbers here."""
-    def whole(v):
-        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+def whole(v) -> bool:
+    """Whether v is an int or a NumPy integer; bools and floats are not whole numbers here."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
+
+def check_config(cfg, counts: Sequence[str]) -> None:
+    """Raise ValueError naming the field unless each of ``counts`` is a ``whole`` number of at least 1
+    and the seed one in 0..2**64-1."""
     for name in counts:
         if not whole(getattr(cfg, name)) or getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be a positive whole number (at least 1), got {getattr(cfg, name)!r}")

@@ -1,7 +1,7 @@
 """Vertex-switching maximization of the profile log-likelihood.
 
 The objective is the model log-likelihood with all block parameters
-maximized out, so the search ranges over partitions alone.  Each pass
+maximized out, so the search ranges over partitions only.  Each pass
 moves every vertex exactly once: at each step the not-yet-moved vertex
 with the largest objective change is relocated to its best alternative
 block, even when every available change is negative.  The pass keeps
@@ -11,10 +11,10 @@ local maxima that defeat sweeps which take only improving moves.
 Each step scores every unmoved vertex against every block in one batch
 (``_Stats.deltas``).  With m such vertices and K blocks a step evaluates
 O(m K^2) cell terms.  For the bernoulli and poisson kinds, whose cell
-weights depend on the blocks alone, it instead tabulates O(K^2 V) terms
+weights depend only on the blocks, it instead tabulates O(K^2 V) terms
 and gathers O(m K^2) of them when the vertices' neighbour-block counts
-stay below V with 4 V < m.  The scores are bit-identical to scoring one
-block pair at a time.
+stay below V with 4 V < m.  Each masked row of cell terms is summed as a
+left fold over the kept cells, in block order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from blockmix.graph import Network, degrees
 from blockmix.models import MODEL_KINDS, Partition, _cell_sums, _xlogy, block_pair_stats, mle_block_params
-from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream
+from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream, whole
 
 __all__ = ["SwitchConfig", "MoveDelta", "delta_loglik", "profile_loglik", "switch_fit"]
 
@@ -58,26 +58,9 @@ class MoveDelta(NamedTuple):
     empties_block: bool
 
 
-def _masked_sums(x: np.ndarray, keep: np.ndarray, pairwise: np.ndarray | None = None) -> np.ndarray:
-    """Sums of x over its first axis where ``keep`` holds, in the per-pair code's order.
-
-    The per-block-pair code summed L kept cells pairwise (its 1-d rows,
-    and the rows of a vertex moved alone) or as a left fold (its
-    column-major rows of two or more vertices); the orders agree for
-    L < 8.  A first-axis sum is a left fold, to which masked cells set to
-    0.0 add nothing.  From 8 cells on, entries whose last index is flagged
-    in ``pairwise`` (all when it is None) are summed pairwise instead.
-    """
-    out = np.where(keep, x, 0.0).sum(axis=0)
-    if len(keep) < 9 or (pairwise is not None and not pairwise.any()):
-        return out
-    rows = (..., slice(None) if pairwise is None else pairwise)
-    shape = np.broadcast_shapes(x.shape, keep.shape)
-    xs = np.moveaxis(np.broadcast_to(x, shape), 0, -1)[rows + (slice(None),)]
-    ks = np.moveaxis(np.broadcast_to(keep, shape), 0, -1)[rows + (slice(None),)]
-    n_kept = np.count_nonzero(ks.reshape(-1, len(keep))[0])
-    out[rows] = xs[ks].reshape(*xs.shape[:-1], n_kept).sum(axis=-1)
-    return out
+def _masked_sums(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Sums of x over its first axis where ``keep`` holds: a left fold over the kept cells, in block order."""
+    return np.where(keep, x, 0.0).sum(axis=0)
 
 
 class _Stats:
@@ -118,12 +101,10 @@ class _Stats:
         self._half = np.where(np.eye(K, dtype=bool), 0.5, 1.0)
         self._shift = np.array([[0.0], [-1.0], [1.0]])
         # cells k of block row a that a masked sum keeps: keep[k, 0, d] is
-        # k != d (undirected), keep[k, a, d] is k not in {a, d} (directed;
-        # unused a == d entries also drop a + 1: every row keeps K - 2)
+        # k != d (undirected), keep[k, a, d] is k not in {a, d} (directed)
         offdiag = self._ar[:, None] != self._ar
         if self.directed:
             self._keep = offdiag[:, :, None] & offdiag[:, None, :]
-            self._keep[(self._ar + 1) % K, self._ar, self._ar] = False
         else:
             self._keep = offdiag[:, None, :]
         if kind == "dc_poisson":
@@ -227,8 +208,8 @@ class _Stats:
         single move can touch enter the balance: the rows (and, directed,
         the columns) of the source block z_v and the destination block d.
         For m vertices the moved rows hold O(m K^2) cells, evaluated
-        directly.  bernoulli and poisson cell weights depend on the blocks
-        alone, so when the counts stay below V with table_ratio * V < m
+        directly.  bernoulli and poisson cell weights depend only on the
+        blocks, so when the counts stay below V with table_ratio * V < m
         those cell terms are tabulated once per (block, block, count) and
         gathered instead: O(K^2 V) table work plus O(m K^2) gathers.  On a
         2-core Xeon a step took 0.35 ms tabulated against 0.95 ms direct
@@ -236,15 +217,14 @@ class _Stats:
         300-node count graph with V = 1481.  dc_poisson weights depend on
         the vertex degree: always direct.
 
-        Each entry is the same floating-point expression, summed in the
-        same order, as the per-block-pair balance "after the move minus
-        before it" that moved the listed vertices of one block together.
-        Arrays are laid out (k, d, v): block k's cell in the row of the
-        source block z_v or of the destination block d, vertex v last.
+        Each entry is the balance "after the move minus before it" over
+        those cells; each masked row of cell terms is summed as a left fold
+        over the kept cells, in block order.  Arrays are laid out (k, d, v):
+        block k's cell in the row of the source block z_v or of the
+        destination block d, vertex v last.
         """
         K, s, edge, m = self.K, self.sizes, self.edge, verts.size
         z, cols, ar = self.z[verts], np.arange(m), self._ar
-        alone = np.bincount(z, minlength=K)[z] < 2  # no other listed vertex in the block
         u = edge * self._half  # a diagonal cell counts each within-block pair twice
         # a side pairs block rows with each vertex's counts toward the blocks;
         # directed networks add the block columns and the counts from them
@@ -272,7 +252,7 @@ class _Stats:
             w_src, w_dst = np.take(W[1].T, z, axis=1), W[2].T[:, :, None]
             V = int(max(x.max() for _, x in sides)) + 1  # counts are integers 0..V-1
         tabulate = self.kind != "dc_poisson" and self.table_ratio * V < m
-        if tabulate:  # a moved row's cell terms depend on (block, block, count) alone
+        if tabulate:  # a moved row's cell terms depend only on (block, block, count)
             vals = np.arange(float(V))
             moved = [blk for e, _ in sides for blk in (
                 (e[:, :, None] - vals, W[1][:, :, None]), (e[:, :, None] + vals, W[2][:, :, None]))]
@@ -307,8 +287,8 @@ class _Stats:
         for i in range(n_sides):
             r = _masked_sums(now[i].T[:, :, None], self._keep)
             before = before + r + r.T
-            after = (after + _masked_sums(moved[2 * i][:, None, :], keep_src, alone)
-                     + _masked_sums(moved[2 * i + 1], keep_dst, alone))
+            after = (after + _masked_sums(moved[2 * i][:, None, :], keep_src)
+                     + _masked_sums(moved[2 * i + 1], keep_dst))
         extra_now = extra_after = 0.0  # block-level terms outside the cells
         if self.kind == "dc_poisson":
             kx = _xlogy(self.kappa, ratio)
@@ -371,10 +351,10 @@ def delta_loglik(net: Network, part: Partition, vertex: int, to: int, kind: str 
     partitions; only the affected block-pair statistics enter.
     """
     _check_kind(net, kind)
-    if not 0 <= vertex < net.n_nodes:
-        raise ValueError("vertex index out of range")
-    if not 1 <= to <= part.K:
-        raise ValueError("destination block out of range")
+    if not whole(vertex) or not 0 <= vertex < net.n_nodes:
+        raise ValueError(f"vertex must be a whole number in 0..{net.n_nodes - 1}, got {vertex!r}")
+    if not whole(to) or not 1 <= to <= part.K:
+        raise ValueError(f"to, the destination block, must be a whole number in 1..{part.K}, got {to!r}")
     if part.labels[vertex] == to:
         raise ValueError("destination equals the current block")
     stats = _Stats(net, part.zero_based(), part.K, kind)

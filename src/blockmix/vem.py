@@ -156,30 +156,12 @@ def _scorer(params: BlockParams, directed: bool):
     return score
 
 
-def _neighbours(net: Network):
-    """Each node's neighbours as CSR: row pointers (Python ints), columns, and a row of values per side.
-
-    Directed, node i's out-neighbours come before its in-neighbours, and
-    each value row is 0 in the other side's places.
-    """
-    vals = net.data.astype(np.float64)
-    if not net.directed:
-        return net.indptr.tolist(), net.indices, vals[None, :]
-    in_ptr, in_nbrs, in_vals = net.transpose()
-    # a stable sort by node keeps each node's out-entries, listed first, before its in-entries
-    order = np.argsort(np.concatenate((net.row_index(), np.repeat(np.arange(net.n_nodes), np.diff(in_ptr)))),
-                       kind="stable")
-    values = np.zeros((2, order.size))
-    values[0, :vals.size], values[1, vals.size:] = vals, in_vals
-    return (net.indptr + in_ptr).tolist(), np.concatenate((net.indices, in_nbrs))[order], values[:, order]
-
-
 @np.errstate(divide="ignore", invalid="ignore")
 def _e_step(net: Network, state: VariationalState) -> np.ndarray:
     """Responsibilities after one soft sweep over the CSR rows; the bound is left to the caller."""
     resp, K = state.resp.copy(), state.params.K
     score = _scorer(state.params, net.directed)
-    ptr, nbrs, values = net.derived("vem.neighbours", _neighbours)
+    ptr, nbrs, values = net.neighbours()
     # one coefficient row, rewritten in place for each node: t (a row per side), others, 1
     c = np.ones(values.shape[0] * K + K + 1)
     t, others = c[:-K - 1].reshape(-1, K), c[-K - 1:-1]

@@ -191,6 +191,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="at least 2"):
             GenConfig(1, _bernoulli_params())
 
+    def test_n_not_whole(self):
+        with pytest.raises(ValueError, match=r"^n must be a positive whole number.*got 10\.0"):
+            GenConfig(10.0, _bernoulli_params())
+
+    def test_seed_not_whole(self):
+        # a float seed would be truncated into the stream key
+        with pytest.raises(ValueError, match=r"^seed must be a whole number.*got 1\.5"):
+            GenConfig(10, _bernoulli_params(), seed=1.5)
+
+    def test_seed_negative(self):
+        with pytest.raises(ValueError, match=r"^seed must be a whole number in 0\.\.2\*\*64-1, got -1"):
+            GenConfig(10, _bernoulli_params(), seed=-1)
+
     def test_gamma_length(self):
         params = BlockParams("dc_poisson", 1, [1.0], [[0.0]], gamma=np.zeros(3))
         with pytest.raises(ValueError, match="per node"):

@@ -9,7 +9,10 @@ positions after 200 ``gibbs_sweep`` calls.
 ``vemK<K>`` cases fit vem with K = 6 or 10 to a sparse four-block graph,
 where the hard warm-start candidates drain blocks and meet zero-edge
 block pairs (and, at K = 10, complete block pairs with p = 1).
-``switchK<K>`` cases run the switch engine with K = 1 or 4 blocks.
+``switchK<K>`` cases run the switch engine with K = 1, 4 or 10 blocks.
+The six K = 10 cases, where a masked row of ``_Stats.deltas`` sums 8 or
+more kept cells, were recorded before those rows became left folds in
+block order (they had copied NumPy's pairwise order), and kept their hashes.
 ``mcemthin`` cases thin more than the early E steps keep, so those steps
 count the chain's last state instead of a thinned sample.  ``mcembusy``
 cases fit three intervals to the two planted blocks, so two intervals
@@ -220,6 +223,12 @@ GOLDEN = {
     "switchK1-dc_poisson-directed": "ef6cc25a94adef935f2901a5b7aca6d776431e94bec77891a0c56d4dde7a3042",
     "switchK4-dc_poisson-undirected": "8221339dc7fc0decc7cdac9d9e79f3af8e7496fab478f8582b0a89cc007ff056",
     "switchK4-dc_poisson-directed": "283a2425845d638209059486c880c04e2d96cef9ab198625f5d2d46d1e2b24c8",
+    "switchK10-bernoulli-undirected": "6fad6c32295f42a345fefbf9a4889844450d6325533e5bd312c05bb823f2fe37",
+    "switchK10-bernoulli-directed": "c5f32881d5e1b375fb2e2943cf5d5c36857be41c442e28d4d0a5f0ff3113ec03",
+    "switchK10-poisson-undirected": "18d85fb38f5ad1d1f65bc5e4b35747f51303658564bb42a0b31cd5a598528872",
+    "switchK10-poisson-directed": "c05969b09bfd8f3d8293f691524f1b8d1e55541c8c9f81dd99923c051e23f420",
+    "switchK10-dc_poisson-undirected": "a0e7c5f601a2a5e2fb0b5c5ff04aed0a440b0efba176a6e321044008bdc92a67",
+    "switchK10-dc_poisson-directed": "61e67fba15584d4e0c72088d77432735794552f535fe148d6472d84556ac4db3",
     "mcemthin-bernoulli-undirected": "97656d5e22b1669210b8fe4d8814af71e9257aa595a5d62513b84fc7669ea7c5",
     "mcemthin-bernoulli-directed": "08cbcf63a7d4a657c04fa93074db4fc3385dbfd2404cd1a9d4bd3b067b7772d6",
     "mcembusy-bernoulli-undirected": "4eec684247fdd3e22de06c959c081ac2264916d283ded5628af850fd192571b1",
@@ -242,19 +251,22 @@ def test_golden_hash(case, monkeypatch):
 
 
 if __name__ == "__main__":
-    # print every case's digest, e.g. to record new cases against another
-    # checkout's sources: PYTHONPATH=<checkout>/src python tests/test_golden.py
+    # print the digest of each named case, or of every case in GOLDEN, e.g.
+    # to record new cases against another checkout's sources:
+    # PYTHONPATH=<checkout>/src python tests/test_golden.py [CASE ...]
     # A fit case also prints the first 16 hex digits of its partition's
     # sha256, its trace length and its objective, so two checkouts' fits
     # can be compared where their digests differ.
     import os
+    import sys
 
     os.environ.pop("BLOCKMIX_WORKERS", None)
-    for case in sorted(GOLDEN):
+    for case in sys.argv[1:] or sorted(GOLDEN):
         if case.startswith(("sample-", "gibbs-", "delta-")):
             digest, fit = _digest(case), ""
         else:
             digest, result = _fit_digest(case)
             part = hashlib.sha256(result.labels.astype(np.int64).tobytes()).hexdigest()[:16]
             fit = f" partition {part} trace {len(result.trace)} objective {result.objective!r}"
-        print(f"{case} {digest} {'ok' if digest == GOLDEN[case] else 'DIFFERS'}{fit}")
+        status = "new" if case not in GOLDEN else "ok" if digest == GOLDEN[case] else "DIFFERS"
+        print(f"{case} {digest} {status}{fit}")

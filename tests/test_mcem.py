@@ -138,6 +138,15 @@ class TestAcceptanceProb:
         with pytest.raises(ValueError, match=r"node index -?\d+ lies outside 0\.\.2"):
             acceptance_prob(net, u, j, 0.75, g)
 
+    @pytest.mark.parametrize("j", [1.0, True, np.float64(2)])
+    def test_node_index_not_whole_rejected(self, j):
+        net = Network.from_edges(3, [(0, 1), (1, 2)])
+        g = GraphonStep([0.0, 0.5, 1.0], [[0.8, 0.2], [0.2, 0.6]])
+        u = [0.1, 0.2, 0.3]
+        assert acceptance_prob(net, u, np.int64(1), 0.75, g) == acceptance_prob(net, u, 1, 0.75, g)
+        with pytest.raises(ValueError, match=r"node index j must be a whole number"):
+            acceptance_prob(net, u, j, 0.75, g)
+
     def test_same_interval_rejected(self):
         net = Network.from_edges(2, [(0, 1)])
         g = GraphonStep([0.0, 0.5, 1.0], np.full((2, 2), 0.5))

@@ -46,15 +46,15 @@ class TestMoveDeltas:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
-        K=st.integers(2, 4),
+        # K >= 9 gives masked rows of 8 or more kept cells
+        K=st.one_of(st.integers(2, 4), st.integers(9, 12)),
         directed=st.booleans(),
         kind=st.sampled_from(["bernoulli", "poisson", "dc_poisson"]),
     )
     def test_delta_equals_profile_difference(self, seed, K, directed, kind):
         rng = np.random.default_rng(seed)
-        net = random_network(
-            rng, n=int(rng.integers(4, 13)), directed=directed, binary=(kind == "bernoulli")
-        )
+        n = int(rng.integers(4, 13) if K <= 4 else rng.integers(10, 25))
+        net = random_network(rng, n=n, directed=directed, binary=(kind == "bernoulli"))
         part = random_partition(rng, net.n_nodes, K)
         before = profile_loglik(net, part, kind)
         for vertex in range(net.n_nodes):
@@ -80,6 +80,18 @@ class TestMoveDeltas:
             delta_loglik(net, part, 0, 3)
         with pytest.raises(ValueError, match="current block"):
             delta_loglik(net, part, 0, 1)
+
+    @pytest.mark.parametrize("vertex,to,name", [
+        (True, 2, "vertex"), (1.0, 2, "vertex"), (np.float64(0), 2, "vertex"),
+        (0, True, "to"), (0, 2.0, "to"),
+    ])
+    def test_index_not_whole_rejected(self, vertex, to, name):
+        # a bool would index as a mask, and True would read as block 1
+        net = Network.from_edges(3, [(0, 1)])
+        part = Partition(np.array([1, 1, 2]), 2)
+        assert delta_loglik(net, part, np.int64(0), np.int64(2)) == delta_loglik(net, part, 0, 2)
+        with pytest.raises(ValueError, match=f"^{name}\\b.*whole number"):
+            delta_loglik(net, part, vertex, to)
 
 
 class TestProfileLoglik:
@@ -200,8 +212,19 @@ class TestSwitchFit:
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-block-pair delta code that ``_Stats.deltas`` replaced,
-# copied verbatim (methods turned into functions of the stats object).  The
-# batched kernel must reproduce its tables bit for bit.
+# copied verbatim (methods turned into functions of the stats object) except
+# for its masked row sums.  NumPy's ``.sum()`` adds 8 or more cells pairwise,
+# an order the kernel kept only to match this code; each such sum is now
+# ``_fold``, a left fold over the kept cells in block order, the kernel's one
+# order at every K.  The batched kernel must reproduce its tables bit for bit.
+
+
+def _fold(cells):
+    """The sum over the last axis of ``cells``, added left to right from 0.0."""
+    total = 0.0
+    for k in range(cells.shape[-1]):
+        total = total + cells[..., k]
+    return total
 
 
 def _seed_xlogy(a, b):
@@ -258,13 +281,13 @@ def _seed_move_deltas_undirected(st, a, d, verts, eo):
     wd2[d] = sd2 * (sd2 - 1.0) / 2.0
     wad2 = sa2 * sd2
     before = (
-        _seed_cell_term(st.kind, ua, wa)[mask_a].sum()
-        + _seed_cell_term(st.kind, ud, wd)[mask_d].sum()
+        _fold(_seed_cell_term(st.kind, ua, wa)[mask_a])
+        + _fold(_seed_cell_term(st.kind, ud, wd)[mask_d])
         + float(_seed_cell_term(st.kind, np.array([uad]), np.array([wad]))[0])
     )
     after = (
-        _seed_cell_term(st.kind, ua[None, :] - eo, wa2[None, :])[:, mask_a].sum(axis=1)
-        + _seed_cell_term(st.kind, ud[None, :] + eo, wd2[None, :])[:, mask_d].sum(axis=1)
+        _fold(_seed_cell_term(st.kind, ua[None, :] - eo, wa2[None, :])[:, mask_a])
+        + _fold(_seed_cell_term(st.kind, ud[None, :] + eo, wd2[None, :])[:, mask_d])
         + _seed_cell_term(st.kind, uad + eo[:, a] - eo[:, d], np.full(verts.size, wad2))
     )
     delta = after - before
@@ -291,8 +314,8 @@ def _seed_dc_deltas_undirected(st, a, d, verts, eo, ua, ud, uad, mask_a, mask_d)
     wd[d] = (svec[d] ** 2 - qvec[d]) / 2.0
     wad = svec[a] * svec[d]
     before = (
-        _seed_cell_term(st.kind, ua, wa)[mask_a].sum()
-        + _seed_cell_term(st.kind, ud, wd)[mask_d].sum()
+        _fold(_seed_cell_term(st.kind, ua, wa)[mask_a])
+        + _fold(_seed_cell_term(st.kind, ud, wd)[mask_d])
         + float(_seed_cell_term(st.kind, np.array([uad]), np.array([wad]))[0])
         + float(_seed_xlogy(st.kappa[a], ratio[a]) + _seed_xlogy(st.kappa[d], ratio[d]))
     )
@@ -312,8 +335,8 @@ def _seed_dc_deltas_undirected(st, a, d, verts, eo, ua, ud, uad, mask_a, mask_d)
     wd2[:, d] = (svd2 ** 2 - qd2) / 2.0
     wad2 = sva2 * svd2
     after = (
-        _seed_cell_term(st.kind, ua[None, :] - eo, wa2)[:, mask_a].sum(axis=1)
-        + _seed_cell_term(st.kind, ud[None, :] + eo, wd2)[:, mask_d].sum(axis=1)
+        _fold(_seed_cell_term(st.kind, ua[None, :] - eo, wa2)[:, mask_a])
+        + _fold(_seed_cell_term(st.kind, ud[None, :] + eo, wd2)[:, mask_d])
         + _seed_cell_term(st.kind, uad + eo[:, a] - eo[:, d], wad2)
         + _seed_xlogy(ka2, ra2)
         + _seed_xlogy(kd2, rd2)
@@ -393,10 +416,10 @@ def _seed_move_deltas_directed(st, a, d, verts, eo):
         corners_e[3] + eo[:, d] + ei[:, d],
     )
     before = (
-        _seed_cell_term(st.kind, row_a, wrow_a)[mask].sum()
-        + _seed_cell_term(st.kind, row_d, wrow_d)[mask].sum()
-        + _seed_cell_term(st.kind, col_a, wrow_a)[mask].sum()
-        + _seed_cell_term(st.kind, col_d, wrow_d)[mask].sum()
+        _fold(_seed_cell_term(st.kind, row_a, wrow_a)[mask])
+        + _fold(_seed_cell_term(st.kind, row_d, wrow_d)[mask])
+        + _fold(_seed_cell_term(st.kind, col_a, wrow_a)[mask])
+        + _fold(_seed_cell_term(st.kind, col_d, wrow_d)[mask])
         + sum(
             float(_seed_cell_term(st.kind, np.array([e]), np.array([w]))[0])
             for e, w in zip(corners_e, corners_w)
@@ -404,10 +427,10 @@ def _seed_move_deltas_directed(st, a, d, verts, eo):
         + extra
     )
     after = (
-        _seed_cell_term(st.kind, row_a[None, :] - eo, wrow_a2)[:, mask].sum(axis=1)
-        + _seed_cell_term(st.kind, row_d[None, :] + eo, wrow_d2)[:, mask].sum(axis=1)
-        + _seed_cell_term(st.kind, col_a[None, :] - ei, wrow_a2)[:, mask].sum(axis=1)
-        + _seed_cell_term(st.kind, col_d[None, :] + ei, wrow_d2)[:, mask].sum(axis=1)
+        _fold(_seed_cell_term(st.kind, row_a[None, :] - eo, wrow_a2)[:, mask])
+        + _fold(_seed_cell_term(st.kind, row_d[None, :] + eo, wrow_d2)[:, mask])
+        + _fold(_seed_cell_term(st.kind, col_a[None, :] - ei, wrow_a2)[:, mask])
+        + _fold(_seed_cell_term(st.kind, col_d[None, :] + ei, wrow_d2)[:, mask])
         + sum(
             _seed_cell_term(st.kind, e2, np.asarray(w2))
             for e2, w2 in zip(corners_e2, corners_w2)
@@ -454,8 +477,12 @@ def _seed_bytes(fn, *args):
 class TestBatchedDeltasOracle:
     """``_Stats.deltas`` against the seed's per-block-pair code, bit for bit.
 
-    bernoulli and poisson run with moved-row cells always tabulated
-    (table_ratio 0), by the default rule, and never tabulated (inf).
+    The seed code is copied verbatim except that its masked row sums are
+    left folds (``_fold``): the kernel sums every row in that one order,
+    and at K = 10 (rows of 8 or more kept cells) the fold tells it apart
+    from NumPy's pairwise ``.sum()``.  bernoulli and poisson run with
+    moved-row cells always tabulated (table_ratio 0), by the default rule,
+    and never tabulated (inf).
     """
 
     @pytest.mark.parametrize("K", [2, 3, 5, 10])
