@@ -2,7 +2,8 @@
 
 It finds lines as ``str.splitlines`` does and fields as ``str.split`` does,
 with ``#`` starting a comment, and numbers names in order of first
-appearance without a dict lookup per token.  ``tests/lineloop.py`` keeps
+appearance without a dict lookup per token; ``Fields.integers`` reads
+tokens of decimal digits as int64.  ``tests/lineloop.py`` keeps
 the line-at-a-time readers it replaced as its oracle.
 """
 
@@ -27,6 +28,7 @@ def _lookup(chars: str) -> np.ndarray:
 
 
 _IS_SPACE, _IS_BREAK = _lookup(_SPACES), _lookup(_BREAKS)
+_DIGITS = 18  # int64 holds every number of up to 18 decimal digits
 
 
 def _codes(text: str) -> np.ndarray:
@@ -158,6 +160,32 @@ class Fields(NamedTuple):
 
     def strings(self, tokens) -> list[str]:
         return [self.text[s:e] for s, e in zip(self.starts[tokens].tolist(), self.ends[tokens].tolist())]
+
+    def integers(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The values of ``tokens`` that are 1 to 18 ASCII digits, and which tokens are not.
+
+        Returns int64 values (0 where a token is not such digits) and a mask
+        of those tokens: any other character, or 19 digits or more, which
+        int64 cannot always hold.
+        """
+        codes = _codes(self.text)
+        at, end = self.starts[tokens], self.ends[tokens]
+        width = end - at
+        odd = width > _DIGITS
+        values = np.zeros(at.size, dtype=np.int64)
+        # Horner over columns aligned at the tokens' ends: a column before a
+        # token's start reads as a leading zero
+        for c in range(min(int(width.max(initial=0)), _DIGITS), 0, -1):
+            pos = end - c
+            inside = pos >= at
+            digit = codes[np.maximum(pos, at)]
+            digit -= ord("0")  # wraps below "0", so a digit is a value of at most 9
+            digit *= inside
+            odd |= digit > 9
+            values *= 10
+            values += digit
+        values[odd] = 0
+        return values, odd
 
 
 def split(text: str, n_keys: int) -> Fields:

@@ -28,6 +28,19 @@ class EdgeListError(ValueError):
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _passes_int64(vals: np.ndarray, starts, bits: int = 63) -> np.ndarray:
+    """Whether each run of the non-negative int64 ``vals`` from ``starts`` on sums to 2**bits or more.
+
+    Exact: the high and low 32 bits of the values sum apart, and neither
+    sum wraps in a run of fewer than 2**31 values.
+    """
+    if not vals.size or int(vals.max()) * vals.size < 1 << bits:
+        return np.zeros(len(starts), dtype=bool)
+    high = np.add.reduceat(vals >> 32, starts)
+    high += np.add.reduceat(vals & 0xFFFFFFFF, starts) >> 32
+    return high >= 1 << (bits - 32)
+
+
 def _grouped(n: int, src: np.ndarray, dst: np.ndarray, vals: np.ndarray):
     """CSR arrays (indptr, indices, data) of the pairs src -> dst, sorted by (src, dst).
 
@@ -68,7 +81,8 @@ class Network(Derived):
     (an empty one of any dtype passes), a node index outside
     ``0..n_nodes-1``, a self-loop, a negative value, a binary value other
     than 1, a node pair given twice (undirected: in either orientation),
-    and node labels that repeat or do not number ``n_nodes``.
+    stored values (both orientations when undirected) that total more than
+    2**63 - 1, and node labels that repeat or do not number ``n_nodes``.
 
     Storage is compressed sparse row (CSR): node i's out-neighbours are
     ``indices[indptr[i]:indptr[i + 1]]`` in ascending order, with their
@@ -124,6 +138,8 @@ class Network(Derived):
             if bad.any():
                 k = int(np.argmax(bad))
                 raise ValueError(message.format(i=src[k], j=dst[k], v=vals[k]))
+        if _passes_int64(vals, [0], 63 if directed else 62)[0]:
+            raise ValueError("stored values (both orientations when undirected) total more than 2**63 - 1")
         if not directed:
             src, dst, vals = np.concatenate((src, dst)), np.concatenate((dst, src)), np.tile(vals, 2)
         ptr, cols, data = _grouped(n_nodes, src, dst, vals)
@@ -229,14 +245,16 @@ def _distinct_labels(labels: tuple) -> tuple:
     return labels
 
 
-def _read_edges(text: str, usage: str, value, default):
+def _read_edges(text: str, usage: str, value, default, top):
     """The tokenized lines shared by the edge-list readers.
 
     ``value(token, lineno)`` converts a third field; a line without one
-    takes ``default``, or is an error when that is None.  The first line
-    that fails raises: on one line a self-loop before a wrong field count
-    before a bad value.  Returns the node names and, per edge line, source
-    and target index, value and line.
+    takes ``default``, or is an error when that is None.  Unless ``top``
+    is None, third fields of 1 to 18 ASCII digits are read in NumPy and
+    must lie in 1..top, and only the other fields go through ``value``.
+    The first line that fails raises: on one line a self-loop before a
+    wrong field count before a bad value.  Returns the node names and, per
+    edge line, source and target index, value and line.
     """
     from blockmix._tokenizer import split  # loaded by the first read, so CLI start does not compile it
 
@@ -250,14 +268,23 @@ def _read_edges(text: str, usage: str, value, default):
     edges = np.flatnonzero(f.count[:stop] >= 2)
     given = f.count[edges] == 3
     lines = f.lineno[edges]
-    tokens = f.strings(f.first[edges[given]] + 2)
-    values = [value(token, lineno) for token, lineno in zip(tokens, lines[given].tolist())]
+    tokens, at = f.first[edges[given]] + 2, lines[given]
+    if top is None or not tokens.size:
+        values = np.array([value(token, lineno) for token, lineno in zip(f.strings(tokens), at.tolist())])
+    else:
+        values, odd = f.integers(tokens)
+        wrong = ~odd & ((values < 1) | (values > top))
+        first = int(np.argmax(wrong)) if wrong.any() else wrong.size
+        odd = np.flatnonzero(odd[:first])  # the odd fields before the first wrong one
+        values[odd] = [value(token, lineno) for token, lineno in zip(f.strings(tokens[odd]), at[odd].tolist())]
+        if first < wrong.size:
+            value(f.strings([tokens[first]])[0], at[first])  # raises the line's message
     if stop < bad.size:
         if loop[stop]:
             raise EdgeListError(f"line {f.lineno[stop]}: self-loop on node {f.strings([f.first[stop]])[0]!r}")
         raise EdgeListError(f"line {f.lineno[stop]}: expected {usage}, got {f.count[stop]} fields")
     if default is None:
-        vals = np.array(values)
+        vals = values
     else:
         vals = np.full(edges.size, default)
         vals[given] = values
@@ -269,7 +296,8 @@ def _merge_lines(n: int, names, src, dst, vals, lines, directed: bool, binary: b
 
     Lines naming the same ordered pair sum (count) or are an error (binary);
     undirected, both orientations of a pair must total the same.  An error
-    names the last line of the pair that ends first.
+    names the last line of the pair that ends first, or, for a total past
+    2**63 - 1, the first line where a pair's sum in line order passes it.
     """
     # undirected keys: the unordered pair, then the orientation
     key = src * n + dst if directed else (np.minimum(src, dst) * n + np.maximum(src, dst)) * 2 + (src > dst)
@@ -277,8 +305,18 @@ def _merge_lines(n: int, names, src, dst, vals, lines, directed: bool, binary: b
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     src, dst, key = src[order[starts]], dst[order[starts]], key[starts]
-    total = np.add.reduceat(np.asarray(vals, dtype=np.int64)[order], starts)
+    vals = np.asarray(vals, dtype=np.int64)
+    ordered = vals[order]
+    total = np.add.reduceat(ordered, starts)
     last = np.maximum.reduceat(lines[order], starts)
+    over = _passes_int64(ordered, starts)
+    if over.any():
+        ends, passes = np.append(starts[1:], order.size), []
+        for k in np.flatnonzero(over).tolist():
+            run = np.sort(order[starts[k]:ends[k]])  # the pair's lines in file order
+            passes.append((lines[run[np.argmax(np.cumsum(vals[run].astype(object)) > _INT64_MAX)]], k))
+        line, k = min(passes)
+        raise EdgeListError(f"line {line}: {names[src[k]]!r} {names[dst[k]]!r} total more than 2**63 - 1")
     if binary and (total > 1).any():
         k = int(np.argmin(np.where(total > 1, last, _INT64_MAX)))
         raise EdgeListError(f"line {last[k]}: duplicate edge {names[src[k]]!r} {names[dst[k]]!r}")
@@ -318,11 +356,12 @@ def _weight(token: str, lineno: int) -> float:
     return w
 
 
-# per edge-list kind, the arguments of _read_edges after the text
+# per edge-list kind, the arguments of _read_edges after the text: usage,
+# value converter, default value, and largest value read in NumPy
 _FORMATS = {
-    "binary": ("'src dst [value]'", functools.partial(_int_value, binary=True), 1),
-    "count": ("'src dst value'", _int_value, None),
-    "weighted": ("'src dst weight'", _weight, None),
+    "binary": ("'src dst [value]'", functools.partial(_int_value, binary=True), 1, 1),
+    "count": ("'src dst value'", _int_value, None, _INT64_MAX),
+    "weighted": ("'src dst weight'", _weight, None, None),
 }
 
 
@@ -337,7 +376,9 @@ def load_edge_list(text: str, directed: bool = False, value_kind: str = "binary"
 
     Binary lines carry no value or 1; count lines need a value of at
     least 1, and duplicate (src, dst) lines sum, where in binary mode they
-    are an error.  Undirected input may list a pair once or both ways
+    are an error.  Values are read as ``int`` reads them; a value, a
+    pair's total or the stored total (both orientations when undirected)
+    past 2**63 - 1 is an error.  Undirected input may list a pair once or both ways
     (``a b`` and ``b a``), and then both orientations must total the same.
     ``text`` is the whole file as a ``str``; anything else raises
     ``TypeError``.

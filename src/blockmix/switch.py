@@ -124,13 +124,15 @@ class _Stats:
         self.sizes[a] -= 1
         self.sizes[to0] += 1
         self.z[v] = to0
+        # the neighbours' rows change in columns a and to0: an update through
+        # a column view costs less than one 2-d fancy index
         lo, hi = self.out_ptr[v], self.out_ptr[v + 1]
-        self.vcount_in[self.out_nbrs[lo:hi], a] -= self.out_vals[lo:hi]
-        self.vcount_in[self.out_nbrs[lo:hi], to0] += self.out_vals[lo:hi]
+        self.vcount_in[:, a][self.out_nbrs[lo:hi]] -= self.out_vals[lo:hi]
+        self.vcount_in[:, to0][self.out_nbrs[lo:hi]] += self.out_vals[lo:hi]
         if self.directed:
             lo, hi = self.in_ptr[v], self.in_ptr[v + 1]
-            self.vcount_out[self.in_nbrs[lo:hi], a] -= self.in_vals[lo:hi]
-            self.vcount_out[self.in_nbrs[lo:hi], to0] += self.in_vals[lo:hi]
+            self.vcount_out[:, a][self.in_nbrs[lo:hi]] -= self.in_vals[lo:hi]
+            self.vcount_out[:, to0][self.in_nbrs[lo:hi]] += self.in_vals[lo:hi]
         if self.kind == "dc_poisson":
             d = self.deg[v]
             self.kappa[a] -= d

@@ -79,6 +79,23 @@ class TestStats:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("lines, message", [
+        (["a b 9223372036854775807", "a b 1"], "line 2: 'a' 'b' total more than 2**63 - 1"),
+        (["a b 9223372036854775807", "b c 9223372036854775807"],
+         "stored values (both orientations when undirected) total more than 2**63 - 1"),
+    ])
+    @pytest.mark.parametrize("command", [["stats"], ["fit", "--model", "poisson", "--method", "switch", "--K", "2"],
+                                         ["fit", "--model", "poisson", "--method", "vem", "--K", "2"]])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_count_totals_beyond_int64_are_one_error(self, lines, message, command, directed, tmp_path, capsys):
+        # they once wrapped: a negative stored value, or a NaN block matrix from the fit
+        path = tmp_path / "big.edges"
+        path.write_text("\n".join(lines) + "\n")
+        out = ["--out", str(tmp_path / "fit.json")] if command[0] == "fit" else []
+        flags = ["--directed"] * directed
+        code, printed, err = run(capsys, command[0], str(path), "--count", *flags, *command[1:], *out)
+        assert (code, printed, err) == (1, "", f"error: {message}\n")
+
     def test_repeat_is_byte_identical(self, tmp_path, capsys):
         path = tmp_path / "toy.edges"
         path.write_text("a b\nb c\nc d\n")

@@ -21,7 +21,12 @@ cases hash ``delta_loglik`` for every single-vertex move of a random
 three-block partition, for the poisson and dc_poisson kinds.  ``sample``
 cases hash the edge-list text and the labels of one ``sample_sbm`` draw of
 60 nodes and K = 3 per kind and orientation; one cell's Poisson rate is
-15, so the per-pair stream branch runs.
+15, so the per-pair stream branch runs.  ``parse`` cases hash the node
+labels and CSR arrays that ``load_edge_list`` reads from one fixed ASCII
+count text per orientation, whose repeated lines sum and whose values
+include tokens that only ``int`` reads (``+1``, ``1_0``, 19 or more
+digits) next to plain digits of up to 18; they were recorded before the
+tokenizer read plain digits itself, and kept their hashes.
 
 A change that is meant to be behaviour-neutral (a speed-up, a refactor)
 must leave every hash here unchanged.  A change that is meant to alter
@@ -83,7 +88,7 @@ import numpy as np
 import pytest
 
 from blockmix.generate import GenConfig, sample_sbm
-from blockmix.graph import Network, to_edge_list_text
+from blockmix.graph import Network, load_edge_list, to_edge_list_text
 from blockmix.mcem import McemConfig, gibbs_sweep, mcem_fit_positions
 from blockmix.models import BlockParams, GraphonStep, Partition
 from blockmix.results import to_json
@@ -159,8 +164,33 @@ def _sample(case: str):
     return sample_sbm(GenConfig(60, params, directed=directed, seed=21))
 
 
+def _parse_text(directed: bool) -> str:
+    """A count edge list of 40 nodes: repeated lines, mirrored pairs, comments, odd value tokens."""
+    rng = np.random.default_rng(16 if directed else 15)
+    odd = ["+1", "1_0", "+0_3", "01", "0000000000000000007", "00000000000000000000012",
+           "999999999999999999", "100000000000000000"]
+    pairs = [(i, j) for i in range(40) for j in range(40) if i != j and (directed or i < j)]
+    body = []
+    for k in rng.permutation(len(pairs))[:120].tolist():
+        i, j = pairs[k][::-1] if rng.random() < 0.5 else pairs[k]
+        value = odd[rng.integers(len(odd))] if rng.random() < 0.2 else str(rng.integers(1, 30))
+        sep = ["\t", " ", "  "][rng.integers(3)]
+        tail = ["", "  # note", "\r"][rng.integers(3)]
+        body.append((f"v{i}{sep}v{j}{sep}{value}{tail}", f"v{j} v{i} {value}"))
+    lines = ["# a count network", "v0", "", *(line for line, _ in body), *(line for line, _ in body[:20])]
+    if not directed:
+        lines += [mirror for _, mirror in body[100:]]  # the other orientation, the same total
+    return "\n".join(lines) + "\n"
+
+
 def _digest(case: str) -> str:
     h = hashlib.sha256()
+    if case.startswith("parse-"):
+        net = load_edge_list(_parse_text(case.endswith("-directed")), case.endswith("-directed"), "count")
+        h.update("\n".join(net.labels()).encode())
+        for a in (net.indptr, net.indices, net.data):
+            h.update(a.astype(np.int64).tobytes())
+        return h.hexdigest()
     if case.startswith("sample-"):
         net, part = _sample(case)
         h.update(to_edge_list_text(net).encode())
@@ -241,6 +271,8 @@ GOLDEN = {
     "sample-poisson-directed": "40169afbfd1ece68f42d4098434382a48d666d58e2394a61d09dd19f3ea462ac",
     "sample-dc_poisson-undirected": "09f8e03330d0798f5f0162ce8ddba6a7a91bfae2ea1302bcaa0b34b044ec5a8e",
     "sample-dc_poisson-directed": "85a5ff1f6f2dd35a56375a6ff1eb353a8186c5f401d7139ab1f0ea9fc7faecbf",
+    "parse-count-undirected": "0c478de0e7f1720c2b20bc82a888e6dfb2ea36edce1655a9347e96476664b25b",
+    "parse-count-directed": "d74e2d408e0070d6dd4e4cf9e4803664a66779255aa6c3f423ee58390ee53443",
 }
 
 
@@ -262,7 +294,7 @@ if __name__ == "__main__":
 
     os.environ.pop("BLOCKMIX_WORKERS", None)
     for case in sys.argv[1:] or sorted(GOLDEN):
-        if case.startswith(("sample-", "gibbs-", "delta-")):
+        if case.startswith(("sample-", "gibbs-", "delta-", "parse-")):
             digest, fit = _digest(case), ""
         else:
             digest, result = _fit_digest(case)

@@ -79,6 +79,33 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListError, match="line 1: value .* does not fit"):
             load_edge_list(f"a b {2**63}\n", value_kind="count")
 
+    def test_count_total_beyond_64_bits_names_its_line(self):
+        top = str(2**63 - 1)
+        # a pair's sum passes 2**63 - 1 on its second line here, line 3
+        text = f"a b 3\nc d {top}\nc d 5\na b {top}\n"
+        for directed in (False, True):
+            with pytest.raises(EdgeListError, match=r"line 3: 'c' 'd' total more than 2\*\*63 - 1"):
+                load_edge_list(text, directed, "count")
+        # undirected orientations sum apart, then must agree
+        with pytest.raises(EdgeListError, match="line 3: 'b' 'a' total more than"):
+            load_edge_list(f"a b {top}\nb a 5\nb a {top}\n", value_kind="count")
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_stored_total_beyond_64_bits_rejected(self, directed):
+        # undirected, every value is stored in both orientations
+        limit = 2**63 if directed else 2**62
+        net = load_edge_list(f"a b {limit - 2}\nb c 1\n", directed, "count")
+        assert net.total_value == limit - 1
+        assert degrees(net).tolist() == [limit - 2, limit - 1, 1]
+        with pytest.raises(ValueError, match=r"stored values \(both orientations when undirected\) total more"):
+            load_edge_list(f"a b {limit - 2}\nb c 2\n", directed, "count")
+        # three values that total 2**63 - 1, then 2**63 only once the low 32 bits carry
+        top = np.array([((2**31 - 3) << 32) + 2**32 - 1, 1 << 32, 1 << 32], dtype=np.int64)
+        assert Network(4, [0, 1, 2], [1, 2, 3], top, True, "count").total_value == 2**63 - 1
+        top[2] += 1
+        with pytest.raises(ValueError, match="total more than 2"):
+            Network(4, [0, 1, 2], [1, 2, 3], top, True, "count")
+
     def test_empty_input_rejected(self):
         with pytest.raises(EdgeListError, match="no edges"):
             load_edge_list("")
@@ -117,28 +144,44 @@ INLINE = [c for c in SPACE if c not in BREAK]
 NAMES = ["a", "b", "c", "ab", "é", "名", "a\x00", "\x00", "\ud800x", "𝔘", "abcdefgh", "abcdefghi",
          "abcdefghj", "abcdefgh名", "abcdefgh1jklmnopq", "abcdefgh2jklmnopq", "名名名名名", "名名1名名",
          "a#", "ab#c", "#c"]
+# plain digits around int64's and the NumPy reader's 18-digit bounds; tokens only int() reads
 VALUES = ["1", "1", "2", "0.5", "1.0", "0", "-1", "x", "1.5", "nan", "+1", "1_0", "١", "01", str(2**63),
-          "1e0", "inf", "-0.0", "0x1"]
+          "1e0", "inf", "-0.0", "0x1", "999999999999999999", "1000000000000000000", str(2**63 - 1),
+          "0000000000000000001", "00", "+0"]
 name = st.one_of(st.sampled_from(NAMES), st.text(st.characters(exclude_characters=SPACE), min_size=1, max_size=10))
-value = st.sampled_from(VALUES)
-messy = st.one_of(st.tuples(name), st.tuples(name, name), st.tuples(name, name, value),
-                  st.lists(st.one_of(name, value), max_size=4))
-# lines that every reader accepts, or rejects only for a repeated pair
-tidy = st.one_of(st.tuples(name), st.tuples(name, name, st.just("1")))
+# ASCII names and values make an ASCII text, which the tokenizer reads one byte per character
+ascii_name = st.one_of(st.sampled_from([s for s in NAMES if s.isascii()]),
+                       st.text(st.characters(max_codepoint=0x7f, exclude_characters=SPACE), min_size=1, max_size=10))
+
+
+def line_kinds(name, values):
+    value = st.sampled_from(values)
+    messy = st.one_of(st.tuples(name), st.tuples(name, name), st.tuples(name, name, value),
+                      st.lists(st.one_of(name, value), max_size=4))
+    # lines that every reader accepts, or rejects only for a repeated pair
+    tidy = st.one_of(st.tuples(name), st.tuples(name, name, st.just("1")))
+    return [messy, tidy]
+
+
+KINDS, ASCII_KINDS = line_kinds(name, VALUES), line_kinds(ascii_name, [v for v in VALUES if v.isascii()])
 
 
 @st.composite
-def edge_texts(draw):
+def edge_texts(draw, ascii=False):
+    inline, breaks = ([c for c in chars if c.isascii()] if ascii else chars for chars in (INLINE, BREAK))
     lines = []
-    for line in draw(st.lists(draw(st.sampled_from([messy, tidy])), max_size=8)):
-        gaps = draw(st.lists(st.text(st.sampled_from(INLINE), min_size=1, max_size=2),
+    for line in draw(st.lists(draw(st.sampled_from(ASCII_KINDS if ascii else KINDS)), max_size=8)):
+        gaps = draw(st.lists(st.text(st.sampled_from(inline), min_size=1, max_size=2),
                              min_size=len(line) + 1, max_size=len(line) + 1))
         gaps[0] = draw(st.sampled_from(["", gaps[0]]))
         body = "".join(g + f for g, f in zip(gaps, line)) + draw(st.sampled_from(["", gaps[-1]]))
         lines.append(body + draw(st.sampled_from(["", "", "#", "# x y", "#a b 1"])))
-    breaks = draw(st.lists(st.sampled_from([*BREAK, "\r\n"]), min_size=len(lines), max_size=len(lines)))
-    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    ends = draw(st.lists(st.sampled_from([*breaks, "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, ends))
     return text if draw(st.booleans()) else text[:-1] if text and text[-1] in BREAK else text
+
+
+any_text = st.one_of(edge_texts(), edge_texts(ascii=True))
 
 
 def outcome(read, *args):
@@ -165,24 +208,61 @@ class TestTokenizer:
         assert np.array_equal(_tokenizer._IS_BREAK, [len(f"a{chr(c)}b".splitlines()) == 2 for c in codes])
 
     @settings(max_examples=250, deadline=None)
-    @given(text=edge_texts(), kind=st.sampled_from(["binary", "count", "weighted"]))
+    @given(text=any_text, kind=st.sampled_from(["binary", "count", "weighted"]))
     @example(text="", kind="binary")
     @example(text="abcdefghi abcdefghj\nabcdefghi\tabcdefghi 1", kind="binary")
     def test_edge_readers_match_the_line_loop(self, text, kind):
         args = (text, *graph._FORMATS[kind])
-        assert outcome(graph._read_edges, *args) == outcome(lineloop.read_edges, *args)
+        assert outcome(graph._read_edges, *args) == outcome(lineloop.read_edges, *args[:4])
 
     @pytest.mark.parametrize("text", STRUCTURE)
     @pytest.mark.parametrize("kind", ["binary", "count", "weighted"])
     def test_first_failing_line_matches_the_line_loop(self, text, kind):
         args = (text, *graph._FORMATS[kind])
-        assert outcome(graph._read_edges, *args) == outcome(lineloop.read_edges, *args)
+        assert outcome(graph._read_edges, *args) == outcome(lineloop.read_edges, *args[:4])
+
+    def test_integers_read_up_to_18_plain_digits(self):
+        tokens = ["7", "00", "01", "999999999999999999", "0000000000000000001", "1000000000000000000",
+                  str(2**63 - 1), "+1", "1_0", "x", "١", "1x", "x1", "-0", "1/", ":1"]  # "/" and ":" enclose the digits
+        for text in (" ".join(tokens), " ".join(tokens) + " é"):  # one byte a character, and four
+            f = _tokenizer.split(text, 0)
+            values, odd = f.integers(np.arange(len(tokens)))
+            assert values.dtype == np.int64
+            assert odd.tolist() == [False] * 4 + [True] * 12
+            assert values.tolist() == [7, 0, 1, 999999999999999999] + [0] * 12
+
+    @pytest.mark.parametrize("k", [0, 1234, 4999])
+    def test_one_odd_token_leaves_the_rest_to_numpy(self, k):
+        # 5000 count lines of plain digits but one "+1", which int() alone reads
+        rng = np.random.default_rng(k)
+        pairs, values = rng.integers(0, 300, (5000, 2)), rng.integers(1, 10**6, 5000).astype(str)
+        pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]  # no self-loops
+        values[k] = "+1"
+        text = "".join(f"n{a} n{b} {v}\n" for (a, b), v in zip(pairs.tolist(), values.tolist()))
+        usage, value, default, top = graph._FORMATS["count"]
+        read = []
+        counted = lambda token, lineno: read.append(token) or value(token, lineno)  # noqa: E731
+        new = outcome(graph._read_edges, text, usage, counted, default, top)
+        assert read == ["+1"]
+        assert new == outcome(lineloop.read_edges, text, usage, value, default)
+        assert new[3][k] == 1
+
+    @pytest.mark.parametrize("kind", ["binary", "count"])
+    def test_earlier_line_wins_between_numpy_and_int(self, kind):
+        # "00" fails in the array, "x" in int(); whichever line comes first names the error
+        lines = ["a b 1", "b c 00", "c d 1", "d e x"]
+        for text in ("\n".join(lines), "\n".join(lines[::-1])):
+            args = (text, *graph._FORMATS[kind])
+            first = min(i for i, line in enumerate(text.splitlines()) if line[-1] in "0x") + 1
+            got = outcome(graph._read_edges, *args)
+            assert got == outcome(lineloop.read_edges, *args[:4])
+            assert got[0] == "error" and got[1].startswith(f"line {first}:")
 
     @settings(max_examples=100, deadline=None)
-    @given(text=edge_texts(), directed=st.booleans(), kind=st.sampled_from(["binary", "count"]))
+    @given(text=any_text, directed=st.booleans(), kind=st.sampled_from(["binary", "count"]))
     def test_networks_match_the_line_loop(self, text, directed, kind):
         def old(text):
-            names, *parsed = lineloop.read_edges(text, *graph._FORMATS[kind])
+            names, *parsed = lineloop.read_edges(text, *graph._FORMATS[kind][:3])
             src, dst, vals, lines = (np.array(a, dtype=np.int64) for a in parsed)
             edges = graph._merge_lines(len(names), names, src, dst, vals, lines, directed, kind == "binary")
             return Network(len(names), *edges, directed=directed, value_kind=kind, node_labels=names)
@@ -195,14 +275,14 @@ class TestTokenizer:
         assert outcome(arrays, new) == outcome(arrays, old)
 
     @settings(max_examples=100, deadline=None)
-    @given(text=edge_texts(), directed=st.booleans())
+    @given(text=any_text, directed=st.booleans())
     def test_weighted_reader_matches_the_line_loop(self, text, directed):
-        usage, value, _ = graph._FORMATS["weighted"]
+        usage, value, *_ = graph._FORMATS["weighted"]
         assert (outcome(load_weighted_edge_list, text, directed)
                 == outcome(lineloop.weighted, text, usage, value, directed))
 
     @settings(max_examples=100, deadline=None)
-    @given(text=edge_texts())
+    @given(text=any_text)
     @example(text="a 1\nb 2 # c\n  \nc 1\n")
     def test_label_reader_matches_the_line_loop(self, text):
         assert outcome(load_labels, text) == outcome(lineloop.labels, text)
