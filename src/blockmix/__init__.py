@@ -1,8 +1,9 @@
 """Mixture modelling for networks via stochastic blockmodels.
 
-Fits Bernoulli, Poisson, and degree-corrected blockmodels with three
-engines: variational EM, vertex-switching search, and Monte-Carlo EM
-over a piecewise-constant graphon with per-node allocation uncertainty.
+Fits blockmodels with three engines: vertex-switching search (Bernoulli,
+Poisson and degree-corrected Poisson), variational EM (Bernoulli and
+Poisson), and Monte-Carlo EM over a piecewise-constant graphon with
+per-node allocation uncertainty (Bernoulli).
 
 The public names below load their submodule on first use (PEP 562), so
 ``import blockmix`` loads no submodule.

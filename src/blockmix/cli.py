@@ -26,7 +26,7 @@ from blockmix.graph import (
     load_weighted_edge_list,
     to_edge_list_text,
 )
-from blockmix.models import MODEL_KINDS, BlockParams, Partition
+from blockmix.models import MODEL_KINDS, BlockParams, Partition, check_kind
 
 METHODS = ("vem", "switch", "mcem")
 
@@ -84,10 +84,10 @@ def _check_out_dirs(*paths) -> None:
 
 
 def cmd_fit(args, parser) -> int:
-    if args.method == "mcem" and args.model != "bernoulli":
-        parser.error("the mcem method supports the bernoulli model only")
-    if args.method == "vem" and args.model == "dc_poisson":
-        parser.error("the vem method supports the bernoulli and poisson models")
+    try:
+        check_kind(None, args.model, args.method)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.trace_out and args.method != "mcem":
         parser.error("--trace-out applies to the mcem method only")
     _check_out_dirs(args.out, args.trace_out)

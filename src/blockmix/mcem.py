@@ -32,7 +32,8 @@ import numpy as np
 
 from blockmix.graph import Network
 from blockmix.models import (
-    BlockParams, GraphonStep, Partition, _cell_sums, bernoulli_loglik, block_pair_stats, global_rate,
+    BlockParams, GraphonStep, Partition, _cell_sums, bernoulli_loglik, block_pair_stats, block_rates, check_kind,
+    global_rate,
 )
 from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream, whole
 
@@ -336,11 +337,7 @@ def m_step(net: Network, u_hat, g: GraphonStep, delta: float, K: int) -> Graphon
     pos = _positions(u_hat)
     z = g.interval_of(pos)
     edge, pairs, sizes = block_pair_stats(net, z, K)
-    num = edge + edge.T
-    den = pairs + pairs.T
-    with np.errstate(invalid="ignore"):
-        p = np.where(den > 0, num / np.maximum(den, 1.0), global_rate(net))
-    p = np.clip(p, 0.0, 1.0)
+    p = block_rates("bernoulli", edge + edge.T, pairs + pairs.T, global_rate(net))
     pi = delta * (sizes / pos.size) + (1.0 - delta) / K
     tau = np.concatenate(([0.0], np.cumsum(pi)))
     tau[-1] = 1.0
@@ -389,8 +386,7 @@ def _run_restart(args) -> Restart:
 
 def mcem_fit_positions(net: Network, cfg: McemConfig) -> tuple[FitResult, list[np.ndarray]]:
     """``mcem_fit`` and the winning restart's mode positions, one vector per EM iteration."""
-    if net.value_kind != "binary":
-        raise ValueError("the graphon engine needs a binary network")
+    check_kind(net, "bernoulli")
     result, best, run = fit_restarts("mcem", "bernoulli", _run_restart, net, cfg, asdict(cfg))
     u, u_trace = run.extra
 

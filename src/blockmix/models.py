@@ -5,6 +5,12 @@ Three model kinds are supported: "bernoulli" (edge probabilities p_kl),
 per-node heterogeneity offset gamma_i).  All pair sums exclude the
 diagonal and run over unordered pairs i < j for undirected networks,
 ordered pairs i != j for directed ones.
+
+The engines' shared rules are coded here once: the kinds each engine fits
+(``check_kind``), the block rates with their fallback (``block_rates``) and
+the pair log-likelihood at given parameters (``_pair_term``, read by the
+likelihoods and vem's bound).  A p = 0, p = 1 or zero-rate cell, or a -inf
+gamma, is a -inf log-table cell, and 0 * (-inf) = 0 by one rule (``_sum``).
 """
 
 from __future__ import annotations
@@ -30,6 +36,19 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("bernoulli", "poisson", "dc_poisson")
+
+# the model kinds each engine fits
+_ENGINE_KINDS = {"vem": ("bernoulli", "poisson"), "switch": MODEL_KINDS, "mcem": ("bernoulli",)}
+
+
+def check_kind(net: Network | None, kind: str, engine: str | None = None):
+    """Raise a ValueError unless ``kind`` is a model kind that ``engine`` fits and ``net`` suits (when given)."""
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    if engine is not None and kind not in _ENGINE_KINDS[engine]:
+        raise ValueError(f"the {engine} method fits the model kinds {', '.join(_ENGINE_KINDS[engine])}, not {kind}")
+    if net is not None and kind == "bernoulli" and net.value_kind != "binary":
+        raise ValueError("the bernoulli model needs a binary network")
 
 
 class _ValueEq:
@@ -221,11 +240,6 @@ def block_pair_stats(net: Network, labels0: np.ndarray, K: int):
     return edge_total, pair_count, sizes
 
 
-def _pair_scale(directed: bool) -> float:
-    # ordered-pair statistics double-count unordered pairs
-    return 1.0 if directed else 0.5
-
-
 def global_rate(net: Network) -> float:
     """Mean edge value per possible pair; equals density for binary nets."""
     possible = _n_pairs(net)
@@ -239,6 +253,71 @@ def _check_partition(net: Network, part: Partition, params: BlockParams | None =
         raise ValueError("partition and params disagree on K")
 
 
+def _split(table):
+    """``table``'s finite part (0 at its -inf cells) and a float mask of those cells (None when there is none)."""
+    neginf = np.isneginf(table)
+    return np.where(neginf, 0.0, table), (neginf.astype(np.float64) if neginf.any() else None)
+
+
+def _sum(*terms) -> float:
+    """The sum of the products coef * table over ``terms`` and all their cells.
+
+    Each term pairs coefficients with a ``_split`` table; the products take
+    its finite part, and the sum is -inf where a coefficient of at least
+    1e-9 meets a -inf cell: for whole-number counts, any count > 0.
+    Smaller coefficients are rounding noise, such as a p = 1 cell's
+    non-edge count of -1e-17 in vem's soft statistics.
+    """
+    total, hit = None, False
+    for coef, (value, neginf) in terms:
+        total = coef * value if total is None else total + coef * value
+        hit = hit or (neginf is not None and bool(((coef >= 1e-9) * neginf).any()))
+    return -np.inf if hit else np.add.reduce(total, axis=None)
+
+
+def _pair_tables(params: BlockParams):
+    """The ``_split`` tables of an edge and a non-edge (bernoulli), or of the log-rate and the (finite) rate."""
+    with np.errstate(divide="ignore"):
+        if params.kind == "bernoulli":
+            return _split(np.log(params.block_matrix)), _split(np.log1p(-params.block_matrix))
+    return _split(params.block_matrix), (np.exp(params.block_matrix), None)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _pair_term(e, pairs, directed: bool, params: BlockParams) -> float:
+    """The pairs' log-likelihood at ``params`` from ordered-pair block statistics.
+
+    ``e`` sums the values of each cell's pairs and ``pairs`` counts them
+    (dc_poisson: sums exp(gamma_i + gamma_j) over them).  A cell adds
+    e log p + (pairs - e) log(1 - p) (bernoulli) or e omega - pairs exp(omega);
+    constant log(y!) terms are omitted.
+    """
+    table_a, table_b = _pair_tables(params)
+    rest = pairs - e if params.kind == "bernoulli" else -pairs
+    # ordered-pair statistics double-count unordered pairs
+    return _sum((e, table_a), (rest, table_b)) * (1.0 if directed else 0.5)
+
+
+@np.errstate(divide="ignore")
+def _mix_term(sizes, pi) -> float:
+    """The mixing term: block sizes (or responsibility totals) times log pi."""
+    return _sum((sizes, _split(np.log(pi))))
+
+
+def _loglik_stats(net: Network, part: Partition, params: BlockParams, kind: str):
+    """``block_pair_stats`` of ``part`` once the inputs of ``kind``'s likelihood are checked."""
+    if params.kind != kind:
+        raise ValueError(f"params.kind must be {kind}")
+    check_kind(net, kind)
+    if params.gamma is not None and params.gamma.size != net.n_nodes:
+        raise ValueError("gamma must have one entry per node")
+    _check_partition(net, part, params)
+    for name, value in (("block_matrix", params.block_matrix), ("gamma", params.gamma)):
+        if value is not None and np.isposinf(value).any():
+            raise ValueError(f"{name} must not contain +inf")
+    return block_pair_stats(net, part.zero_based(), part.K)
+
+
 def bernoulli_loglik(net: Network, part: Partition, params: BlockParams) -> float:
     """Log-likelihood of a binary network under hard block assignments.
 
@@ -246,17 +325,8 @@ def bernoulli_loglik(net: Network, part: Partition, params: BlockParams) -> floa
     agree and -inf when they disagree, so impossible configurations rank
     strictly worst rather than erroring.
     """
-    if params.kind != "bernoulli":
-        raise ValueError("params.kind must be bernoulli")
-    if net.value_kind != "binary":
-        raise ValueError("bernoulli likelihood needs a binary network")
-    _check_partition(net, part, params)
-    e, m, _ = block_pair_stats(net, part.zero_based(), part.K)
-    p = params.block_matrix
-    with np.errstate(divide="ignore", invalid="ignore"):
-        present = _xlogy(e, p)
-        absent = np.where(m - e > 0, (m - e) * np.log1p(-p), 0.0)
-    return float((present + absent).sum() * _pair_scale(net.directed))
+    e, m, _ = _loglik_stats(net, part, params, "bernoulli")
+    return float(_pair_term(e, m, net.directed, params))
 
 
 def poisson_complete_loglik(net: Network, part: Partition, params: BlockParams) -> float:
@@ -265,17 +335,8 @@ def poisson_complete_loglik(net: Network, part: Partition, params: BlockParams) 
     Sum over pairs of y*omega - exp(omega), plus the mixing term
     sum_i log pi_{z_i}.  Constant log(y!) terms are omitted.
     """
-    if params.kind != "poisson":
-        raise ValueError("params.kind must be poisson")
-    _check_partition(net, part, params)
-    e, m, sizes = block_pair_stats(net, part.zero_based(), part.K)
-    omega = params.block_matrix
-    with np.errstate(invalid="ignore"):
-        edge_term = np.where(e > 0, e * omega, 0.0)
-    pair_term = (edge_term - m * np.exp(omega)).sum() * _pair_scale(net.directed)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mix_term = _xlogy(sizes, params.pi).sum()
-    return float(pair_term + mix_term)
+    e, m, sizes = _loglik_stats(net, part, params, "poisson")
+    return float(_pair_term(e, m, net.directed, params) + _mix_term(sizes, params.pi))
 
 
 def _dc_pair_weights(gamma: np.ndarray, labels0: np.ndarray, K: int) -> np.ndarray:
@@ -292,23 +353,22 @@ def dc_poisson_loglik(net: Network, part: Partition, params: BlockParams) -> flo
     Pair rate is exp(gamma_i + gamma_j + omega_kl); gamma entries of
     -inf (degree-zero nodes) zero out their pairs' rates.
     """
-    if params.kind != "dc_poisson":
-        raise ValueError("params.kind must be dc_poisson")
-    if params.gamma is None or params.gamma.size != net.n_nodes:
-        raise ValueError("gamma must have one entry per node")
-    _check_partition(net, part, params)
-    labels0 = part.zero_based()
-    K = part.K
-    omega = params.block_matrix
-    deg = degrees(net)
-    with np.errstate(invalid="ignore"):
-        gamma_term = np.where(deg > 0, deg * params.gamma, 0.0).sum()
-    e, _, _ = block_pair_stats(net, labels0, K)
-    with np.errstate(invalid="ignore"):
-        edge_term = np.where(e > 0, e * omega, 0.0)
-    w = _dc_pair_weights(params.gamma, labels0, K)
-    pair_term = (edge_term - w * np.exp(omega)).sum() * _pair_scale(net.directed)
-    return float(gamma_term + pair_term)
+    e, _, _ = _loglik_stats(net, part, params, "dc_poisson")
+    gamma_term = _sum((degrees(net), _split(params.gamma)))
+    w = _dc_pair_weights(params.gamma, part.zero_based(), part.K)
+    return float(gamma_term + _pair_term(e, w, net.directed, params))
+
+
+def block_rates(kind: str, e, pairs, fallback: float, tiny: float = 0.0) -> np.ndarray:
+    """Block rates e / pairs, and ``fallback`` where a cell has pairs of at most ``tiny``:
+    probabilities clipped to [0, 1] for bernoulli, log-rates otherwise.
+
+    Whole-number pair counts read any threshold below 1 alike; vem's soft
+    pairs pass 1e-12, and dc_poisson's weights keep the default w > 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.where(pairs > tiny, e / pairs, fallback)
+        return np.clip(rate, 0.0, 1.0) if kind == "bernoulli" else np.log(rate)
 
 
 def mle_block_params(net: Network, part: Partition, kind: str, allow_empty: bool = False) -> BlockParams:
@@ -319,31 +379,18 @@ def mle_block_params(net: Network, part: Partition, kind: str, allow_empty: bool
     stays finite.  Every block must be occupied unless ``allow_empty``
     is set (search engines may finish with unused blocks).
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
+    check_kind(net, kind)
     _check_partition(net, part)
     sizes = part.block_sizes()
     if not allow_empty:
         for k in np.flatnonzero(sizes == 0):
             raise ValueError(f"block {k + 1} is empty")
-    n = net.n_nodes
-    pi = sizes / n
+    pi = sizes / net.n_nodes
     labels0 = part.zero_based()
     e, m, _ = block_pair_stats(net, labels0, part.K)
     fallback = global_rate(net)
-
-    if kind == "bernoulli":
-        if net.value_kind != "binary":
-            raise ValueError("bernoulli fit needs a binary network")
-        with np.errstate(invalid="ignore"):
-            p = np.where(m > 0, e / np.maximum(m, 1), fallback)
-        return BlockParams("bernoulli", part.K, pi, p)
-
-    if kind == "poisson":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.where(m > 0, e / np.maximum(m, 1), fallback)
-            omega = np.log(rate)
-        return BlockParams("poisson", part.K, pi, omega)
+    if kind != "dc_poisson":
+        return BlockParams(kind, part.K, pi, block_rates(kind, e, m, fallback))
 
     # dc_poisson: profile gamma by degree share, normalized so that
     # sum of exp(gamma) within each block equals the block size
@@ -356,10 +403,7 @@ def mle_block_params(net: Network, part: Partition, kind: str, allow_empty: bool
             -np.inf,
         )
     w = _dc_pair_weights(gamma, labels0, part.K)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = np.where(w > 0, e / np.maximum(w, 1e-300), fallback)
-        omega = np.log(rate)
-    return BlockParams("dc_poisson", part.K, pi, omega, gamma=gamma)
+    return BlockParams(kind, part.K, pi, block_rates(kind, e, w, fallback), gamma=gamma)
 
 
 def graphon_eval(g: GraphonStep, u: float, v: float) -> float:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from blockmix.graph import Network, degrees
-from blockmix.models import MODEL_KINDS, Partition, _cell_sums, _xlogy, block_pair_stats, mle_block_params
+from blockmix.models import Partition, _cell_sums, _xlogy, block_pair_stats, check_kind, mle_block_params
 from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream, whole
 
 __all__ = ["SwitchConfig", "MoveDelta", "delta_loglik", "profile_loglik", "switch_fit"]
@@ -327,20 +327,13 @@ class _Stats:
         return D
 
 
-def _check_kind(net: Network, kind: str):
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    if kind == "bernoulli" and net.value_kind != "binary":
-        raise ValueError("bernoulli objective needs a binary network")
-
-
 def profile_loglik(net: Network, part: Partition, kind: str = "bernoulli") -> float:
     """Log-likelihood of a partition with parameters maximized out.
 
     Tolerates empty blocks: they contribute nothing, and block-pair
     cells with no possible pairs are neutral.
     """
-    _check_kind(net, kind)
+    check_kind(net, kind)
     if part.n != net.n_nodes:
         raise ValueError("partition length must equal the number of nodes")
     return _Stats(net, part.zero_based(), part.K, kind).objective()
@@ -352,7 +345,7 @@ def delta_loglik(net: Network, part: Partition, vertex: int, to: int, kind: str 
     Exactly equals the profile log-likelihood difference of the two
     partitions; only the affected block-pair statistics enter.
     """
-    _check_kind(net, kind)
+    check_kind(net, kind)
     if not whole(vertex) or not 0 <= vertex < net.n_nodes:
         raise ValueError(f"vertex must be a whole number in 0..{net.n_nodes - 1}, got {vertex!r}")
     if not whole(to) or not 1 <= to <= part.K:
@@ -402,7 +395,7 @@ def _run_restart(args) -> Restart:
 
 def switch_fit(net: Network, cfg: SwitchConfig) -> FitResult:
     """Best-of-restarts vertex-switching search."""
-    _check_kind(net, cfg.kind)
+    check_kind(net, cfg.kind)
     result = fit_restarts("switch", cfg.kind, _run_restart, net, cfg, asdict(cfg))[0]
     result.params = mle_block_params(net, result.partition, cfg.kind, allow_empty=True)
     return result

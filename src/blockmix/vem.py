@@ -20,9 +20,10 @@ bytes either way.  The regrouped sums round differently from the seed's
 term-by-term expression (within 1e-12 relative), so where two blocks'
 scores tie up to the last bits a hard decision may differ from the seed's.
 
-A p = 0, p = 1 or zero-rate cell puts -inf in a log table; every score and
-bound takes 0 * (-inf) = 0 by one rule, on tables split once into their
-finite parts and their -inf cells (``_split``).
+The rates and the bound are the likelihoods' own rules in ``models`` on the
+soft statistics: ``block_rates``, ``_pair_term`` and ``_mix_term``.  A p = 0,
+p = 1 or zero-rate cell puts -inf in a log table, and every score and bound
+takes 0 * (-inf) = 0 by the one rule of ``models._sum``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from blockmix.graph import Network
-from blockmix.models import BlockParams, _pair_scale, _xlogy, global_rate
+from blockmix.models import (
+    BlockParams, _mix_term, _pair_tables, _pair_term, _xlogy, block_rates, check_kind, global_rate,
+)
 from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream
 from blockmix.switch import _Stats
 
@@ -64,36 +67,6 @@ class VariationalState:
     elbo: float
 
 
-def _split(table):
-    """``table``'s finite part (0 at its -inf cells) and a float mask of those cells (None when there is none)."""
-    neginf = np.isneginf(table)
-    return np.where(neginf, 0.0, table), (neginf.astype(np.float64) if neginf.any() else None)
-
-
-def _pair_tables(params: BlockParams):
-    """The ``_split`` tables of an edge and a non-edge (bernoulli), or of the log-rate and the (finite) rate."""
-    with np.errstate(divide="ignore"):
-        if params.kind == "bernoulli":
-            return _split(np.log(params.block_matrix)), _split(np.log1p(-params.block_matrix))
-    return _split(params.block_matrix), (np.exp(params.block_matrix), None)
-
-
-def _sum(*terms) -> float:
-    """The sum of the products coef * table over ``terms`` and all their cells.
-
-    Each term pairs coefficients with a ``_split`` table; the products take
-    its finite part, and the sum is -inf where a coefficient of at least
-    1e-9 meets a -inf cell: for whole-number counts, any count > 0.
-    Smaller coefficients are rounding noise, such as a p = 1 cell's
-    non-edge count of -1e-17.
-    """
-    total, hit = None, False
-    for coef, (value, neginf) in terms:
-        total = coef * value if total is None else total + coef * value
-        hit = hit or (neginf is not None and bool(((coef >= 1e-9) * neginf).any()))
-    return -np.inf if hit else np.add.reduce(total, axis=None)
-
-
 def _soft_stats(net: Network, resp: np.ndarray):
     """Responsibility-weighted block-pair values (over the stored pairs), pair counts and block totals."""
     colsum = resp.sum(axis=0)
@@ -101,14 +74,9 @@ def _soft_stats(net: Network, resp: np.ndarray):
     return edge, np.outer(colsum, colsum) - resp.T @ resp, colsum
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _bound(edge, pairs, colsum, entropy: float, directed: bool, params: BlockParams) -> float:
     """The bound from block-pair statistics and the responsibility entropy."""
-    table_a, table_b = _pair_tables(params)
-    rest = pairs - edge if params.kind == "bernoulli" else -pairs
-    pair_term = _sum((edge, table_a), (rest, table_b))
-    mix_term = _sum((colsum, _split(np.log(params.pi))))
-    return float(pair_term * _pair_scale(directed) + mix_term + entropy)
+    return float(_pair_term(edge, pairs, directed, params) + _mix_term(colsum, params.pi) + entropy)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -123,11 +91,11 @@ def _scorer(params: BlockParams, directed: bool):
     then its values from each block), weighted by the other nodes'
     responsibilities, then the other nodes' block totals (``others``),
     then 1.  With A and B the ``_split`` finite parts of the
-    ``_pair_tables``, block k scores log pi_k + t.(A - B)_k + others.B_k
+    ``models._pair_tables``, block k scores log pi_k + t.(A - B)_k + others.B_k
     (bernoulli) or log pi_k + t.log lambda_k - others.lambda_k (poisson),
     a directed network's sides stacked as row k and then column k.  A
     score is -inf where a coefficient of at least 1e-9 meets a -inf cell
-    (the ``_sum`` rule): of A through t, of B through others - t.
+    (the ``models._sum`` rule): of A through t, of B through others - t.
     """
     K, n_t = params.K, params.K * (1 + directed)
     (a, a_inf), (b, b_inf) = _pair_tables(params)
@@ -179,13 +147,11 @@ def _e_step(net: Network, state: VariationalState) -> np.ndarray:
     return resp
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _m_step(kind: str, edge, pairs, colsum, entropy: float, n: int, directed: bool,
             fallback: float) -> tuple[BlockParams, float]:
     """Closed-form block rates (the fallback where a cell has no pairs) and weights, and their bound."""
-    rate = np.where(pairs > 1e-12, edge / np.maximum(pairs, 1e-12), fallback)
-    pi = colsum / n
-    params = BlockParams(kind, colsum.size, pi, np.clip(rate, 0.0, 1.0) if kind == "bernoulli" else np.log(rate))
+    rates = block_rates(kind, edge, pairs, fallback, tiny=1e-12)
+    params = BlockParams(kind, colsum.size, colsum / n, rates)
     return params, _bound(edge, pairs, colsum, entropy, directed, params)
 
 
@@ -304,8 +270,5 @@ def _run_restart(args) -> Restart:
 
 def vem_fit(net: Network, cfg: VemConfig, kind: str = "bernoulli") -> FitResult:
     """Best-of-restarts variational fit; partition is the row-wise argmax."""
-    if kind not in ("bernoulli", "poisson"):
-        raise ValueError("vem supports the bernoulli and poisson kinds")
-    if kind == "bernoulli" and net.value_kind != "binary":
-        raise ValueError("bernoulli fit needs a binary network")
+    check_kind(net, kind, "vem")
     return fit_restarts("vem", kind, _run_restart, net, cfg, {**asdict(cfg), "kind": kind})[0]

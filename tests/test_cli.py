@@ -106,17 +106,23 @@ class TestStats:
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ("fit", "x.edges", "--method", "mcem", "--model", "poisson", "--K", "2", "--out", "r.json"),
-            ("fit", "x.edges", "--method", "vem", "--model", "dc_poisson", "--K", "2", "--out", "r.json"),
-            ("fit", "x.edges", "--method", "vem", "--K", "2", "--out", "r.json", "--trace-out", "t.tsv"),
+            (("fit", "x.edges", "--method", "mcem", "--model", "poisson", "--K", "2", "--out", "r.json"),
+             "the mcem method fits the model kinds bernoulli, not poisson"),
+            (("fit", "x.edges", "--method", "mcem", "--model", "dc_poisson", "--K", "2", "--out", "r.json"),
+             "the mcem method fits the model kinds bernoulli, not dc_poisson"),
+            (("fit", "x.edges", "--method", "vem", "--model", "dc_poisson", "--K", "2", "--out", "r.json"),
+             "the vem method fits the model kinds bernoulli, poisson, not dc_poisson"),
+            (("fit", "x.edges", "--method", "vem", "--K", "2", "--out", "r.json", "--trace-out", "t.tsv"),
+             "--trace-out applies to the mcem method only"),
         ],
     )
-    def test_incompatible_flags_exit_2(self, argv, capsys):
+    def test_incompatible_flags_exit_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f" error: {message}\n")
 
     def test_k_larger_than_network_exit_2(self, tmp_path, capsys):
         path = tmp_path / "toy.edges"

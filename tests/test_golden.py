@@ -26,7 +26,12 @@ labels and CSR arrays that ``load_edge_list`` reads from one fixed ASCII
 count text per orientation, whose repeated lines sum and whose values
 include tokens that only ``int`` reads (``+1``, ``1_0``, 19 or more
 digits) next to plain digits of up to 18; they were recorded before the
-tokenizer read plain digits itself, and kept their hashes.
+tokenizer read plain digits itself, and kept their hashes.  ``loglik`` cases
+hash one model kind's log-likelihood at the MLE and at perturbed parameters
+of two four-block partitions of a 20-node network, whose inputs hold p = 0
+and p = 1 cells (zero rates), an empty block and -inf gammas; they were
+recorded before the likelihoods and vem's bound shared one pair term
+(``models._pair_term``), and kept their hashes.
 
 A change that is meant to be behaviour-neutral (a speed-up, a refactor)
 must leave every hash here unchanged.  A change that is meant to alter
@@ -90,7 +95,10 @@ import pytest
 from blockmix.generate import GenConfig, sample_sbm
 from blockmix.graph import Network, load_edge_list, to_edge_list_text
 from blockmix.mcem import McemConfig, gibbs_sweep, mcem_fit_positions
-from blockmix.models import BlockParams, GraphonStep, Partition
+from blockmix.models import (
+    BlockParams, GraphonStep, Partition, bernoulli_loglik, dc_poisson_loglik, mle_block_params,
+    poisson_complete_loglik,
+)
 from blockmix.results import to_json
 from blockmix.switch import SwitchConfig, delta_loglik, switch_fit
 from blockmix.vem import VemConfig, vem_fit
@@ -183,8 +191,59 @@ def _parse_text(directed: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _loglik_values(kind: str, directed: bool) -> list[float]:
+    """The kind's log-likelihood at the MLE and at perturbed parameters of a three-block network.
+
+    Block 1 is complete (bernoulli) and has no values toward block 2, so
+    the MLE holds p = 1 and p = 0 cells (a zero rate for the count kinds);
+    the last node has no values, so its dc_poisson gamma is -inf; and the
+    partitions have a fourth block, empty in the planted one.
+    """
+    rng = np.random.default_rng(31 + directed)
+    z = np.repeat([0, 1, 2], [5, 7, 8])
+    if kind == "bernoulli":
+        cells = np.array([[1.0, 0.0, 0.3], [0.0, 0.4, 0.2], [0.3, 0.2, 0.5]])
+        y = (rng.random((20, 20)) < cells[z][:, z]).astype(np.int64)
+    else:
+        cells = np.array([[3.0, 0.0, 0.5], [0.0, 1.2, 0.4], [0.5, 0.4, 2.0]])
+        y = rng.poisson(cells[z][:, z])
+    np.fill_diagonal(y, 0)
+    y[19, :] = y[:, 19] = 0
+    if not directed:
+        y = np.triu(y, 1)
+    edges = {(int(i), int(j)): int(y[i, j]) for i, j in zip(*np.nonzero(y))}
+    net = Network.from_edges(20, edges, directed=directed, value_kind="binary" if kind == "bernoulli" else "count")
+    loglik = {"bernoulli": bernoulli_loglik, "poisson": poisson_complete_loglik,
+              "dc_poisson": dc_poisson_loglik}[kind]
+    planted, other = Partition(z + 1, 4), Partition(rng.integers(1, 5, size=20), 4)
+    fits = [mle_block_params(net, part, kind, allow_empty=True) for part in (planted, other)]
+    noise = rng.normal(0.0, 0.3, (4, 4))
+    noise = noise if directed else noise + noise.T
+    values = []
+    for part, mle in zip((planted, other), fits):
+        if kind == "bernoulli":
+            moved = mle.block_matrix * 0.8 + 0.1
+        else:
+            moved = mle.block_matrix + noise
+        gamma = None if mle.gamma is None else mle.gamma + rng.normal(0.0, 0.2, 20)
+        perturbed = replace(mle, pi=np.full(4, 0.25), block_matrix=moved, gamma=gamma)
+        values += [loglik(net, part, mle), loglik(net, part, perturbed)]
+    # each partition at the other's MLE: p = 0 and p = 1 cells, zero rates and
+    # empty blocks' weights meet the values and pairs of the other partition
+    values += [loglik(net, planted, fits[1]), loglik(net, other, fits[0])]
+    if kind == "dc_poisson":
+        gamma = fits[0].gamma.copy()
+        gamma[0] = -np.inf  # a node with values
+        values.append(loglik(net, planted, replace(fits[0], gamma=gamma)))
+    return values
+
+
 def _digest(case: str) -> str:
     h = hashlib.sha256()
+    if case.startswith("loglik-"):
+        _, kind, orient = case.split("-")
+        h.update(np.array(_loglik_values(kind, orient == "directed")).tobytes())
+        return h.hexdigest()
     if case.startswith("parse-"):
         net = load_edge_list(_parse_text(case.endswith("-directed")), case.endswith("-directed"), "count")
         h.update("\n".join(net.labels()).encode())
@@ -273,6 +332,12 @@ GOLDEN = {
     "sample-dc_poisson-directed": "85a5ff1f6f2dd35a56375a6ff1eb353a8186c5f401d7139ab1f0ea9fc7faecbf",
     "parse-count-undirected": "0c478de0e7f1720c2b20bc82a888e6dfb2ea36edce1655a9347e96476664b25b",
     "parse-count-directed": "d74e2d408e0070d6dd4e4cf9e4803664a66779255aa6c3f423ee58390ee53443",
+    "loglik-bernoulli-undirected": "f053b43d29c8396add919206373f0478235559f50d15c5eb275aef35f16a80ed",
+    "loglik-bernoulli-directed": "43512361d2cbca1866db3ef501d4fdb4f28e80e114e289e11f14322399b0d710",
+    "loglik-poisson-undirected": "585e991e84a6974c23a0fd34b9b88507af5a83ada3de1edd97142fa3acfe0f99",
+    "loglik-poisson-directed": "d3f385736b464917ff152b40c76b19809d5bc11ad8724b6415e2a4819845a83f",
+    "loglik-dc_poisson-undirected": "d912aa031ea3ffbf236fc2b5c3329fba36979926e31e86384aa0b30a1eae41a5",
+    "loglik-dc_poisson-directed": "c9557b019525154b5932cf7c8fc06d69e4336e8d652008c77987be9734560935",
 }
 
 
@@ -288,17 +353,21 @@ if __name__ == "__main__":
     # PYTHONPATH=<checkout>/src python tests/test_golden.py [CASE ...]
     # A fit case also prints the first 16 hex digits of its partition's
     # sha256, its trace length and its objective, so two checkouts' fits
-    # can be compared where their digests differ.
+    # can be compared where their digests differ.  The exit status is 1
+    # when any case prints DIFFERS, so the run serves as a byte check.
     import os
     import sys
 
     os.environ.pop("BLOCKMIX_WORKERS", None)
+    differs = False
     for case in sys.argv[1:] or sorted(GOLDEN):
-        if case.startswith(("sample-", "gibbs-", "delta-", "parse-")):
+        if case.startswith(("sample-", "gibbs-", "delta-", "parse-", "loglik-")):
             digest, fit = _digest(case), ""
         else:
             digest, result = _fit_digest(case)
             part = hashlib.sha256(result.labels.astype(np.int64).tobytes()).hexdigest()[:16]
             fit = f" partition {part} trace {len(result.trace)} objective {result.objective!r}"
         status = "new" if case not in GOLDEN else "ok" if digest == GOLDEN[case] else "DIFFERS"
+        differs = differs or status == "DIFFERS"
         print(f"{case} {digest} {status}{fit}")
+    sys.exit(1 if differs else 0)

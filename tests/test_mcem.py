@@ -25,7 +25,7 @@ from blockmix.mcem import (
     mcem_fit,
     mcem_fit_positions,
 )
-from blockmix.models import BlockParams, GraphonStep, _cell_sums
+from blockmix.models import BlockParams, GraphonStep, Partition, _cell_sums, mle_block_params
 from netfixtures import random_network, same_network
 
 _CLAMP = 1e-6
@@ -581,6 +581,16 @@ class TestMStep:
         g3 = m_step(net, mids[z], g2, delta=1.0, K=2)
         assert np.allclose(g3.tau, g2.tau)
         assert np.allclose(g3.P, g2.P)
+
+    def test_full_step_matches_mle_bytes(self):
+        # node 11 has no edges and sits alone in interval 3: zero cells and a cell without pairs
+        rng = np.random.default_rng(6)
+        net = random_network(rng, n=12, directed=False, binary=True, n_isolated=1)
+        g = GraphonStep([0.0, 0.3, 0.7, 1.0], np.full((3, 3), 0.5))
+        u_hat = np.append(rng.random(11) * 0.7, 0.9)
+        out = m_step(net, u_hat, g, delta=1.0, K=3)
+        ref = mle_block_params(net, Partition(g.interval_of(u_hat) + 1, 3), "bernoulli", allow_empty=True)
+        assert np.array_equal(out.P, ref.block_matrix)
 
     def test_delta_validated(self):
         net = Network.from_edges(2, [(0, 1)])

@@ -17,6 +17,7 @@ from blockmix.models import (
     Partition,
     bernoulli_loglik,
     block_pair_stats,
+    check_kind,
     dc_poisson_loglik,
     global_rate,
     graphon_eval,
@@ -182,6 +183,26 @@ class TestLogLikelihoods:
         with pytest.raises(ValueError, match="number of nodes"):
             bernoulli_loglik(net, part, BlockParams("bernoulli", 1, [1.0], [[0.5]]))
 
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 1)])
+    def test_posinf_log_rate_rejected(self, cell):
+        net = Network.from_edges(3, {(0, 1): 2}, value_kind="count")
+        part = Partition(np.array([1, 1, 2]), 2)
+        bm = np.zeros((2, 2))
+        bm[cell] = bm[cell[::-1]] = np.inf
+        with pytest.raises(ValueError, match=r"block_matrix must not contain \+inf"):
+            poisson_complete_loglik(net, part, BlockParams("poisson", 2, [0.5, 0.5], bm))
+        with pytest.raises(ValueError, match=r"block_matrix must not contain \+inf"):
+            dc_poisson_loglik(net, part, BlockParams("dc_poisson", 2, [0.5, 0.5], bm, gamma=np.zeros(3)))
+
+    @pytest.mark.parametrize("node", [0, 2])
+    def test_posinf_gamma_rejected(self, node):
+        net = Network.from_edges(3, {(0, 1): 2}, value_kind="count")
+        gamma = np.zeros(3)
+        gamma[node] = np.inf
+        params = BlockParams("dc_poisson", 2, [0.5, 0.5], np.zeros((2, 2)), gamma=gamma)
+        with pytest.raises(ValueError, match=r"gamma must not contain \+inf"):
+            dc_poisson_loglik(net, Partition(np.array([1, 1, 2]), 2), params)
+
 
 class TestMleBlockParams:
     def test_bernoulli_cells_are_edge_fractions(self):
@@ -267,6 +288,50 @@ class TestMleBlockParams:
         net = Network.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError, match="model kind"):
             mle_block_params(net, Partition(np.array([1, 1]), 1), "gaussian")
+
+    def test_dc_pair_weight_below_1e_12_is_a_divisor(self):
+        # block 1 joins degrees 10**13 and 1, so its pair weight is about 8e-13:
+        # the rate divides by it (a 1e-12 threshold would give the fallback 28.835...)
+        net = Network(3, [0, 0], [1, 2], [1, 10**13 - 1], value_kind="count")
+        params = mle_block_params(net, Partition([1, 1, 2], 2), "dc_poisson")
+        assert params.block_matrix[0, 0] == 28.547000950948874
+
+
+class TestKindCheck:
+    def test_one_message_for_bernoulli_on_counts(self):
+        from blockmix.mcem import McemConfig, mcem_fit
+        from blockmix.switch import SwitchConfig, delta_loglik, profile_loglik, switch_fit
+        from blockmix.vem import VemConfig, vem_fit
+
+        net = Network.from_edges(3, {(0, 1): 2}, value_kind="count")
+        part = Partition(np.array([1, 1, 2]), 2)
+        calls = [
+            lambda: bernoulli_loglik(net, part, BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))),
+            lambda: mle_block_params(net, part, "bernoulli"),
+            lambda: vem_fit(net, VemConfig(K=2)),
+            lambda: switch_fit(net, SwitchConfig(K=2)),
+            lambda: profile_loglik(net, part),
+            lambda: delta_loglik(net, part, 0, 2),
+            lambda: mcem_fit(net, McemConfig(K=2)),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.add(str(exc.value))
+        assert messages == {"the bernoulli model needs a binary network"}
+
+    def test_engine_kinds(self):
+        from blockmix.vem import VemConfig, vem_fit
+
+        net = Network.from_edges(3, {(0, 1): 2}, value_kind="count")
+        with pytest.raises(ValueError) as exc:
+            vem_fit(net, VemConfig(K=2), kind="dc_poisson")
+        assert str(exc.value) == "the vem method fits the model kinds bernoulli, poisson, not dc_poisson"
+        with pytest.raises(ValueError, match="^the mcem method fits the model kinds bernoulli, not poisson$"):
+            check_kind(None, "poisson", "mcem")
+        for kind in ("poisson", "dc_poisson"):
+            check_kind(net, kind, "switch")
 
 
 class TestValidation:

@@ -109,18 +109,19 @@ class TestSingleSteps:
         assert np.allclose(after.resp[0], after.resp[1])
         assert np.allclose(after.resp[0], [0.5, 0.5])
 
-    def test_m_step_with_hard_resp_matches_mle(self):
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
+    def test_m_step_with_hard_resp_matches_mle(self, kind, directed):
+        # node 11 has no edges and block 3 to itself: zero cells and a cell without pairs
         rng = np.random.default_rng(2)
-        net = random_network(rng, n=12, binary=True)
-        labels = np.array([1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3])
-        part = Partition(labels, 3)
-        resp = np.zeros((12, 3))
-        resp[np.arange(12), labels - 1] = 1.0
-        state = VariationalState(resp, BlockParams("bernoulli", 3, np.full(3, 1 / 3), np.full((3, 3), 0.5)), 0.0)
+        net = random_network(rng, n=12, directed=directed, binary=(kind == "bernoulli"), n_isolated=1)
+        labels = np.array([1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 3])
+        resp = np.eye(3)[labels - 1]
+        state = VariationalState(resp, BlockParams(kind, 3, np.full(3, 1 / 3), np.full((3, 3), 0.5)), 0.0)
         after = m_step(net, state)
-        ref = mle_block_params(net, part, "bernoulli")
-        assert np.allclose(after.params.pi, ref.pi)
-        assert np.allclose(after.params.block_matrix, ref.block_matrix)
+        ref = mle_block_params(net, Partition(labels, 3), kind)
+        assert np.array_equal(after.params.pi, ref.pi)
+        assert np.array_equal(after.params.block_matrix, ref.block_matrix)
 
     def test_m_step_with_uniform_resp_gives_global_rate(self):
         rng = np.random.default_rng(3)
