@@ -143,23 +143,9 @@ def cmd_generate(args, parser) -> int:
 
     K = args.K
     pi = np.full(K, 1.0 / K) if args.pi is None else _parse_vector(args.pi, "--pi", parser)
-    if pi.size != K:
-        parser.error("--pi length must equal K")
-    if pi.min() < 0 or abs(pi.sum() - 1.0) > 1e-9:
-        parser.error("--pi must be a simplex vector")
     matrix = _parse_matrix(args.block_matrix, parser)
-    if matrix.shape != (K, K):
-        parser.error("--block-matrix must be K x K")
-    gamma = None
-    if args.model == "dc_poisson":
-        if args.gamma is None:
-            parser.error("--gamma is required for the dc_poisson model")
-        gamma = _parse_vector(args.gamma, "--gamma", parser)
-        if gamma.size != args.n:
-            parser.error("--gamma length must equal --n")
-    elif args.gamma is not None:
-        parser.error("--gamma applies to the dc_poisson model only")
-    try:
+    gamma = None if args.gamma is None else _parse_vector(args.gamma, "--gamma", parser)
+    try:  # BlockParams and GenConfig check the values and their sizes
         params = BlockParams(args.model, K, pi, matrix, gamma=gamma)
         cfg = GenConfig(n=args.n, params=params, directed=args.directed, seed=args.seed)
     except ValueError as exc:

@@ -71,8 +71,12 @@ class LatentPositions:
             raise ValueError("latent positions must lie in [0, 1)")
 
 
-def _positions(u) -> np.ndarray:
-    return u.u.copy() if isinstance(u, LatentPositions) else np.asarray(u, dtype=np.float64).copy()
+def _positions(u, n: int, name: str = "u") -> np.ndarray:
+    """A copy of the latent positions ``u`` of an n-node network (a LatentPositions or a sequence)."""
+    pos = u.u.copy() if isinstance(u, LatentPositions) else np.asarray(u, dtype=np.float64).copy()
+    if pos.shape != (n,):
+        raise ValueError(f"{name} must hold one position per node ({n}), got shape {pos.shape}")
+    return pos
 
 
 @dataclass
@@ -299,7 +303,7 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
         raise ValueError(f"node index {j} lies outside 0..{net.n_nodes - 1}")
     sampler = _Sampler(net)
     sampler.set_graphon(g)
-    z = g.interval_of(_positions(u))
+    z = g.interval_of(_positions(u, net.n_nodes))
     kc = int(z[j])
     ks = int(g.interval_of(float(u_star)))
     if ks == kc:
@@ -313,7 +317,7 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
 
 def gibbs_sweep(net: Network, u, g: GraphonStep, rng: np.random.Generator) -> LatentPositions:
     """One full sweep; rejected proposals retain the previous position."""
-    out = LatentPositions(_positions(u))  # validated once: the sweep keeps positions in [0, 1)
+    out = LatentPositions(_positions(u, net.n_nodes))  # validated once: the sweep keeps positions in [0, 1)
     sampler = _Sampler(net)
     sampler.sweep(out.u, *sampler.start(g, out.u), rng)
     return out
@@ -334,7 +338,7 @@ def m_step(net: Network, u_hat, g: GraphonStep, delta: float, K: int) -> Graphon
     """
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")
-    pos = _positions(u_hat)
+    pos = _positions(u_hat, net.n_nodes, "u_hat")
     z = g.interval_of(pos)
     edge, pairs, sizes = block_pair_stats(net, z, K)
     p = block_rates("bernoulli", edge + edge.T, pairs + pairs.T, global_rate(net))

@@ -276,11 +276,15 @@ def _sum(*terms) -> float:
 
 
 def _pair_tables(params: BlockParams):
-    """The ``_split`` tables of an edge and a non-edge (bernoulli), or of the log-rate and the (finite) rate."""
-    with np.errstate(divide="ignore"):
+    """The ``_split`` tables of an edge and a non-edge (bernoulli), or of the log-rate and minus the rate.
+
+    A log-rate above about 709.78 overflows the rate to +inf: a -inf cell
+    of the second table, so a cell with pairs gives -inf and one without 0.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
         if params.kind == "bernoulli":
             return _split(np.log(params.block_matrix)), _split(np.log1p(-params.block_matrix))
-    return _split(params.block_matrix), (np.exp(params.block_matrix), None)
+        return _split(params.block_matrix), _split(-np.exp(params.block_matrix))
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -293,7 +297,7 @@ def _pair_term(e, pairs, directed: bool, params: BlockParams) -> float:
     constant log(y!) terms are omitted.
     """
     table_a, table_b = _pair_tables(params)
-    rest = pairs - e if params.kind == "bernoulli" else -pairs
+    rest = pairs - e if params.kind == "bernoulli" else pairs
     # ordered-pair statistics double-count unordered pairs
     return _sum((e, table_a), (rest, table_b)) * (1.0 if directed else 0.5)
 

@@ -9,12 +9,14 @@ its best intermediate state and rewinds the rest; this escapes shallow
 local maxima that defeat sweeps which take only improving moves.
 
 Each step scores every unmoved vertex against every block in one batch
-(``_Stats.deltas``).  With m such vertices and K blocks a step evaluates
-O(m K^2) cell terms.  For the bernoulli and poisson kinds, whose cell
-weights depend only on the blocks, it instead tabulates O(K^2 V) terms
-and gathers O(m K^2) of them when the vertices' neighbour-block counts
-stay below V with 4 V < m.  Each masked row of cell terms is summed as a
-left fold over the kept cells, in block order.
+(``_Stats.deltas``), reading the kinds' one pair-weight rule
+(``_Stats._weights``) for a move's three states: now, after the vertex
+leaves its block, and after it joins another.  With m such vertices and K
+blocks a step evaluates O(m K^2) cell terms.  For the bernoulli and
+poisson kinds, whose weights depend only on the block sizes, it instead
+tabulates O(K^2 V) terms and gathers O(m K^2) of them when the vertices'
+neighbour-block counts stay below V with 4 V < m.  Each masked row of
+cell terms is summed as a left fold over the kept cells, in block order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from blockmix.graph import Network, degrees
-from blockmix.models import Partition, _cell_sums, _xlogy, block_pair_stats, check_kind, mle_block_params
+from blockmix.models import (
+    Partition, _cell_sums, _check_partition, _xlogy, block_pair_stats, check_kind, mle_block_params,
+)
 from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream, whole
 
 __all__ = ["SwitchConfig", "MoveDelta", "delta_loglik", "profile_loglik", "switch_fit"]
@@ -75,12 +79,10 @@ class _Stats:
     # 2 K^2 V table cells a side against about K^2 m direct cells, plus a
     # gather per direct cell: ``deltas`` tabulates when table_ratio * V < m
     table_ratio = 4
+    _floor = {"poisson": 1.0, "dc_poisson": 1e-300}  # the least weight a count-kind cell term divides by
 
     def __init__(self, net: Network, labels0: np.ndarray, K: int, kind: str):
-        self.kind = kind
-        self.K = K
-        self.n = net.n_nodes
-        self.directed = net.directed
+        self.kind, self.K, self.n, self.directed = kind, K, net.n_nodes, net.directed
         self.z = labels0.copy()
         self.deg = degrees(net).astype(np.float64)
         self.total = float(net.total_value)
@@ -90,7 +92,7 @@ class _Stats:
         self.out_ptr, self.out_nbrs, self.out_vals = net.indptr, cols, vals
         self.in_ptr, self.in_nbrs, in_vals = net.transpose()
         self.in_vals = in_vals.astype(np.float64)
-        self.edge, _, self.sizes = block_pair_stats(net, labels0, K)
+        self.edge = block_pair_stats(net, labels0, K)[0]
         # vcount[v, k]: value from v toward block k (and from block k into
         # v for the directed in-table); no self-loops, so moving v never
         # changes v's own row
@@ -99,7 +101,6 @@ class _Stats:
         self._ar = np.arange(K)
         self._cell_ids = np.arange(K * K).reshape(K, K)
         self._half = np.where(np.eye(K, dtype=bool), 0.5, 1.0)
-        self._shift = np.array([[0.0], [-1.0], [1.0]])
         # cells k of block row a that a masked sum keeps: keep[k, 0, d] is
         # k != d (undirected), keep[k, a, d] is k not in {a, d} (directed)
         offdiag = self._ar[:, None] != self._ar
@@ -107,22 +108,23 @@ class _Stats:
             self._keep = offdiag[:, :, None] & offdiag[:, None, :]
         else:
             self._keep = offdiag[:, None, :]
-        if kind == "dc_poisson":
-            self.kappa = np.bincount(labels0, self.deg, K)
-            self.degsq = np.bincount(labels0, self.deg * self.deg, K)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                self.dlogd = float(_xlogy(self.deg, self.deg).sum())
+        # a block's size, degree sum and squared-degree sum add up its
+        # vertices' (1, d, d^2); dc_poisson's weights read all three
+        self._carry = np.stack((np.ones(self.n), self.deg, self.deg * self.deg))
+        self._blocks = np.stack([np.bincount(labels0, c, K) for c in self._carry])
+        self.sizes, self.kappa, self.degsq = self._blocks
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.dlogd = float(_xlogy(self.deg, self.deg).sum())
 
     def apply(self, v: int, to0: int):
         a = self.z[v]
-        e_out = self.vcount_out[v]
-        e_in = self.vcount_in[v]
+        e_out, e_in = self.vcount_out[v], self.vcount_in[v]
         self.edge[a, :] -= e_out
         self.edge[:, a] -= e_in
         self.edge[to0, :] += e_out
         self.edge[:, to0] += e_in
-        self.sizes[a] -= 1
-        self.sizes[to0] += 1
+        self._blocks[:, a] -= self._carry[:, v]
+        self._blocks[:, to0] += self._carry[:, v]
         self.z[v] = to0
         # the neighbours' rows change in columns a and to0: an update through
         # a column view costs less than one 2-d fancy index
@@ -133,50 +135,45 @@ class _Stats:
             lo, hi = self.in_ptr[v], self.in_ptr[v + 1]
             self.vcount_out[:, a][self.in_nbrs[lo:hi]] -= self.in_vals[lo:hi]
             self.vcount_out[:, to0][self.in_nbrs[lo:hi]] += self.in_vals[lo:hi]
-        if self.kind == "dc_poisson":
-            d = self.deg[v]
-            self.kappa[a] -= d
-            self.kappa[to0] += d
-            self.degsq[a] -= d * d
-            self.degsq[to0] += d * d
 
-    def _unordered_cells(self, edge: np.ndarray, weight: np.ndarray):
-        if self.directed:
-            return edge, weight
-        e_u = np.triu(edge, 1) + np.diag(np.diag(edge) / 2.0)
-        w_u = np.triu(weight, 1) + np.diag(np.diag(weight) / 2.0)
-        return e_u, w_u
+    def _weights(self, blocks):
+        """(s, q, block term) of blocks whose sizes, degree sums and squared-degree sums stack on axis 0.
 
-    def _dc_weights(self, sizes, kappa, degsq):
+        Blocks k != l hold pair weight s_k s_l and block k s_k^2 - q_k (ordered pairs):
+        pair counts for bernoulli and poisson (q = s), sums of the profiled
+        exp(gamma_i + gamma_j) for dc_poisson.  The block term, the objective's part
+        outside the cells, is None (bernoulli), the mixing term or the degree term.
+        """
+        sizes, kappa, degsq = blocks[0], blocks[1], blocks[2]
+        if self.kind != "dc_poisson":
+            return sizes, sizes, (None if self.kind == "bernoulli" else _xlogy(sizes, sizes / self.n))
         ratio = np.where(kappa > 0, sizes / kappa, 0.0)
-        svec = np.where(kappa > 0, sizes, 0.0)
-        qvec = degsq * ratio * ratio
-        return svec, qvec, ratio
+        return np.where(kappa > 0, sizes, 0.0), degsq * ratio * ratio, _xlogy(kappa, ratio)
 
     @np.errstate(divide="ignore", invalid="ignore")
     def objective(self) -> float:
-        s = self.sizes
-        if self.kind == "dc_poisson":
-            svec, qvec, ratio = self._dc_weights(s, self.kappa, self.degsq)
-            weight = np.outer(svec, svec) - np.diag(qvec)
-        else:
-            weight = np.outer(s, s) - np.diag(s)
-        e_u, w_u = self._unordered_cells(self.edge, weight)
+        s, q, block = self._weights(self._blocks)
+        e_u, w_u = self.edge, np.outer(s, s) - np.diag(q)
+        if not self.directed:  # unordered cells: the upper triangle, halved diagonal
+            e_u, w_u = (np.triu(x, 1) + np.diag(np.diag(x) / 2.0) for x in (e_u, w_u))
         cells = self._cell_term(e_u, w_u)
-        if self.kind == "bernoulli":
+        if block is None:
             return float(cells.sum())
         if self.kind == "poisson":  # cell rates plus the profiled mixing weights
-            return float((cells - e_u).sum() + _xlogy(s, s / self.n).sum())
-        return float(self.dlogd + _xlogy(self.kappa, ratio).sum() + cells.sum() - self.total)
+            return float((cells - e_u).sum() + block.sum())
+        return float(self.dlogd + block.sum() + cells.sum() - self.total)
 
     def _cell_term(self, e, w):
-        """Per-cell objective term; constants under vertex moves omitted."""
+        """Per-cell objective term; constants under vertex moves omitted.
+
+        The floor changes a count-kind cell with e > 0 only where rounding
+        leaves it no pairs: poisson edge totals past 2**53, or a dc_poisson
+        weight s_k^2 - q_k cancelled to 0 or below (a hub of degree 1e17).
+        """
         if self.kind == "bernoulli":
             return _xlogy(e, e) + _xlogy(w - e, w - e) - _xlogy(w, w)
-        if self.kind == "poisson":
-            # the -e part sums to a move-invariant constant over touched cells
-            return _xlogy(e, e / np.maximum(w, 1.0))
-        return _xlogy(e, e / np.maximum(w, 1e-300))
+        # poisson: the -e part sums to a move-invariant constant over touched cells
+        return _xlogy(e, e / np.maximum(w, self._floor[self.kind]))
 
     def _cells(self, *blocks):
         """Cell terms of (e, w) blocks in one evaluation; w broadcasts to e."""
@@ -187,20 +184,6 @@ class _Stats:
             w_all[lo:hi].reshape(e.shape)[...] = w
         flat = self._cell_term(e_all, w_all)
         return [flat[lo:hi].reshape(e.shape) for (e, _), lo, hi in zip(blocks, bounds, bounds[1:])]
-
-    def _dc_moved(self, z: np.ndarray, dv: np.ndarray):
-        """dc_poisson (svec, qvec, kappa log ratio) after each vertex leaves
-        z_v, shape (m,), and after it joins each block, shape (K, m)."""
-        sa2, sd2 = self.sizes[z] - 1.0, (self.sizes + 1.0)[:, None]
-        ka2 = self.kappa[z] - dv
-        kd2 = self.kappa[:, None] + dv
-        ra2 = np.where(ka2 > 0, sa2 / ka2, 0.0)
-        rd2 = np.where(kd2 > 0, sd2 / kd2, 0.0)
-        sva2 = np.where(ka2 > 0, sa2, 0.0)
-        svd2 = np.where(kd2 > 0, sd2, 0.0)
-        qa2 = (self.degsq[z] - dv * dv) * ra2 * ra2
-        qd2 = (self.degsq[:, None] + dv * dv) * rd2 * rd2
-        return (sva2, qa2, _xlogy(ka2, ra2)), (svd2, qd2, _xlogy(kd2, rd2))
 
     @np.errstate(divide="ignore", invalid="ignore")
     def deltas(self, verts: np.ndarray) -> np.ndarray:
@@ -225,7 +208,7 @@ class _Stats:
         block k's cell in the row of the source block z_v or of the
         destination block d, vertex v last.
         """
-        K, s, edge, m = self.K, self.sizes, self.edge, verts.size
+        K, edge, m = self.K, self.edge, verts.size
         z, cols, ar = self.z[verts], np.arange(m), self._ar
         u = edge * self._half  # a diagonal cell counts each within-block pair twice
         # a side pairs block rows with each vertex's counts toward the blocks;
@@ -234,31 +217,35 @@ class _Stats:
         if self.directed:
             sides.append((u.T.copy(), self.vcount_in[verts].T.copy()))
         x_out, x_in = sides[0][1], sides[-1][1]
-        if self.kind == "dc_poisson":
-            svec, qvec, ratio = self._dc_weights(s, self.kappa, self.degsq)
-            (sva2, qa2, ka_t), (svd2, qd2, kd_t) = self._dc_moved(z, self.deg[verts])
-            w_now, pair_after = np.outer(svec, svec), sva2 * svd2
-            self_now, self_src, self_dst = svec ** 2 - qvec, sva2 ** 2 - qa2, svd2 ** 2 - qd2
-            w_now[ar, ar] = self_now / 2.0
-            w_src = svec[:, None] * sva2
-            w_src[z, cols] = self_src / 2.0
-            w_dst = svec[:, None, None] * svd2
-            w_dst[ar, ar] = self_dst / 2.0
-        else:
-            S = s + self._shift  # sizes now, after leaving, after joining
-            W = S[:, :, None] * s
-            self_all = S * (S - 1.0)
-            W[:, ar, ar] = self_all / 2.0
-            w_now, pair_after = W[0], S[1][z] * S[2][:, None]
-            self_now, self_src, self_dst = self_all[0], self_all[1][z], self_all[2][:, None]
-            w_src, w_dst = np.take(W[1].T, z, axis=1), W[2].T[:, :, None]
+        B, per_vertex = self._blocks, self.kind == "dc_poisson"  # its weights move with the degree
+        if per_vertex:  # weights now, after leaving z_v (shape (m,)) and after joining d ((K, m))
+            carry = self._carry[:, verts]
+            (s0, q0, b0), (s1, q1, b1), (s2, q2, b2) = (
+                self._weights(x) for x in (B, B[:, z] - carry, B[:, :, None] + carry[:, None]))
+            self_now, self_src, self_dst = s0 * s0 - q0, s1 * s1 - q1, s2 * s2 - q2
+            diag, g = (z, cols), slice(None)
+        else:  # the same per block, the states on the last axis of one call; leave entry a is block a's
+            s, q, b = self._weights(B[:, :, None] + (0.0, -1.0, 1.0))
+            (s0, s1, s2), (self_now, self_src, self_dst) = ((x[:, 0], x[:, 1], x[:, 2:]) for x in (s, s * s - q))
+            b0, b1, b2 = (None, None, None) if b is None else (b[:, 0], b[:, 1], b[:, 2:])
             V = int(max(x.max() for _, x in sides)) + 1  # counts are integers 0..V-1
-        tabulate = self.kind != "dc_poisson" and self.table_ratio * V < m
+            diag, g = (ar, ar), z
+        w_now, w_src, w_dst = s0[:, None] * s0, s0[:, None] * s1, s0[:, None, None] * s2
+        w_now[ar, ar] = self_now / 2.0
+        w_src[diag] = self_src / 2.0
+        w_dst[ar, ar] = self_dst / 2.0
+        pair_after, self_src = s1[g] * s2, self_src[g]
+        extra_now = extra_after = 0.0  # block terms outside the cells
+        if b0 is not None:
+            b1 = b1[g]
+            extra_now, extra_after = b0[:, None] + b0, b1 + b2
+        tabulate = not per_vertex and self.table_ratio * V < m
         if tabulate:  # a moved row's cell terms depend only on (block, block, count)
             vals = np.arange(float(V))
             moved = [blk for e, _ in sides for blk in (
-                (e[:, :, None] - vals, W[1][:, :, None]), (e[:, :, None] + vals, W[2][:, :, None]))]
+                (e[:, :, None] - vals, w_src.T[:, :, None]), (e[:, :, None] + vals, w_dst.transpose(1, 0, 2)))]
         else:
+            w_src = w_src[:, g]
             moved = [blk for e, x in sides for blk in (
                 (np.take(e.T, z, axis=1) - x, w_src), (e.T[:, :, None] + x[:, None, :], w_dst))]
         if self.directed:
@@ -291,23 +278,15 @@ class _Stats:
             before = before + r + r.T
             after = (after + _masked_sums(moved[2 * i][:, None, :], keep_src)
                      + _masked_sums(moved[2 * i + 1], keep_dst))
-        extra_now = extra_after = 0.0  # block-level terms outside the cells
-        if self.kind == "dc_poisson":
-            kx = _xlogy(self.kappa, ratio)
-            extra_now, extra_after = kx[:, None] + kx, ka_t + kd_t
-        elif self.kind == "poisson":
-            mix = _xlogy(S, S / self.n)
-            extra_now = mix[0][:, None] + mix[0]
-            extra_after = np.take(mix[1][:, None] + mix[2], z, axis=0).T
         if self.directed:
             before = before + sum((corners[0][:, None], now[0], now[1], corners[0])) + extra_now
             delta = after + sum(corners[1:]) + extra_after - np.take(before, z, axis=0).T
         else:
             before, after = before + now[0], after + corners[0]
-            if self.kind == "dc_poisson":
-                before, after = before + extra_now, after + ka_t + kd_t
+            if per_vertex:
+                before, after = before + extra_now, after + b1 + b2
             delta = after - np.take(before, z, axis=0).T
-            if self.kind == "poisson":
+            if self.kind == "poisson":  # the mixing term joins after the subtraction
                 delta = delta + (extra_after - np.take(extra_now, z, axis=0).T)
         delta = delta.T
         delta[cols, z] = -np.inf
@@ -334,8 +313,7 @@ def profile_loglik(net: Network, part: Partition, kind: str = "bernoulli") -> fl
     cells with no possible pairs are neutral.
     """
     check_kind(net, kind)
-    if part.n != net.n_nodes:
-        raise ValueError("partition length must equal the number of nodes")
+    _check_partition(net, part)
     return _Stats(net, part.zero_based(), part.K, kind).objective()
 
 
@@ -346,6 +324,7 @@ def delta_loglik(net: Network, part: Partition, vertex: int, to: int, kind: str 
     partitions; only the affected block-pair statistics enter.
     """
     check_kind(net, kind)
+    _check_partition(net, part)
     if not whole(vertex) or not 0 <= vertex < net.n_nodes:
         raise ValueError(f"vertex must be a whole number in 0..{net.n_nodes - 1}, got {vertex!r}")
     if not whole(to) or not 1 <= to <= part.K:

@@ -92,10 +92,11 @@ def _scorer(params: BlockParams, directed: bool):
     responsibilities, then the other nodes' block totals (``others``),
     then 1.  With A and B the ``_split`` finite parts of the
     ``models._pair_tables``, block k scores log pi_k + t.(A - B)_k + others.B_k
-    (bernoulli) or log pi_k + t.log lambda_k - others.lambda_k (poisson),
+    (bernoulli) or log pi_k + t.log lambda_k + others.(-lambda_k) (poisson),
     a directed network's sides stacked as row k and then column k.  A
     score is -inf where a coefficient of at least 1e-9 meets a -inf cell
-    (the ``models._sum`` rule): of A through t, of B through others - t.
+    (the ``models._sum`` rule): of A through t, of B through others - t
+    (bernoulli's non-edges) or others (poisson's pairs).
     """
     K, n_t = params.K, params.K * (1 + directed)
     (a, a_inf), (b, b_inf) = _pair_tables(params)
@@ -105,7 +106,7 @@ def _scorer(params: BlockParams, directed: bool):
         return np.hstack((table, table.T)) if directed else table
 
     rest = b + b.T if directed else b
-    weights = np.hstack((stack(a - b if bernoulli else a), rest if bernoulli else -rest, np.log(params.pi)[:, None]))
+    weights = np.hstack((stack(a - b if bernoulli else a), rest, np.log(params.pi)[:, None]))
     a_hits = None if a_inf is None else stack(a_inf).T
     b_hits = None if b_inf is None else stack(b_inf).T
 
@@ -116,8 +117,9 @@ def _scorer(params: BlockParams, directed: bool):
         t = c[..., :n_t]
         hits = 0.0 if a_hits is None else (t >= 1e-9) @ a_hits
         if b_hits is not None:
-            others_minus_t = c[..., None, n_t:n_t + K] - t.reshape(*t.shape[:-1], n_t // K, K)
-            hits = hits + (others_minus_t.reshape(t.shape) >= 1e-9) @ b_hits
+            # B's coefficients: others - t (bernoulli), others (poisson)
+            coef = c[..., None, n_t:n_t + K] - t.reshape(*t.shape[:-1], n_t // K, K) * bernoulli
+            hits = hits + (coef.reshape(t.shape) >= 1e-9) @ b_hits
         s[hits > 0] = -np.inf
         return s
 
@@ -155,8 +157,14 @@ def _m_step(kind: str, edge, pairs, colsum, entropy: float, n: int, directed: bo
     return params, _bound(edge, pairs, colsum, entropy, directed, params)
 
 
+def _check_resp(net: Network, state: VariationalState):
+    if np.shape(state.resp) != (net.n_nodes, state.params.K):
+        raise ValueError(f"resp must be n x K = {net.n_nodes} x {state.params.K}, got {np.shape(state.resp)}")
+
+
 def elbo(net: Network, state: VariationalState) -> float:
     """Expected complete-data log-likelihood plus responsibility entropy."""
+    _check_resp(net, state)
     return _bound(*_soft_stats(net, state.resp), _entropy(state.resp), net.directed, state.params)
 
 
@@ -166,6 +174,7 @@ def e_step(net: Network, state: VariationalState) -> VariationalState:
     Each row is set to its exact conditional optimum given every other
     row's freshest value, so the bound cannot decrease.
     """
+    _check_resp(net, state)
     out = VariationalState(_e_step(net, state), state.params, 0.0)
     out.elbo = elbo(net, out)
     return out
@@ -173,6 +182,7 @@ def e_step(net: Network, state: VariationalState) -> VariationalState:
 
 def m_step(net: Network, state: VariationalState) -> VariationalState:
     """Closed-form parameter update from responsibility-weighted counts."""
+    _check_resp(net, state)
     edge, pairs, colsum = _soft_stats(net, state.resp)
     params, bound = _m_step(state.params.kind, edge, pairs, colsum, _entropy(state.resp), net.n_nodes,
                             net.directed, global_rate(net))

@@ -132,22 +132,30 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "argv",
+        "flags,message",
         [
-            ("generate", "--n", "4", "--K", "2", "--pi", "0.5,0.3,0.2",
-             "--block-matrix", "0.5,0.1;0.1,0.5", "--out-prefix", "x"),
-            ("generate", "--n", "4", "--K", "2",
-             "--block-matrix", "0.5,0.1;0.1,0.5", "--gamma", "0,0,0,0", "--out-prefix", "x"),
-            ("generate", "--n", "4", "--K", "2", "--model", "dc_poisson",
-             "--block-matrix", "0.5,0.1;0.1,0.5", "--out-prefix", "x"),
-            ("generate", "--n", "4", "--K", "2",
-             "--block-matrix", "0.5,0.1,0.2;0.1,0.5", "--out-prefix", "x"),
+            (("--pi", "0.5,0.3,0.2", "--block-matrix", "0.5,0.1;0.1,0.5"), "pi must have length K"),
+            (("--pi", "0.7,0.7", "--block-matrix", "0.5,0.1;0.1,0.5"), "pi must be a simplex vector"),
+            (("--pi", "nan,0.5", "--block-matrix", "0.5,0.1;0.1,0.5"), "pi must not contain NaN"),
+            (("--block-matrix", "0.5,0.1,0.2;0.1,0.5,0.1;0.2,0.1,0.5"), "block_matrix must be K x K"),
+            (("--block-matrix", "0.5,0.1,0.2;0.1,0.5"),
+             "--block-matrix must be square: rows ';'-separated, entries ','-separated"),
+            (("--block-matrix", "0.5,0.1;0.1,0.5", "--gamma", "0,0,0,0"),
+             "gamma is required exactly for dc_poisson"),
+            (("--model", "dc_poisson", "--block-matrix", "0.5,0.1;0.1,0.5"), "gamma is required exactly for dc_poisson"),
+            (("--model", "dc_poisson", "--block-matrix", "0.5,0.1;0.1,0.5", "--gamma", "0,0,0"),
+             "gamma must have one entry per node"),
+            (("--model", "dc_poisson", "--block-matrix", "0.5,0.1;0.1,0.5", "--gamma", "0,0,x,0"),
+             "could not parse --gamma: '0,0,x,0'"),
         ],
     )
-    def test_generate_flag_validation_exit_2(self, argv, capsys):
+    def test_generate_flag_validation_exit_2(self, flags, message, tmp_path, capsys):
+        prefix = str(tmp_path / "x")
         with pytest.raises(SystemExit) as exc:
-            main(list(argv))
+            main(["generate", "--n", "4", "--K", "2", *flags, "--out-prefix", prefix])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f" error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flags",

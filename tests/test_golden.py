@@ -31,7 +31,12 @@ hash one model kind's log-likelihood at the MLE and at perturbed parameters
 of two four-block partitions of a 20-node network, whose inputs hold p = 0
 and p = 1 cells (zero rates), an empty block and -inf gammas; they were
 recorded before the likelihoods and vem's bound shared one pair term
-(``models._pair_term``), and kept their hashes.
+(``models._pair_term``), and kept their hashes.  ``deltas`` cases hash the
+tables of ``_Stats.step_deltas`` for one model kind over a few moves of a
+30-node network with four blocks (one of them a single vertex, one empty,
+and an isolated node), once with every moved row tabulated (table ratio 0)
+and once with none (inf); they were recorded before switch's pair weights
+became one rule (``_Stats._weights``), and kept their hashes.
 
 A change that is meant to be behaviour-neutral (a speed-up, a refactor)
 must leave every hash here unchanged.  A change that is meant to alter
@@ -100,7 +105,7 @@ from blockmix.models import (
     poisson_complete_loglik,
 )
 from blockmix.results import to_json
-from blockmix.switch import SwitchConfig, delta_loglik, switch_fit
+from blockmix.switch import SwitchConfig, _Stats, delta_loglik, switch_fit
 from blockmix.vem import VemConfig, vem_fit
 
 
@@ -238,8 +243,42 @@ def _loglik_values(kind: str, directed: bool) -> list[float]:
     return values
 
 
+def _deltas_tables(kind: str, directed: bool) -> list[np.ndarray]:
+    """``_Stats.step_deltas`` tables of one kind, tabulated (table ratio 0) and direct (inf), over six moves."""
+    rng = np.random.default_rng(41 + directed)
+    n, K = 30, 4
+    z = rng.integers(0, 2, size=n)
+    z[0] = 2  # block 3 holds one vertex, block 4 none
+    rate = np.where(z[:, None] == z, 0.45, 0.08)
+    if kind == "bernoulli":
+        y = (rng.random((n, n)) < rate).astype(np.int64)
+    else:
+        y = rng.poisson(2.0 * rate)
+    np.fill_diagonal(y, 0)
+    y[n - 1, :] = y[:, n - 1] = 0
+    if not directed:
+        y = np.triu(y, 1)
+    edges = {(int(i), int(j)): int(y[i, j]) for i, j in zip(*np.nonzero(y))}
+    net = Network.from_edges(n, edges, directed=directed, value_kind="binary" if kind == "bernoulli" else "count")
+    tables = []
+    for ratio in (0, np.inf):
+        moves = np.random.default_rng(43)
+        stats = _Stats(net, z, K, kind)
+        stats.table_ratio = ratio
+        for _ in range(6):
+            tables.append(stats.step_deltas(moves.random(n) < 0.7))
+            v = int(moves.integers(n))
+            stats.apply(v, int((stats.z[v] + moves.integers(1, K)) % K))
+    return tables
+
+
 def _digest(case: str) -> str:
     h = hashlib.sha256()
+    if case.startswith("deltas-"):
+        _, kind, orient = case.split("-")
+        for table in _deltas_tables(kind, orient == "directed"):
+            h.update(table.tobytes())
+        return h.hexdigest()
     if case.startswith("loglik-"):
         _, kind, orient = case.split("-")
         h.update(np.array(_loglik_values(kind, orient == "directed")).tobytes())
@@ -338,6 +377,12 @@ GOLDEN = {
     "loglik-poisson-directed": "d3f385736b464917ff152b40c76b19809d5bc11ad8724b6415e2a4819845a83f",
     "loglik-dc_poisson-undirected": "d912aa031ea3ffbf236fc2b5c3329fba36979926e31e86384aa0b30a1eae41a5",
     "loglik-dc_poisson-directed": "c9557b019525154b5932cf7c8fc06d69e4336e8d652008c77987be9734560935",
+    "deltas-bernoulli-undirected": "604d1e69434257c73e7862d07ccd21157b57e0e178d0bff2511221c5873eaf60",
+    "deltas-bernoulli-directed": "5cdf37c3556e96f7cd77eca59d3723e8d34380864fa1c378b4b394b13a1d56d2",
+    "deltas-poisson-undirected": "d9070a0496e17aea1d998f8c0514904b4001c1d1d38ff25411614230b4851257",
+    "deltas-poisson-directed": "2141865a39df7a855b93c2143aaae25dcfa6b59d615e5c794f455cae0e15d1e9",
+    "deltas-dc_poisson-undirected": "40df931b256d5be8d19f56f0a8d7caf0245b8e03c91538bc184dac9657931390",
+    "deltas-dc_poisson-directed": "a5ecc350b7489982d166ca7b9d0d76b85f4bd2ece5d66e6e3330a615c7c16306",
 }
 
 
@@ -361,7 +406,7 @@ if __name__ == "__main__":
     os.environ.pop("BLOCKMIX_WORKERS", None)
     differs = False
     for case in sys.argv[1:] or sorted(GOLDEN):
-        if case.startswith(("sample-", "gibbs-", "delta-", "parse-", "loglik-")):
+        if case.startswith(("sample-", "gibbs-", "delta-", "deltas-", "parse-", "loglik-")):
             digest, fit = _digest(case), ""
         else:
             digest, result = _fit_digest(case)

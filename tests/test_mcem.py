@@ -663,6 +663,22 @@ class TestMcemFit:
         assert McemConfig(K=2, em_max_iter=9).ramp == 5
 
 
+class TestStateSize:
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_positions_of_the_wrong_length_rejected(self, size):
+        # a 4-node network: unchecked, acceptance_prob and m_step return values,
+        # and gibbs_sweep ends in a broadcast ValueError or an IndexError
+        net = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        g = GraphonStep([0.0, 0.5, 1.0], [[0.6, 0.2], [0.2, 0.6]])
+        u = np.linspace(0.1, 0.9, size)
+        with pytest.raises(ValueError, match=rf"^u must hold one position per node \(4\), got shape \({size},\)"):
+            acceptance_prob(net, u, 0, 0.75, g)
+        with pytest.raises(ValueError, match=r"^u must hold one position per node \(4\)"):
+            gibbs_sweep(net, LatentPositions(u), g, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^u_hat must hold one position per node \(4\)"):
+            m_step(net, u, g, delta=1.0, K=2)
+
+
 class TestLatentPositions:
     def test_range_checked(self):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):

@@ -194,6 +194,20 @@ class TestLogLikelihoods:
         with pytest.raises(ValueError, match=r"block_matrix must not contain \+inf"):
             dc_poisson_loglik(net, part, BlockParams("dc_poisson", 2, [0.5, 0.5], bm, gamma=np.zeros(3)))
 
+    @pytest.mark.parametrize("cell", [(1, 1), (0, 0), (0, 1)])
+    def test_overflowing_rate(self, cell):
+        # exp(800) overflows to +inf: the cell of lone block 2 has no pairs and
+        # adds 0 (not NaN), a cell with pairs gives -inf
+        net = Network.from_edges(3, {(0, 1): 2}, value_kind="count")
+        part = Partition(np.array([1, 1, 2]), 2)
+        bm = np.zeros((2, 2))
+        bm[cell] = bm[cell[::-1]] = 800.0
+        for kind, loglik, gamma in (("poisson", poisson_complete_loglik, None),
+                                    ("dc_poisson", dc_poisson_loglik, np.zeros(3))):
+            base = loglik(net, part, BlockParams(kind, 2, [0.5, 0.5], np.zeros((2, 2)), gamma=gamma))
+            value = loglik(net, part, BlockParams(kind, 2, [0.5, 0.5], bm, gamma=gamma))
+            assert value == (base if cell == (1, 1) else -np.inf)
+
     @pytest.mark.parametrize("node", [0, 2])
     def test_posinf_gamma_rejected(self, node):
         net = Network.from_edges(3, {(0, 1): 2}, value_kind="count")

@@ -80,6 +80,15 @@ class TestMoveDeltas:
             delta_loglik(net, part, 0, 3)
         with pytest.raises(ValueError, match="current block"):
             delta_loglik(net, part, 0, 1)
+        # a 4-node network: unchecked, six labels give a wrong delta and three
+        # an IndexError
+        net = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        for labels in ([1, 1, 2, 2, 1, 2], [1, 1, 2]):
+            part = Partition(np.array(labels), 2)
+            with pytest.raises(ValueError, match="partition length must equal the number of nodes"):
+                delta_loglik(net, part, 0, 2)
+            with pytest.raises(ValueError, match="partition length must equal the number of nodes"):
+                profile_loglik(net, part)
 
     @pytest.mark.parametrize("vertex,to,name", [
         (True, 2, "vertex"), (1.0, 2, "vertex"), (np.float64(0), 2, "vertex"),
@@ -116,6 +125,17 @@ class TestProfileLoglik:
         part = Partition(np.array([1, 1, 3, 3]), 3)
         full = profile_loglik(net, Partition(np.array([1, 1, 2, 2]), 2))
         assert profile_loglik(net, part) == pytest.approx(full)
+
+    @pytest.mark.parametrize("hub", [10**16, 10**17, 10**18])
+    def test_cancelled_dc_weight_stays_finite(self, hub):
+        # block 1 holds a vertex of degree about 1e17 and one of degree 1:
+        # its weight s^2 - q cancels to 0 or below in floating point, and
+        # the cell term's floor keeps the objective and the moves finite
+        net = Network.from_edges(4, {(0, 1): hub, (0, 2): 1, (2, 3): 1}, value_kind="count")
+        part = Partition(np.array([1, 2, 1, 2]), 2)
+        assert math.isfinite(profile_loglik(net, part, "dc_poisson"))
+        for v in range(4):
+            assert math.isfinite(delta_loglik(net, part, v, 3 - part.labels[v], "dc_poisson").value)
 
     def test_kind_validation(self):
         net = Network.from_edges(3, {(0, 1): 2}, value_kind="count")
@@ -518,3 +538,17 @@ class TestBatchedDeltasOracle:
                     value = delta_loglik(net, part, v, d + 1, kind).value
                 expect = _seed_bytes(_seed_move_deltas, stats, a, d, np.array([v]))
                 assert np.float64(value).tobytes() == expect
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_cells_without_pairs_after_rounding_byte_equal(self, directed):
+        # count values past 2**53 add up inexactly: once vertex 1 leaves block
+        # 0, cell (0, 1) holds 2 more than vertex 0's values, so vertex 0's
+        # moves meet a cell with values and no pairs (poisson); block 0 of the
+        # dc_poisson network has a weight s^2 - q that cancels to 0 or below
+        net = Network.from_edges(3, {(0, 2): 2**53 + 2, (1, 2): 1}, directed=directed, value_kind="count")
+        stats = _Stats(net, np.array([0, 0, 1]), 3, "poisson")
+        stats.apply(1, 2)
+        hub = Network.from_edges(4, {(0, 1): 10**17, (0, 2): 1, (2, 3): 1}, directed=directed, value_kind="count")
+        for st in (stats, _Stats(hub, np.array([0, 1, 0, 1]), 2, "dc_poisson")):
+            active = np.ones(st.n, dtype=bool)
+            assert st.step_deltas(active).tobytes() == _seed_bytes(_seed_step_deltas, st, active)

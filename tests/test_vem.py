@@ -64,6 +64,30 @@ def best_profile_loglik(net, K):
 
 
 class TestSingleSteps:
+    def test_resp_shape_checked(self):
+        # a 4-node network and K = 2 params: unchecked, 5 rows give a bound,
+        # and m_step fits K = 3 from (4, 3) responsibilities
+        net = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        params = BlockParams("bernoulli", 2, [0.5, 0.5], [[0.6, 0.2], [0.2, 0.6]])
+        for resp in (np.full((5, 2), 0.5), np.full((3, 2), 0.5), np.full((4, 3), 1 / 3), np.full(4, 0.5)):
+            state = VariationalState(resp, params, 0.0)
+            for step in (e_step, elbo, m_step):
+                with pytest.raises(ValueError, match=r"resp must be n x K = 4 x 2"):
+                    step(net, state)
+
+    @pytest.mark.parametrize("cell", [(1, 1), (0, 0)])
+    def test_overflowing_rate_in_the_bound(self, cell):
+        # exp(800) overflows to +inf: lone block 2's cell has no pairs and adds
+        # 0 (not NaN), one with pairs gives -inf
+        net = Network.from_edges(3, {(0, 1): 2}, value_kind="count")
+        bm = np.zeros((2, 2))
+        resp = np.eye(2)[[0, 0, 1]]
+        base = elbo(net, VariationalState(resp, BlockParams("poisson", 2, [0.5, 0.5], bm), 0.0))
+        bm[cell] = 800.0
+        state = VariationalState(resp, BlockParams("poisson", 2, [0.5, 0.5], bm), 0.0)
+        assert elbo(net, state) == (base if cell == (1, 1) else -np.inf)
+        assert not np.isnan(e_step(net, state).elbo)
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
