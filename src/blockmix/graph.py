@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import re
 from collections import Counter
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -82,7 +83,8 @@ class Network(Derived):
     ``0..n_nodes-1``, a self-loop, a negative value, a binary value other
     than 1, a node pair given twice (undirected: in either orientation),
     stored values (both orientations when undirected) that total more than
-    2**63 - 1, and node labels that repeat or do not number ``n_nodes``.
+    2**63 - 1, and node labels that repeat, do not number ``n_nodes``, or
+    are empty or hold whitespace (as ``str.isspace`` reads it) or ``#``.
 
     Storage is compressed sparse row (CSR): node i's out-neighbours are
     ``indices[indptr[i]:indptr[i + 1]]`` in ascending order, with their
@@ -112,6 +114,10 @@ class Network(Derived):
             node_labels = _distinct_labels(tuple(str(s) for s in node_labels))
             if len(node_labels) != n_nodes:
                 raise ValueError("node_labels length must equal n_nodes")
+            # each label is a field of edge-list lines; \s matches what str.isspace accepts
+            if not all(node_labels) or re.search(r"[\s#]", "".join(node_labels)):
+                bad = next(s for s in node_labels if not s or re.search(r"[\s#]", s))
+                raise ValueError(f"node label {bad!r} is empty or holds whitespace or '#'")
         arrays = {"src": src, "dst": dst, "values": values}
         for name, a in arrays.items():
             a = np.asarray(a)

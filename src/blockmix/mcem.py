@@ -11,6 +11,8 @@ assignment frequencies and normalized Gini uncertainty scores.
 Only the Bernoulli model is reformulated this way; count models are
 served by the other engines.
 
+Each network's neighbour lists and each graphon's tables, the K x K move
+tables among them, are built once and kept on the network or graphon.
 ``_Sampler.start`` swaps in a graphon, places the nodes in its intervals
 and builds the n x K neighbour-block count table from the m stored pairs,
 in O(m) once per chain; ``_Sampler.chain`` then runs the sweeps of one E
@@ -32,8 +34,7 @@ import numpy as np
 
 from blockmix.graph import Network
 from blockmix.models import (
-    BlockParams, GraphonStep, Partition, _cell_sums, bernoulli_loglik, block_pair_stats, block_rates, check_kind,
-    global_rate,
+    BlockParams, GraphonStep, _cell_sums, _pair_term, block_pair_stats, block_rates, check_kind, global_rate,
 )
 from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream, whole
 
@@ -118,6 +119,8 @@ class PosteriorSummary:
             raise ValueError("freq must be n x K with one gini entry per node")
         if not np.allclose(self.freq.sum(axis=1), 1.0, atol=1e-8):
             raise ValueError("freq rows must sum to 1")
+        if not np.isfinite(self.gini).all():
+            raise ValueError("gini entries must be finite")
 
 
 def gini_uncertainty(freq_row: np.ndarray) -> float:
@@ -130,6 +133,8 @@ def gini_uncertainty(freq_row: np.ndarray) -> float:
     f = np.asarray(freq_row, dtype=np.float64)
     if f.ndim != 1 or f.size == 0:
         raise ValueError("freq_row must be a non-empty vector")
+    if not np.isfinite(f).all():
+        raise ValueError("frequencies must be finite")
     if f.min() < 0:
         raise ValueError("frequencies cannot be negative")
     if abs(f.sum() - 1.0) > 1e-6:
@@ -141,19 +146,18 @@ def gini_uncertainty(freq_row: np.ndarray) -> float:
     return float(raw * k / (k - 1))
 
 
-class _Neighbours:
+def _network_tables(net: Network) -> dict:
     """The network as the sampler reads it; built once per network."""
-
-    def __init__(self, net: Network):
-        self.n = net.n_nodes
-        self.pair_factor = 2.0 if net.directed else 1.0
-        # a node's neighbours: its out-row plus, directed, its in-row; a pair
-        # joined both ways is listed twice, and whole-number sums stay exact
-        ptr, self.dst, values = net.neighbours()
-        self.src, self.w = np.repeat(np.arange(self.n), np.diff(ptr)), values.sum(axis=0)
-        nbrs, wts = self.dst.tolist(), self.w.tolist()
-        self.nbr_lists = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
-        self.wt_lists = [wts[a:b] for a, b in zip(ptr, ptr[1:])]
+    ptr, dst, values = net.neighbours()
+    # a node's neighbours: its out-row plus, directed, its in-row; a pair
+    # joined both ways is listed twice, and whole-number sums stay exact
+    w = values.sum(axis=0)
+    nbrs, wts = dst.tolist(), w.tolist()
+    return dict(
+        n=net.n_nodes, pair_factor=2.0 if net.directed else 1.0,
+        src=np.repeat(np.arange(net.n_nodes), np.diff(ptr)), dst=dst, w=w,
+        nbr_lists=[nbrs[a:b] for a, b in zip(ptr, ptr[1:])], wt_lists=[wts[a:b] for a, b in zip(ptr, ptr[1:])],
+    )
 
 
 class _Sampler:
@@ -162,10 +166,7 @@ class _Sampler:
     def __init__(self, net: Network):
         # gibbs_sweep and acceptance_prob build a sampler per call; the
         # network part is built once and kept on the network
-        nb = net.derived("mcem.neighbours", _Neighbours)
-        self.n, self.pair_factor = nb.n, nb.pair_factor
-        self.src, self.dst, self.w = nb.src, nb.dst, nb.w
-        self.nbr_lists, self.wt_lists = nb.nbr_lists, nb.wt_lists
+        self.__dict__.update(net.derived("mcem.neighbours", _network_tables))
 
     def set_graphon(self, g: GraphonStep):
         # the tables depend on the graphon only, so it keeps them for later samplers
@@ -173,30 +174,26 @@ class _Sampler:
 
     @staticmethod
     def _graphon_tables(g: GraphonStep) -> dict:
+        """The graphon as the sampler reads it; built once per graphon.
+
+        ``moves[kc][ks]`` holds (d_lp - d_lq, d_lq, d_stay) of the move kc -> ks:
+        row ks minus row kc of log p and log(1 - p), and log(1 - len kc) - log(1 - len ks).
+        Its log ratio is cnt[j] . (d_lp - d_lq) plus ``_occ_term``, summed left to right.
+        """
         lens = g.tau[1:] - g.tau[:-1]
         pc = np.clip(g.P, _CLAMP, 1.0 - _CLAMP)
-        with np.errstate(divide="ignore"):
+        lp, lq = np.log(pc), np.log1p(-pc)
+        d_lp, d_lq = lp[None] - lp[:, None], lq[None] - lq[:, None]
+        # a full-width interval's log_stay is -inf, and its unused kc = ks cell nan
+        with np.errstate(divide="ignore", invalid="ignore"):
             log_stay = np.log1p(-lens)
+            d_stay = log_stay[:, None] - log_stay[None]
         # nodes of a full-width interval have an empty proposal support
         support = 1.0 - lens
         return dict(
             tau=g.tau, lens=lens, K=g.K, support=support, any_full=min(support.tolist()) <= 1e-15,
-            _lp=np.log(pc).tolist(), _lq=np.log1p(-pc).tolist(), _ls=log_stay.tolist(),
-            # per-move tables, filled on first use by sweep
-            moves=[[None] * g.K for _ in range(g.K)],
+            moves=[list(zip(*rows)) for rows in zip((d_lp - d_lq).tolist(), d_lq.tolist(), d_stay.tolist())],
         )
-
-    def _move_terms(self, kc: int, ks: int) -> tuple:
-        """Scalar tables of the move kc -> ks, indexed by the neighbour's block.
-
-        Returns (d_lp - d_lq, d_lq, d_stay).  The log ratio of the move is
-        cnt[j] . (d_lp - d_lq) plus ``_occ_term``, summed left to right.
-        """
-        lp, lq, sub = self._lp, self._lq, operator.sub
-        d_lp = list(map(sub, lp[ks], lp[kc]))
-        d_lq = list(map(sub, lq[ks], lq[kc]))
-        self.moves[kc][ks] = terms = (list(map(sub, d_lp, d_lq)), d_lq, self._ls[kc] - self._ls[ks])
-        return terms
 
     def start(self, g: GraphonStep, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         """Swap in graphon g; the chain state of positions u.
@@ -212,7 +209,7 @@ class _Sampler:
 
     def _occ_term(self, occ: list, kc: int, d_lq: list, d_stay: float) -> float:
         """The part of the move's log ratio read from the interval occupancies:
-        pf (occ . d_lq - d_lq[kc]) + d_stay, with d_lq and d_stay from ``_move_terms``."""
+        pf (occ . d_lq - d_lq[kc]) + d_stay, with d_lq and d_stay from ``moves``."""
         return self.pair_factor * (sum(map(operator.mul, occ, d_lq)) - d_lq[kc]) + d_stay
 
     def sweep(self, u: np.ndarray, z: np.ndarray, occ: np.ndarray, cnt: list,
@@ -253,7 +250,7 @@ class _Sampler:
         accepted = False
         for j in todo:
             kc, k, coin = kcs[j], kss[j], coins[j]
-            d_pq, d_lq, d_stay = moves[kc][k] or self._move_terms(kc, k)
+            d_pq, d_lq, d_stay = moves[kc][k]
             occ_term = occ_terms.get(key := kc * K + k)
             if occ_term is None:
                 occ_terms[key] = occ_term = occ_term_of(occ_l, kc, d_lq, d_stay)
@@ -308,7 +305,7 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
     ks = int(g.interval_of(float(u_star)))
     if ks == kc:
         raise ValueError("u_star lies inside the current interval")
-    d_pq, d_lq, d_stay = sampler.moves[kc][ks] or sampler._move_terms(kc, ks)
+    d_pq, d_lq, d_stay = sampler.moves[kc][ks]
     row = np.bincount(z[sampler.nbr_lists[j]], sampler.wt_lists[j], g.K).tolist()
     occ = np.bincount(z, minlength=g.K).tolist()
     log_r = sum(map(operator.mul, row, d_pq)) + sampler._occ_term(occ, kc, d_lq, d_stay)
@@ -323,12 +320,6 @@ def gibbs_sweep(net: Network, u, g: GraphonStep, rng: np.random.Generator) -> La
     return out
 
 
-def _mode_from_counts(counts: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    mode = np.argmax(counts, axis=1)  # ties resolve to the lowest interval
-    mids = (tau[:-1] + tau[1:]) / 2.0
-    return mids[mode]
-
-
 def m_step(net: Network, u_hat, g: GraphonStep, delta: float, K: int) -> GraphonStep:
     """Closed-form graphon update from the assigned intervals of u_hat.
 
@@ -338,14 +329,17 @@ def m_step(net: Network, u_hat, g: GraphonStep, delta: float, K: int) -> Graphon
     """
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")
-    pos = _positions(u_hat, net.n_nodes, "u_hat")
-    z = g.interval_of(pos)
-    edge, pairs, sizes = block_pair_stats(net, z, K)
+    return _m_step(net, g.interval_of(_positions(u_hat, net.n_nodes, "u_hat")), delta, K)[0]
+
+
+def _m_step(net: Network, z: np.ndarray, delta: float, K: int) -> tuple[GraphonStep, tuple]:
+    """``m_step`` from the 0-based intervals z; also returns the ``block_pair_stats`` it read."""
+    stats = edge, pairs, sizes = block_pair_stats(net, z, K)
     p = block_rates("bernoulli", edge + edge.T, pairs + pairs.T, global_rate(net))
-    pi = delta * (sizes / pos.size) + (1.0 - delta) / K
+    pi = delta * (sizes / z.size) + (1.0 - delta) / K
     tau = np.concatenate(([0.0], np.cumsum(pi)))
     tau[-1] = 1.0
-    return GraphonStep(tau, p)
+    return GraphonStep(tau, p), stats
 
 
 def _run_restart(args) -> Restart:
@@ -360,7 +354,6 @@ def _run_restart(args) -> Restart:
     g = GraphonStep(np.linspace(0.0, 1.0, K + 1), p_init)
     u = rng.random(n)
 
-    z_hat = None
     prev_z_hat = None
     stable = 0
     trace: list[float] = []
@@ -368,9 +361,8 @@ def _run_restart(args) -> Restart:
     for m in range(1, cfg.em_max_iter + 1):
         sweeps = min(cfg.sweeps_base + (m - 1) * cfg.sweeps_increment, cfg.sweeps_cap)
         counts = sampler.chain(u, *sampler.start(g, u), rng, sweeps, int(cfg.burn_in * sweeps), cfg.thinning)
-        z_hat = np.argmax(counts, axis=1)
-        u_hat = _mode_from_counts(counts, g.tau)
-        u_trace.append(u_hat)
+        z_hat = np.argmax(counts, axis=1)  # ties resolve to the lowest interval
+        u_trace.append(((g.tau[:-1] + g.tau[1:]) / 2.0)[z_hat])  # the mode's midpoints
 
         if prev_z_hat is not None and np.array_equal(z_hat, prev_z_hat):
             stable += 1
@@ -378,10 +370,11 @@ def _run_restart(args) -> Restart:
             stable = 0
         prev_z_hat = z_hat
         done = stable >= 2 or m == cfg.em_max_iter
-        g = m_step(net, u_hat, g, 1.0 if done else min(1.0, m / cfg.ramp), K)
-        # the Bernoulli likelihood has no mixing term, so any weights do
+        g, (edge, pairs, _) = _m_step(net, z_hat, 1.0 if done else min(1.0, m / cfg.ramp), K)
+        # the mode's Bernoulli log-likelihood at the new cell probabilities;
+        # it has no mixing term, so any weights do
         params = BlockParams("bernoulli", K, np.full(K, 1.0 / K), g.P)
-        trace.append(bernoulli_loglik(net, Partition(z_hat + 1, K), params))
+        trace.append(float(_pair_term(edge, pairs, net.directed, params)))
         if done:
             break
 

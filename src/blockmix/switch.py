@@ -29,7 +29,7 @@ import numpy as np
 
 from blockmix.graph import Network, degrees
 from blockmix.models import (
-    Partition, _cell_sums, _check_partition, _xlogy, block_pair_stats, check_kind, mle_block_params,
+    Partition, _cell_sums, _check_partition, _xlogy, check_kind, mle_block_params,
 )
 from blockmix.results import FitResult, Restart, check_config, fit_restarts, restart_stream, whole
 
@@ -92,7 +92,7 @@ class _Stats:
         self.out_ptr, self.out_nbrs, self.out_vals = net.indptr, cols, vals
         self.in_ptr, self.in_nbrs, in_vals = net.transpose()
         self.in_vals = in_vals.astype(np.float64)
-        self.edge = block_pair_stats(net, labels0, K)[0]
+        self.edge = _cell_sums(labels0[rows], labels0[cols], vals, (K, K))
         # vcount[v, k]: value from v toward block k (and from block k into
         # v for the directed in-table); no self-loops, so moving v never
         # changes v's own row

@@ -16,7 +16,11 @@ block order (they had copied NumPy's pairwise order), and kept their hashes.
 ``mcemthin`` cases thin more than the early E steps keep, so those steps
 count the chain's last state instead of a thinned sample.  ``mcembusy``
 cases fit three intervals to the two planted blocks, so two intervals
-share one block and the chains accept a move every few node visits.  ``delta``
+share one block and the chains accept a move every few node visits.
+``mcemK6`` cases fit six intervals to the two planted blocks, so most of
+the 30 move tables belong to empty or unused intervals and the last M
+step leaves zero-width intervals; they were recorded before each graphon
+built all its move tables at once.  ``delta``
 cases hash ``delta_loglik`` for every single-vertex move of a random
 three-block partition, for the poisson and dc_poisson kinds.  ``sample``
 cases hash the edge-list text and the labels of one ``sample_sbm`` draw of
@@ -159,6 +163,8 @@ def _fit(case: str):
         return mcem_fit_positions(net, cfg)
     if engine == "mcembusy":
         return mcem_fit_positions(net, replace(_mcem_cfg(), K=3, seed=8))
+    if engine.startswith("mcemK"):
+        return mcem_fit_positions(net, replace(_mcem_cfg(), K=int(engine[5:])))
     return mcem_fit_positions(net, _mcem_cfg())
 
 
@@ -361,6 +367,8 @@ GOLDEN = {
     "mcemthin-bernoulli-directed": "08cbcf63a7d4a657c04fa93074db4fc3385dbfd2404cd1a9d4bd3b067b7772d6",
     "mcembusy-bernoulli-undirected": "4eec684247fdd3e22de06c959c081ac2264916d283ded5628af850fd192571b1",
     "mcembusy-bernoulli-directed": "120a4a9d571366da893041dba3d7fea55c325f23347f87c37bf0e0e4baf77605",
+    "mcemK6-bernoulli-undirected": "196ac0f93246a50f70f438097e171031b27ce5da62ab4d6ce465901ea7f7a83b",
+    "mcemK6-bernoulli-directed": "e7764059d73fe104c254aadeb4a3ceb0eed019721364a8ae9893afcc4b818cf8",
     "delta-undirected": "1cb3a8795666261c94d9f4cac7f1cbd0bf07e88d401b8c17e05b1137568dddb7",
     "delta-directed": "45c3ce5ad0e832100ec0be2b5fd7ecbf6a7d716598fce478e659fc9d0c7bdaa6",
     "sample-bernoulli-undirected": "5f295c2c2e6070fdca38ad4c63199c9751c227162b615d36d1dc95805cea5d0c",

@@ -1,6 +1,8 @@
 """Edge-list parsing, serialization round trips, and graph statistics."""
 
 import pickle
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -342,6 +344,25 @@ class TestRoundTrip:
         assert same_network(again, net)
         assert again.labels() == net.labels()
 
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.text(st.one_of(st.characters(), st.sampled_from(" #\t\u3000\x85")), max_size=3),
+                           min_size=1, max_size=4, unique=True),
+           directed=st.booleans())
+    def test_labels_reload_or_are_rejected(self, labels, directed):
+        # a label is refused exactly when it is empty or holds whitespace or
+        # '#'; a network of other labels reloads from its text as it was
+        n = len(labels)
+        edges = [0] * (n - 1), list(range(1, n)), [1] * (n - 1)
+        bad = [s for s in labels if not s or "#" in s or any(c.isspace() for c in s)]
+        if bad:
+            with pytest.raises(ValueError, match=re.escape(repr(bad[0]))):
+                Network(n, *edges, directed=directed, node_labels=labels)
+            return
+        net = Network(n, *edges, directed=directed, node_labels=labels)
+        again = load_edge_list(to_edge_list_text(net), directed=directed)
+        assert again.labels() == net.labels()
+        assert same_network(again, net)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), binary=st.booleans())
     def test_mirrored_listing_loads_like_single(self, seed, binary):
@@ -478,6 +499,18 @@ class TestNetworkValidation:
     def test_repeated_node_label_rejected(self):
         with pytest.raises(ValueError, match="node label 'a' repeats"):
             Network(4, [], [], [], node_labels=("a", "a", "b", "c"))
+
+    @pytest.mark.parametrize("label", ["a b", "#x", "", "x\u3000", "\x85"])
+    def test_label_that_edge_list_text_cannot_carry_rejected(self, label):
+        # written, "a b" reloads as a line with a non-numeric value field,
+        # and "#x" or "" as a blank line: a one-node network without the edge
+        with pytest.raises(ValueError, match=rf"^node label {re.escape(repr(label))} is empty or holds whitespace"):
+            Network(2, [0], [1], [1], node_labels=[label, "c"])
+
+    def test_label_with_any_whitespace_character_rejected(self):
+        for c in filter(str.isspace, map(chr, range(sys.maxunicode + 1))):
+            with pytest.raises(ValueError, match="holds whitespace"):
+                Network(2, [0], [1], [1], node_labels=[f"a{c}b", "c"])
 
 
 class TestStatistics:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockmix.evaluate import rand_index
 from blockmix.generate import GenConfig, sample_sbm
-from blockmix import mcem
+from blockmix import mcem, models
 from blockmix.graph import Network
 from blockmix.results import FitResult, to_json
 from blockmix.mcem import (
@@ -85,6 +85,12 @@ class TestGiniUncertainty:
             gini_uncertainty(np.array([0.5, 0.2]))
         with pytest.raises(ValueError, match="non-empty"):
             gini_uncertainty(np.array([]))
+
+    @pytest.mark.parametrize("row", [[np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 1.0]])
+    def test_non_finite_rejected(self, row):
+        # a NaN passed the sign and sum checks and the score came out nan
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            gini_uncertainty(np.array(row))
 
 
 class TestAcceptanceProb:
@@ -193,8 +199,7 @@ class TestGibbsSweep:
         a, b = mcem._Sampler(net), mcem._Sampler(net)
         a.set_graphon(g)
         b.set_graphon(g)
-        assert a.moves is b.moves and a._lp is b._lp
-        assert any(row != [None, None] for row in a.moves)
+        assert a.moves is b.moves
         clone = pickle.loads(pickle.dumps(g))
         assert clone._derived == {} and g._derived
         assert repr(clone) == repr(g) and "_derived" not in repr(g)
@@ -210,6 +215,25 @@ class TestGibbsSweep:
             fresh = GraphonStep(g.tau, g.P)
             assert np.array_equal(gibbs_sweep(other, u1, g, np.random.default_rng(3)).u,
                                   gibbs_sweep(other, u1, fresh, np.random.default_rng(3)).u)
+
+    @pytest.mark.parametrize("tau", [[0.0, 0.3, 0.3, 0.8, 1.0], [0.0, 0.0, 1.0, 1.0, 1.0]])
+    def test_every_move_table_built_with_the_graphon(self, tau):
+        # zero-width intervals, and a full-width one whose stay term is -inf:
+        # each move's tables are the seed's log tables, differenced
+        net = random_network(np.random.default_rng(7), n=6, directed=False, binary=True)
+        g = TestSweepMatchesSeedSweep._graphon(np.random.default_rng(8), tau)
+        sampler, seed = mcem._Sampler(net), _SeedSampler(net)
+        sampler.set_graphon(g)
+        seed.set_graphon(g)
+        for kc in range(g.K):
+            for ks in range(g.K):
+                if kc == ks:
+                    continue
+                d_pq, d_lq, d_stay = sampler.moves[kc][ks]
+                d_lq_seed = seed.log_q[ks] - seed.log_q[kc]
+                assert d_lq == d_lq_seed.tolist()
+                assert d_pq == (seed.log_p[ks] - seed.log_p[kc] - d_lq_seed).tolist()
+                assert d_stay == seed.log_stay[kc] - seed.log_stay[ks]
 
     @pytest.mark.parametrize("bad", [1.5, -0.2, np.nan])
     def test_positions_outside_the_unit_interval_are_rejected(self, bad):
@@ -309,7 +333,7 @@ class _SeedSampler:
 def _sweep_log_ratio(sampler, j, z, occ, cnt, ks):
     """The log ratio of moving node j to interval ks, in ``_Sampler.sweep``'s own expression."""
     kc = int(z[j])
-    d_pq, d_lq, d_stay = sampler._move_terms(kc, ks)
+    d_pq, d_lq, d_stay = sampler.moves[kc][ks]
     occ_term = sampler.pair_factor * (sum(map(operator.mul, occ.tolist(), d_lq)) - d_lq[kc]) + d_stay
     return sum(map(operator.mul, cnt[j], d_pq)) + occ_term
 
@@ -529,9 +553,14 @@ class TestSweepMatchesSeedSweep:
 
 
 class TestModeFromCounts:
-    def test_tie_resolves_to_lowest_interval(self):
-        tau = np.array([0.0, 0.5, 1.0])
-        assert mcem._mode_from_counts(np.array([[1.0, 1.0]]), tau).tolist() == [0.25]
+    def test_tie_resolves_to_lowest_interval(self, monkeypatch):
+        # every chain visits each interval once per node: each mode is interval 0,
+        # and the positions --trace-out writes are its midpoint
+        monkeypatch.setattr(mcem._Sampler, "chain", lambda self, *args: np.ones((self.n, self.K)))
+        net = Network.from_edges(4, [(0, 1), (2, 3)])
+        fit, positions = mcem_fit_positions(net, McemConfig(K=2, em_max_iter=1, restarts=1, final_sweeps=10))
+        assert fit.labels.tolist() == [1] * 4
+        assert [u.tolist() for u in positions] == [[0.25] * 4]
 
 
 class TestMStep:
@@ -638,6 +667,29 @@ class TestMcemFit:
         assert a.objective == b.objective
         assert np.array_equal(a.posterior.freq, b.posterior.freq)
 
+    def test_one_block_count_per_em_iteration(self, monkeypatch):
+        # the M step's block statistics also give the trace's log-likelihood
+        monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
+        calls, iterations = [], []
+        stats, run = models.block_pair_stats, mcem._run_restart
+
+        def counted(*args):
+            calls.append(args)
+            return stats(*args)
+
+        def restart(args):
+            out = run(args)
+            iterations.append(len(out.trace))
+            return out
+
+        for module in (models, mcem):
+            monkeypatch.setattr(module, "block_pair_stats", counted)
+        monkeypatch.setattr(mcem, "_run_restart", restart)
+        net = random_network(np.random.default_rng(26), n=16, binary=True)
+        mcem_fit(net, self._small_cfg(restarts=3, em_max_iter=6, final_sweeps=20))
+        assert len(iterations) == 3
+        assert len(calls) == sum(iterations)
+
     def test_k1_everything_certain(self):
         net = Network.from_edges(5, [(0, 1), (2, 3)])
         fit = mcem_fit(net, self._small_cfg(K=1, restarts=1, final_sweeps=50))
@@ -697,3 +749,8 @@ class TestLatentPositions:
             PosteriorSummary(np.array([[0.5, 0.2]]), np.array([0.5]))
         with pytest.raises(ValueError, match="one gini entry"):
             PosteriorSummary(np.array([[0.5, 0.5]]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_posterior_summary_non_finite_gini_rejected(self, bad):
+        with pytest.raises(ValueError, match="gini entries must be finite"):
+            PosteriorSummary(np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([bad, 1.0]))

@@ -136,6 +136,7 @@ class TestFormat:
         ("partition", {"a": 1}),
         ("posterior", {"freq": [[1.0, 0.0]] * 3, "gini": [1.0] * 3}),
         ("posterior", {"freq": [[1.0, 0.0, 0.0]] * 4, "gini": [1.0] * 4}),
+        ("posterior", {"freq": [[1.0, 0.0]] * 4, "gini": [float("nan"), 1.0, 1.0, 1.0]}),
     ])
     def test_bad_field_is_named(self, name, value):
         params = BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))
