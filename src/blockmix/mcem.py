@@ -294,6 +294,7 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
     complement lengths.  The log ratio is the sweep's own sum, from node
     j's count row, so this is the probability the chain accepts with.
     """
+    check_kind(net, "bernoulli")
     if not whole(j):
         raise ValueError(f"node index j must be a whole number, got {j!r}")
     if not 0 <= j < net.n_nodes:
@@ -314,6 +315,7 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
 
 def gibbs_sweep(net: Network, u, g: GraphonStep, rng: np.random.Generator) -> LatentPositions:
     """One full sweep; rejected proposals retain the previous position."""
+    check_kind(net, "bernoulli")
     out = LatentPositions(_positions(u, net.n_nodes))  # validated once: the sweep keeps positions in [0, 1)
     sampler = _Sampler(net)
     sampler.sweep(out.u, *sampler.start(g, out.u), rng)
@@ -325,8 +327,11 @@ def m_step(net: Network, u_hat, g: GraphonStep, delta: float, K: int) -> Graphon
 
     Cell probabilities are empirical edge fractions (global density for
     empty cells); interval lengths blend the empirical occupation with
-    the uniform vector by weight delta.
+    the uniform vector by weight delta.  K must equal g.K.
     """
+    check_kind(net, "bernoulli")
+    if K != g.K:
+        raise ValueError(f"K must equal the graphon's K = {g.K}, got {K!r}")
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")
     return _m_step(net, g.interval_of(_positions(u_hat, net.n_nodes, "u_hat")), delta, K)[0]

@@ -216,26 +216,31 @@ def _xlogy(a, b):
 def _cell_sums(rows, cols, vals, shape) -> np.ndarray:
     """Table of the given shape summing vals (counting entries when None) per (row, col) cell.
 
-    Each cell adds its values one at a time in input order, starting from
-    0.0, so float sums are the same bit for bit as any such in-order sum.
-    Sums of values are float64 even without entries, where bincount gives int64.
+    The table has vals' dtype (int64 when None), and each cell adds its values
+    in input order from zero: whole-number sums are exact, and float sums the
+    same bit for bit as any such in-order sum.
     """
-    out = np.bincount(rows * shape[1] + cols, vals, shape[0] * shape[1])
-    return (out if vals is None else out.astype(np.float64, copy=False)).reshape(shape)
+    out = np.zeros(shape[0] * shape[1], dtype=np.int64 if vals is None else vals.dtype)
+    np.add.at(out, rows * shape[1] + cols, 1 if vals is None else vals)
+    return out.reshape(shape)
 
 
 def block_pair_stats(net: Network, labels0: np.ndarray, K: int):
     """Ordered-pair sufficient statistics for a hard partition.
 
-    Returns (edge_total, pair_count, sizes) where edge_total[k, l] sums
-    y_ij over ordered pairs i != j with labels (k, l), pair_count[k, l]
-    is the number of such pairs, and sizes are block occupancies.  For
-    undirected networks both matrices double-count each unordered pair.
-    The stored values are summed cell by cell; they are whole numbers, so
-    the float64 sums are exact whatever the order.
+    ``labels0`` holds one integer label in 0..K-1 per node.  Returns
+    (edge_total, pair_count, sizes) where edge_total[k, l] sums y_ij over
+    ordered pairs i != j with labels (k, l), pair_count[k, l] is the number
+    of such pairs, and sizes are block occupancies.  For undirected networks
+    both matrices double-count each unordered pair.  All three are exact
+    int64 tables: the stored values total at most 2**63 - 1.
     """
+    labels0 = np.asarray(labels0)
+    if (labels0.shape != (net.n_nodes,) or labels0.dtype.kind not in "iu"
+            or not ((labels0 >= 0) & (labels0 < K)).all()):
+        raise ValueError(f"labels0 must hold {net.n_nodes} whole numbers in 0..{K - 1}")
     edge_total = _cell_sums(labels0[net.row_index()], labels0[net.indices], net.data, (K, K))
-    sizes = np.bincount(labels0, minlength=K).astype(np.float64)
+    sizes = np.bincount(labels0, minlength=K)
     pair_count = np.outer(sizes, sizes) - np.diag(sizes)
     return edge_total, pair_count, sizes
 

@@ -79,19 +79,18 @@ class _Stats:
     # 2 K^2 V table cells a side against about K^2 m direct cells, plus a
     # gather per direct cell: ``deltas`` tabulates when table_ratio * V < m
     table_ratio = 4
-    _floor = {"poisson": 1.0, "dc_poisson": 1e-300}  # the least weight a count-kind cell term divides by
 
     def __init__(self, net: Network, labels0: np.ndarray, K: int, kind: str):
         self.kind, self.K, self.n, self.directed = kind, K, net.n_nodes, net.directed
         self.z = labels0.copy()
         self.deg = degrees(net).astype(np.float64)
         self.total = float(net.total_value)
-        rows, cols, vals = net.row_index(), net.indices, net.data.astype(np.float64)
+        rows, cols, vals = net.row_index(), net.indices, net.data
         # v's out-neighbours are out_nbrs[out_ptr[v]:out_ptr[v + 1]], and
         # likewise for "in" (the out-lists again when undirected)
         self.out_ptr, self.out_nbrs, self.out_vals = net.indptr, cols, vals
-        self.in_ptr, self.in_nbrs, in_vals = net.transpose()
-        self.in_vals = in_vals.astype(np.float64)
+        self.in_ptr, self.in_nbrs, self.in_vals = net.transpose()
+        # whole-number int64 tables, exact under any sequence of moves
         self.edge = _cell_sums(labels0[rows], labels0[cols], vals, (K, K))
         # vcount[v, k]: value from v toward block k (and from block k into
         # v for the directed in-table); no self-loops, so moving v never
@@ -155,7 +154,7 @@ class _Stats:
         s, q, block = self._weights(self._blocks)
         e_u, w_u = self.edge, np.outer(s, s) - np.diag(q)
         if not self.directed:  # unordered cells: the upper triangle, halved diagonal
-            e_u, w_u = (np.triu(x, 1) + np.diag(np.diag(x) / 2.0) for x in (e_u, w_u))
+            e_u, w_u = (np.triu(x * self._half) for x in (e_u, w_u))
         cells = self._cell_term(e_u, w_u)
         if block is None:
             return float(cells.sum())
@@ -166,14 +165,14 @@ class _Stats:
     def _cell_term(self, e, w):
         """Per-cell objective term; constants under vertex moves omitted.
 
-        The floor changes a count-kind cell with e > 0 only where rounding
-        leaves it no pairs: poisson edge totals past 2**53, or a dc_poisson
-        weight s_k^2 - q_k cancelled to 0 or below (a hub of degree 1e17).
+        The edge totals are exact, so a kept poisson cell with e > 0 has pairs;
+        the 1e-300 floor is reached by kept cells only where rounding cancels a
+        dc_poisson weight s_k^2 - q_k to 0 or below (a hub of degree 1e17).
         """
         if self.kind == "bernoulli":
             return _xlogy(e, e) + _xlogy(w - e, w - e) - _xlogy(w, w)
         # poisson: the -e part sums to a move-invariant constant over touched cells
-        return _xlogy(e, e / np.maximum(w, self._floor[self.kind]))
+        return _xlogy(e, e / np.maximum(w, 1e-300))
 
     def _cells(self, *blocks):
         """Cell terms of (e, w) blocks in one evaluation; w broadcasts to e."""
@@ -185,7 +184,7 @@ class _Stats:
         flat = self._cell_term(e_all, w_all)
         return [flat[lo:hi].reshape(e.shape) for (e, _), lo, hi in zip(blocks, bounds, bounds[1:])]
 
-    @np.errstate(divide="ignore", invalid="ignore")
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def deltas(self, verts: np.ndarray) -> np.ndarray:
         """(len(verts), K) objective changes for moving each vertex to each block.
 
@@ -204,9 +203,10 @@ class _Stats:
 
         Each entry is the balance "after the move minus before it" over
         those cells; each masked row of cell terms is summed as a left fold
-        over the kept cells, in block order.  Arrays are laid out (k, d, v):
-        block k's cell in the row of the source block z_v or of the
-        destination block d, vertex v last.
+        over the kept cells, in block order.  A dropped cell may hold values
+        and no pairs (directed: the source block's diagonal), so its term
+        may overflow.  Arrays are laid out (k, d, v): block k's cell in the
+        row of the source block z_v or of the destination block d, vertex v last.
         """
         K, edge, m = self.K, self.edge, verts.size
         z, cols, ar = self.z[verts], np.arange(m), self._ar
@@ -218,18 +218,13 @@ class _Stats:
             sides.append((u.T.copy(), self.vcount_in[verts].T.copy()))
         x_out, x_in = sides[0][1], sides[-1][1]
         B, per_vertex = self._blocks, self.kind == "dc_poisson"  # its weights move with the degree
-        if per_vertex:  # weights now, after leaving z_v (shape (m,)) and after joining d ((K, m))
-            carry = self._carry[:, verts]
-            (s0, q0, b0), (s1, q1, b1), (s2, q2, b2) = (
-                self._weights(x) for x in (B, B[:, z] - carry, B[:, :, None] + carry[:, None]))
-            self_now, self_src, self_dst = s0 * s0 - q0, s1 * s1 - q1, s2 * s2 - q2
-            diag, g = (z, cols), slice(None)
-        else:  # the same per block, the states on the last axis of one call; leave entry a is block a's
-            s, q, b = self._weights(B[:, :, None] + (0.0, -1.0, 1.0))
-            (s0, s1, s2), (self_now, self_src, self_dst) = ((x[:, 0], x[:, 1], x[:, 2:]) for x in (s, s * s - q))
-            b0, b1, b2 = (None, None, None) if b is None else (b[:, 0], b[:, 1], b[:, 2:])
-            V = int(max(x.max() for _, x in sides)) + 1  # counts are integers 0..V-1
-            diag, g = (ar, ar), z
+        # weights now, after leaving z_v (shape (m,)) and after joining d ((K, m)); the other
+        # kinds' weights read the sizes only: a unit carry, leave entry a is block a's, join (K, 1)
+        src, carry, diag, g = (z, self._carry[:, verts], (z, cols), slice(None)) if per_vertex else (
+            slice(None), np.eye(3, 1), (ar, ar), z)
+        (s0, q0, b0), (s1, q1, b1), (s2, q2, b2) = (
+            self._weights(x) for x in (B, B[:, src] - carry, B[:, :, None] + carry[:, None]))
+        self_now, self_src, self_dst = s0 * s0 - q0, s1 * s1 - q1, s2 * s2 - q2
         w_now, w_src, w_dst = s0[:, None] * s0, s0[:, None] * s1, s0[:, None, None] * s2
         w_now[ar, ar] = self_now / 2.0
         w_src[diag] = self_src / 2.0
@@ -239,6 +234,7 @@ class _Stats:
         if b0 is not None:
             b1 = b1[g]
             extra_now, extra_after = b0[:, None] + b0, b1 + b2
+        V = int(max(x.max() for _, x in sides)) + 1  # counts are integers 0..V-1
         tabulate = not per_vertex and self.table_ratio * V < m
         if tabulate:  # a moved row's cell terms depend only on (block, block, count)
             vals = np.arange(float(V))
@@ -265,9 +261,8 @@ class _Stats:
         if tabulate:  # gather minus[z_v, k, e_vk] and plus[d, k, e_vk]
             tables, moved = moved, []
             for minus, plus, (_, x) in zip(tables[::2], tables[1::2], sides):
-                ix = x.astype(np.intp)
-                moved += [np.take(minus, (z * K + ar[:, None]) * V + ix),
-                          np.take(plus, self._cell_ids.T[:, :, None] * V + ix[:, None, :])]
+                moved += [np.take(minus, (z * K + ar[:, None]) * V + x),
+                          np.take(plus, self._cell_ids.T[:, :, None] * V + x[:, None, :])]
         if self.directed:
             keep_src = keep_dst = np.take(self._keep, z, axis=2)
         else:

@@ -158,6 +158,7 @@ def _m_step(kind: str, edge, pairs, colsum, entropy: float, n: int, directed: bo
 
 
 def _check_resp(net: Network, state: VariationalState):
+    check_kind(net, state.params.kind, "vem")
     if np.shape(state.resp) != (net.n_nodes, state.params.K):
         raise ValueError(f"resp must be n x K = {net.n_nodes} x {state.params.K}, got {np.shape(state.resp)}")
 

@@ -96,10 +96,15 @@ scipy-openblas OpenBLAS 0.3.31 build (DYNAMIC_ARCH, Haswell kernels).
 """
 
 import hashlib
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+if __name__ == "__main__":  # run as a script: this checkout's sources, after any on PYTHONPATH
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 from blockmix.generate import GenConfig, sample_sbm
 from blockmix.graph import Network, load_edge_list, to_edge_list_text
@@ -409,7 +414,6 @@ if __name__ == "__main__":
     # can be compared where their digests differ.  The exit status is 1
     # when any case prints DIFFERS, so the run serves as a byte check.
     import os
-    import sys
 
     os.environ.pop("BLOCKMIX_WORKERS", None)
     differs = False

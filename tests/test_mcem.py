@@ -621,11 +621,31 @@ class TestMStep:
         ref = mle_block_params(net, Partition(g.interval_of(u_hat) + 1, 3), "bernoulli", allow_empty=True)
         assert np.array_equal(out.P, ref.block_matrix)
 
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_K_must_equal_the_graphons(self, K):
+        # unchecked, K = 2 ends in a reshape error and K = 4 returns four intervals
+        net = Network.from_edges(4, [(0, 1), (2, 3)])
+        g = GraphonStep([0.0, 0.3, 0.7, 1.0], np.full((3, 3), 0.5))
+        with pytest.raises(ValueError, match="K must equal the graphon's K = 3"):
+            m_step(net, np.array([0.1, 0.4, 0.5, 0.9]), g, delta=1.0, K=K)
+
     def test_delta_validated(self):
         net = Network.from_edges(2, [(0, 1)])
         g = GraphonStep([0.0, 1.0], [[0.5]])
         with pytest.raises(ValueError, match="delta"):
             m_step(net, np.array([0.1, 0.2]), g, delta=1.5, K=1)
+
+
+def test_step_functions_need_a_binary_network():
+    # unchecked, m_step returns the block matrix [[1, 0.75], [0.75, 1]] from the counts
+    net = Network.from_edges(4, {(0, 1): 5, (1, 2): 3, (2, 3): 1}, value_kind="count")
+    g = GraphonStep([0.0, 0.5, 1.0], np.full((2, 2), 0.5))
+    u = np.array([0.1, 0.2, 0.6, 0.9])
+    for call in (lambda: m_step(net, u, g, delta=1.0, K=2),
+                 lambda: gibbs_sweep(net, u, g, np.random.default_rng(0)),
+                 lambda: acceptance_prob(net, u, 0, 0.7, g)):
+        with pytest.raises(ValueError, match="bernoulli model needs a binary network"):
+            call()
 
 
 class TestMcemFit:

@@ -90,8 +90,8 @@ class TestBlockPairStats:
         net = random_network(rng, directed=directed, binary=False)
         z = random_partition(rng, net.n_nodes, K).zero_based()
         e, m, sizes = block_pair_stats(net, z, K)
-        e_ref = np.zeros((K, K))
-        m_ref = np.zeros((K, K))
+        e_ref = np.zeros((K, K), dtype=np.int64)
+        m_ref = np.zeros((K, K), dtype=np.int64)
         n = net.n_nodes
         for i in range(n):
             for j in range(n):
@@ -99,9 +99,26 @@ class TestBlockPairStats:
                     continue
                 e_ref[z[i], z[j]] += net.value(i, j)
                 m_ref[z[i], z[j]] += 1
-        assert np.allclose(e, e_ref)
+        assert e.dtype == m.dtype == sizes.dtype == np.int64
+        assert np.array_equal(e, e_ref)
         assert np.array_equal(m, m_ref)
         assert np.array_equal(sizes, np.bincount(z, minlength=K))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_values_past_2_53_sum_exactly(self, directed):
+        # float64 stores 2**53 + 1 as 2**53
+        net = Network.from_edges(3, {(0, 1): 2**53 + 1, (1, 2): 1}, directed=directed, value_kind="count")
+        e, m, sizes = block_pair_stats(net, np.array([0, 1, 1]), 2)
+        assert e.dtype == np.int64
+        assert e.tolist() == ([[0, 2**53 + 1], [0, 1]] if directed else [[0, 2**53 + 1], [2**53 + 1, 2]])
+        assert m.tolist() == [[0, 2], [2, 2]] and sizes.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 0], [0, 1, 1], [0], [0.0, 1.0], [[0, 1]], [True, False]])
+    def test_labels_checked(self, labels):
+        # unchecked, [0, 2] counts the edge 0 -> 1 in cell (1, 0), and three labels pass
+        net = Network.from_edges(2, [(0, 1)], directed=True)
+        with pytest.raises(ValueError, match=r"labels0 must hold 2 whole numbers in 0\.\.1"):
+            block_pair_stats(net, np.array(labels), 2)
 
 
 class TestLogLikelihoods:

@@ -541,10 +541,11 @@ class TestBatchedDeltasOracle:
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_cells_without_pairs_after_rounding_byte_equal(self, directed):
-        # count values past 2**53 add up inexactly: once vertex 1 leaves block
-        # 0, cell (0, 1) holds 2 more than vertex 0's values, so vertex 0's
-        # moves meet a cell with values and no pairs (poisson); block 0 of the
-        # dc_poisson network has a weight s^2 - q that cancels to 0 or below
+        # count values past 2**53 sum exactly in the int64 tables: once vertex
+        # 1 leaves block 0, cell (0, 1) holds vertex 0's values and nothing
+        # more, so no poisson cell has values and no pairs, and the oracle's
+        # floor of 1 agrees with the kernel's 1e-300; block 0 of the dc_poisson
+        # network has a weight s^2 - q that cancels to 0 or below in rounding
         net = Network.from_edges(3, {(0, 2): 2**53 + 2, (1, 2): 1}, directed=directed, value_kind="count")
         stats = _Stats(net, np.array([0, 0, 1]), 3, "poisson")
         stats.apply(1, 2)
@@ -552,3 +553,51 @@ class TestBatchedDeltasOracle:
         for st in (stats, _Stats(hub, np.array([0, 1, 0, 1]), 2, "dc_poisson")):
             active = np.ones(st.n, dtype=bool)
             assert st.step_deltas(active).tobytes() == _seed_bytes(_seed_step_deltas, st, active)
+
+
+def _past_2_53_network(rng, n, directed):
+    """Count network of four random even cycles whose values pass 2**53.
+
+    Each cycle's edges hold 2**37 a plus +c and -c in turn, so every degree is
+    a multiple of 2**37, while sums of the values round in float64.  The
+    blocks' degree sums and squared-degree sums, which dc_poisson reads, are
+    float64 sums that moves leave with rounding residue once degrees pass
+    2**53; on this grid they stay exact, so a test reads the int64 tables alone.
+    """
+    edges = {}
+    for _ in range(4):
+        cycle = rng.choice(n, size=2 * int(rng.integers(2, 4)), replace=False).tolist()
+        c = int(rng.integers(1, 2**36))
+        for k, (i, j) in enumerate(zip(cycle, cycle[1:] + cycle[:1])):
+            key = (i, j) if directed else (min(i, j), max(i, j))
+            edges[key] = edges.get(key, 0) + 2**37 * int(rng.integers(2**17, 2**18)) + (c if k % 2 else -c)
+    return Network.from_edges(n, edges, directed=directed, value_kind="count")
+
+
+class TestExactTables:
+    @pytest.mark.parametrize("kind", ["poisson", "dc_poisson"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_moved_stats_equal_fresh_past_2_53(self, kind, directed):
+        # whole-number tables stay exact under any sequence of moves, so the
+        # moved state is the state built from its labels, byte for byte
+        rng = np.random.default_rng(53 + 2 * directed + len(kind))
+        n, K = 12, 3
+        net = _past_2_53_network(rng, n, directed)
+        stats = _Stats(net, rng.integers(0, K, size=n), K, kind)
+        active = np.ones(n, dtype=bool)
+        for _ in range(40):
+            v = int(rng.integers(n))
+            stats.apply(v, int((stats.z[v] + rng.integers(1, K)) % K))
+            fresh = _Stats(net, stats.z, K, kind)
+            for name in ("edge", "vcount_out", "vcount_in"):
+                assert np.array_equal(getattr(stats, name), getattr(fresh, name)), name
+            assert stats.step_deltas(active).tobytes() == fresh.step_deltas(active).tobytes()
+            assert np.float64(stats.objective()).tobytes() == np.float64(fresh.objective()).tobytes()
+
+    def test_dropped_cells_without_pairs(self):
+        # once vertex 1 leaves the two-member block 0, the directed kernel's
+        # dropped diagonal cell of block 0 holds (y_01 - y_10) / 2 and no pairs
+        net = Network.from_edges(3, {(0, 1): 2**40, (1, 0): 1, (1, 2): 1}, directed=True, value_kind="count")
+        stats = _Stats(net, np.array([0, 0, 1]), 2, "poisson")
+        active = np.ones(3, dtype=bool)
+        assert stats.step_deltas(active).tobytes() == _seed_bytes(_seed_step_deltas, stats, active)

@@ -75,6 +75,18 @@ class TestSingleSteps:
                 with pytest.raises(ValueError, match=r"resp must be n x K = 4 x 2"):
                     step(net, state)
 
+    def test_kind_checked(self):
+        # unchecked, m_step fits Bernoulli params [[1, 0.75], [0.75, 1]] to the
+        # count values, and elbo and e_step score dc_poisson params
+        net = Network.from_edges(4, {(0, 1): 5, (1, 2): 3, (2, 3): 1}, value_kind="count")
+        resp = np.eye(2)[[0, 0, 1, 1]]
+        bernoulli = BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))
+        dc = BlockParams("dc_poisson", 2, [0.5, 0.5], np.zeros((2, 2)), gamma=np.zeros(4))
+        for params, message in ((bernoulli, "binary network"), (dc, "vem method fits")):
+            for step in (e_step, elbo, m_step):
+                with pytest.raises(ValueError, match=message):
+                    step(net, VariationalState(resp, params, 0.0))
+
     @pytest.mark.parametrize("cell", [(1, 1), (0, 0)])
     def test_overflowing_rate_in_the_bound(self, cell):
         # exp(800) overflows to +inf: lone block 2's cell has no pairs and adds
