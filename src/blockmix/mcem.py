@@ -15,19 +15,26 @@ Each network's neighbour lists and each graphon's tables, the K x K move
 tables among them, are built once and kept on the network or graphon.
 ``_Sampler.start`` swaps in a graphon, places the nodes in its intervals
 and builds the n x K neighbour-block count table from the m stored pairs,
-in O(m) once per chain; ``_Sampler.chain`` then runs the sweeps of one E
-step, or of the final chain, and counts the visits of the kept states.
-One Gibbs sweep costs O(n K) for the per-node scalar loop and O(deg) per
-accepted move to update the count rows of the node's neighbours, which
-keeps the table exact from sweep to sweep.
-Accept/reject decisions are the loop's own scalar sums, so for a given
-NumPy build a chain is a pure function of the seed and the inputs.
+in O(m) once per chain.  ``_Sampler.advance``, the one sweep engine, then runs
+the sweeps of one E step, of the final chain (``_Sampler.chain`` counts
+the visits of their kept states) or of one ``gibbs_sweep``.  It screens
+runs of upcoming visits, which may span sweeps, in NumPy against the
+current state, and walks in Python only the visits whose log ratio might
+pass the coin; the first accepted move ends the run.  Where moves come
+every few visits it walks the rest of the sweep node by node, at O(K) per
+visit.  An accepted move costs O(deg) to update the count rows of the
+node's neighbours, which keeps the table exact from sweep to sweep, so a
+quiet sweep costs a few vector operations instead of n scalar decisions.
+Accept/reject decisions are the walk's own scalar sums, which a screen
+reproduces byte for byte, so for a given NumPy build a chain is a pure
+function of the seed and the inputs.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import chain, count
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -68,7 +75,7 @@ class LatentPositions:
         self.u = np.asarray(self.u, dtype=np.float64)
         if self.u.ndim != 1:
             raise ValueError("u must be a vector")
-        if not ((self.u >= 0) & (self.u < 1)).all():
+        if self.u.size and not (self.u.min() >= 0 and self.u.max() < 1):
             raise ValueError("latent positions must lie in [0, 1)")
 
 
@@ -160,6 +167,30 @@ def _network_tables(net: Network) -> dict:
     )
 
 
+# The walk's constants, each measured on the 35 chains of the planted-150
+# mcem fit (n = 150, K = 3) on a 2-core Xeon.
+# Visits screened by a run after a move or at the start; a run doubles while
+# nobody moves, and a chain with fewer visits left is walked.  A screen
+# costs about 20 NumPy calls whatever its length; 16 keeps one-sweep chains
+# of a few nodes (``gibbs_sweep`` on small graphs) on the walk.
+_FIRST_RUN = 16
+# A screen and its table refresh cost about as much as walking this many
+# visits (30 us against 0.45 us a visit): a move this close to the one
+# before sends the rest of its sweep to the walk, and a walk that met a
+# move per this many visits walks the next sweep too.  Gaps of 32 and 128
+# ran the fit's chains 5 to 15 % slower.
+_WALK_GAP = 64
+# Visits whose uniforms one draw holds, rounded down to whole sweeps (one
+# sweep at least); a screened run ends with its draw.  Draws of 1024, 4096
+# and 16384 visits ran the fit's chains no faster, and 4096 raised the
+# fit's peak RSS by 0.2 MB over 2048.
+_DRAW_VISITS = 2048
+# A visit whose log ratio lies this far below log(coin) is a certain
+# rejection: np.log and math.exp err by a few ulps, at most about 1e-14 on
+# coins of 2**-53 and up, so 1e-9 never skips an accepted move.
+_MARGIN = 1e-9
+
+
 class _Sampler:
     """Chain machinery for one network; graphon swapped in between E steps."""
 
@@ -178,7 +209,8 @@ class _Sampler:
 
         ``moves[kc][ks]`` holds (d_lp - d_lq, d_lq, d_stay) of the move kc -> ks:
         row ks minus row kc of log p and log(1 - p), and log(1 - len kc) - log(1 - len ks).
-        Its log ratio is cnt[j] . (d_lp - d_lq) plus ``_occ_term``, summed left to right.
+        Its log ratio is cnt[j] . (d_lp - d_lq) plus ``_occ_term``, summed left to right;
+        ``d_pq[kc, ks]`` is its first entry as an array.
         """
         lens = g.tau[1:] - g.tau[:-1]
         pc = np.clip(g.P, _CLAMP, 1.0 - _CLAMP)
@@ -192,95 +224,216 @@ class _Sampler:
         support = 1.0 - lens
         return dict(
             tau=g.tau, lens=lens, K=g.K, support=support, any_full=min(support.tolist()) <= 1e-15,
+            d_pq=(d_lp - d_lq).reshape(g.K * g.K, g.K),
             moves=[list(zip(*rows)) for rows in zip((d_lp - d_lq).tolist(), d_lq.tolist(), d_stay.tolist())],
         )
 
-    def start(self, g: GraphonStep, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    def start(self, g: GraphonStep, u: np.ndarray) -> tuple[np.ndarray, list, list]:
         """Swap in graphon g; the chain state of positions u.
 
         Returns their intervals z, the intervals' occupancies and the
         neighbour-block count table: row i holds node i's weight into each
-        interval, as Python lists that ``sweep`` keeps current.
+        interval.  The occupancies and the table are Python lists, which
+        the scalar walk reads and ``advance`` keeps current.
         """
         self.set_graphon(g)
         z = self.tau.searchsorted(u, side="right") - 1
         cnt = _cell_sums(self.src, z[self.dst], self.w, (self.n, self.K)).tolist()
-        return z, np.bincount(z, minlength=self.K), cnt
+        return z, np.bincount(z, minlength=self.K).tolist(), cnt
 
     def _occ_term(self, occ: list, kc: int, d_lq: list, d_stay: float) -> float:
         """The part of the move's log ratio read from the interval occupancies:
         pf (occ . d_lq - d_lq[kc]) + d_stay, with d_lq and d_stay from ``moves``."""
         return self.pair_factor * (sum(map(operator.mul, occ, d_lq)) - d_lq[kc]) + d_stay
 
-    def sweep(self, u: np.ndarray, z: np.ndarray, occ: np.ndarray, cnt: list,
-              rng: np.random.Generator):
-        """One in-place pass over all nodes in ascending index order.
+    def _proposals(self, kc: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Proposed intervals and positions of visits to nodes in intervals kc, with uniforms x.
 
-        Node j draws two uniforms (proposal, then coin) when it is
-        visited; drawing all 2n at once gives the same numbers.  Until
-        node j is visited z[j] holds its start-of-sweep value, so every
-        proposal is computed up front.  The loop scores a proposal in
-        O(K) scalar arithmetic from the count table of ``start`` and, on
-        acceptance, updates the table rows of the node's neighbours in
-        O(deg).  The counts are whole numbers, so the table stays exact.
-        A move's occupancy term changes only when a move is accepted, so
-        it is kept until then.  The move is accepted if and only if this
-        scalar log ratio is >= 0 or the coin is below its exp.
+        A node's proposal reads its own interval only, which nothing but
+        its own visit changes, so it holds until that visit.
         """
-        n, K = self.n, self.K
-        draws = rng.random(2 * n)
-        x, coins = draws[0::2], draws[1::2]
-        todo = range(n)
-        if self.any_full:
-            # the proposal support is empty: resample uniformly, which
-            # cannot change the likelihood
-            free = self.support[z] <= 1e-15
-            u[free] = x[free]
-            todo = np.flatnonzero(~free).tolist()
-            if not todo:
-                return
-        lens = self.lens[z]
-        xs = x * self.support[z]
-        u_star = np.where(xs < self.tau[z], xs, xs + lens)
-        kss = (self.tau.searchsorted(u_star, side="right") - 1).tolist()
-        kcs, coins, occ_l, u_star = z.tolist(), coins.tolist(), occ.tolist(), u_star.tolist()
-        moves, occ_term_of = self.moves, self._occ_term
-        nbr_lists, wt_lists = self.nbr_lists, self.wt_lists
-        occ_terms = {}  # kc * K + k -> the move's occupancy term
-        accepted = False
-        for j in todo:
-            kc, k, coin = kcs[j], kss[j], coins[j]
+        xs = x * self.support[kc]
+        u_star = np.where(xs < self.tau[kc], xs, xs + self.lens[kc])
+        return self.tau.searchsorted(u_star, side="right") - 1, u_star
+
+    def _walk(self, visits, coins, u_star, state: tuple, stale: list, stop: bool):
+        """Decide the visits (i, j, kc, k) in order; the first accepted one if ``stop``, else None.
+
+        Visit i proposes to move node j from interval kc to k at position
+        ``u_star[i]``, with coin ``coins[i]``.  Its log ratio is the left fold
+        cnt[j][0] d_pq[0] + cnt[j][1] d_pq[1] + ... plus its occupancy term,
+        which ``occ_terms`` keeps until a move.  The move is accepted if and
+        only if log_r >= 0 or coin < exp(log_r).  An accepted move is applied
+        to the chain state (u, z, occupancies, count table, occ_terms): it
+        updates the count rows of the node's neighbours, whose counts are
+        whole numbers, so the table stays exact.  The node joins ``stale``.
+        """
+        u, z, occ, cnt, occ_terms = state
+        moves, K, pf, nbr_lists, wt_lists = self.moves, self.K, self.pair_factor, self.nbr_lists, self.wt_lists
+        mul, exp = operator.mul, math.exp
+        for i, j, kc, k in visits:
             d_pq, d_lq, d_stay = moves[kc][k]
             occ_term = occ_terms.get(key := kc * K + k)
             if occ_term is None:
-                occ_terms[key] = occ_term = occ_term_of(occ_l, kc, d_lq, d_stay)
-            log_r = sum(map(operator.mul, cnt[j], d_pq)) + occ_term
-            if log_r >= 0 or coin < math.exp(log_r):
-                occ_l[kc] -= 1
-                occ_l[k] += 1
+                # ``_occ_term``, inlined: a call per new term costs a busy sweep 5 %
+                occ_terms[key] = occ_term = pf * (sum(map(mul, occ, d_lq)) - d_lq[kc]) + d_stay
+            log_r = sum(map(mul, cnt[j], d_pq)) + occ_term
+            if log_r >= 0 or coins[i] < exp(log_r):
+                occ[kc] -= 1
+                occ[k] += 1
                 z[j] = k
-                for i, w in zip(nbr_lists[j], wt_lists[j]):
-                    row = cnt[i]
+                for m, w in zip(nbr_lists[j], wt_lists[j]):
+                    row = cnt[m]
                     row[kc] -= w
                     row[k] += w
-                u[j] = u_star[j]
+                u[j] = u_star[i]
                 occ_terms.clear()
-                accepted = True
-        if accepted:
-            occ[:] = occ_l
+                stale.append(j)
+                if stop:
+                    return i, j, kc, k
+        return None
+
+    def _occ_vector(self, occ: list, occ_terms: dict) -> np.ndarray:
+        """Every move's occupancy term by key kc * K + ks (0 where kc = ks), kept in ``occ_terms``."""
+        K, moves = self.K, self.moves
+        for kc in range(K):
+            for ks in range(K):
+                if kc != ks and (key := kc * K + ks) not in occ_terms:
+                    _, d_lq, d_stay = moves[kc][ks]
+                    occ_terms[key] = self._occ_term(occ, kc, d_lq, d_stay)
+        return np.array([occ_terms.get(key, 0.0) for key in range(K * K)])
+
+    def _screen(self, table: np.ndarray, occ_vec: np.ndarray, js: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The log ratios of visits to nodes js with moves ``keys``, from the count table as an array.
+
+        Each is the same left fold in ascending k, plus the same occupancy
+        term, as ``_walk`` computes for the visit, so the same double.
+        """
+        terms = table.take(js, axis=0)
+        terms *= self.d_pq.take(keys, axis=0)
+        log_r = np.zeros(js.size)
+        for k in range(self.K):
+            log_r += terms[:, k]
+        log_r += occ_vec.take(keys)
+        return log_r
+
+    def advance(self, u, z, occ, cnt, rng, sweeps: int, settled=None):
+        """Advance a ``start`` state by ``sweeps`` sweeps, in place.
+
+        Sweep t visits the nodes in ascending index order, and its visit of
+        node j reads uniforms 2j and 2j + 1 of the sweep's 2n (proposal,
+        then coin).  They are drawn for whole sweeps at once, which gives the
+        same numbers and never passes the last sweep.  Visits are screened
+        in runs, which may span sweeps: a node's proposal reads only its own
+        interval, which only its own visit changes, so until a move the
+        run's proposals and log ratios, computed in NumPy against the
+        current state, are those of the node-by-node walk.  Only the visits
+        whose log ratio exceeds log(coin) - _MARGIN are walked with the exact
+        test.  The first accepted move is applied and the next run starts
+        after it; while nobody moves, a run doubles.  Where moves come every
+        few visits, the rest of the sweep is walked node by node.  A screen
+        reads the count table as an array, whose rows the moves since the
+        last screen changed are copied in first.
+
+        ``settled(t)``, when given, is called before the first move of sweep
+        t and at the end with t = sweeps: the states after sweeps before t
+        that it has not been told of all equal the current state.
+        """
+        n, K = self.n, self.K
+        occ_terms = {}
+        state = u, z, occ, cnt, occ_terms
+        table, stale, nodes = None, [], None  # cnt as an array, the nodes moved since it was, 0 1 .. n-1 0 1 ..
+        pos, end, drawn, size, walk, last = 0, sweeps * n, 0, _FIRST_RUN, False, -_WALK_GAP
+        per_draw = max(_DRAW_VISITS // n, 1) * n
+        while pos < end:
+            if pos == drawn:
+                block = min(per_draw, end - pos)
+                draws = rng.random(2 * block)
+                x, coins, base, drawn, lows = draws[0::2], draws[1::2], pos, pos + block, None
+            t, j0 = divmod(pos, n)
+            first = pos - base
+            if walk or self.any_full or end - pos < _FIRST_RUN:
+                # the rest of sweep t, node by node
+                js, span, kc = range(j0, n), slice(first, first + n - j0), z[j0:]
+                if self.any_full:
+                    # the proposal support is empty: resample uniformly, which
+                    # cannot change the likelihood
+                    free = self.support[kc] <= 1e-15
+                    u[j0:][free] = x[span][free]
+                    kept = np.flatnonzero(~free)
+                    js, span, kc = (kept + j0).tolist(), kept + first, kc[kept]
+                ks, u_star = self._proposals(kc, x[span])
+                visits = zip(count(), js, kc.tolist(), ks.tolist())
+                if settled:
+                    settled(t)
+                accepted = len(stale)
+                self._walk(visits, coins[span].tolist(), u_star.tolist(), state, stale, False)
+                accepted = len(stale) - accepted
+                # keep walking while moves come every few visits
+                pos, size, walk = (t + 1) * n, _FIRST_RUN, accepted * _WALK_GAP > n - j0
+                if accepted:
+                    last = pos
+                if len(stale) > n:  # the next screen copies the whole table
+                    table = None
+                    stale.clear()
+                continue
+            if table is None or stale:
+                if table is None or sum(len(self.nbr_lists[j]) for j in stale) * 4 > n:
+                    table = np.fromiter(chain.from_iterable(cnt), np.float64, n * K).reshape(n, K)
+                else:
+                    rows = list(set(chain.from_iterable(self.nbr_lists[j] for j in stale)))
+                    table[rows] = np.fromiter(chain.from_iterable(cnt[i] for i in rows), np.float64,
+                                              len(rows) * K).reshape(-1, K)
+                stale.clear()
+                occ_vec = self._occ_vector(occ, occ_terms)
+            if lows is None:
+                # a visit whose log ratio lies at or below log(coin) - _MARGIN is rejected
+                with np.errstate(divide="ignore"):
+                    lows = np.log(coins) - _MARGIN
+                if nodes is None or nodes.size < block:
+                    nodes = np.tile(np.arange(n), block // n)
+            span = slice(first, first + min(size, drawn - pos))
+            js = nodes[span]
+            kc = z[js]
+            ks, u_star = self._proposals(kc, x[span])
+            keys = kc * K + ks
+            flagged = np.flatnonzero(self._screen(table, occ_vec, js, keys) > lows[span]).tolist()
+            visits = ((i, int(js[i]), int(kc[i]), int(ks[i])) for i in flagged)
+            if not flagged or (visit := self._walk(visits, coins[span], u_star, state, stale, True)) is None:
+                pos += js.size
+                size *= 2
+                continue
+            i, j, kc_j, k = visit
+            if settled:
+                # told in the state before the move
+                z[j] = kc_j
+                settled((pos + i) // n)
+                z[j] = k
+            pos += i + 1
+            size, walk, last = max(_FIRST_RUN, 2 * i), pos - last <= _WALK_GAP, pos
+        if settled:
+            settled(sweeps)
 
     def chain(self, u, z, occ, cnt, rng, sweeps: int, n_burn: int, thinning: int) -> np.ndarray:
-        """Run ``sweeps`` sweeps from a ``start`` state; n x K visit counts of the kept states.
+        """Advance a ``start`` state by ``sweeps`` sweeps; n x K visit counts of the kept states.
 
         Every thinning-th post-burn-in state is kept; when there is none,
-        the chain's last state is counted instead.
+        the chain's last state is counted instead.  Kept states are counted
+        a whole unchanged stretch at a time; the counts are whole numbers,
+        so this is exact.
         """
         counts = np.zeros((self.n, self.K))
         ar = np.arange(self.n)
-        for t in range(sweeps):
-            self.sweep(u, z, occ, cnt, rng)
-            if t >= n_burn and (t - n_burn + 1) % thinning == 0:
-                counts[ar, z] += 1
+        counted = 0  # sweeps whose kept states are in counts
+
+        def settled(t: int):
+            nonlocal counted
+            # kept are the states after sweeps n_burn + thinning - 1, n_burn + 2 thinning - 1, ...
+            if m := max(t - n_burn, 0) // thinning - max(counted - n_burn, 0) // thinning:
+                counts[ar, z] += m
+            counted = t
+
+        self.advance(u, z, occ, cnt, rng, sweeps, settled)
         if not counts.any():
             counts[ar, z] += 1
         return counts
@@ -318,7 +471,7 @@ def gibbs_sweep(net: Network, u, g: GraphonStep, rng: np.random.Generator) -> La
     check_kind(net, "bernoulli")
     out = LatentPositions(_positions(u, net.n_nodes))  # validated once: the sweep keeps positions in [0, 1)
     sampler = _Sampler(net)
-    sampler.sweep(out.u, *sampler.start(g, out.u), rng)
+    sampler.advance(out.u, *sampler.start(g, out.u), rng, 1)
     return out
 
 

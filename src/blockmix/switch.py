@@ -112,6 +112,9 @@ class _Stats:
         self._carry = np.stack((np.ones(self.n), self.deg, self.deg * self.deg))
         self._blocks = np.stack([np.bincount(labels0, c, K) for c in self._carry])
         self.sizes, self.kappa, self.degsq = self._blocks
+        # below 2**53 every float sum of the carries is a whole number held
+        # exactly; past it a running sum keeps rounding residue, so moves recount
+        self._recount = kind == "dc_poisson" and self._carry[2].sum() >= 2.0**53
         with np.errstate(divide="ignore", invalid="ignore"):
             self.dlogd = float(_xlogy(self.deg, self.deg).sum())
 
@@ -122,9 +125,13 @@ class _Stats:
         self.edge[:, a] -= e_in
         self.edge[to0, :] += e_out
         self.edge[:, to0] += e_in
-        self._blocks[:, a] -= self._carry[:, v]
-        self._blocks[:, to0] += self._carry[:, v]
         self.z[v] = to0
+        if self._recount:  # in vertex order, as the constructor counts
+            for row, c in zip(self._blocks, self._carry):
+                row[:] = np.bincount(self.z, c, self.K)
+        else:
+            self._blocks[:, a] -= self._carry[:, v]
+            self._blocks[:, to0] += self._carry[:, v]
         # the neighbours' rows change in columns a and to0: an update through
         # a column view costs less than one 2-d fancy index
         lo, hi = self.out_ptr[v], self.out_ptr[v + 1]

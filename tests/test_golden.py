@@ -20,7 +20,11 @@ share one block and the chains accept a move every few node visits.
 ``mcemK6`` cases fit six intervals to the two planted blocks, so most of
 the 30 move tables belong to empty or unused intervals and the last M
 step leaves zero-width intervals; they were recorded before each graphon
-built all its move tables at once.  ``delta``
+built all its move tables at once.  ``mcemquiet`` cases fit a 40-node
+graph of two well-separated blocks with ``final_sweeps=2000``: the final
+chain moves a node about once in 2000 sweeps, so its screened runs of
+visits span many sweeps and many draws of uniforms.  They were recorded
+before the chains screened runs of visits in NumPy, and kept their hashes.  ``delta``
 cases hash ``delta_loglik`` for every single-vertex move of a random
 three-block partition, for the poisson and dc_poisson kinds.  ``sample``
 cases hash the edge-list text and the labels of one ``sample_sbm`` draw of
@@ -59,6 +63,10 @@ sum, which may differ from the former reference dot products in the last
 bits; no case here meets a decision that close.  vem's hard sweep then
 scored runs of nodes with an expression equal bit for bit to the soft E
 step's per-node score, the seed's own decision expression.
+
+No mcem or gibbs hash moved when the chain began to screen runs of visits
+in NumPy and to walk only the visits that might be accepted: a screen's
+log ratios are the walk's own left folds, double for double.
 
 No hash moved either when vem's three codings of the rule 0 * (-inf) = 0
 became one (``_mul``, the run scorer's own mask, and the per-node
@@ -170,6 +178,10 @@ def _fit(case: str):
         return mcem_fit_positions(net, replace(_mcem_cfg(), K=3, seed=8))
     if engine.startswith("mcemK"):
         return mcem_fit_positions(net, replace(_mcem_cfg(), K=int(engine[5:])))
+    if engine == "mcemquiet":
+        # well-separated blocks: the chains accept a move every few sweeps
+        net = _planted(17 if directed else 16, 40, directed, False, 2, 0.7, 0.03)
+        return mcem_fit_positions(net, replace(_mcem_cfg(), final_sweeps=2000))
     return mcem_fit_positions(net, _mcem_cfg())
 
 
@@ -374,6 +386,8 @@ GOLDEN = {
     "mcembusy-bernoulli-directed": "120a4a9d571366da893041dba3d7fea55c325f23347f87c37bf0e0e4baf77605",
     "mcemK6-bernoulli-undirected": "196ac0f93246a50f70f438097e171031b27ce5da62ab4d6ce465901ea7f7a83b",
     "mcemK6-bernoulli-directed": "e7764059d73fe104c254aadeb4a3ceb0eed019721364a8ae9893afcc4b818cf8",
+    "mcemquiet-bernoulli-undirected": "7fdf8ccef8bff1aa6c4962378b1d437fec39713ba607658436952504729c856d",
+    "mcemquiet-bernoulli-directed": "20af867feb94f0b3643efeb2fcdb89a9522475905c74933e89a5d7661dfd9e5a",
     "delta-undirected": "1cb3a8795666261c94d9f4cac7f1cbd0bf07e88d401b8c17e05b1137568dddb7",
     "delta-directed": "45c3ce5ad0e832100ec0be2b5fd7ecbf6a7d716598fce478e659fc9d0c7bdaa6",
     "sample-bernoulli-undirected": "5f295c2c2e6070fdca38ad4c63199c9751c227162b615d36d1dc95805cea5d0c",

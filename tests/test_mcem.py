@@ -27,6 +27,7 @@ from blockmix.mcem import (
 )
 from blockmix.models import BlockParams, GraphonStep, Partition, _cell_sums, mle_block_params
 from netfixtures import random_network, same_network
+from sweeploop import SweepLoop
 
 _CLAMP = 1e-6
 
@@ -331,10 +332,10 @@ class _SeedSampler:
 
 
 def _sweep_log_ratio(sampler, j, z, occ, cnt, ks):
-    """The log ratio of moving node j to interval ks, in ``_Sampler.sweep``'s own expression."""
+    """The log ratio of moving node j to interval ks, in the chain walk's own expression."""
     kc = int(z[j])
     d_pq, d_lq, d_stay = sampler.moves[kc][ks]
-    occ_term = sampler.pair_factor * (sum(map(operator.mul, occ.tolist(), d_lq)) - d_lq[kc]) + d_stay
+    occ_term = sampler.pair_factor * (sum(map(operator.mul, occ, d_lq)) - d_lq[kc]) + d_stay
     return sum(map(operator.mul, cnt[j], d_pq)) + occ_term
 
 
@@ -395,7 +396,7 @@ class TestSweepMatchesSeedSweep:
                                   thinning)
         assert u_a.tobytes() == u_b.tobytes()
         assert z_a.tobytes() == z_b.tobytes()
-        assert occ_a.tobytes() == occ_b.tobytes()
+        assert occ_a.tolist() == occ_b
         assert counts_a.tobytes() == counts_b.tobytes()
         rebuilt = _cell_sums(fast.src, z_b[fast.dst], fast.w, (net.n_nodes, g.K))
         assert np.array(cnt).tobytes() == rebuilt.tobytes()
@@ -497,7 +498,7 @@ class TestSweepMatchesSeedSweep:
             accept = trial % 4 >= 2
             draws[1] = np.nextafter(math.exp(log_r), 0.0) if accept else math.exp(log_r)
             u = u0.copy()
-            fast.sweep(u, z, occ, cnt, _Scripted(draws))
+            fast.advance(u, z, occ, cnt, _Scripted(draws), 1)
             assert (u[0] != u0[0]) == accept, trial
             draws[1] = 0.0 if accept else 1.0
             seed = _SeedSampler(net)
@@ -534,7 +535,7 @@ class TestSweepMatchesSeedSweep:
                 for ks in range(g.K):
                     if ks == kc:
                         continue
-                    ref = seed.node_log_ratio(j, z, occ.astype(np.float64), ks, kc)
+                    ref = seed.node_log_ratio(j, z, np.array(occ, dtype=np.float64), ks, kc)
                     ref += seed.log_stay[kc] - seed.log_stay[ks]
                     got = _sweep_log_ratio(sampler, j, z, occ, cnt, ks)
                     worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
@@ -550,6 +551,178 @@ class TestSweepMatchesSeedSweep:
                         continue
                     r = _sweep_log_ratio(sampler, j, z, occ, cnt, ks)
                     assert acceptance_prob(net, u, j, float(g.tau[ks]), g) == (1.0 if r >= 0 else math.exp(r))
+
+
+class TestChainMatchesSweepLoop:
+    """``_Sampler.chain`` leaves the bytes of the node-by-node loop it replaced.
+
+    ``sweeploop.SweepLoop`` decides every visit in Python; the chain
+    screens runs of visits in NumPy and walks only the flagged ones, or
+    walks whole sweeps where moves are frequent.  Both must leave the same
+    positions, intervals, occupancies, visit counts and count table, and
+    leave the generator at the same place, since the next E step continues
+    it.
+    """
+
+    @staticmethod
+    def _check(net, g, u0, make_rng, sweeps, n_burn=0, thinning=1):
+        u_a, rng_a = u0.copy(), make_rng()
+        z_a, occ_a, counts_a, cnt_a = SweepLoop(net, g).chain(u_a, rng_a, sweeps, n_burn, thinning)
+        sampler = mcem._Sampler(net)
+        u_b, rng_b = u0.copy(), make_rng()
+        z_b, occ_b, cnt_b = sampler.start(g, u_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            counts_b = sampler.chain(u_b, z_b, occ_b, cnt_b, rng_b, sweeps, n_burn, thinning)
+        assert u_a.tobytes() == u_b.tobytes()
+        assert z_a.tobytes() == z_b.tobytes()
+        assert occ_a.tolist() == occ_b
+        assert counts_a.tobytes() == counts_b.tobytes()
+        assert cnt_a.tobytes() == np.array(cnt_b).tobytes()
+        rebuilt = _cell_sums(sampler.src, z_b[sampler.dst], sampler.w, (net.n_nodes, g.K))
+        assert np.array(cnt_b).tobytes() == rebuilt.tobytes()
+        assert rng_a.random(3).tobytes() == rng_b.random(3).tobytes()
+        return counts_b
+
+    @staticmethod
+    def _planted(rng, n, directed, p_in=0.7, p_out=0.03, mutual=0.0):
+        """Two planted blocks; with ``mutual``, that share of directed edges also runs back."""
+        block = np.arange(n) % 2
+        y = rng.random((n, n)) < np.where(block[:, None] == block[None, :], p_in, p_out)
+        np.fill_diagonal(y, False)
+        if directed:
+            y |= y.T & (rng.random((n, n)) < mutual)
+        else:
+            y = np.triu(y, 1)
+        edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(y))]
+        return Network.from_edges(n, edges, directed=directed)
+
+    @pytest.mark.parametrize("n_burn, thinning", [(0, 1), (37, 1), (100, 7), (0, 1000)])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_quiet_chain(self, directed, n_burn, thinning):
+        # well-separated blocks and a fitting graphon: a move every few
+        # sweeps, so screened runs span many sweeps and uniform draws
+        rng = np.random.default_rng(40 + directed)
+        net = self._planted(rng, 30, directed)
+        g = GraphonStep([0.0, 0.5, 1.0], [[0.7, 0.03], [0.03, 0.7]])
+        u0 = (np.arange(30) % 2 + rng.random(30)) / 2
+        u0[:3] = 1.0 - u0[:3]  # three misplaced nodes to move
+        self._check(net, g, u0, lambda: np.random.default_rng(7), 400, n_burn, thinning)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_sparse_quiet_chain(self, directed):
+        # a node's neighbours are a small share of the network, so after a
+        # move the screens refresh only their rows of the count table
+        rng = np.random.default_rng(45 + directed)
+        net = self._planted(rng, 160, directed, 0.08, 0.004, mutual=0.5)
+        g = GraphonStep([0.0, 0.5, 1.0], [[0.08, 0.004], [0.004, 0.08]])
+        u0 = (np.arange(160) % 2 + rng.random(160)) / 2
+        u0[:20] = 1.0 - u0[:20]
+        self._check(net, g, u0, lambda: np.random.default_rng(6), 60, 10, 2)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_screened_log_ratios_are_the_walks(self, monkeypatch, directed):
+        # every log ratio a screen computes is, byte for byte, the double the
+        # walk computes for that visit from the current state: the screen's
+        # copy of the count table is current, and its sums are the walk's
+        state, screened = {}, []
+        start, screen = mcem._Sampler.start, mcem._Sampler._screen
+
+        def started(self, g, u):
+            state["z"], state["occ"], state["cnt"] = out = start(self, g, u)
+            return out
+
+        def checked(self, table, occ_vec, js, keys):
+            log_r = screen(self, table, occ_vec, js, keys)
+            z, occ, cnt = state["z"], state["occ"], state["cnt"]
+            assert np.array_equal(keys // self.K, z[js])
+            expect = [_sweep_log_ratio(self, j, z, occ, cnt, k) for j, k in zip(js.tolist(), (keys % self.K).tolist())]
+            assert np.array(expect).tobytes() == log_r.tobytes()
+            screened.append(js.size)
+            return log_r
+
+        monkeypatch.setattr(mcem._Sampler, "start", started)
+        monkeypatch.setattr(mcem._Sampler, "_screen", checked)
+        rng = np.random.default_rng(47 + directed)
+        for n, p_in, p_out in ((160, 0.08, 0.004), (30, 0.5, 0.1)):
+            net = self._planted(rng, n, directed, p_in, p_out, mutual=0.5)
+            g = GraphonStep([0.0, 0.5, 1.0], [[p_in, p_out], [p_out, p_in]])
+            u0 = (np.arange(n) % 2 + rng.random(n)) / 2
+            u0[: n // 8] = rng.random(n // 8)
+            self._check(net, g, u0, lambda: np.random.default_rng(5), 40, 0, 1)
+        assert len(screened) >= 20 and sum(screened) >= 5000
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs(self, seed, directed):
+        rng = np.random.default_rng(50 + seed)
+        K = 2 + seed % 3
+        net = random_network(rng, n=int(rng.integers(12, 40)), directed=directed, binary=True,
+                             p=float(rng.uniform(0.1, 0.5)))
+        g = TestSweepMatchesSeedSweep._graphon(rng, [0.0, *np.sort(rng.uniform(0.05, 0.95, K - 1)), 1.0])
+        sweeps = int(rng.integers(1, 300))
+        self._check(net, g, rng.random(net.n_nodes), lambda: np.random.default_rng(seed), sweeps,
+                    int(rng.integers(0, sweeps)), int(rng.integers(1, 6)))
+
+    @pytest.mark.parametrize("draw_visits", [1, 40, 95, 4096])
+    def test_draws_of_any_size(self, monkeypatch, draw_visits):
+        # the uniforms come in whole sweeps of at most draw_visits visits (one
+        # sweep at least), so screened stretches cross many draws; every size
+        # gives the loop's bytes
+        monkeypatch.setattr(mcem, "_DRAW_VISITS", draw_visits)
+        rng = np.random.default_rng(60)
+        net = self._planted(rng, 20, True, mutual=0.5)
+        g = GraphonStep([0.0, 0.45, 1.0], [[0.7, 0.05], [0.05, 0.6]])
+        self._check(net, g, rng.random(20), lambda: np.random.default_rng(8), 250, 20, 3)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_mutual_edges(self, directed):
+        # every directed edge also runs back, so each neighbour is listed
+        # twice and its count row moves by 2 per move
+        rng = np.random.default_rng(70)
+        net = self._planted(rng, 24, directed, 0.5, 0.2, mutual=1.0)
+        g = GraphonStep([0.0, 0.3, 0.6, 1.0], [[0.5, 0.2, 0.3], [0.2, 0.4, 0.1], [0.3, 0.1, 0.6]])
+        self._check(net, g, rng.random(24), lambda: np.random.default_rng(9), 120, 10, 2)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("tau", [[0.0, 0.4, 0.4, 1.0], [0.0, 0.0, 1.0, 1.0], [0.0, 1e-17, 1.0], [0.0, 1.0]])
+    def test_zero_and_full_width_intervals(self, tau, directed):
+        # zero-width intervals hold no node; a full-width interval (K = 1
+        # among them) redraws its nodes, which no screen sees
+        rng = np.random.default_rng(80)
+        net = random_network(rng, n=20, directed=directed, binary=True, p=0.4)
+        g = TestSweepMatchesSeedSweep._graphon(rng, tau)
+        u0 = rng.random(20)
+        u0[0] = 0.0  # in the first interval, however narrow
+        self._check(net, g, u0, lambda: np.random.default_rng(10), 150, 30, 4)
+
+    def test_busy_chain(self):
+        # two intervals share one planted block: moves every few visits,
+        # so most sweeps are walked node by node
+        net = self._planted(np.random.default_rng(90), 40, False, 0.5, 0.05)
+        g = GraphonStep([0.0, 0.25, 0.5, 1.0], [[0.52, 0.47, 0.05], [0.47, 0.5, 0.06], [0.05, 0.06, 0.45]])
+        self._check(net, g, np.random.default_rng(91).random(40), lambda: np.random.default_rng(11), 200, 20, 3)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_scripted_coins_of_zero(self, directed):
+        # a coin of exactly 0.0 has log -inf: np.log warns unless silenced,
+        # and every such visit is flagged and accepted
+        rng = np.random.default_rng(100 + directed)
+        net = self._planted(rng, 20, directed)
+        g = GraphonStep([0.0, 0.5, 1.0], [[0.7, 0.03], [0.03, 0.7]])
+        draws = rng.random(2 * 20 * 30 + 3)
+        draws[1:1200:26] = 0.0
+        self._check(net, g, (np.arange(20) % 2 + rng.random(20)) / 2, lambda: _Scripted(draws), 30, 5, 2)
+        assert (draws[1:1200:2] == 0.0).sum() >= 20
+
+    def test_gibbs_sweep_is_one_sweep(self):
+        rng = np.random.default_rng(110)
+        net = random_network(rng, n=25, directed=True, binary=True, p=0.3)
+        g = TestSweepMatchesSeedSweep._graphon(rng, [0.0, 0.3, 0.55, 1.0])
+        u0 = rng.random(25)
+        expect = u0.copy()
+        SweepLoop(net, g).chain(expect, np.random.default_rng(12), 1, 0, 1)
+        assert gibbs_sweep(net, u0, g, np.random.default_rng(12)).u.tobytes() == expect.tobytes()
 
 
 class TestModeFromCounts:

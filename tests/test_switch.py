@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockmix.evaluate import rand_index
 from blockmix.generate import GenConfig, sample_sbm
-from blockmix.graph import Network
+from blockmix.graph import Network, degrees
 from blockmix.models import (
     BlockParams,
     Partition,
@@ -556,22 +556,20 @@ class TestBatchedDeltasOracle:
 
 
 def _past_2_53_network(rng, n, directed):
-    """Count network of four random even cycles whose values pass 2**53.
+    """Count network whose vertex degrees lie in 2**53..2**56.
 
-    Each cycle's edges hold 2**37 a plus +c and -c in turn, so every degree is
-    a multiple of 2**37, while sums of the values round in float64.  The
-    blocks' degree sums and squared-degree sums, which dc_poisson reads, are
-    float64 sums that moves leave with rounding residue once degrees pass
-    2**53; on this grid they stay exact, so a test reads the int64 tables alone.
+    Each vertex sends two edges, with values drawn freely in 2**52..2**53, so
+    sums of the values round in float64, and so do dc_poisson's block degree
+    sums and squared-degree sums unless moves recount them.
     """
     edges = {}
-    for _ in range(4):
-        cycle = rng.choice(n, size=2 * int(rng.integers(2, 4)), replace=False).tolist()
-        c = int(rng.integers(1, 2**36))
-        for k, (i, j) in enumerate(zip(cycle, cycle[1:] + cycle[:1])):
+    for i in range(n):
+        for j in rng.choice([j for j in range(n) if j != i], size=2, replace=False).tolist():
             key = (i, j) if directed else (min(i, j), max(i, j))
-            edges[key] = edges.get(key, 0) + 2**37 * int(rng.integers(2**17, 2**18)) + (c if k % 2 else -c)
-    return Network.from_edges(n, edges, directed=directed, value_kind="count")
+            edges[key] = edges.get(key, 0) + int(rng.integers(2**52, 2**53))
+    net = Network.from_edges(n, edges, directed=directed, value_kind="count")
+    assert 2**53 <= degrees(net).min() and degrees(net).max() < 2**56
+    return net
 
 
 class TestExactTables:
