@@ -696,13 +696,6 @@ class TestChainMatchesSweepLoop:
         u0[0] = 0.0  # in the first interval, however narrow
         self._check(net, g, u0, lambda: np.random.default_rng(10), 150, 30, 4)
 
-    def test_busy_chain(self):
-        # two intervals share one planted block: moves every few visits,
-        # so most sweeps are walked node by node
-        net = self._planted(np.random.default_rng(90), 40, False, 0.5, 0.05)
-        g = GraphonStep([0.0, 0.25, 0.5, 1.0], [[0.52, 0.47, 0.05], [0.47, 0.5, 0.06], [0.05, 0.06, 0.45]])
-        self._check(net, g, np.random.default_rng(91).random(40), lambda: np.random.default_rng(11), 200, 20, 3)
-
     @pytest.mark.parametrize("directed", [False, True])
     def test_scripted_coins_of_zero(self, directed):
         # a coin of exactly 0.0 has log -inf: np.log warns unless silenced,
