@@ -256,8 +256,8 @@ class _Sampler:
         u_star = np.where(xs < self.tau[kc], xs, xs + self.lens[kc])
         return self.tau.searchsorted(u_star, side="right") - 1, u_star
 
-    def _walk(self, visits, coins, u_star, state: tuple, stale: list, stop: bool):
-        """Decide the visits (i, j, kc, k) in order; the first accepted one if ``stop``, else None.
+    def _walk(self, visits, coins, u_star, state: tuple, stop: bool) -> list:
+        """Decide the visits (i, j, kc, k) in order; the accepted ones, only the first if ``stop``.
 
         Visit i proposes to move node j from interval kc to k at position
         ``u_star[i]``, with coin ``coins[i]``.  Its log ratio is the left fold
@@ -266,17 +266,17 @@ class _Sampler:
         only if log_r >= 0 or coin < exp(log_r).  An accepted move is applied
         to the chain state (u, z, occupancies, count table, occ_terms): it
         updates the count rows of the node's neighbours, whose counts are
-        whole numbers, so the table stays exact.  The node joins ``stale``.
+        whole numbers, so the table stays exact.
         """
         u, z, occ, cnt, occ_terms = state
-        moves, K, pf, nbr_lists, wt_lists = self.moves, self.K, self.pair_factor, self.nbr_lists, self.wt_lists
+        moves, K, occ_term_of, nbr_lists, wt_lists = self.moves, self.K, self._occ_term, self.nbr_lists, self.wt_lists
         mul, exp = operator.mul, math.exp
+        moved = []
         for i, j, kc, k in visits:
             d_pq, d_lq, d_stay = moves[kc][k]
             occ_term = occ_terms.get(key := kc * K + k)
             if occ_term is None:
-                # ``_occ_term``, inlined: a call per new term costs a busy sweep 5 %
-                occ_terms[key] = occ_term = pf * (sum(map(mul, occ, d_lq)) - d_lq[kc]) + d_stay
+                occ_terms[key] = occ_term = occ_term_of(occ, kc, d_lq, d_stay)
             log_r = sum(map(mul, cnt[j], d_pq)) + occ_term
             if log_r >= 0 or coins[i] < exp(log_r):
                 occ[kc] -= 1
@@ -288,10 +288,10 @@ class _Sampler:
                     row[k] += w
                 u[j] = u_star[i]
                 occ_terms.clear()
-                stale.append(j)
+                moved.append((i, j, kc, k))
                 if stop:
-                    return i, j, kc, k
-        return None
+                    break
+        return moved
 
     def _occ_vector(self, occ: list, occ_terms: dict) -> np.ndarray:
         """Every move's occupancy term by key kc * K + ks (0 where kc = ks), kept in ``occ_terms``."""
@@ -332,8 +332,7 @@ class _Sampler:
         test.  The first accepted move is applied and the next run starts
         after it; while nobody moves, a run doubles.  Where moves come every
         few visits, the rest of the sweep is walked node by node.  A screen
-        reads the count table as an array, whose rows the moves since the
-        last screen changed are copied in first.
+        reads the count table as an array, copied whole after a move.
 
         ``settled(t)``, when given, is called before the first move of sweep
         t and at the end with t = sweeps: the states after sweeps before t
@@ -342,7 +341,7 @@ class _Sampler:
         n, K = self.n, self.K
         occ_terms = {}
         state = u, z, occ, cnt, occ_terms
-        table, stale, nodes = None, [], None  # cnt as an array, the nodes moved since it was, 0 1 .. n-1 0 1 ..
+        table, nodes = None, None  # cnt as an array, until a move; 0 1 .. n-1 0 1 ..
         pos, end, drawn, size, walk, last = 0, sweeps * n, 0, _FIRST_RUN, False, -_WALK_GAP
         per_draw = max(_DRAW_VISITS // n, 1) * n
         while pos < end:
@@ -366,25 +365,14 @@ class _Sampler:
                 visits = zip(count(), js, kc.tolist(), ks.tolist())
                 if settled:
                     settled(t)
-                accepted = len(stale)
-                self._walk(visits, coins[span].tolist(), u_star.tolist(), state, stale, False)
-                accepted = len(stale) - accepted
+                moved = self._walk(visits, coins[span].tolist(), u_star.tolist(), state, False)
                 # keep walking while moves come every few visits
-                pos, size, walk = (t + 1) * n, _FIRST_RUN, accepted * _WALK_GAP > n - j0
-                if accepted:
-                    last = pos
-                if len(stale) > n:  # the next screen copies the whole table
-                    table = None
-                    stale.clear()
+                pos, size, walk = (t + 1) * n, _FIRST_RUN, len(moved) * _WALK_GAP > n - j0
+                if moved:
+                    table, last = None, pos
                 continue
-            if table is None or stale:
-                if table is None or sum(len(self.nbr_lists[j]) for j in stale) * 4 > n:
-                    table = np.fromiter(chain.from_iterable(cnt), np.float64, n * K).reshape(n, K)
-                else:
-                    rows = list(set(chain.from_iterable(self.nbr_lists[j] for j in stale)))
-                    table[rows] = np.fromiter(chain.from_iterable(cnt[i] for i in rows), np.float64,
-                                              len(rows) * K).reshape(-1, K)
-                stale.clear()
+            if table is None:
+                table = np.fromiter(chain.from_iterable(cnt), np.float64, n * K).reshape(n, K)
                 occ_vec = self._occ_vector(occ, occ_terms)
             if lows is None:
                 # a visit whose log ratio lies at or below log(coin) - _MARGIN is rejected
@@ -399,11 +387,12 @@ class _Sampler:
             keys = kc * K + ks
             flagged = np.flatnonzero(self._screen(table, occ_vec, js, keys) > lows[span]).tolist()
             visits = ((i, int(js[i]), int(kc[i]), int(ks[i])) for i in flagged)
-            if not flagged or (visit := self._walk(visits, coins[span], u_star, state, stale, True)) is None:
+            if not flagged or not (moved := self._walk(visits, coins[span], u_star, state, True)):
                 pos += js.size
                 size *= 2
                 continue
-            i, j, kc_j, k = visit
+            i, j, kc_j, k = moved[0]
+            table = None
             if settled:
                 # told in the state before the move
                 z[j] = kc_j

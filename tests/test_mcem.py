@@ -611,8 +611,8 @@ class TestChainMatchesSweepLoop:
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_sparse_quiet_chain(self, directed):
-        # a node's neighbours are a small share of the network, so after a
-        # move the screens refresh only their rows of the count table
+        # 160 nodes, a screened run per move; half the directed edges run
+        # both ways, so their neighbours are listed twice
         rng = np.random.default_rng(45 + directed)
         net = self._planted(rng, 160, directed, 0.08, 0.004, mutual=0.5)
         g = GraphonStep([0.0, 0.5, 1.0], [[0.08, 0.004], [0.004, 0.08]])
