@@ -343,6 +343,11 @@ class _Sampler:
         state = u, z, occ, cnt, occ_terms
         table, nodes = None, None  # cnt as an array, until a move; 0 1 .. n-1 0 1 ..
         pos, end, drawn, size, walk, last = 0, sweeps * n, 0, _FIRST_RUN, False, -_WALK_GAP
+        if end < _FIRST_RUN:
+            # a chain shorter than a first run (gibbs_sweep on a small graph) is
+            # walked whole: its uniforms are the loop's first and only draw
+            draws = rng.random(2 * end)
+            x, coins, base, drawn, walk = draws[0::2], draws[1::2], 0, end, True
         per_draw = max(_DRAW_VISITS // n, 1) * n
         while pos < end:
             if pos == drawn:

@@ -14,9 +14,12 @@ Each step scores every unmoved vertex against every block in one batch
 leaves its block, and after it joins another.  With m such vertices and K
 blocks a step evaluates O(m K^2) cell terms.  For the bernoulli and
 poisson kinds, whose weights depend only on the block sizes, it instead
-tabulates O(K^2 V) terms and gathers O(m K^2) of them when the vertices'
-neighbour-block counts stay below V with 4 V < m.  Each masked row of
-cell terms is summed as a left fold over the kept cells, in block order.
+tabulates O(K^2 V) terms when the vertices' neighbour-block counts stay
+below V with 4 V < m, lays them out as rows over the destination block,
+and gathers each vertex's rows by index: O(K^3 V + m K^2) work in a fixed
+number of NumPy calls.  Each masked row of cell terms is summed as a left
+fold over the kept cells, in block order.  A step chooses its move by one
+flat argmax over the unmoved vertices' rows, in vertex order.
 """
 
 from __future__ import annotations
@@ -76,8 +79,10 @@ class _Stats:
     vertices against every block at once.
     """
 
-    # 2 K^2 V table cells a side against about K^2 m direct cells, plus a
-    # gather per direct cell: ``deltas`` tabulates when table_ratio * V < m
+    # about K^3 V table entries a side against about K^2 m direct cells:
+    # ``deltas`` tabulates when table_ratio * V < m.  On a 2-core Xeon the
+    # tabulated step overtook the direct one at m / V of 4 to 8 for K = 4
+    # (V from 14 to 93) and of 4 to 5 for K = 10
     table_ratio = 4
 
     def __init__(self, net: Network, labels0: np.ndarray, K: int, kind: str):
@@ -97,8 +102,14 @@ class _Stats:
         # changes v's own row
         self.vcount_out = _cell_sums(rows, labels0[cols], vals, (self.n, K))
         self.vcount_in = _cell_sums(cols, labels0[rows], vals, (self.n, K)) if self.directed else self.vcount_out
+        # the count tables a move updates: the out-neighbours' in-counts and,
+        # directed, the in-neighbours' out-counts
+        self._neighbours = [(self.vcount_in, self.out_ptr, self.out_nbrs, self.out_vals)]
+        if self.directed:
+            self._neighbours.append((self.vcount_out, self.in_ptr, self.in_nbrs, self.in_vals))
         self._ar = np.arange(K)
-        self._cell_ids = np.arange(K * K).reshape(K, K)
+        # a block's sizes now, after one vertex leaves it and after one joins
+        self._steps = np.array([[0.0, -1.0, 1.0], [0.0] * 3, [0.0] * 3])[:, :, None]
         self._half = np.where(np.eye(K, dtype=bool), 0.5, 1.0)
         # cells k of block row a that a masked sum keeps: keep[k, 0, d] is
         # k != d (undirected), keep[k, a, d] is k not in {a, d} (directed)
@@ -114,7 +125,8 @@ class _Stats:
         self.sizes, self.kappa, self.degsq = self._blocks
         # below 2**53 every float sum of the carries is a whole number held
         # exactly; past it a running sum keeps rounding residue, so moves recount
-        self._recount = kind == "dc_poisson" and self._carry[2].sum() >= 2.0**53
+        # (every kind: the tables stay those of the labels, read or not)
+        self._recount = self._carry[2].sum() >= 2.0**53
         with np.errstate(divide="ignore", invalid="ignore"):
             self.dlogd = float(_xlogy(self.deg, self.deg).sum())
 
@@ -130,17 +142,16 @@ class _Stats:
             for row, c in zip(self._blocks, self._carry):
                 row[:] = np.bincount(self.z, c, self.K)
         else:
-            self._blocks[:, a] -= self._carry[:, v]
-            self._blocks[:, to0] += self._carry[:, v]
+            carry = self._carry[:, v]
+            self._blocks[:, a] -= carry
+            self._blocks[:, to0] += carry
         # the neighbours' rows change in columns a and to0: an update through
-        # a column view costs less than one 2-d fancy index
-        lo, hi = self.out_ptr[v], self.out_ptr[v + 1]
-        self.vcount_in[:, a][self.out_nbrs[lo:hi]] -= self.out_vals[lo:hi]
-        self.vcount_in[:, to0][self.out_nbrs[lo:hi]] += self.out_vals[lo:hi]
-        if self.directed:
-            lo, hi = self.in_ptr[v], self.in_ptr[v + 1]
-            self.vcount_out[:, a][self.in_nbrs[lo:hi]] -= self.in_vals[lo:hi]
-            self.vcount_out[:, to0][self.in_nbrs[lo:hi]] += self.in_vals[lo:hi]
+        # a column view costs less than one 2-d fancy index or a flat index
+        for table, ptr, nbrs, vals in self._neighbours:
+            lo, hi = ptr[v], ptr[v + 1]
+            nbrs, vals = nbrs[lo:hi], vals[lo:hi]
+            table[:, a][nbrs] -= vals
+            table[:, to0][nbrs] += vals
 
     def _weights(self, blocks):
         """(s, q, block term) of blocks whose sizes, degree sums and squared-degree sums stack on axis 0.
@@ -177,7 +188,8 @@ class _Stats:
         dc_poisson weight s_k^2 - q_k to 0 or below (a hub of degree 1e17).
         """
         if self.kind == "bernoulli":
-            return _xlogy(e, e) + _xlogy(w - e, w - e) - _xlogy(w, w)
+            gaps = w - e
+            return _xlogy(e, e) + _xlogy(gaps, gaps) - _xlogy(w, w)
         # poisson: the -e part sums to a move-invariant constant over touched cells
         return _xlogy(e, e / np.maximum(w, 1e-300))
 
@@ -201,12 +213,14 @@ class _Stats:
         For m vertices the moved rows hold O(m K^2) cells, evaluated
         directly.  bernoulli and poisson cell weights depend only on the
         blocks, so when the counts stay below V with table_ratio * V < m
-        those cell terms are tabulated once per (block, block, count) and
-        gathered instead: O(K^2 V) table work plus O(m K^2) gathers.  On a
-        2-core Xeon a step took 0.35 ms tabulated against 0.95 ms direct
-        on sparse-1k (m = 1000, V = 15), and 1.8 against 0.3 ms on a
-        300-node count graph with V = 1481.  dc_poisson weights depend on
-        the vertex degree: always direct.
+        those cell terms are tabulated once per (block, block, count), and
+        the undirected cell (z_v, d) that both moved rows share once per
+        (block, block, count difference); the vertices gather them by
+        index (``_gather``): O(K^3 V) table work plus O(m K^2) gathers.  On
+        a 2-core Xeon a step took 0.18 ms tabulated against 0.42 ms direct
+        on sparse-1k (m = 1000, V = 15, K = 4), and 0.42 against 0.45 ms on
+        the 300-node directed count graph (m = 300, V = 38, K = 3).
+        dc_poisson weights depend on the vertex degree: always direct.
 
         Each entry is the balance "after the move minus before it" over
         those cells; each masked row of cell terms is summed as a left fold
@@ -217,95 +231,123 @@ class _Stats:
         """
         K, edge, m = self.K, self.edge, verts.size
         z, cols, ar = self.z[verts], np.arange(m), self._ar
+        zv = z * m + cols  # flat index of the cells (z_v, v) of a (K, m) array
         u = edge * self._half  # a diagonal cell counts each within-block pair twice
         # a side pairs block rows with each vertex's counts toward the blocks;
         # directed networks add the block columns and the counts from them
-        sides = [(u, self.vcount_out[verts].T.copy())]
+        sides = [(u, self.vcount_out.take(verts, axis=0).T.copy())]
         if self.directed:
-            sides.append((u.T.copy(), self.vcount_in[verts].T.copy()))
+            sides.append((u.T.copy(), self.vcount_in.take(verts, axis=0).T.copy()))
         x_out, x_in = sides[0][1], sides[-1][1]
         B, per_vertex = self._blocks, self.kind == "dc_poisson"  # its weights move with the degree
-        # weights now, after leaving z_v (shape (m,)) and after joining d ((K, m)); the other
-        # kinds' weights read the sizes only: a unit carry, leave entry a is block a's, join (K, 1)
-        src, carry, diag, g = (z, self._carry[:, verts], (z, cols), slice(None)) if per_vertex else (
-            slice(None), np.eye(3, 1), (ar, ar), z)
-        (s0, q0, b0), (s1, q1, b1), (s2, q2, b2) = (
-            self._weights(x) for x in (B, B[:, src] - carry, B[:, :, None] + carry[:, None]))
-        self_now, self_src, self_dst = s0 * s0 - q0, s1 * s1 - q1, s2 * s2 - q2
-        w_now, w_src, w_dst = s0[:, None] * s0, s0[:, None] * s1, s0[:, None, None] * s2
-        w_now[ar, ar] = self_now / 2.0
-        w_src[diag] = self_src / 2.0
-        w_dst[ar, ar] = self_dst / 2.0
-        pair_after, self_src = s1[g] * s2, self_src[g]
+        if per_vertex:  # weights now, after leaving z_v (shape (m,)) and after joining d ((K, m))
+            g, carry = slice(None), self._carry[:, verts]
+            (s0, q0, b0), (s1, q1, b1), (s2, q2, b2) = (
+                self._weights(x) for x in (B, B[:, z] - carry, B[:, :, None] + carry[:, None]))
+            self_now, self_src, self_dst = s0 * s0 - q0, s1 * s1 - q1, s2 * s2 - q2
+            w_now, w_src, w_dst = s0[:, None] * s0, s0[:, None] * s1, s0[:, None, None] * s2
+            w_now[ar, ar] = self_now / 2.0
+            w_src[z, cols] = self_src / 2.0
+            w_dst[ar, ar] = self_dst / 2.0
+        else:  # the sizes alone: each block now, after one vertex leaves it and after one joins
+            g, (s, q, b) = z, self._weights(B[:, None, :] + self._steps)
+            selfs = s * s - q
+            w = s[0][:, None] * s[:, None, :]
+            w[:, ar, ar] = selfs / 2.0
+            (s0, s1, s2), (self_now, self_src, self_dst), (w_now, w_src, w_dst) = s, selfs, w
+            s2, self_dst, w_dst = s2[:, None], self_dst[:, None], w_dst[:, :, None]
+            b0, b1, b2 = (None,) * 3 if b is None else (b[0], b[1], b[2][:, None])
         extra_now = extra_after = 0.0  # block terms outside the cells
         if b0 is not None:
-            b1 = b1[g]
-            extra_now, extra_after = b0[:, None] + b0, b1 + b2
+            extra_now, extra_after = b0[:, None] + b0, b1[g] + b2
         V = int(max(x.max() for _, x in sides)) + 1  # counts are integers 0..V-1
         tabulate = not per_vertex and self.table_ratio * V < m
         if tabulate:  # a moved row's cell terms depend only on (block, block, count)
             vals = np.arange(float(V))
             moved = [blk for e, _ in sides for blk in (
-                (e[:, :, None] - vals, w_src.T[:, :, None]), (e[:, :, None] + vals, w_dst.transpose(1, 0, 2)))]
+                (e[:, :, None] - vals, w_src.T[:, :, None]), (e.T[:, :, None] + vals, w_dst))]
         else:
             w_src = w_src[:, g]
             moved = [blk for e, x in sides for blk in (
                 (np.take(e.T, z, axis=1) - x, w_src), (e.T[:, :, None] + x[:, None, :], w_dst))]
         if self.directed:
-            ediag, eo_a, ei_a = edge[ar, ar], x_out[z, cols], x_in[z, cols]
+            pair_after, ediag = s1[g] * s2, edge[ar, ar]
+            eo_a, ei_a = x_out.take(zv), x_in.take(zv)
             corners = [
                 (ediag, self_now),
-                ((ediag[z] - eo_a) - ei_a, self_src),
+                ((ediag[z] - eo_a) - ei_a, self_src[g]),
                 ((np.take(edge.T, z, axis=1) - x_out) + ei_a, pair_after),
                 ((np.take(edge, z, axis=1) + eo_a) - x_in, pair_after),
                 ((ediag[:, None] + x_out) + x_in, self_dst),
             ]
+        elif tabulate:  # the shared cell (c, d) holds e_cd + t, t = e_vc - e_vd in lo..hi
+            t = x_out.take(zv) - x_out
+            lo, hi = int(t.min()), int(t.max())
+            corners = [(edge[:, :, None] + np.arange(lo, hi + 1), (s1[:, None] * s2.T)[:, :, None])]
         else:  # (e_ad + e_va) - e_vd: the one cell both touched rows share
-            corners = [((np.take(edge.T, z, axis=1) + x_out[z, cols]) - x_out, pair_after)]
+            corners = [((edge.T.take(z, axis=1) + x_out.take(zv)) - x_out, s1[g] * s2)]
         n_sides = len(sides)
         cells = self._cells(*[(e, w_now) for e, _ in sides], *moved, *corners)
         now, moved, corners = cells[:n_sides], cells[n_sides:3 * n_sides], cells[3 * n_sides:]
-        if tabulate:  # gather minus[z_v, k, e_vk] and plus[d, k, e_vk]
-            tables, moved = moved, []
-            for minus, plus, (_, x) in zip(tables[::2], tables[1::2], sides):
-                moved += [np.take(minus, (z * K + ar[:, None]) * V + x),
-                          np.take(plus, self._cell_ids.T[:, :, None] * V + x[:, None, :])]
-        if self.directed:
-            keep_src = keep_dst = np.take(self._keep, z, axis=2)
+        if tabulate:
+            moved = self._gather(moved, [x for _, x in sides], z, zv, V)
+            if not self.directed:  # gather corner[z_v, d, e_vc - e_vd]
+                W = hi - lo + 1
+                corners = [corners[0].take((t + (z * (K * W) - lo)) + (ar * W)[:, None])]
         else:
-            keep_src, keep_dst = self._keep.transpose(0, 2, 1), (ar[:, None] != z)[:, None, :]
+            if self.directed:
+                keep_src = keep_dst = np.take(self._keep, z, axis=2)
+            else:
+                keep_src, keep_dst = self._keep.transpose(0, 2, 1), (ar[:, None] != z)[:, None, :]
+            moved = [total for minus, plus in zip(moved[::2], moved[1::2]) for total in (
+                _masked_sums(minus[:, None, :], keep_src), _masked_sums(plus, keep_dst))]
         before = after = 0.0
         for i in range(n_sides):
             r = _masked_sums(now[i].T[:, :, None], self._keep)
             before = before + r + r.T
-            after = (after + _masked_sums(moved[2 * i][:, None, :], keep_src)
-                     + _masked_sums(moved[2 * i + 1], keep_dst))
+            after = after + moved[2 * i] + moved[2 * i + 1]
         if self.directed:
             before = before + sum((corners[0][:, None], now[0], now[1], corners[0])) + extra_now
-            delta = after + sum(corners[1:]) + extra_after - np.take(before, z, axis=0).T
+            delta = after + sum(corners[1:]) + extra_after - np.take(before.T, z, axis=1)
         else:
             before, after = before + now[0], after + corners[0]
             if per_vertex:
                 before, after = before + extra_now, after + b1 + b2
-            delta = after - np.take(before, z, axis=0).T
+            delta = after - np.take(before.T, z, axis=1)
             if self.kind == "poisson":  # the mixing term joins after the subtraction
-                delta = delta + (extra_after - np.take(extra_now, z, axis=0).T)
-        delta = delta.T
-        delta[cols, z] = -np.inf
-        return delta
+                delta = delta + (extra_after - np.take(extra_now.T, z, axis=1))
+        delta[z, cols] = -np.inf
+        return delta.T
 
-    def step_deltas(self, active: np.ndarray) -> np.ndarray:
-        """(n, K) table of move deltas for the active vertices.
+    def _gather(self, tables, counts, z, zv, V):
+        """Each side's source and destination row sums, (K, m), from its tabulated cell terms.
 
-        Inactive vertices and stay-put columns are -inf, so a flat argmax
-        picks the best (vertex, destination) pair; ties resolve to the
-        lowest vertex index, then the lowest destination block.
+        ``tables`` alternate a side's source cells [a, k, t] and destination
+        cells [k, d, t]; ``counts`` are the sides' (K, m) counts.  The cells
+        become rows over d, source rows [a, k, t, d] and destination rows
+        [k, t, d], with +0.0 in the cells that a row drops, and a last row of
+        zeros stands for the destination cell k = z_v; so the sum over k of
+        a vertex's gathered rows is the left fold over its kept cells.
         """
-        D = np.full((self.n, self.K), -np.inf)
-        verts = np.flatnonzero(active)
-        if verts.size:
-            D[verts] = self.deltas(verts)
-        return D
+        K, KV, ar = self.K, self.K * V, self._ar
+        size = K * KV + KV  # rows of one side
+        rows = np.empty((len(counts) * size + 1, K))
+        rows[-1] = 0.0
+        idx = np.empty((2 * len(counts), K, z.size), dtype=np.intp)
+        for i, (minus, plus, x) in enumerate(zip(tables[::2], tables[1::2], counts)):
+            src = rows[i * size:i * size + K * KV].reshape(K, K, V, K)
+            src[...] = minus[..., None]
+            src[:, ar, :, ar] = 0.0  # k = d
+            dst = rows[i * size + K * KV:(i + 1) * size].reshape(K, V, K)
+            dst[...] = plus.transpose(0, 2, 1)
+            if self.directed:
+                src[ar, ar] = 0.0  # k = z_v
+                dst[ar, :, ar] = 0.0  # k = d
+            row = np.add(x, (ar * V)[:, None], out=idx[2 * i + 1])  # row k V + e_vk of a block
+            np.add(row, z * KV + i * size, out=idx[2 * i])
+            row += i * size + K * KV
+            row.put(zv, rows.shape[0] - 1)
+        return list(rows.take(idx, axis=0).sum(axis=1).transpose(0, 2, 1))
 
 
 def profile_loglik(net: Network, part: Partition, kind: str = "bernoulli") -> float:
@@ -355,10 +397,16 @@ def _run_restart(args) -> Restart:
         moves: list[tuple[int, int]] = []  # (vertex, block it came from)
         running, best_gain, best_len = 0.0, 0.0, 0
         for _step in range(stats.n):
-            table = stats.step_deltas(active)
-            flat = int(np.argmax(table))
-            v, b = divmod(flat, stats.K)
-            running += float(table[v, b])
+            # the flat argmax over the active rows, in vertex order: ties go to the
+            # lowest vertex, then the lowest block, and the first NaN wins.  When
+            # every entry is -inf, an argmax over all n rows would move vertex 0
+            # instead; the gain is -inf either way, so the pass rewinds that move
+            # and every later one, and the result is the same
+            verts = np.flatnonzero(active)
+            table = stats.deltas(verts)
+            i, b = divmod(int(np.argmax(table)), stats.K)
+            v = int(verts[i])
+            running += float(table[i, b])
             prev = int(stats.z[v])
             stats.apply(v, b)
             active[v] = False

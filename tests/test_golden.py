@@ -10,6 +10,11 @@ positions after 200 ``gibbs_sweep`` calls.
 where the hard warm-start candidates drain blocks and meet zero-edge
 block pairs (and, at K = 10, complete block pairs with p = 1).
 ``switchK<K>`` cases run the switch engine with K = 1, 4 or 10 blocks.
+``switchtab`` cases fit K = 4 to a sparse 200-node graph of four blocks,
+whose small neighbour-block counts send most KL steps down the tabulated
+path of ``_Stats.deltas`` (the K <= 4 cases above take it on no step);
+they were recorded before that path gathered the shared cell (z_v, d)
+from a table and masked rows by index, and kept their hashes.
 The six K = 10 cases, where a masked row of ``_Stats.deltas`` sums 8 or
 more kept cells, were recorded before those rows became left folds in
 block order (they had copied NumPy's pairwise order), and kept their hashes.
@@ -40,8 +45,8 @@ of two four-block partitions of a 20-node network, whose inputs hold p = 0
 and p = 1 cells (zero rates), an empty block and -inf gammas; they were
 recorded before the likelihoods and vem's bound shared one pair term
 (``models._pair_term``), and kept their hashes.  ``deltas`` cases hash the
-tables of ``_Stats.step_deltas`` for one model kind over a few moves of a
-30-node network with four blocks (one of them a single vertex, one empty,
+tables of ``step_deltas`` (``tests/passloop.py``) for one model kind
+over a few moves of a 30-node network with four blocks (one of them a single vertex, one empty,
 and an isolated node), once with every moved row tabulated (table ratio 0)
 and once with none (inf); they were recorded before switch's pair weights
 became one rule (``_Stats._weights``), and kept their hashes.
@@ -124,6 +129,7 @@ from blockmix.models import (
 from blockmix.results import to_json
 from blockmix.switch import SwitchConfig, _Stats, delta_loglik, switch_fit
 from blockmix.vem import VemConfig, vem_fit
+from passloop import step_deltas
 
 
 def _planted(seed: int, n: int, directed: bool, count: bool, blocks: int = 2,
@@ -146,6 +152,11 @@ def _planted(seed: int, n: int, directed: bool, count: bool, blocks: int = 2,
     )
 
 
+def _switchtab_network(directed: bool, count: bool) -> Network:
+    """200 nodes in four sparse blocks: the neighbour-block counts stay small, so most KL steps tabulate."""
+    return _planted(21 + directed, 200, directed, count, 4, 0.08, 0.01, 1.5)
+
+
 def _mcem_cfg():
     return McemConfig(
         K=2, em_max_iter=8, sweeps_base=10, sweeps_increment=5, sweeps_cap=30,
@@ -162,6 +173,8 @@ def _fit(case: str):
         # four blocks, about three neighbours per node
         net = _planted(13 if directed else 12, 80, directed, count, 4, 0.12, 0.01, 1.5)
         return vem_fit(net, VemConfig(K=int(engine[4:]), restarts=2, seed=5), kind=model), []
+    if engine == "switchtab":
+        return switch_fit(_switchtab_network(directed, count), SwitchConfig(K=4, restarts=2, seed=4, kind=model)), []
     net = _planted(11 if directed else 7, 30, directed, count)
     if engine == "vem":
         return vem_fit(net, VemConfig(K=2, restarts=2, seed=1), kind=model), []
@@ -267,7 +280,7 @@ def _loglik_values(kind: str, directed: bool) -> list[float]:
 
 
 def _deltas_tables(kind: str, directed: bool) -> list[np.ndarray]:
-    """``_Stats.step_deltas`` tables of one kind, tabulated (table ratio 0) and direct (inf), over six moves."""
+    """``step_deltas`` tables of one kind, tabulated (table ratio 0) and direct (inf), over six moves."""
     rng = np.random.default_rng(41 + directed)
     n, K = 30, 4
     z = rng.integers(0, 2, size=n)
@@ -289,7 +302,7 @@ def _deltas_tables(kind: str, directed: bool) -> list[np.ndarray]:
         stats = _Stats(net, z, K, kind)
         stats.table_ratio = ratio
         for _ in range(6):
-            tables.append(stats.step_deltas(moves.random(n) < 0.7))
+            tables.append(step_deltas(stats, moves.random(n) < 0.7))
             v = int(moves.integers(n))
             stats.apply(v, int((stats.z[v] + moves.integers(1, K)) % K))
     return tables
@@ -380,6 +393,10 @@ GOLDEN = {
     "switchK10-poisson-directed": "c05969b09bfd8f3d8293f691524f1b8d1e55541c8c9f81dd99923c051e23f420",
     "switchK10-dc_poisson-undirected": "a0e7c5f601a2a5e2fb0b5c5ff04aed0a440b0efba176a6e321044008bdc92a67",
     "switchK10-dc_poisson-directed": "61e67fba15584d4e0c72088d77432735794552f535fe148d6472d84556ac4db3",
+    "switchtab-bernoulli-undirected": "9e90213165056c7521abf7c1813ff3bda605215a1c36f084b9eacc6b5231affe",
+    "switchtab-bernoulli-directed": "d92c45b7e7cd16618c8b01315e5fc6612d26f9d566ccd10e110e96e41d470972",
+    "switchtab-poisson-undirected": "2a81629e84b67e1f835f3e789867cd90996044e4db501c33f95a0800b7a89850",
+    "switchtab-poisson-directed": "f10245386e200c3cd3738f1f658c179239eaae87b9bf2c4875465b2a6afbe051",
     "mcemthin-bernoulli-undirected": "97656d5e22b1669210b8fe4d8814af71e9257aa595a5d62513b84fc7669ea7c5",
     "mcemthin-bernoulli-directed": "08cbcf63a7d4a657c04fa93074db4fc3385dbfd2404cd1a9d4bd3b067b7772d6",
     "mcembusy-bernoulli-undirected": "4eec684247fdd3e22de06c959c081ac2264916d283ded5628af850fd192571b1",
@@ -417,6 +434,29 @@ GOLDEN = {
 def test_golden_hash(case, monkeypatch):
     monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
     assert _digest(case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(case for case in GOLDEN if case.startswith("switchtab-")))
+def test_switchtab_cases_tabulate_most_steps(case, monkeypatch):
+    # these cases pin the tabulated step; a change of the crossover that sent
+    # most of their steps down the direct path would keep their hashes and
+    # leave the tabulated path unpinned
+    monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
+    steps = {"all": 0, "tabulated": 0}
+    deltas, gather = _Stats.deltas, _Stats._gather
+
+    def counted_deltas(self, verts):
+        steps["all"] += 1
+        return deltas(self, verts)
+
+    def counted_gather(self, *args):
+        steps["tabulated"] += 1
+        return gather(self, *args)
+
+    monkeypatch.setattr(_Stats, "deltas", counted_deltas)
+    monkeypatch.setattr(_Stats, "_gather", counted_gather)
+    _fit(case)
+    assert steps["tabulated"] > 0.6 * steps["all"], steps
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from blockmix.models import (
     mle_block_params,
     poisson_complete_loglik,
 )
+from blockmix import switch
 from blockmix.switch import (
     MoveDelta,
     SwitchConfig,
@@ -28,6 +30,8 @@ from blockmix.switch import (
     switch_fit,
 )
 from netfixtures import random_network, random_partition
+import passloop
+from passloop import step_deltas
 
 LOGLIK = {
     "bernoulli": bernoulli_loglik,
@@ -522,7 +526,7 @@ class TestBatchedDeltasOracle:
             active = rng.random(n) < 0.7
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                table = stats.step_deltas(active)
+                table = step_deltas(stats, active)
             assert table.tobytes() == _seed_bytes(_seed_step_deltas, stats, active)
             v = int(rng.integers(n))
             stats.apply(v, int((stats.z[v] + rng.integers(1, K)) % K))
@@ -552,7 +556,7 @@ class TestBatchedDeltasOracle:
         hub = Network.from_edges(4, {(0, 1): 10**17, (0, 2): 1, (2, 3): 1}, directed=directed, value_kind="count")
         for st in (stats, _Stats(hub, np.array([0, 1, 0, 1]), 2, "dc_poisson")):
             active = np.ones(st.n, dtype=bool)
-            assert st.step_deltas(active).tobytes() == _seed_bytes(_seed_step_deltas, st, active)
+            assert step_deltas(st, active).tobytes() == _seed_bytes(_seed_step_deltas, st, active)
 
 
 def _past_2_53_network(rng, n, directed):
@@ -572,7 +576,39 @@ def _past_2_53_network(rng, n, directed):
     return net
 
 
+def _assert_same_tables(stats, fresh):
+    for name in ("z", "edge", "vcount_out", "vcount_in", "_blocks"):
+        a, b = getattr(stats, name), getattr(fresh, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestExactTables:
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson", "dc_poisson"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_moves_and_rewinds_equal_fresh(self, kind, directed):
+        # moves, some of which empty a block, then the rewind a pass makes past
+        # its best prefix: every state's tables are the ones built from its labels
+        rng = np.random.default_rng(61 + 2 * directed + len(kind))
+        n, K = 16, 3
+        net = _oracle_network(rng, n, directed, binary=(kind == "bernoulli"))
+        z0 = np.repeat([0, 1, 2], [1, 7, 8])  # block 0 holds one vertex
+        stats, moves, emptied = _Stats(net, z0, K, kind), [], 0
+        for step in range(40):
+            sizes = np.bincount(stats.z, minlength=K)
+            if step % 4 == 0 and (sizes == 1).any():  # move the last member of a block
+                v = int(np.flatnonzero(stats.z == np.flatnonzero(sizes == 1)[0])[0])
+            else:
+                v = int(rng.integers(n))
+            moves.append((v, int(stats.z[v])))
+            stats.apply(v, int((stats.z[v] + rng.integers(1, K)) % K))
+            emptied += bool((stats.sizes == 0).any())
+            _assert_same_tables(stats, _Stats(net, stats.z, K, kind))
+        assert emptied
+        for v, prev in reversed(moves):
+            stats.apply(v, prev)
+            _assert_same_tables(stats, _Stats(net, stats.z, K, kind))
+        assert np.array_equal(stats.z, z0)
+
     @pytest.mark.parametrize("kind", ["poisson", "dc_poisson"])
     @pytest.mark.parametrize("directed", [False, True])
     def test_moved_stats_equal_fresh_past_2_53(self, kind, directed):
@@ -587,9 +623,8 @@ class TestExactTables:
             v = int(rng.integers(n))
             stats.apply(v, int((stats.z[v] + rng.integers(1, K)) % K))
             fresh = _Stats(net, stats.z, K, kind)
-            for name in ("edge", "vcount_out", "vcount_in"):
-                assert np.array_equal(getattr(stats, name), getattr(fresh, name)), name
-            assert stats.step_deltas(active).tobytes() == fresh.step_deltas(active).tobytes()
+            _assert_same_tables(stats, fresh)
+            assert step_deltas(stats, active).tobytes() == step_deltas(fresh, active).tobytes()
             assert np.float64(stats.objective()).tobytes() == np.float64(fresh.objective()).tobytes()
 
     def test_dropped_cells_without_pairs(self):
@@ -598,4 +633,134 @@ class TestExactTables:
         net = Network.from_edges(3, {(0, 1): 2**40, (1, 0): 1, (1, 2): 1}, directed=True, value_kind="count")
         stats = _Stats(net, np.array([0, 0, 1]), 2, "poisson")
         active = np.ones(3, dtype=bool)
-        assert stats.step_deltas(active).tobytes() == _seed_bytes(_seed_step_deltas, stats, active)
+        assert step_deltas(stats, active).tobytes() == _seed_bytes(_seed_step_deltas, stats, active)
+
+
+class TestCornerTableEdges:
+    """Tabulated steps (table_ratio 0) at the edges of their tables, against the seed code.
+
+    The undirected kernel gathers the cell (z_v, d) that both touched rows
+    share from a table over t = e_{v z_v} - e_{v d}; these cases put t at
+    both ends of its range, grow V between steps, and hold empty and
+    single-vertex blocks.
+    """
+
+    @staticmethod
+    def _check(stats):
+        active = np.ones(stats.n, dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = step_deltas(stats, active)
+        assert table.tobytes() == _seed_bytes(_seed_step_deltas, stats, active)
+
+    @staticmethod
+    def _network(n, edges, directed, kind):
+        value = 1 if kind == "bernoulli" else 3
+        return Network.from_edges(n, {e: value for e in edges}, directed=directed,
+                                  value_kind="binary" if kind == "bernoulli" else "count")
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_whole_degree_in_own_or_destination_block(self, kind, directed, monkeypatch):
+        # vertex 0 has all six neighbours in its own block (t = V - 1), and
+        # vertex 7 all six in block 1, which it may join (t = -(V - 1))
+        monkeypatch.setattr(_Stats, "table_ratio", 0)
+        edges = [(0, j) for j in range(1, 7)] + [(7, j) for j in range(8, 14)] + [(14, 15)]
+        net = self._network(16, edges, directed, kind)
+        z = np.zeros(16, dtype=np.int64)
+        z[8:14], z[14:] = 1, 2
+        stats = _Stats(net, z, 3, kind)
+        x = stats.vcount_out + stats.vcount_in if directed else stats.vcount_out
+        assert x[0, 0] == x[7, 1] == x.max() and x[0, 1:].max() == x[7, 0] == 0
+        self._check(stats)
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_count_bound_grows_between_steps(self, kind, directed, monkeypatch):
+        # the hub's neighbours start two to a block and join block 1 one by one,
+        # so the largest count, and with it V, grows from step to step
+        monkeypatch.setattr(_Stats, "table_ratio", 0)
+        net = self._network(9, [(0, j) for j in range(1, 7)] + [(7, 8)], directed, kind)
+        stats = _Stats(net, np.array([0, 0, 0, 1, 1, 2, 2, 0, 1]), 3, kind)
+        bounds = []
+        for v in (1, 2, 5, 6):
+            self._check(stats)
+            bounds.append(int(stats.vcount_out.max()))
+            stats.apply(v, 1)
+        self._check(stats)
+        assert bounds == sorted(set(bounds)) and stats.vcount_out[0, 1] == stats.vcount_out.max() > bounds[-1]
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_empty_and_single_vertex_source_blocks(self, kind, directed, monkeypatch):
+        # block 2 holds vertex 4 alone and block 3 is empty; moving vertex 4
+        # out leaves two empty blocks
+        monkeypatch.setattr(_Stats, "table_ratio", 0)
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]
+        net = self._network(6, edges, directed, kind)
+        stats = _Stats(net, np.array([0, 0, 1, 1, 2, 1]), 4, kind)
+        self._check(stats)
+        stats.apply(4, 0)
+        assert (stats.sizes == 0).sum() == 2
+        self._check(stats)
+
+
+def _restart_bytes(restart):
+    return (np.array(restart.trace).tobytes(), restart.labels.astype(np.int64).tobytes(),
+            np.float64(restart.objective).tobytes())
+
+
+class TestPassLoopOracle:
+    """``switch._run_restart`` against ``passloop.run_restart``, byte for byte.
+
+    The engine scores the active vertices alone and takes the flat argmax
+    of their rows; the oracle fills the (n, K) table, with -inf rows for
+    the moved vertices, and takes the flat argmax of all of it.
+    """
+
+    @pytest.mark.parametrize("table_ratio", [0, _Stats.table_ratio, math.inf])
+    @pytest.mark.parametrize("K", [2, 3, 5, 10])
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson", "dc_poisson"])
+    def test_restarts_byte_equal(self, kind, directed, K, table_ratio, monkeypatch):
+        monkeypatch.setattr(_Stats, "table_ratio", table_ratio)
+        rng = np.random.default_rng(100 * K + 10 * directed + len(kind))
+        net = _oracle_network(rng, 30, directed, binary=(kind == "bernoulli"))
+        cfg = SwitchConfig(K=K, seed=K + directed, kind=kind)
+        for restart in range(2):
+            args = (net, cfg, kind, restart)
+            expect = passloop.run_restart(args)
+            assert len(expect.trace) > 2
+            assert _restart_bytes(switch._run_restart(args)) == _restart_bytes(expect)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_scripted_ties_nan_and_no_finite_entry(self, directed, monkeypatch):
+        # each step's table is drawn, from the state, among a few values, so
+        # ties are common; some tables hold NaNs, and some only -inf, where
+        # the oracle's argmax over all n rows moves vertex 0 even when it has
+        # moved already: the pass rewinds that step and all later ones, so
+        # the restart's result must not depend on it
+        seen = {"tie": 0, "nan": 0, "none finite, vertex 0 moved": 0}
+
+        def scripted(stats, verts):
+            r = np.random.default_rng(zlib.crc32(verts.tobytes() + stats.z.tobytes()))
+            table = r.choice([-1.0, 0.0, 0.5], size=(verts.size, stats.K))
+            mode = int(r.integers(6))
+            if mode == 0:
+                table[:] = -np.inf
+                seen["none finite, vertex 0 moved"] += bool(verts[0])
+            elif mode == 1:
+                table[r.integers(verts.size, size=2), r.integers(stats.K, size=2)] = np.nan
+            table[np.arange(verts.size), stats.z[verts]] = -np.inf
+            seen["nan"] += bool(np.isnan(table).any())
+            seen["tie"] += int((table == np.nanmax(table)).sum() > 1) if mode else 0
+            return table
+
+        monkeypatch.setattr(_Stats, "deltas", scripted)
+        rng = np.random.default_rng(7 + directed)
+        net = _oracle_network(rng, 12, directed, binary=True)
+        cfg = SwitchConfig(K=3, seed=int(directed), max_passes=4)
+        for restart in range(3):
+            args = (net, cfg, "bernoulli", restart)
+            assert _restart_bytes(switch._run_restart(args)) == _restart_bytes(passloop.run_restart(args))
+        assert min(seen.values()) > 0, seen
