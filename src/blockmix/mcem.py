@@ -32,8 +32,8 @@ function of the seed and the inputs.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from itertools import chain, count
 from dataclasses import dataclass, asdict
 
@@ -191,6 +191,19 @@ _DRAW_VISITS = 2048
 _MARGIN = 1e-9
 
 
+@functools.cache
+def _left_fold(K: int):
+    """``fold(a, b)``: 0.0 + a[0] b[0] + a[1] b[1] + ... + a[K - 1] b[K - 1], added left to right.
+
+    ``_Sampler._screen`` adds the same products in the same order, so the
+    two give the same double.  The builtin ``sum`` would not on every
+    Python: from 3.12 it compensates float sums.  The expression is
+    unrolled for K (built from the digits of K alone), which runs faster
+    than a loop or ``sum(map(operator.mul, a, b))``.
+    """
+    return eval("lambda a, b: 0.0" + "".join(f" + a[{k}] * b[{k}]" for k in range(K)))
+
+
 class _Sampler:
     """Chain machinery for one network; graphon swapped in between E steps."""
 
@@ -209,8 +222,8 @@ class _Sampler:
 
         ``moves[kc][ks]`` holds (d_lp - d_lq, d_lq, d_stay) of the move kc -> ks:
         row ks minus row kc of log p and log(1 - p), and log(1 - len kc) - log(1 - len ks).
-        Its log ratio is cnt[j] . (d_lp - d_lq) plus ``_occ_term``, summed left to right;
-        ``d_pq[kc, ks]`` is its first entry as an array.
+        Its log ratio is cnt[j] . (d_lp - d_lq) plus ``_occ_term``, each dot product
+        the left fold ``fold``; ``d_pq[kc, ks]`` is its first entry as an array.
         """
         lens = g.tau[1:] - g.tau[:-1]
         pc = np.clip(g.P, _CLAMP, 1.0 - _CLAMP)
@@ -224,6 +237,7 @@ class _Sampler:
         support = 1.0 - lens
         return dict(
             tau=g.tau, lens=lens, K=g.K, support=support, any_full=min(support.tolist()) <= 1e-15,
+            fold=_left_fold(g.K),
             d_pq=(d_lp - d_lq).reshape(g.K * g.K, g.K),
             moves=[list(zip(*rows)) for rows in zip((d_lp - d_lq).tolist(), d_lq.tolist(), d_stay.tolist())],
         )
@@ -244,7 +258,7 @@ class _Sampler:
     def _occ_term(self, occ: list, kc: int, d_lq: list, d_stay: float) -> float:
         """The part of the move's log ratio read from the interval occupancies:
         pf (occ . d_lq - d_lq[kc]) + d_stay, with d_lq and d_stay from ``moves``."""
-        return self.pair_factor * (sum(map(operator.mul, occ, d_lq)) - d_lq[kc]) + d_stay
+        return self.pair_factor * (self.fold(occ, d_lq) - d_lq[kc]) + d_stay
 
     def _proposals(self, kc: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Proposed intervals and positions of visits to nodes in intervals kc, with uniforms x.
@@ -270,14 +284,14 @@ class _Sampler:
         """
         u, z, occ, cnt, occ_terms = state
         moves, K, occ_term_of, nbr_lists, wt_lists = self.moves, self.K, self._occ_term, self.nbr_lists, self.wt_lists
-        mul, exp = operator.mul, math.exp
+        fold, exp = self.fold, math.exp
         moved = []
         for i, j, kc, k in visits:
             d_pq, d_lq, d_stay = moves[kc][k]
             occ_term = occ_terms.get(key := kc * K + k)
             if occ_term is None:
                 occ_terms[key] = occ_term = occ_term_of(occ, kc, d_lq, d_stay)
-            log_r = sum(map(mul, cnt[j], d_pq)) + occ_term
+            log_r = fold(cnt[j], d_pq) + occ_term
             if log_r >= 0 or coins[i] < exp(log_r):
                 occ[kc] -= 1
                 occ[k] += 1
@@ -456,7 +470,7 @@ def acceptance_prob(net: Network, u, j: int, u_star: float, g: GraphonStep) -> f
     d_pq, d_lq, d_stay = sampler.moves[kc][ks]
     row = np.bincount(z[sampler.nbr_lists[j]], sampler.wt_lists[j], g.K).tolist()
     occ = np.bincount(z, minlength=g.K).tolist()
-    log_r = sum(map(operator.mul, row, d_pq)) + sampler._occ_term(occ, kc, d_lq, d_stay)
+    log_r = sampler.fold(row, d_pq) + sampler._occ_term(occ, kc, d_lq, d_stay)
     return 1.0 if log_r >= 0 else float(math.exp(log_r))
 
 

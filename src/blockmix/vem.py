@@ -1,24 +1,28 @@
 """Variational EM for the Bernoulli and Poisson blockmodels.
 
 The approximate posterior factorizes over nodes: row i of ``resp`` holds
-node i's membership responsibilities.  Alternating the coordinate-ascent
-E step (sequential node sweeps, freshest values) with the closed-form
-M step never decreases the bound, which the test suite asserts on random
-instances.
+node i's membership responsibilities.  The public ``e_step`` is the
+coordinate-ascent sweep (nodes in index order, freshest values); with the
+closed-form M step it never decreases the bound, which the test suite
+asserts on random instances.
 
 Each restart starts with a hard (classification) phase on the
 vertex-switching engine's count tables (``switch._Stats``).  The soft
 phase reads only the stored pairs: O(m K + n K^2) per iteration for m
-stored pairs, in O(m + n K) memory.  Both phases end each iteration in
-the same closed-form M step, ``_m_step``, and score a node with one
-expression, ``_scorer``: per block, one dot product of the node's
-coefficients (its values toward and from each block, the other nodes'
-block totals, and 1) with the log tables regrouped as
-``log pi + t (A - B) + others B``.  The soft E step scores one node at a
-time, the hard sweep a run of nodes, and a node's scores have the same
-bytes either way.  The regrouped sums round differently from the seed's
-term-by-term expression (within 1e-12 relative), so where two blocks'
-scores tie up to the last bits a hard decision may differ from the seed's.
+stored pairs, in O(m + n K) memory.  A fit's soft E step updates every
+row at once from the current rows (``_all_rows``) and takes the first
+step toward them, of length 1, 1/2, 1/4, ..., whose bound does not drop
+(``_guarded_step``), so the bound still never decreases.  Both phases end
+each iteration in the same closed-form M step, ``_m_step``, and score a
+node with one expression, ``_scorer``: per block, one dot product of the
+node's coefficients (its values toward and from each block, the other
+nodes' block totals, and 1) with the log tables regrouped as
+``log pi + t (A - B) + others B``.  The sequential sweep scores one node
+at a time, the all-node update and the hard sweep many at once, and a
+node's scores have the same bytes for the same coefficients.  The
+regrouped sums round differently from the seed's term-by-term expression
+(within 1e-12 relative), so where two blocks' scores tie up to the last
+bits a hard decision may differ from the seed's.
 
 The rates and the bound are the likelihoods' own rules in ``models`` on the
 soft statistics: ``block_rates``, ``_pair_term`` and ``_mix_term``.  A p = 0,
@@ -128,7 +132,7 @@ def _scorer(params: BlockParams, directed: bool):
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _e_step(net: Network, state: VariationalState) -> np.ndarray:
-    """Responsibilities after one soft sweep over the CSR rows; the bound is left to the caller."""
+    """Responsibilities after one sequential soft sweep over the CSR rows; the bound is left to the caller."""
     resp, K = state.resp.copy(), state.params.K
     score = _scorer(state.params, net.directed)
     ptr, nbrs, values = net.neighbours()
@@ -147,6 +151,70 @@ def _e_step(net: Network, state: VariationalState) -> np.ndarray:
         np.add(others, row, out=colsum)
         resp[i] = row
     return resp
+
+
+def _all_rows(net: Network, K: int):
+    """``update(state)``: every node's row set to its conditional optimum given the state's other rows.
+
+    Unlike the sweep of ``_e_step``, each row reads the state's rows, not
+    the freshest ones.  A node's coefficients are those ``_e_step`` builds,
+    summed from the stored pairs by one ``np.bincount``: directed, each
+    pair i -> j adds its value times j's row to i's out-block and times
+    i's row to j's in-block.  An isolated node's values stay 0.
+    """
+    n, n_t = net.n_nodes, K * (1 + net.directed)
+    width = n_t + K + 1
+    rows, cols, values = net.row_index(), net.indices, net.data.astype(np.float64)
+    if net.directed:
+        gather, into = np.concatenate((cols, rows)), np.concatenate((rows * width, cols * width + K))
+        values = np.concatenate((values, values))
+    else:
+        gather, into = cols, rows * width
+    into = (into[:, None] + np.arange(K)).ravel()
+    values = values[:, None]
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def update(state: VariationalState) -> np.ndarray:
+        resp = state.resp
+        products = (values * resp.take(gather, axis=0)).ravel()
+        # float64 also without stored pairs, where bincount returns int64
+        c = np.bincount(into, products, n * width).astype(np.float64, copy=False).reshape(n, width)
+        np.subtract(resp.sum(axis=0), resp, out=c[:, n_t:-1])
+        c[:, -1] = 1.0
+        s = _scorer(state.params, net.directed)(c)
+        top = s.max(axis=1, keepdims=True)
+        out = np.exp(s - top)
+        out[np.isneginf(top[:, 0])] = 1.0  # a row of -inf scores becomes uniform
+        out /= out.sum(axis=1, keepdims=True)
+        return out
+
+    return update
+
+
+# the guarded step's smallest step length; below it the soft phase ends
+_MIN_STEP = 2.0 ** -30
+
+
+def _guarded_step(net: Network, state: VariationalState, update):
+    """The first of r + a (r_new - r), a = 1, 1/2, 1/4, ..., whose bound is at least the state's.
+
+    r is the state's responsibilities, r_new = ``update(state)``, and the
+    bound is taken at the state's parameters.  Each row of r_new maximizes
+    the bound in that row alone, a concave function of it, so r_new - r is
+    an ascent direction and a short enough step cannot lower the bound.
+    Returns the new responsibilities with their ``_soft_stats`` and
+    ``_entropy``, or None when no a >= ``_MIN_STEP`` holds.
+    """
+    resp, new = state.resp, update(state)
+    step = new - resp
+    alpha = 1.0
+    while alpha >= _MIN_STEP:
+        cand = new if alpha == 1.0 else resp + alpha * step
+        stats, entropy = _soft_stats(net, cand), _entropy(cand)
+        if _bound(*stats, entropy, net.directed, state.params) >= state.elbo:
+            return cand, stats, entropy
+        alpha /= 2
+    return None
 
 
 def _m_step(kind: str, edge, pairs, colsum, entropy: float, n: int, directed: bool,
@@ -173,7 +241,9 @@ def e_step(net: Network, state: VariationalState) -> VariationalState:
     """One full sweep of coordinate updates over nodes in index order.
 
     Each row is set to its exact conditional optimum given every other
-    row's freshest value, so the bound cannot decrease.
+    row's freshest value, so the bound cannot decrease.  ``vem_fit`` takes
+    the guarded all-node step instead: toward every row's optimum given
+    the rows before the step.
     """
     _check_resp(net, state)
     out = VariationalState(_e_step(net, state), state.params, 0.0)
@@ -252,6 +322,26 @@ def _hard_phase(net, kind, fallback, labels0, K, max_iter) -> VariationalState:
     return VariationalState(np.eye(K)[st.z], params, bound)
 
 
+def _soft_phase(net: Network, state: VariationalState, kind: str, fallback: float, max_iter: int,
+                tol: float) -> tuple[VariationalState, list[float]]:
+    """Guarded all-node steps, each followed by the M step, until the bound gains less than ``tol``.
+
+    Returns the last state and the trace of bounds, the given state's first.
+    The phase also ends when ``_guarded_step`` finds no step.
+    """
+    trace, update = [state.elbo], _all_rows(net, state.params.K)
+    for _ in range(max_iter):
+        step = _guarded_step(net, state, update)
+        if step is None:
+            break
+        resp, stats, entropy = step
+        state = VariationalState(resp, *_m_step(kind, *stats, entropy, net.n_nodes, net.directed, fallback))
+        trace.append(state.elbo)
+        if trace[-1] - trace[-2] < tol:
+            break
+    return state, trace
+
+
 def _run_restart(args) -> Restart:
     net, cfg, kind, restart = args
     n = net.n_nodes
@@ -269,12 +359,7 @@ def _run_restart(args) -> Restart:
         cand = _hard_phase(net, kind, fallback, rng.integers(0, cfg.K, size=n), cfg.K, cfg.max_iter)
         if state is None or cand.elbo > state.elbo:
             state = cand
-    trace = [state.elbo]
-    for _ in range(cfg.max_iter):
-        state = m_step(net, VariationalState(_e_step(net, state), state.params, 0.0))
-        trace.append(state.elbo)
-        if trace[-1] - trace[-2] < cfg.tol:
-            break
+    state, trace = _soft_phase(net, state, kind, fallback, cfg.max_iter, cfg.tol)
     # ties resolve to the lowest block
     return Restart(state.elbo, np.argmax(state.resp, axis=1), state.params, trace)
 

@@ -10,12 +10,23 @@ visit counts and count table from both, byte for byte.
 """
 
 import math
-import operator
 
 import numpy as np
 
 from blockmix.mcem import _Sampler
 from blockmix.models import _cell_sums
+
+
+def left_fold(a, b) -> float:
+    """0.0 + a[0] b[0] + a[1] b[1] + ..., added left to right.
+
+    The builtin ``sum`` compensates float sums from Python 3.12 on, so it
+    would give other doubles there.
+    """
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 class SweepLoop:
@@ -35,7 +46,7 @@ class SweepLoop:
         return z, np.bincount(z, minlength=self.K), cnt
 
     def _occ_term(self, occ, kc, d_lq, d_stay):
-        return self.pair_factor * (sum(map(operator.mul, occ, d_lq)) - d_lq[kc]) + d_stay
+        return self.pair_factor * (left_fold(occ, d_lq) - d_lq[kc]) + d_stay
 
     def sweep(self, u, z, occ, cnt, rng):
         n, K = self.n, self.K
@@ -62,7 +73,7 @@ class SweepLoop:
             occ_term = occ_terms.get(key := kc * K + k)
             if occ_term is None:
                 occ_terms[key] = occ_term = self._occ_term(occ_l, kc, d_lq, d_stay)
-            log_r = sum(map(operator.mul, cnt[j], d_pq)) + occ_term
+            log_r = left_fold(cnt[j], d_pq) + occ_term
             if log_r >= 0 or coin < math.exp(log_r):
                 occ_l[kc] -= 1
                 occ_l[k] += 1

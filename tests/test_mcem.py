@@ -27,7 +27,7 @@ from blockmix.mcem import (
 )
 from blockmix.models import BlockParams, GraphonStep, Partition, _cell_sums, mle_block_params
 from netfixtures import random_network, same_network
-from sweeploop import SweepLoop
+from sweeploop import SweepLoop, left_fold
 
 _CLAMP = 1e-6
 
@@ -335,8 +335,18 @@ def _sweep_log_ratio(sampler, j, z, occ, cnt, ks):
     """The log ratio of moving node j to interval ks, in the chain walk's own expression."""
     kc = int(z[j])
     d_pq, d_lq, d_stay = sampler.moves[kc][ks]
-    occ_term = sampler.pair_factor * (sum(map(operator.mul, occ, d_lq)) - d_lq[kc]) + d_stay
-    return sum(map(operator.mul, cnt[j], d_pq)) + occ_term
+    occ_term = sampler.pair_factor * (left_fold(occ, d_lq) - d_lq[kc]) + d_stay
+    return left_fold(cnt[j], d_pq) + occ_term
+
+
+def _compensated_sum(values, start=0):
+    """The builtin ``sum`` of floats from Python 3.12 on: a running sum with Neumaier's compensation."""
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
 
 
 class _Scripted:
@@ -651,6 +661,69 @@ class TestChainMatchesSweepLoop:
             u0[: n // 8] = rng.random(n // 8)
             self._check(net, g, u0, lambda: np.random.default_rng(5), 40, 0, 1)
         assert len(screened) >= 20 and sum(screened) >= 5000
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_sums_are_left_folds_on_any_python(self, monkeypatch, directed):
+        # From Python 3.12 the builtin sum compensates float sums.  With such
+        # a sum in the module's namespace, every log ratio the walk compares
+        # with a coin is still, byte for byte, what the screen computes for
+        # that visit from the current state; K = 3 folds, unlike K = 2 ones,
+        # can round differently from the compensated sum.  The walk's log
+        # ratio is read where it calls exp, after it reads the visit's coin.
+        monkeypatch.setattr(mcem, "sum", _compensated_sum, raising=False)
+        walk, checked, differ = mcem._Sampler._walk, [0], [0]
+
+        def walked(self, visits, coins, u_star, state, stop):
+            visits, seen = {v[0]: v for v in visits}, []
+            u, z, occ, cnt, occ_terms = state
+
+            class Coins:
+                def __getitem__(self, i):
+                    seen.append(i)
+                    return coins[i]
+
+            def exp(x):
+                _, j, kc, k = visits[seen[-1]]
+                table = np.array(cnt, dtype=np.float64)
+                expect = self._screen(table, self._occ_vector(occ, dict(occ_terms)), np.array([j]),
+                                      np.array([kc * self.K + k]))
+                assert np.float64(x).tobytes() == expect.tobytes()
+                d_pq = self.moves[kc][k][0]
+                checked[0] += 1
+                differ[0] += _compensated_sum(map(operator.mul, cnt[j], d_pq)) != left_fold(cnt[j], d_pq)
+                return math.exp(x)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(mcem, "math", type("math", (), {"exp": staticmethod(exp)}))
+                return walk(self, visits.values(), Coins(), u_star, state, stop)
+
+        monkeypatch.setattr(mcem._Sampler, "_walk", walked)
+        rng = np.random.default_rng(48 + directed)
+        P = np.array([[0.5, 0.1, 0.05], [0.1, 0.4, 0.15], [0.05, 0.15, 0.45]])
+        net = random_network(rng, 60, directed, True, p=0.25)
+        g = GraphonStep([0.0, 0.3, 0.65, 1.0], P)
+        sampler = mcem._Sampler(net)
+        sampler.chain(rng.random(60), *sampler.start(g, rng.random(60)), np.random.default_rng(8), 50, 0, 1)
+        assert checked[0] >= 500 and differ[0] > 0, (checked, differ)
+
+    def test_acceptance_prob_is_exp_of_the_left_fold(self, monkeypatch):
+        monkeypatch.setattr(mcem, "sum", _compensated_sum, raising=False)
+        rng = np.random.default_rng(49)
+        differ = 0
+        for trial in range(200):
+            net = random_network(rng, 30, bool(trial % 2), True, p=0.3)
+            g = TestSweepMatchesSeedSweep._graphon(rng, [0.0, *np.sort(rng.uniform(0.1, 0.9, size=2)), 1.0])
+            sampler = mcem._Sampler(net)
+            u = rng.random(30)
+            j = int(rng.integers(30))
+            z, occ, cnt = sampler.start(g, u)
+            ks = (int(z[j]) + 1 + int(rng.integers(2))) % 3
+            log_r = _sweep_log_ratio(sampler, j, z, occ, cnt, ks)
+            u_star = float(g.tau[ks] + 0.5 * (g.tau[ks + 1] - g.tau[ks]))
+            assert acceptance_prob(net, u, j, u_star, g) == (1.0 if log_r >= 0 else math.exp(log_r))
+            d_pq = sampler.moves[int(z[j])][ks][0]
+            differ += _compensated_sum(map(operator.mul, cnt[j], d_pq)) != left_fold(cnt[j], d_pq)
+        assert differ > 0
 
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("seed", range(6))

@@ -347,6 +347,8 @@ class TestMapRestarts:
 
 _POOLED_FITS = {
     "vem": (dict(directed=False, binary=True), lambda net: vem_fit(net, VemConfig(K=2, restarts=3, seed=5))),
+    "vem-poisson-directed": (dict(directed=True, binary=False), lambda net: vem_fit(
+        net, VemConfig(K=3, restarts=3, seed=5), kind="poisson")),
     "switch": (dict(directed=True, binary=False), lambda net: switch_fit(
         net, SwitchConfig(K=2, restarts=3, seed=5, kind="dc_poisson"))),
     "mcem": (dict(directed=False, binary=True), lambda net: mcem_fit(net, McemConfig(

@@ -640,6 +640,182 @@ class TestSoftEStepOracle:
             assert np.isneginf(got.params.block_matrix[-1]).all()
 
 
+def _seed_all_rows_dense(yd, directed, state):
+    """Each node's row from the seed's dense sweep with that node moved first: its update given the state's rows."""
+    n = yd.shape[0]
+    rows = np.empty_like(state.resp)
+    for i in range(n):
+        order = np.r_[i, np.delete(np.arange(n), i)]
+        first = VariationalState(state.resp[order], state.params, 0.0)
+        rows[i] = _seed_e_step_dense(yd[np.ix_(order, order)], directed, first).resp[0]
+    return rows
+
+
+def _criterion_5_instances():
+    """The 100 networks and block counts of the acceptance gate's criterion 5."""
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        kind = "bernoulli" if seed % 2 == 0 else "poisson"
+        net = random_network(rng, n=int(rng.integers(5, 31)), binary=(kind == "bernoulli"))
+        yield seed, net, int(rng.integers(1, 5)), kind
+
+
+class TestGuardedSoftPhase:
+    """The fit's soft phase: every row updated at once from the state's rows, then a guarded step.
+
+    ``vem._all_rows`` gives each node the row the sequential sweep would
+    give it if it came first; ``vem._guarded_step`` halves the step toward
+    those rows until the bound at the current parameters does not drop.
+    """
+
+    @pytest.mark.parametrize("K", [1, 3, 9])
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("kind, cell", [
+        ("bernoulli", None), ("bernoulli", 0.0), ("bernoulli", 1.0), ("poisson", None), ("poisson", -np.inf),
+    ])
+    def test_all_rows_match_dense(self, kind, cell, directed, K):
+        rng = np.random.default_rng(30 + 10 * K + directed)
+        net = random_network(rng, 30, directed, kind == "bernoulli", p=0.2, max_count=4, n_isolated=2)
+        yd = net.to_dense().astype(np.float64)
+        state = _random_state(rng, net, K, kind)
+        if cell is not None:
+            other = min(1, K - 1)
+            state.params.block_matrix[0, other] = state.params.block_matrix[other, 0] = cell
+        expect = _seed_all_rows_dense(yd, directed, state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = vem._all_rows(net, K)(state)
+        assert np.allclose(got, expect, rtol=0.0, atol=1e-12)
+        assert np.array_equal(got.argmax(axis=1), expect.argmax(axis=1))
+        assert got.min() >= 0 and np.allclose(got.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_rows_of_neg_inf_scores_become_uniform(self, directed):
+        # p = 0 everywhere: a node with an edge scores -inf in every block,
+        # an isolated one log pi
+        rng = np.random.default_rng(3)
+        net = random_network(rng, 12, directed, True, p=0.3, n_isolated=2)
+        state = _random_state(rng, net, 3)
+        state.params.block_matrix[:] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = vem._all_rows(net, 3)(state)
+        yd = net.to_dense()
+        linked = yd.any(axis=0) | yd.any(axis=1)
+        assert linked.sum() == 10
+        assert got[linked].tobytes() == np.full((10, 3), 1 / 3).tobytes()
+        assert np.allclose(got[~linked], state.params.pi, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_edgeless_network(self, directed):
+        # no stored pair at all: the rows come from the non-edges alone
+        net = Network.from_edges(5, [], directed=directed)
+        state = _random_state(np.random.default_rng(4), net, 3)
+        got = vem._all_rows(net, 3)(state)
+        assert np.allclose(got, _seed_all_rows_dense(np.zeros((5, 5)), directed, state), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("K", [1, 6])
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson"])
+    def test_fits_through_neg_inf_cells(self, kind, directed, K, monkeypatch):
+        # a sparse graph with isolated nodes: the warm start drains blocks
+        # and leaves zero-rate and (bernoulli) p = 1 cells for the soft phase
+        rng = np.random.default_rng(60 + directed)
+        net = random_network(rng, 24, directed, kind == "bernoulli", p=0.12, max_count=3, n_isolated=3)
+        guarded, cells = vem._guarded_step, []
+
+        def recorded(net, state, update):
+            cells.append(state.params.block_matrix.copy())
+            return guarded(net, state, update)
+
+        monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
+        monkeypatch.setattr(vem, "_guarded_step", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = vem_fit(net, VemConfig(K=K, restarts=3, seed=1), kind=kind)
+        assert all(b >= a for a, b in zip(fit.trace, fit.trace[1:]))
+        assert fit.objective == fit.trace[-1] and np.isfinite(fit.objective)
+        if K > 1:
+            neginf = [np.isneginf(bm).any() if kind == "poisson" else ((bm == 0) | (bm == 1)).any() for bm in cells]
+            assert any(neginf)
+
+    def test_fit_traces_never_drop_on_criterion_5_instances(self, monkeypatch):
+        # every restart's trace, not only the winner's; some steps are halved
+        soft_phase, guarded, soft_stats = vem._soft_phase, vem._guarded_step, vem._soft_stats
+        traces, trials, steps = [], [0], []
+
+        def counted_stats(net, resp):
+            trials[0] += 1
+            return soft_stats(net, resp)
+
+        def counted_step(net, state, update):
+            trials[0] = 0
+            out = guarded(net, state, update)
+            steps.append(trials[0])
+            return out
+
+        def traced(*args):
+            state, trace = soft_phase(*args)
+            traces.append(trace)
+            return state, trace
+
+        monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
+        monkeypatch.setattr(vem, "_soft_stats", counted_stats)
+        monkeypatch.setattr(vem, "_guarded_step", counted_step)
+        monkeypatch.setattr(vem, "_soft_phase", traced)
+        for seed, net, K, kind in _criterion_5_instances():
+            vem_fit(net, VemConfig(K=K, restarts=2, seed=seed), kind=kind)
+        assert len(traces) == 200
+        for trace in traces:
+            assert all(b >= a for a, b in zip(trace, trace[1:])), trace
+        assert max(steps) > 1
+
+
+def _fixed_point_graph(case: str):
+    if case == "planted-150":
+        # criterion 8's graph
+        bm = np.full((3, 3), 0.05)
+        np.fill_diagonal(bm, 0.5)
+        return sample_sbm(GenConfig(150, BlockParams("bernoulli", 3, np.full(3, 1 / 3), bm), seed=42))[0], 3, "bernoulli"
+    if case == "directed-poisson-300":
+        rates = np.full((3, 3), 0.05)
+        np.fill_diagonal(rates, 0.15)
+        params = BlockParams("poisson", 3, np.full(3, 1 / 3), np.log(rates))
+        return sample_sbm(GenConfig(300, params, directed=True, seed=3))[0], 3, "poisson"
+    bm = np.full((4, 4), 0.004)
+    np.fill_diagonal(bm, 0.06)
+    return sample_sbm(GenConfig(1000, BlockParams("bernoulli", 4, np.full(4, 0.25), bm), seed=8))[0], 4, "bernoulli"
+
+
+class TestFixedPoint:
+    """Where a fit's soft phase stops, one sequential sweep (the public ``e_step``) keeps every row's argmax.
+
+    The phases here end on the ``tol`` rule, not at ``max_iter``.  Under
+    that absolute stop the sweep still moves rows by up to about 2e-4 and
+    raises the bound by up to about 1e-6, so only the argmax is compared,
+    and the bound may not drop.
+    """
+
+    @pytest.mark.parametrize("case", ["planted-150", "directed-poisson-300", "sparse-bernoulli-1000"])
+    def test_sequential_sweep_keeps_every_argmax(self, case, monkeypatch):
+        net, K, kind = _fixed_point_graph(case)
+        soft_phase, ends = vem._soft_phase, []
+
+        def kept(*args):
+            out = soft_phase(*args)
+            ends.append(out[0])
+            return out
+
+        monkeypatch.delenv("BLOCKMIX_WORKERS", raising=False)
+        monkeypatch.setattr(vem, "_soft_phase", kept)
+        fit = vem_fit(net, VemConfig(K=K, restarts=1, seed=0), kind=kind)
+        assert len(ends) == 1 and len(fit.trace) <= VemConfig(K=K).max_iter
+        state = ends[0]
+        after = e_step(net, state)
+        assert np.array_equal(after.resp.argmax(axis=1), state.resp.argmax(axis=1))
+        assert after.elbo >= state.elbo - 1e-9 * abs(state.elbo)
+
+
 # coefficients at and around _seed_mul's snap threshold of 1e-9
 _RULE_COEFS = np.array([0.0, 1e-12, 5e-10, 1e-9, 2e-9, -1e-17])
 
