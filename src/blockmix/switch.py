@@ -11,19 +11,23 @@ local maxima that defeat sweeps which take only improving moves.
 Each step scores every unmoved vertex against every block in one batch
 (``_Stats.deltas``), reading the kinds' one pair-weight rule
 (``_Stats._weights``) for a move's three states: now, after the vertex
-leaves its block, and after it joins another.  With m such vertices and K
-blocks a step evaluates O(m K^2) cell terms.  For the bernoulli and
-poisson kinds, whose weights depend only on the block sizes, it instead
-tabulates O(K^2 V) terms when the vertices' neighbour-block counts stay
-below V with 4 V < m, lays them out as rows over the destination block,
-and gathers each vertex's rows by index: O(K^3 V + m K^2) work in a fixed
-number of NumPy calls.  Each masked row of cell terms is summed as a left
-fold over the kept cells, in block order.  A step chooses its move by one
-flat argmax over the unmoved vertices' rows, in vertex order.
+leaves its block, and after it joins another.  For the bernoulli and
+poisson kinds, whose weights depend only on the block sizes, a step with
+m vertices whose neighbour-block counts stay below V evaluates every cell
+term a move can produce once per (block, block, count): O(K^2 V) terms in
+one flat vector, laid out once per V (``_table``).  It gathers each
+vertex's rows over the destination block by index: O(K^3 V + m K^2) work
+in about 30 NumPy calls, whatever m is.  Where K^2 V is large against m
+(huge count values) and for dc_poisson, whose weights move with the vertex
+degree, a step evaluates the O(m K^2) cell terms of its vertices directly.
+Each masked row of cell terms is summed as a left fold over the kept
+cells, in block order.  A step chooses its move by one flat argmax over
+the unmoved vertices' rows, in vertex order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
@@ -70,6 +74,102 @@ def _masked_sums(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.where(keep, x, 0.0).sum(axis=0)
 
 
+class _Table(NamedTuple):
+    """The tabulated step's layout for one (K, V, orientation), built once by ``_table``.
+
+    The step evaluates one flat vector of cell terms.  Cell i holds the
+    block total ``total[i]`` of the (2, K, K) tables [edge with a halved
+    diagonal, edge] plus the count ``shift[i]``, and the pair weight at
+    ``weight[i]`` of the outer product F F of the (3, 3, K) size factors
+    F[0, j] = s_j, F[1, j] = s_j - 1, F[2, j] = (s_j - 1) / 2 of the blocks
+    now (j = 0), after one vertex leaves them (1) and after one joins (2).
+    Sizes are whole numbers, so these products are the pair weights exactly.
+    """
+
+    total: np.ndarray
+    shift: np.ndarray
+    weight: np.ndarray
+    rows: np.ndarray  # (R, K) gather rows over d: cell positions, the last cell (+0.0) where a row drops d
+    parts: np.ndarray  # (S, 2, K, 1): the row of count 0 toward block k, source (block 0) and destination
+    corners: np.ndarray  # per destination block d, the corner cells' position before the vertex's shift
+
+
+@functools.lru_cache(maxsize=16)
+def _table(K: int, V: int, directed: bool) -> _Table:
+    """The cells a step with counts 0..V-1 evaluates, and the rows it gathers them by.
+
+    Cell segments, over the axes given: per side, the cells now [a, k]; per
+    side, the source cells [a, k, t] (block a's cell toward k after a vertex
+    with count t toward k leaves a) and the destination cells [k, d, t]
+    (block d's cell toward k after it joins d); then the corners, over a
+    count sum or a count difference plus V - 1.  Undirected, the cell (c, d)
+    that both moved rows share, [c, d, e_vc - e_vd].  Directed, the diagonal
+    now [k]; the source diagonal [a, e_va + e_av]; the cells (a, d)
+    [a, d, e_av - e_vd] and (d, a) [a, d, e_va - e_da]; the destination
+    diagonal [d, e_vd + e_dv].  Past the last cell, one cell of +0.0.
+    """
+    S, W, KK = 1 + directed, 2 * V - 1, K * K
+    k = np.arange(K)
+    a, b = k[:, None, None], k[None, :, None]  # the first two axes of a [., ., t] segment
+    t, j = np.arange(V), np.arange(W)
+    segments = []
+
+    def segment(total, shift, weight):
+        segments.append([x.ravel() for x in np.broadcast_arrays(total, shift, *weight)])
+
+    def pair(i, row, col):  # s_0[row] s_i[col], and s_i[col] (s_i[col] - 1) / 2 on the diagonal
+        return np.where(row == col, i * K + col, row), np.where(row == col, (6 + i) * K + col, i * K + col)
+
+    def total(row, col, side):  # side 1 reads the block columns
+        return row * K + col if side == 0 else col * K + row
+
+    for side in range(S):
+        segment(total(a[..., 0], b[..., 0], side), 0, pair(0, a[..., 0], b[..., 0]))
+    for side in range(S):
+        segment(total(a, b, side), -t, pair(1, b, a))
+        segment(total(b, a, side), t, pair(2, a, b))
+    if directed:
+        diag = KK + k * (K + 1)  # the unhalved diagonal totals
+        segment(diag, 0, (k, 3 * K + k))
+        segment(diag[:, None], -j, (K + k[:, None], 4 * K + k[:, None]))
+        segment(KK + a * K + b, j - (V - 1), (K + a, 2 * K + b))
+        segment(KK + b * K + a, j - (V - 1), (K + a, 2 * K + b))
+        segment(diag[:, None], j, (2 * K + k[:, None], 5 * K + k[:, None]))
+    else:
+        segment(a * K + b, j - (V - 1), (K + a, 2 * K + b))
+    starts = np.cumsum([0] + [len(x[0]) for x in segments])
+    total_, shift, w0, w1 = (np.concatenate(x) for x in zip(*segments))
+    weight = w0 * (9 * K) + w1
+    zero = starts[-1]
+
+    # rows over d: per side, source rows [a, k, t], dropping k = d (and k = a
+    # directed), and destination rows [k, t], dropping k = d directed; the rows
+    # now [side, a, k], dropping k = d (and k = a directed), whose sums over k
+    # are the moved rows' sums before the move; one row of zeros
+    a4, k4, d = k[:, None, None, None], k[:, None, None], k
+    rows = []
+    for side in range(S):
+        src, dst = starts[S + 2 * side], starts[S + 2 * side + 1]
+        drop = (k4 == d) | ((a4 == k4) if directed else False)
+        rows.append(np.where(drop, zero, src + (a4 * K + k4) * V + t[:, None]).reshape(-1, K))
+        drop = (k[:, None, None] == d) if directed else False
+        rows.append(np.where(drop, zero, dst + (k[:, None, None] * K + d) * V + t[:, None]).reshape(-1, K))
+    drop = (k[:, None] == d) | ((k[:, None] == k4) if directed else False)
+    rows.append(np.where(drop, zero, np.arange(S)[:, None, None, None] * KK + k4 * K + k[:, None]).reshape(-1, K))
+    rows.append(np.full((1, K), zero))
+    side_rows = KK * V + K * V
+    parts = (np.arange(S)[:, None, None] * side_rows + np.array([0, KK * V])[:, None] + k * V)[..., None]
+    if directed:
+        c1, c2, c3, c4 = starts[3 * S + 1:3 * S + 5]
+        corners = np.stack([np.full(K, c1), c2 + k * W + V - 1, c3 + k * W + V - 1, c4 + k * W])[..., None]
+    else:
+        corners = (starts[3 * S] + k * W + V - 1)[:, None]
+    out = _Table(total_, shift.astype(np.int32), weight, np.concatenate(rows), parts, corners)
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
 class _Stats:
     """Block-pair sufficient statistics with O(deg + K) single-vertex moves.
 
@@ -79,14 +179,19 @@ class _Stats:
     vertices against every block at once.
     """
 
-    # about K^3 V table entries a side against about K^2 m direct cells:
-    # ``deltas`` tabulates when table_ratio * V < m.  On a 2-core Xeon the
-    # tabulated step overtook the direct one at m / V of 4 to 8 for K = 4
-    # (V from 14 to 93) and of 4 to 5 for K = 10
-    table_ratio = 4
+    # ``deltas`` tabulates a bernoulli or poisson step when table_ratio * K^2 V
+    # < 768 + 8 m: about 4 K^2 V table cells and K^3 V gather-row entries
+    # against the direct step's O(K^2 m) cells and larger fixed cost.  On a
+    # 2-core Xeon the tabulated step won at every m on the benchmark's inputs,
+    # and on count graphs (K = 4, values up to 64) the two crossed near K^2 V
+    # of 600 to 1000 at m = 5 and of 1100 to 2000 at m = 100.  At K = 10 the
+    # gather rows, K^3 V, cost more: the direct step won some steps with
+    # counts below 9 at m = 5 and 20
+    table_ratio = 1
 
     def __init__(self, net: Network, labels0: np.ndarray, K: int, kind: str):
         self.kind, self.K, self.n, self.directed = kind, K, net.n_nodes, net.directed
+        self._per_vertex = kind == "dc_poisson"  # its pair weights move with the vertex degree
         self.z = labels0.copy()
         self.deg = degrees(net).astype(np.float64)
         self.total = float(net.total_value)
@@ -97,20 +202,28 @@ class _Stats:
         self.in_ptr, self.in_nbrs, self.in_vals = net.transpose()
         # whole-number int64 tables, exact under any sequence of moves
         self.edge = _cell_sums(labels0[rows], labels0[cols], vals, (K, K))
-        # vcount[v, k]: value from v toward block k (and from block k into
-        # v for the directed in-table); no self-loops, so moving v never
-        # changes v's own row
-        self.vcount_out = _cell_sums(rows, labels0[cols], vals, (self.n, K))
-        self.vcount_in = _cell_sums(cols, labels0[rows], vals, (self.n, K)) if self.directed else self.vcount_out
-        # the count tables a move updates: the out-neighbours' in-counts and,
-        # directed, the in-neighbours' out-counts
-        self._neighbours = [(self.vcount_in, self.out_ptr, self.out_nbrs, self.out_vals)]
+        # _counts[s, k, v]: value from v toward block k (s = 0) and, directed,
+        # from block k into v (s = 1); vcount_out and vcount_in are its (n, K)
+        # views.  No self-loops, so moving v never changes v's own counts
+        counts = [_cell_sums(rows, labels0[cols], vals, (self.n, K))]
         if self.directed:
-            self._neighbours.append((self.vcount_out, self.in_ptr, self.in_nbrs, self.in_vals))
-        self._ar = np.arange(K)
-        # a block's sizes now, after one vertex leaves it and after one joins
-        self._steps = np.array([[0.0, -1.0, 1.0], [0.0] * 3, [0.0] * 3])[:, :, None]
+            counts.append(_cell_sums(cols, labels0[rows], vals, (self.n, K)))
+        self._counts = np.stack([c.T for c in counts])
+        self.vcount_out, self.vcount_in = self._counts[0].T, self._counts[-1].T
+        # the count rows a move updates: the out-neighbours' in-counts and,
+        # directed, the in-neighbours' out-counts
+        self._neighbours = [(self._counts[-1], self.out_ptr, self.out_nbrs, self.out_vals)]
+        if self.directed:
+            self._neighbours.append((self._counts[0], self.in_ptr, self.in_nbrs, self.in_vals))
+        self._ar, self._verts = np.arange(K), np.arange(self.n)
         self._half = np.where(np.eye(K, dtype=bool), 0.5, 1.0)
+        # the tabulated step reads the block totals with a halved diagonal and,
+        # directed, as they are; its size factors (sizes + _factors) *
+        # _factor_scale are s_j, s_j - 1 and (s_j - 1) / 2 of the sizes s_j now,
+        # after one vertex leaves a block (s - 1) and after one joins it (s + 1)
+        self._totals = np.stack([self._half, np.ones((K, K))][:1 + self.directed])
+        self._factors = np.array([[0.0, -1.0, 1.0], [-1.0, -2.0, 0.0], [-1.0, -2.0, 0.0]])[:, :, None]
+        self._factor_scale = np.array([1.0, 1.0, 0.5])[:, None, None]
         # cells k of block row a that a masked sum keeps: keep[k, 0, d] is
         # k != d (undirected), keep[k, a, d] is k not in {a, d} (directed)
         offdiag = self._ar[:, None] != self._ar
@@ -145,13 +258,12 @@ class _Stats:
             carry = self._carry[:, v]
             self._blocks[:, a] -= carry
             self._blocks[:, to0] += carry
-        # the neighbours' rows change in columns a and to0: an update through
-        # a column view costs less than one 2-d fancy index or a flat index
-        for table, ptr, nbrs, vals in self._neighbours:
+        # the neighbours' counts change toward (from) blocks a and to0
+        for counts, ptr, nbrs, vals in self._neighbours:
             lo, hi = ptr[v], ptr[v + 1]
             nbrs, vals = nbrs[lo:hi], vals[lo:hi]
-            table[:, a][nbrs] -= vals
-            table[:, to0][nbrs] += vals
+            counts[a][nbrs] -= vals
+            counts[to0][nbrs] += vals
 
     def _weights(self, blocks):
         """(s, q, block term) of blocks whose sizes, degree sums and squared-degree sums stack on axis 0.
@@ -173,35 +285,27 @@ class _Stats:
         e_u, w_u = self.edge, np.outer(s, s) - np.diag(q)
         if not self.directed:  # unordered cells: the upper triangle, halved diagonal
             e_u, w_u = (np.triu(x * self._half) for x in (e_u, w_u))
-        cells = self._cell_term(e_u, w_u)
+        cells = self._cell_term(np.stack((e_u, w_u, w_u)))
         if block is None:
             return float(cells.sum())
         if self.kind == "poisson":  # cell rates plus the profiled mixing weights
             return float((cells - e_u).sum() + block.sum())
         return float(self.dlogd + block.sum() + cells.sum() - self.total)
 
-    def _cell_term(self, e, w):
-        """Per-cell objective term; constants under vertex moves omitted.
+    def _cell_term(self, x):
+        """Per-cell objective term of e = x[0] and w = x[1]; x[2] is a work buffer.  Constants under vertex moves omitted.
 
         The edge totals are exact, so a kept poisson cell with e > 0 has pairs;
         the 1e-300 floor is reached by kept cells only where rounding cancels a
         dc_poisson weight s_k^2 - q_k to 0 or below (a hub of degree 1e17).
         """
-        if self.kind == "bernoulli":
-            gaps = w - e
-            return _xlogy(e, e) + _xlogy(gaps, gaps) - _xlogy(w, w)
+        if self.kind == "bernoulli":  # e log e + g log g - w log w with the gaps g = w - e
+            np.subtract(x[1], x[0], out=x[2])
+            terms = _xlogy(x, x)
+            return (terms[0] + terms[2]) - terms[1]
         # poisson: the -e part sums to a move-invariant constant over touched cells
-        return _xlogy(e, e / np.maximum(w, 1e-300))
-
-    def _cells(self, *blocks):
-        """Cell terms of (e, w) blocks in one evaluation; w broadcasts to e."""
-        bounds = [0, *itertools.accumulate(e.size for e, _ in blocks)]
-        e_all, w_all = np.empty(bounds[-1]), np.empty(bounds[-1])
-        for (e, w), lo, hi in zip(blocks, bounds, bounds[1:]):
-            e_all[lo:hi] = e.ravel()
-            w_all[lo:hi].reshape(e.shape)[...] = w
-        flat = self._cell_term(e_all, w_all)
-        return [flat[lo:hi].reshape(e.shape) for (e, _), lo, hi in zip(blocks, bounds, bounds[1:])]
+        np.maximum(x[1], 1e-300, out=x[2])
+        return _xlogy(x[0], np.divide(x[0], x[2], out=x[2]))
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def deltas(self, verts: np.ndarray) -> np.ndarray:
@@ -210,144 +314,179 @@ class _Stats:
         The stay-put column is -inf.  Only the cells whose statistics a
         single move can touch enter the balance: the rows (and, directed,
         the columns) of the source block z_v and the destination block d.
-        For m vertices the moved rows hold O(m K^2) cells, evaluated
-        directly.  bernoulli and poisson cell weights depend only on the
-        blocks, so when the counts stay below V with table_ratio * V < m
-        those cell terms are tabulated once per (block, block, count), and
-        the undirected cell (z_v, d) that both moved rows share once per
-        (block, block, count difference); the vertices gather them by
-        index (``_gather``): O(K^3 V) table work plus O(m K^2) gathers.  On
-        a 2-core Xeon a step took 0.18 ms tabulated against 0.42 ms direct
-        on sparse-1k (m = 1000, V = 15, K = 4), and 0.42 against 0.45 ms on
-        the 300-node directed count graph (m = 300, V = 38, K = 3).
-        dc_poisson weights depend on the vertex degree: always direct.
-
         Each entry is the balance "after the move minus before it" over
         those cells; each masked row of cell terms is summed as a left fold
         over the kept cells, in block order.  A dropped cell may hold values
         and no pairs (directed: the source block's diagonal), so its term
-        may overflow.  Arrays are laid out (k, d, v): block k's cell in the
-        row of the source block z_v or of the destination block d, vertex v last.
+        may overflow.
+
+        bernoulli and poisson cell weights depend only on the blocks: while
+        table_ratio * K^2 V < 768 + 8 m (counts below V), ``_tabulated``
+        evaluates every cell term a move can produce once, in one flat
+        vector, and ``_gather`` sums each vertex's rows by index, in 29
+        C-level NumPy calls (32 directed) whatever m is.  Otherwise, and
+        always for dc_poisson, whose weights depend on the vertex degree,
+        ``_direct`` evaluates the vertices' O(m K^2) cells.  On a 2-core Xeon
+        (min of 7 x 200 calls) a tabulated step took 58 / 59 / 63 / 71 / 114
+        us at m = 5 / 20 / 100 / 200 / 1000 on sparse-1k's input (K = 4,
+        V = 16) and 76 / 88 / 96 / 118 / 131 us at m = 5 / 20 / 100 / 200 /
+        300 on the 300-node directed count graph (K = 3, V = 40); the direct
+        step took 65 to 411 us and 93 to 205 us.
         """
-        K, edge, m = self.K, self.edge, verts.size
-        z, cols, ar = self.z[verts], np.arange(m), self._ar
-        zv = z * m + cols  # flat index of the cells (z_v, v) of a (K, m) array
-        u = edge * self._half  # a diagonal cell counts each within-block pair twice
-        # a side pairs block rows with each vertex's counts toward the blocks;
-        # directed networks add the block columns and the counts from them
-        sides = [(u, self.vcount_out.take(verts, axis=0).T.copy())]
+        m = verts.size
+        z = self.z.take(verts)
+        xs = self._counts.take(verts, axis=2)  # (sides, K, m): each vertex's counts, vertex last
+        zm = z * m + self._verts[:m]  # flat index of the cells (z_v, v) of a (K, m) array
+        # counts are integers 0..V-1; V rounds up to a multiple of 8, so that a
+        # fit builds and keeps few table layouts
+        V = (int(xs.max()) + 8) // 8 * 8
+        if not self._per_vertex and self.table_ratio * self.K * self.K * V < 768 + 8 * m:
+            now, r, c0, after, extra_now, extra_after = self._tabulated(xs, z, zm, V)
+        else:
+            now, r, c0, after, extra_now, extra_after = self._direct(verts, xs, z, zm)
         if self.directed:
-            sides.append((u.T.copy(), self.vcount_in.take(verts, axis=0).T.copy()))
-        x_out, x_in = sides[0][1], sides[-1][1]
-        B, per_vertex = self._blocks, self.kind == "dc_poisson"  # its weights move with the degree
-        if per_vertex:  # weights now, after leaving z_v (shape (m,)) and after joining d ((K, m))
-            g, carry = slice(None), self._carry[:, verts]
-            (s0, q0, b0), (s1, q1, b1), (s2, q2, b2) = (
-                self._weights(x) for x in (B, B[:, z] - carry, B[:, :, None] + carry[:, None]))
-            self_now, self_src, self_dst = s0 * s0 - q0, s1 * s1 - q1, s2 * s2 - q2
+            before = (((r[0] + r[0].T) + r[1]) + r[1].T) + (((c0[:, None] + now[0]) + now[1]) + c0) + extra_now
+            delta = (after + extra_after) - before.take(z, axis=0)
+        else:
+            before = (r[0] + r[0].T) + now[0]
+            if self._per_vertex:
+                before = before + extra_now
+            delta = after - before.take(z, axis=0)
+            if self.kind == "poisson":  # the mixing term joins after the subtraction
+                delta = delta + (extra_after - extra_now.take(z, axis=0))
+        delta[self._verts[:m], z] = -np.inf
+        return delta
+
+    def _tabulated(self, xs, z, zm, V):
+        """``deltas``' terms from cell terms tabulated once per (block, block, count) and gathered by index."""
+        K, S, m, tab = self.K, xs.shape[0], z.size, _table(self.K, V, self.directed)
+        factors = (self.sizes + self._factors) * self._factor_scale
+        b = self._weights(factors)[2]  # size-only kinds read factors[0], the sizes in the three states
+        factors = factors.ravel()
+        n_cells = tab.total.size
+        x = np.empty((3, n_cells + 1))
+        x[:2, n_cells] = 0.0  # the zero cell that dropped cells of a gather row point at
+        np.add((self.edge * self._totals).take(tab.total), tab.shift, out=x[0, :n_cells])
+        np.multiply.outer(factors, factors).take(tab.weight, out=x[1, :n_cells])
+        cells = self._cell_term(x)
+        now = cells[:S * K * K].reshape(S, K, K)
+        rows = cells.take(tab.rows)
+        after = self._gather(rows, tab, xs, z, zm, V)
+        r = rows[-1 - S * K * K:-1].reshape(S, K, K, K).sum(axis=2)
+        W = 2 * V - 1
+        if self.directed:
+            xa = xs.reshape(S, K * m).take(zm, axis=1)  # counts toward and from the source block
+            zW = z * W
+            idx = np.empty((4, K, m), dtype=np.intp)
+            np.add(tab.corners[0], zW + (xa[0] + xa[1]), out=idx[0])
+            np.subtract(tab.corners[1:3] + (zW * K + xa[::-1])[:, None], xs, out=idx[1:3])
+            np.add(tab.corners[3], xs[0] + xs[1], out=idx[3])
+            after = after + cells.take(idx).sum(axis=0).T
+            c0 = cells[S * K * K * (1 + 2 * V):][:K]
+        else:
+            idx = (tab.corners + (z * (K * W) + xs.reshape(K * m).take(zm))) - xs[0]
+            after, c0 = after + cells.take(idx).T, None
+        extra_now = extra_after = 0.0
+        if b is not None:
+            extra_now, extra_after = b[0][:, None] + b[0], b[1][z][:, None] + b[2]
+        return now, r, c0, after, extra_now, extra_after
+
+    def _gather(self, rows, tab, xs, z, zm, V):
+        """The moved rows' sums over the kept cells, (m, K), from the tabulated cell terms.
+
+        Row k V + t of a side's destination rows holds the cells (d, k) of a
+        vertex with count t toward k joining each block d, and the source
+        rows of block a the cells (a, k) it leaves behind; a dropped cell
+        points at the cell holding +0.0, and the row of block z_v at a row of
+        such cells.  So the sum over k of a vertex's gathered rows is the
+        left fold over its kept cells, and the parts add up in the order
+        source, destination of each side in turn.
+        """
+        K, m, S = self.K, z.size, xs.shape[0]
+        idx = np.empty((S, 2, K, m), dtype=np.intp)
+        np.add(xs[:, None], tab.parts, out=idx)
+        idx[:, 0] += z * (K * V)  # the source rows of block z_v
+        idx = idx.reshape(2 * S, K, m)
+        idx.reshape(2 * S, K * m)[1::2, zm] = tab.rows.shape[0] - 1
+        return rows.take(idx, axis=0).sum(axis=1).sum(axis=0)
+
+    def _direct(self, verts, xs, z, zm):
+        """``deltas``' terms from the moved rows' cells, evaluated vertex by vertex: O(m K^2) cells."""
+        K, edge, m, ar = self.K, self.edge, z.size, self._ar
+        S, cols = xs.shape[0], self._verts[:m]
+        B, per_vertex = self._blocks, self._per_vertex
+        if per_vertex:  # weights now, after leaving z_v (shape (m,)) and after joining d ((K, m)), in one call
+            carry = self._carry[:, verts]
+            s, q, b = self._weights(np.concatenate(
+                (B, B[:, z] - carry, (B[:, :, None] + carry[:, None]).reshape(3, K * m)), axis=1))
+            (s0, s1, s2), (self_now, self_src, self_dst), (b0, b1, b2) = (
+                (x[:K], x[K:K + m], x[K + m:].reshape(K, m)) for x in (s, s * s - q, b))
+            g = cols
             w_now, w_src, w_dst = s0[:, None] * s0, s0[:, None] * s1, s0[:, None, None] * s2
             w_now[ar, ar] = self_now / 2.0
             w_src[z, cols] = self_src / 2.0
             w_dst[ar, ar] = self_dst / 2.0
         else:  # the sizes alone: each block now, after one vertex leaves it and after one joins
-            g, (s, q, b) = z, self._weights(B[:, None, :] + self._steps)
+            g, (s, q, b) = z, self._weights((self.sizes + self._factors) * self._factor_scale)
             selfs = s * s - q
             w = s[0][:, None] * s[:, None, :]
             w[:, ar, ar] = selfs / 2.0
             (s0, s1, s2), (self_now, self_src, self_dst), (w_now, w_src, w_dst) = s, selfs, w
-            s2, self_dst, w_dst = s2[:, None], self_dst[:, None], w_dst[:, :, None]
+            s2, self_dst, w_dst, w_src = s2[:, None], self_dst[:, None], w_dst[:, :, None], w_src[:, z]
             b0, b1, b2 = (None,) * 3 if b is None else (b[0], b[1], b[2][:, None])
         extra_now = extra_after = 0.0  # block terms outside the cells
         if b0 is not None:
             extra_now, extra_after = b0[:, None] + b0, b1[g] + b2
-        V = int(max(x.max() for _, x in sides)) + 1  # counts are integers 0..V-1
-        tabulate = not per_vertex and self.table_ratio * V < m
-        if tabulate:  # a moved row's cell terms depend only on (block, block, count)
-            vals = np.arange(float(V))
-            moved = [blk for e, _ in sides for blk in (
-                (e[:, :, None] - vals, w_src.T[:, :, None]), (e.T[:, :, None] + vals, w_dst))]
-        else:
-            w_src = w_src[:, g]
-            moved = [blk for e, x in sides for blk in (
-                (np.take(e.T, z, axis=1) - x, w_src), (e.T[:, :, None] + x[:, None, :], w_dst))]
+        # cells: now [side, a, k]; source [side, k, v] and destination [side, k, d, v]
+        # of the moved rows; the corners
+        sizes = [S * K * K, S * K * m, S * K * K * m] + ([K, m, 3 * K * m] if self.directed else [K * m])
+        bounds = [0, *itertools.accumulate(sizes)]
+        x = np.empty((3, bounds[-1]))
+        e, w = ([row[lo:hi] for lo, hi in zip(bounds, bounds[1:])] for row in x[:2])
+        now_e = e[0].reshape(S, K, K)
+        np.multiply(edge, self._half, out=now_e[0])  # a diagonal cell counts each within-block pair twice
+        if self.directed:  # the block columns: side 1 reads the transposed totals
+            now_e[1] = now_e[0].T
+        w[0].reshape(S, K, K)[...] = w_now
+        rows = now_e[::-1]  # rows[i, k, a]: side i's cell (a, k)
+        np.subtract(rows.take(z, axis=2), xs, out=e[1].reshape(S, K, m))
+        w[1].reshape(S, K, m)[...] = w_src
+        np.add(rows[..., None], xs[:, :, None, :], out=e[2].reshape(S, K, K, m))
+        w[2].reshape(S, K, K, m)[...] = w_dst
+        x_out, x_in = xs[0], xs[-1]
         if self.directed:
-            pair_after, ediag = s1[g] * s2, edge[ar, ar]
-            eo_a, ei_a = x_out.take(zv), x_in.take(zv)
-            corners = [
-                (ediag, self_now),
-                ((ediag[z] - eo_a) - ei_a, self_src[g]),
-                ((np.take(edge.T, z, axis=1) - x_out) + ei_a, pair_after),
-                ((np.take(edge, z, axis=1) + eo_a) - x_in, pair_after),
-                ((ediag[:, None] + x_out) + x_in, self_dst),
-            ]
-        elif tabulate:  # the shared cell (c, d) holds e_cd + t, t = e_vc - e_vd in lo..hi
-            t = x_out.take(zv) - x_out
-            lo, hi = int(t.min()), int(t.max())
-            corners = [(edge[:, :, None] + np.arange(lo, hi + 1), (s1[:, None] * s2.T)[:, :, None])]
+            ediag = edge[ar, ar]
+            eo_a, ei_a = x_out.take(zm), x_in.take(zm)
+            e[3][...], w[3][...] = ediag, self_now
+            e[4][...], w[4][...] = (ediag[z] - eo_a) - ei_a, self_src[g]
+            c = e[5].reshape(3, K, m)
+            c[0] = (np.take(edge.T, z, axis=1) - x_out) + ei_a
+            c[1] = (np.take(edge, z, axis=1) + eo_a) - x_in
+            c[2] = (ediag[:, None] + x_out) + x_in
+            cw = w[5].reshape(3, K, m)
+            cw[:2] = s1[g] * s2
+            cw[2] = self_dst
+            keep_src = keep_dst = np.take(self._keep, z, axis=2)
         else:  # (e_ad + e_va) - e_vd: the one cell both touched rows share
-            corners = [((edge.T.take(z, axis=1) + x_out.take(zv)) - x_out, s1[g] * s2)]
-        n_sides = len(sides)
-        cells = self._cells(*[(e, w_now) for e, _ in sides], *moved, *corners)
-        now, moved, corners = cells[:n_sides], cells[n_sides:3 * n_sides], cells[3 * n_sides:]
-        if tabulate:
-            moved = self._gather(moved, [x for _, x in sides], z, zv, V)
-            if not self.directed:  # gather corner[z_v, d, e_vc - e_vd]
-                W = hi - lo + 1
-                corners = [corners[0].take((t + (z * (K * W) - lo)) + (ar * W)[:, None])]
-        else:
-            if self.directed:
-                keep_src = keep_dst = np.take(self._keep, z, axis=2)
-            else:
-                keep_src, keep_dst = self._keep.transpose(0, 2, 1), (ar[:, None] != z)[:, None, :]
-            moved = [total for minus, plus in zip(moved[::2], moved[1::2]) for total in (
-                _masked_sums(minus[:, None, :], keep_src), _masked_sums(plus, keep_dst))]
-        before = after = 0.0
-        for i in range(n_sides):
-            r = _masked_sums(now[i].T[:, :, None], self._keep)
-            before = before + r + r.T
-            after = after + moved[2 * i] + moved[2 * i + 1]
+            e[3][...] = ((edge.T.take(z, axis=1) + x_out.take(zm)) - x_out).ravel()
+            w[3].reshape(K, m)[...] = s1[g] * s2
+            keep_src, keep_dst = self._keep.transpose(0, 2, 1), (ar[:, None] != z)[:, None, :]
+        cells = self._cell_term(x)
+        cells = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        src = _masked_sums(cells[1].reshape(S, K, 1, m).transpose(1, 0, 2, 3), keep_src[:, None])
+        dst = _masked_sums(cells[2].reshape(S, K, K, m).transpose(1, 0, 2, 3), keep_dst[:, None])
+        after = src[0] + dst[0]
+        now = cells[0].reshape(S, K, K)
+        r = _masked_sums(now.transpose(2, 0, 1)[..., None], self._keep[:, None])  # r[i, a, d]
         if self.directed:
-            before = before + sum((corners[0][:, None], now[0], now[1], corners[0])) + extra_now
-            delta = after + sum(corners[1:]) + extra_after - np.take(before.T, z, axis=1)
-        else:
-            before, after = before + now[0], after + corners[0]
-            if per_vertex:
-                before, after = before + extra_now, after + b1 + b2
-            delta = after - np.take(before.T, z, axis=1)
-            if self.kind == "poisson":  # the mixing term joins after the subtraction
-                delta = delta + (extra_after - np.take(extra_now.T, z, axis=1))
-        delta[z, cols] = -np.inf
-        return delta.T
-
-    def _gather(self, tables, counts, z, zv, V):
-        """Each side's source and destination row sums, (K, m), from its tabulated cell terms.
-
-        ``tables`` alternate a side's source cells [a, k, t] and destination
-        cells [k, d, t]; ``counts`` are the sides' (K, m) counts.  The cells
-        become rows over d, source rows [a, k, t, d] and destination rows
-        [k, t, d], with +0.0 in the cells that a row drops, and a last row of
-        zeros stands for the destination cell k = z_v; so the sum over k of
-        a vertex's gathered rows is the left fold over its kept cells.
-        """
-        K, KV, ar = self.K, self.K * V, self._ar
-        size = K * KV + KV  # rows of one side
-        rows = np.empty((len(counts) * size + 1, K))
-        rows[-1] = 0.0
-        idx = np.empty((2 * len(counts), K, z.size), dtype=np.intp)
-        for i, (minus, plus, x) in enumerate(zip(tables[::2], tables[1::2], counts)):
-            src = rows[i * size:i * size + K * KV].reshape(K, K, V, K)
-            src[...] = minus[..., None]
-            src[:, ar, :, ar] = 0.0  # k = d
-            dst = rows[i * size + K * KV:(i + 1) * size].reshape(K, V, K)
-            dst[...] = plus.transpose(0, 2, 1)
-            if self.directed:
-                src[ar, ar] = 0.0  # k = z_v
-                dst[ar, :, ar] = 0.0  # k = d
-            row = np.add(x, (ar * V)[:, None], out=idx[2 * i + 1])  # row k V + e_vk of a block
-            np.add(row, z * KV + i * size, out=idx[2 * i])
-            row += i * size + K * KV
-            row.put(zv, rows.shape[0] - 1)
-        return list(rows.take(idx, axis=0).sum(axis=1).transpose(0, 2, 1))
+            after = (after + src[1]) + dst[1]
+            corners = cells[5].reshape(3, K, m)
+            after = after + (((cells[4] + corners[0]) + corners[1]) + corners[2])
+            return now, r, cells[3], after.T, extra_now, np.transpose(extra_after)
+        after = after + cells[3].reshape(K, m)
+        if per_vertex:
+            after = (after + b1) + b2
+        return now, r, None, after.T, extra_now, np.transpose(extra_after)
 
 
 def profile_loglik(net: Network, part: Partition, kind: str = "bernoulli") -> float:

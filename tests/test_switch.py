@@ -543,6 +543,42 @@ class TestBatchedDeltasOracle:
                 expect = _seed_bytes(_seed_move_deltas, stats, a, d, np.array([v]))
                 assert np.float64(value).tobytes() == expect
 
+    @pytest.mark.parametrize("kind,directed", [("bernoulli", False), ("poisson", True)])
+    def test_benchmark_shape_byte_equal(self, kind, directed, monkeypatch):
+        # n = 300, K = 4 and mean degree about 20, the shape of the benchmark's
+        # sparse graph: counts reach V >= 10 and the default rule tabulates most
+        # steps, which the n = 24 cases above rarely do
+        rng = np.random.default_rng(300 + directed)
+        n, K = 300, 4
+        pairs = rng.random((n, n)) < 20 / (n - 1) / (2 if directed else 1)  # in- and out-neighbours
+        np.fill_diagonal(pairs, False)
+        edges = {(int(i), int(j)): 1 if kind == "bernoulli" else int(rng.integers(1, 4))
+                 for i, j in zip(*np.nonzero(pairs)) if directed or i < j}
+        net = Network.from_edges(n, edges, directed=directed, value_kind="binary" if kind == "bernoulli" else "count")
+        assert 18 < 2 * net.n_edges / n < 22
+        steps = {"all": 0, "tabulated": 0}
+        gather = _Stats._gather
+
+        def counted_gather(self, *args):
+            steps["tabulated"] += 1
+            return gather(self, *args)
+
+        monkeypatch.setattr(_Stats, "_gather", counted_gather)
+        stats = _Stats(net, rng.integers(0, K, size=n), K, kind)
+        bounds = []
+        for _ in range(24):
+            active = rng.random(n) < rng.uniform(0.05, 1.0)
+            verts = np.flatnonzero(active)
+            bounds.append(int(max(stats.vcount_out[verts].max(), stats.vcount_in[verts].max())) + 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                table = step_deltas(stats, active)
+            steps["all"] += 1
+            assert table.tobytes() == _seed_bytes(_seed_step_deltas, stats, active)
+            v = int(verts[np.argmax(table[verts].max(axis=1))])  # the step's move, as a pass makes it
+            stats.apply(v, int(np.argmax(table[v])))
+        assert min(bounds) >= 10 and steps["tabulated"] > 0.8 * steps["all"], (bounds, steps)
+
     @pytest.mark.parametrize("directed", [False, True])
     def test_cells_without_pairs_after_rounding_byte_equal(self, directed):
         # count values past 2**53 sum exactly in the int64 tables: once vertex
@@ -577,9 +613,21 @@ def _past_2_53_network(rng, n, directed):
 
 
 def _assert_same_tables(stats, fresh):
-    for name in ("z", "edge", "vcount_out", "vcount_in", "_blocks"):
+    # _counts holds vcount_out and vcount_in, the state a move keeps for later steps
+    assert np.shares_memory(stats.vcount_out, stats._counts) and np.shares_memory(stats.vcount_in, stats._counts)
+    for name in ("z", "edge", "_counts", "vcount_out", "vcount_in", "_blocks"):
         a, b = getattr(stats, name), getattr(fresh, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _assert_same_layout(stats):
+    # a step reads the tabulated layout that the cache kept from earlier steps:
+    # read-only, and equal to the one a fresh build makes for the same bound
+    stats.deltas(np.arange(stats.n))
+    V = (int(stats._counts.max()) + 8) // 8 * 8
+    kept, fresh = switch._table(stats.K, V, stats.directed), switch._table.__wrapped__(stats.K, V, stats.directed)
+    for name, a, b in zip(kept._fields, kept, fresh):
+        assert not a.flags.writeable and (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), name
 
 
 class TestExactTables:
@@ -603,10 +651,12 @@ class TestExactTables:
             stats.apply(v, int((stats.z[v] + rng.integers(1, K)) % K))
             emptied += bool((stats.sizes == 0).any())
             _assert_same_tables(stats, _Stats(net, stats.z, K, kind))
+            _assert_same_layout(stats)
         assert emptied
         for v, prev in reversed(moves):
             stats.apply(v, prev)
             _assert_same_tables(stats, _Stats(net, stats.z, K, kind))
+            _assert_same_layout(stats)
         assert np.array_equal(stats.z, z0)
 
     @pytest.mark.parametrize("kind", ["poisson", "dc_poisson"])
