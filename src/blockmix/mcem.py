@@ -155,15 +155,21 @@ def gini_uncertainty(freq_row: np.ndarray) -> float:
 
 def _network_tables(net: Network) -> dict:
     """The network as the sampler reads it; built once per network."""
-    ptr, dst, values = net.neighbours()
-    # a node's neighbours: its out-row plus, directed, its in-row; a pair
-    # joined both ways is listed twice, and whole-number sums stay exact
-    w = values.sum(axis=0)
-    nbrs, wts = dst.tolist(), w.tolist()
+    # a node's neighbours: its CSR row plus, directed, its transpose row; a
+    # pair joined both ways is listed twice, and whole-number sums stay exact
+    sides = [(net.indptr, net.indices, net.data)] + ([net.transpose()] if net.directed else [])
+    nbr_lists, wt_lists = [[] for _ in range(net.n_nodes)], [[] for _ in range(net.n_nodes)]
+    for ptr, nbrs, vals in sides:
+        ptr, nbrs, vals = ptr.tolist(), nbrs.tolist(), vals.astype(np.float64).tolist()
+        for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
+            nbr_lists[i] += nbrs[a:b]
+            wt_lists[i] += vals[a:b]
     return dict(
         n=net.n_nodes, pair_factor=2.0 if net.directed else 1.0,
-        src=np.repeat(np.arange(net.n_nodes), np.diff(ptr)), dst=dst, w=w,
-        nbr_lists=[nbrs[a:b] for a, b in zip(ptr, ptr[1:])], wt_lists=[wts[a:b] for a, b in zip(ptr, ptr[1:])],
+        src=np.concatenate([np.repeat(np.arange(net.n_nodes), np.diff(ptr)) for ptr, _, _ in sides]),
+        dst=np.concatenate([nbrs for _, nbrs, _ in sides]),
+        w=np.concatenate([vals for _, _, vals in sides]).astype(np.float64),
+        nbr_lists=nbr_lists, wt_lists=wt_lists,
     )
 
 

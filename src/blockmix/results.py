@@ -113,7 +113,7 @@ def _params_obj(params: BlockParams | GraphonStep) -> dict:
 
 
 def _params_from_obj(obj: dict) -> BlockParams | GraphonStep:
-    if obj.get("tau") is not None:
+    if _typed(dict, obj).get("tau") is not None:
         params = GraphonStep(np.array(obj["tau"]), np.array(obj["block_matrix"]))
         _same(obj["kind"], "bernoulli")
     else:

@@ -196,10 +196,6 @@ class _Stats:
         self.deg = degrees(net).astype(np.float64)
         self.total = float(net.total_value)
         rows, cols, vals = net.row_index(), net.indices, net.data
-        # v's out-neighbours are out_nbrs[out_ptr[v]:out_ptr[v + 1]], and
-        # likewise for "in" (the out-lists again when undirected)
-        self.out_ptr, self.out_nbrs, self.out_vals = net.indptr, cols, vals
-        self.in_ptr, self.in_nbrs, self.in_vals = net.transpose()
         # whole-number int64 tables, exact under any sequence of moves
         self.edge = _cell_sums(labels0[rows], labels0[cols], vals, (K, K))
         # _counts[s, k, v]: value from v toward block k (s = 0) and, directed,
@@ -210,11 +206,11 @@ class _Stats:
             counts.append(_cell_sums(cols, labels0[rows], vals, (self.n, K)))
         self._counts = np.stack([c.T for c in counts])
         self.vcount_out, self.vcount_in = self._counts[0].T, self._counts[-1].T
-        # the count rows a move updates: the out-neighbours' in-counts and,
-        # directed, the in-neighbours' out-counts
-        self._neighbours = [(self._counts[-1], self.out_ptr, self.out_nbrs, self.out_vals)]
+        # the count rows a move updates, with the CSR rows that list them: the
+        # out-neighbours' in-counts and, directed, the in-neighbours' out-counts
+        self._neighbours = [(self._counts[-1], net.indptr, cols, vals)]
         if self.directed:
-            self._neighbours.append((self._counts[0], self.in_ptr, self.in_nbrs, self.in_vals))
+            self._neighbours.append((self._counts[0], *net.transpose()))
         self._ar, self._verts = np.arange(K), np.arange(self.n)
         self._half = np.where(np.eye(K, dtype=bool), 0.5, 1.0)
         # the tabulated step reads the block totals with a halved diagonal and,
@@ -412,31 +408,21 @@ class _Stats:
 
     def _direct(self, verts, xs, z, zm):
         """``deltas``' terms from the moved rows' cells, evaluated vertex by vertex: O(m K^2) cells."""
-        K, edge, m, ar = self.K, self.edge, z.size, self._ar
-        S, cols = xs.shape[0], self._verts[:m]
-        B, per_vertex = self._blocks, self._per_vertex
-        if per_vertex:  # weights now, after leaving z_v (shape (m,)) and after joining d ((K, m)), in one call
-            carry = self._carry[:, verts]
-            s, q, b = self._weights(np.concatenate(
-                (B, B[:, z] - carry, (B[:, :, None] + carry[:, None]).reshape(3, K * m)), axis=1))
-            (s0, s1, s2), (self_now, self_src, self_dst), (b0, b1, b2) = (
-                (x[:K], x[K:K + m], x[K + m:].reshape(K, m)) for x in (s, s * s - q, b))
-            g = cols
-            w_now, w_src, w_dst = s0[:, None] * s0, s0[:, None] * s1, s0[:, None, None] * s2
-            w_now[ar, ar] = self_now / 2.0
-            w_src[z, cols] = self_src / 2.0
-            w_dst[ar, ar] = self_dst / 2.0
-        else:  # the sizes alone: each block now, after one vertex leaves it and after one joins
-            g, (s, q, b) = z, self._weights((self.sizes + self._factors) * self._factor_scale)
-            selfs = s * s - q
-            w = s[0][:, None] * s[:, None, :]
-            w[:, ar, ar] = selfs / 2.0
-            (s0, s1, s2), (self_now, self_src, self_dst), (w_now, w_src, w_dst) = s, selfs, w
-            s2, self_dst, w_dst, w_src = s2[:, None], self_dst[:, None], w_dst[:, :, None], w_src[:, z]
-            b0, b1, b2 = (None,) * 3 if b is None else (b[0], b[1], b[2][:, None])
+        K, edge, m, ar, B = self.K, self.edge, z.size, self._ar, self._blocks
+        S, cols, carry = xs.shape[0], self._verts[:m], self._carry[:, verts]
+        # weights now, after leaving z_v (shape (m,)) and after joining d ((K, m)), in one call
+        s, q, b = self._weights(np.concatenate(
+            (B, B[:, z] - carry, (B[:, :, None] + carry[:, None]).reshape(3, K * m)), axis=1))
+        (s0, s1, s2), (self_now, self_src, self_dst) = (
+            (x[:K], x[K:K + m], x[K + m:].reshape(K, m)) for x in (s, s * s - q))
+        w_now, w_src, w_dst = s0[:, None] * s0, s0[:, None] * s1, s0[:, None, None] * s2
+        w_now[ar, ar] = self_now / 2.0
+        w_src[z, cols] = self_src / 2.0
+        w_dst[ar, ar] = self_dst / 2.0
         extra_now = extra_after = 0.0  # block terms outside the cells
-        if b0 is not None:
-            extra_now, extra_after = b0[:, None] + b0, b1[g] + b2
+        if b is not None:
+            b0, b1, b2 = b[:K], b[K:K + m], b[K + m:].reshape(K, m)
+            extra_now, extra_after = b0[:, None] + b0, b1 + b2
         # cells: now [side, a, k]; source [side, k, v] and destination [side, k, d, v]
         # of the moved rows; the corners
         sizes = [S * K * K, S * K * m, S * K * K * m] + ([K, m, 3 * K * m] if self.directed else [K * m])
@@ -458,18 +444,18 @@ class _Stats:
             ediag = edge[ar, ar]
             eo_a, ei_a = x_out.take(zm), x_in.take(zm)
             e[3][...], w[3][...] = ediag, self_now
-            e[4][...], w[4][...] = (ediag[z] - eo_a) - ei_a, self_src[g]
+            e[4][...], w[4][...] = (ediag[z] - eo_a) - ei_a, self_src
             c = e[5].reshape(3, K, m)
             c[0] = (np.take(edge.T, z, axis=1) - x_out) + ei_a
             c[1] = (np.take(edge, z, axis=1) + eo_a) - x_in
             c[2] = (ediag[:, None] + x_out) + x_in
             cw = w[5].reshape(3, K, m)
-            cw[:2] = s1[g] * s2
+            cw[:2] = s1 * s2
             cw[2] = self_dst
             keep_src = keep_dst = np.take(self._keep, z, axis=2)
         else:  # (e_ad + e_va) - e_vd: the one cell both touched rows share
             e[3][...] = ((edge.T.take(z, axis=1) + x_out.take(zm)) - x_out).ravel()
-            w[3].reshape(K, m)[...] = s1[g] * s2
+            w[3].reshape(K, m)[...] = s1 * s2
             keep_src, keep_dst = self._keep.transpose(0, 2, 1), (ar[:, None] != z)[:, None, :]
         cells = self._cell_term(x)
         cells = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -484,7 +470,7 @@ class _Stats:
             after = after + (((cells[4] + corners[0]) + corners[1]) + corners[2])
             return now, r, cells[3], after.T, extra_now, np.transpose(extra_after)
         after = after + cells[3].reshape(K, m)
-        if per_vertex:
+        if self._per_vertex:
             after = (after + b1) + b2
         return now, r, None, after.T, extra_now, np.transpose(extra_after)
 

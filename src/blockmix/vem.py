@@ -135,14 +135,17 @@ def _e_step(net: Network, state: VariationalState) -> np.ndarray:
     """Responsibilities after one sequential soft sweep over the CSR rows; the bound is left to the caller."""
     resp, K = state.resp.copy(), state.params.K
     score = _scorer(state.params, net.directed)
-    ptr, nbrs, values = net.neighbours()
+    # per side, the CSR rows: out-neighbours and, directed, in-neighbours
+    csr = [(net.indptr, net.indices, net.data)] + ([net.transpose()] if net.directed else [])
     # one coefficient row, rewritten in place for each node: t (a row per side), others, 1
-    c = np.ones(values.shape[0] * K + K + 1)
-    t, others = c[:-K - 1].reshape(-1, K), c[-K - 1:-1]
+    c = np.ones(len(csr) * K + K + 1)
+    t, others = c[:-K - 1].reshape(-1, 1, K), c[-K - 1:-1]
+    sides = [(ptr.tolist(), nbrs, vals.astype(np.float64)[None, :], out) for (ptr, nbrs, vals), out in zip(csr, t)]
     colsum = resp.sum(axis=0)
     for i in range(net.n_nodes):
-        lo, hi = ptr[i], ptr[i + 1]
-        np.matmul(values[:, lo:hi], resp.take(nbrs[lo:hi], axis=0), out=t)
+        for ptr, nbrs, values, out in sides:
+            lo, hi = ptr[i], ptr[i + 1]
+            np.matmul(values[:, lo:hi], resp.take(nbrs[lo:hi], axis=0), out=out)
         np.subtract(colsum, resp[i], out=others)
         s = score(c)
         m = np.maximum.reduce(s)

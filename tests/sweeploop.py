@@ -4,7 +4,8 @@
 the chain screened runs of visits in NumPy: every sweep draws its 2n
 uniforms, and every visit is decided in a Python loop from a count table
 of Python lists.  It reads the graphon's move tables from
-``_Sampler._graphon_tables`` and nothing else of the sampler.
+``_Sampler._graphon_tables`` and nothing else of the sampler, and builds
+its neighbour lists from ``Network.to_dense``, not from the CSR rows.
 Differential tests require the same positions, intervals, occupancies,
 visit counts and count table from both, byte for byte.
 """
@@ -31,13 +32,16 @@ def left_fold(a, b) -> float:
 
 class SweepLoop:
     def __init__(self, net, g):
-        ptr, dst, values = net.neighbours()
-        w = values.sum(axis=0)
-        nbrs, wts = dst.tolist(), w.tolist()
+        # the neighbours from the dense matrix: directed, a pair joined both
+        # ways is one neighbour of weight y_ij + y_ji
+        y = net.to_dense()
+        if net.directed:
+            y = y + y.T
         self.n, self.pair_factor = net.n_nodes, 2.0 if net.directed else 1.0
-        self.src, self.dst, self.w = np.repeat(np.arange(net.n_nodes), np.diff(ptr)), dst, w
-        self.nbr_lists = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
-        self.wt_lists = [wts[a:b] for a, b in zip(ptr, ptr[1:])]
+        self.src, self.dst = np.nonzero(y)
+        self.w = y[self.src, self.dst].astype(np.float64)
+        self.nbr_lists = [np.flatnonzero(row).tolist() for row in y]
+        self.wt_lists = [row[row != 0].astype(np.float64).tolist() for row in y]
         self.__dict__.update(_Sampler._graphon_tables(g))
 
     def start(self, u):

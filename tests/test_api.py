@@ -74,3 +74,21 @@ def test_a_command_loads_only_what_it_runs(command, needed, tmp_path):
     code, *loaded = proc.stdout.splitlines()[-1].split()
     assert code == "0", proc.stderr
     assert set(loaded) & _ON_DEMAND == needed
+
+
+def test_readme_method_model_table_matches_the_engines():
+    """README's method x model table lists the pairs ``models._ENGINE_KINDS`` accepts, and no other."""
+    from blockmix.models import _ENGINE_KINDS, MODEL_KINDS
+
+    lines = (SRC.parent / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| method "))
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    header, body = rows[0], rows[2:]  # rows[1] is the alignment row
+    assert tuple(header[1:]) == MODEL_KINDS
+    assert all(set(row[1:]) <= {"yes", "no"} for row in body)
+    table = {row[0]: tuple(k for k, cell in zip(header[1:], row[1:]) if cell == "yes") for row in body}
+    assert table == {engine: tuple(kinds) for engine, kinds in _ENGINE_KINDS.items()}

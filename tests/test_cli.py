@@ -447,6 +447,19 @@ class TestFitAndEval:
         assert (code, out) == (1, "")
         assert err.startswith("error: malformed result file: bad field 'node_labels'") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("params", ["x", 1, None, True, []])
+    def test_eval_params_that_are_not_an_object(self, planted, tmp_path, capsys, params):
+        # these once ended in a traceback (AttributeError) instead of an error line
+        edges, truth = planted
+        out = tmp_path / "fit.json"
+        run(capsys, "fit", edges, "--method", "switch", "--K", "2", "--out", str(out))
+        obj = json.loads(out.read_text())
+        obj["params"] = params
+        out.write_text(json.dumps(obj))
+        code, text_out, err = run(capsys, "eval", str(out), truth)
+        assert (code, text_out) == (1, "")
+        assert err.startswith("error: malformed result file: bad field 'params'") and err.count("\n") == 1
+
     def test_eval_nan_graphon_boundary(self, tmp_path, capsys):
         # an mcem file whose tau holds NaN was once scored with exit 0
         fit, truth = tmp_path / "fit.json", tmp_path / "truth.labels"

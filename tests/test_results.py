@@ -43,6 +43,20 @@ def _result(params, posterior=None):
     )
 
 
+# a value of each JSON type: string, numbers, null, booleans, array, object
+_JSON_VALUES = ["x", 1, -2.5, None, True, False, [], [1, 2], {}, {"a": 1}]
+
+
+def _fuzz_base(base):
+    """A valid result with block params of the kind ``base``, or a graphon with a posterior."""
+    if base == "graphon":
+        post = PosteriorSummary(np.array([[0.9, 0.1], [0.25, 0.75], [1.0, 0.0], [0.5, 0.5]]),
+                                np.array([0.2, 0.75, 0.0, 1.0]))
+        return _result(GraphonStep([0.0, 0.4, 1.0], np.full((2, 2), 0.5)), posterior=post)
+    gamma = np.array([0.5, -0.5, 0.1, 0.0]) if base == "dc_poisson" else None
+    return _result(BlockParams(base, 2, [0.5, 0.5], np.full((2, 2), 0.5), gamma=gamma))
+
+
 def _square(x):
     return x * x
 
@@ -137,6 +151,8 @@ class TestFormat:
         ("posterior", {"freq": [[1.0, 0.0]] * 3, "gini": [1.0] * 3}),
         ("posterior", {"freq": [[1.0, 0.0, 0.0]] * 4, "gini": [1.0] * 4}),
         ("posterior", {"freq": [[1.0, 0.0]] * 4, "gini": [float("nan"), 1.0, 1.0, 1.0]}),
+        # params that are not an object once raised AttributeError
+        ("params", "x"), ("params", 1), ("params", None), ("params", True), ("params", []),
     ])
     def test_bad_field_is_named(self, name, value):
         params = BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))
@@ -173,6 +189,23 @@ class TestFormat:
         obj["params"][key] = value
         with pytest.raises(ValueError, match="malformed result file: bad field 'params'"):
             from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("base", ["bernoulli", "dc_poisson", "graphon"])
+    def test_any_json_value_in_any_field_loads_or_raises_value_error(self, base):
+        # each top-level field and each params entry, replaced with a value of each JSON type
+        res = _fuzz_base(base)
+        obj = json.loads(to_json(res))
+        places = [(obj, name) for name in obj] + [(obj["params"], name) for name in obj["params"]]
+        for holder, name in places:
+            for value in _JSON_VALUES:
+                saved, holder[name] = holder[name], value
+                try:
+                    from_json(json.dumps(obj))
+                except ValueError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{name} = {value!r} raised {exc!r}")
+                holder[name] = saved
 
     def test_whole_float_labels_load(self):
         params = BlockParams("bernoulli", 2, [0.5, 0.5], np.full((2, 2), 0.5))
